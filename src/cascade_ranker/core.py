@@ -128,15 +128,16 @@ def stage_cost(assignment: StageAssignment, schema: FeatureSchema, j: int) -> fl
     """Fixed per-item cost of evaluating stage ``j`` (1-based)."""
     if not 1 <= j <= assignment.n_stages:
         raise ValueError(f"stage index {j} out of range 1..{assignment.n_stages}")
-    assignment.validate_against(schema)
-    costs = schema.costs()
-    return float(sum(costs[idx] for idx in assignment.stages[j - 1]))
+    return float(stage_costs(assignment, schema)[j - 1])
 
 
 def stage_costs(assignment: StageAssignment, schema: FeatureSchema) -> np.ndarray:
+    """Fixed per-item cost of every stage, shape (T,). Each stage's feature
+    costs are added left to right in assignment order."""
+    assignment.validate_against(schema)
+    costs = schema.costs()
     return np.array(
-        [stage_cost(assignment, schema, j) for j in range(1, assignment.n_stages + 1)],
-        dtype=np.float64,
+        [sum(costs[idx] for idx in stage) for stage in assignment.stages], dtype=np.float64,
     )
 
 
@@ -323,7 +324,13 @@ class PackedDataset:
 
 
 def pack_groups(groups: Sequence[QueryGroup]) -> PackedDataset:
+    """Stack ``groups`` into one PackedDataset. Every group needs at least one
+    instance: the segmented kernels over ``offsets`` cannot represent an
+    empty segment."""
     groups = list(groups)
+    for g in groups:
+        if g.size == 0:
+            raise ValueError(f"group {g.query_id}: has no instances")
     if not groups:
         return PackedDataset(
             X=np.zeros((0, 0)), labels=np.zeros(0, dtype=np.int8), y=np.zeros(0),
@@ -331,8 +338,7 @@ def pack_groups(groups: Sequence[QueryGroup]) -> PackedDataset:
             mcounts=np.zeros(0, dtype=np.int64), offsets=np.zeros(1, dtype=np.int64),
             query_ids=(),
         )
-    rows = [inst.item_features for g in groups for inst in g.instances]
-    X = np.stack(rows) if rows else np.zeros((0, 0))
+    X = np.stack([inst.item_features for g in groups for inst in g.instances])
     labels = np.array(
         [inst.label for g in groups for inst in g.instances], dtype=np.int8
     )

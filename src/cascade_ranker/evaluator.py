@@ -57,18 +57,35 @@ def auc(scores: Sequence[tuple[float, int]]) -> float:
 def macro_auc(scores: np.ndarray, packed: PackedDataset) -> float:
     """Mean per-query AUC over queries holding both classes.
 
+    One segmented pass over all rows: a single sort by (query, score), the
+    average rank for each run of tied scores within a query, and per-query
+    sums of the positives' ranks. Ranks are half-integers, so every sum is
+    exact and each query's AUC equals ``auc`` on its rows bit for bit.
+
     Raises when no query has both a positive and a negative instance.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    vals = []
-    for q in range(packed.n_groups):
-        rows = packed.group_rows(q)
-        y = packed.y[rows]
-        if y.size and y.min() < y.max():
-            vals.append(auc(list(zip(scores[rows], y))))
-    if not vals:
+    starts = packed.offsets[:-1]
+    n_pos = np.add.reduceat(packed.y, starts)
+    both = (n_pos > 0) & (n_pos < packed.sizes)
+    if not both.any():
         raise ValueError("AUC undefined: no query has both a positive and a negative")
-    return float(np.mean(vals))
+
+    group = np.repeat(np.arange(packed.n_groups), packed.sizes)
+    order = np.lexsort((scores, group))
+    s, g = scores[order], group[order]
+    new_run = np.ones(len(s), dtype=bool)
+    new_run[1:] = (s[1:] != s[:-1]) | (g[1:] != g[:-1])
+    run_start = np.flatnonzero(new_run)
+    run_len = np.diff(np.append(run_start, len(s)))
+    # 1-based rank of each run's last row within its query, as in _tied_ranks
+    run_end = run_start + run_len - packed.offsets[g[run_start]]
+    ranks = np.repeat(run_end - (run_len - 1) / 2.0, run_len)
+    pos_rank_sum = np.add.reduceat(ranks * packed.y[order], starts)
+
+    p = n_pos[both]
+    n = packed.sizes[both] - p
+    return float(np.mean((pos_rank_sum[both] - p * (p + 1) / 2.0) / (p * n)))
 
 
 @dataclass(frozen=True)

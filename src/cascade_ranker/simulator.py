@@ -7,33 +7,26 @@ Bernoulli-pass mode exists for oracle comparisons). Raw replay accounting is
 in sample units; the report scales each query by M_q / N_q to the equivalent
 figures over the full recalled set, which is what the result floor and the
 latency ceiling are expressed against.
+
+``plan`` and ``serve_query`` replay one query at a time and are the reference
+that ``simulate`` matches record for record. ``simulate`` replays a whole
+dataset with one forward pass and stage-by-stage accounting vectorised over
+queries.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from .cascade import batch_log_pass
-from .core import CascadeModel, QueryGroup, pack_groups, stage_costs
+from .core import CascadeModel, PackedDataset, QueryGroup, pack_groups, stage_costs
 from .objective import ObjectiveConfig
-
-THREADS_ENV = "CLOES_THREADS"
-
-
-def _env_workers() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def plan(model: CascadeModel, group: QueryGroup, sample_scaled: bool = True) -> list[int]:
@@ -178,69 +171,105 @@ class SimReport:
                 }) + "\n")
 
 
-def simulate(model: CascadeModel, data: Sequence[QueryGroup], cfg: ObjectiveConfig,
-             traffic_multiplier: float = 1.0,
-             keep_counts_fn: Callable[[QueryGroup], Sequence[int]] | None = None,
-             stochastic: bool = False, seed: int = 0) -> SimReport:
-    """Replay every group through ``serve_query`` and aggregate.
+def _deterministic_funnel(model: CascadeModel, packed: PackedDataset):
+    """(entrants (n_groups, T), final counts) of the top-k replay under
+    ``plan``'s keep counts, computed for every query at once.
 
-    The utilization proxy is traffic_multiplier times total cost (open loop);
-    per-query latency does not depend on the multiplier. ``keep_counts_fn``
-    overrides the default expected-count plan (e.g. a fixed-size baseline).
-    Worker parallelism is capped by the CLOES_THREADS environment variable;
-    results are reduced in query order either way.
+    The keep counts are ceil-clamped and non-increasing, so top-k keeps
+    exactly k: the entrants of stage j are the keep count of stage j - 1 and
+    no per-query ranking is needed for the accounting.
+    """
+    cum_log_p = batch_log_pass(model, packed)[1]    # Z is released at once
+    pass_prob = np.exp(cum_log_p, out=cum_log_p)
+    group_of_row = np.repeat(np.arange(packed.n_groups), packed.sizes)
+    keep = np.empty((packed.n_groups, model.n_stages), dtype=np.int64)
+    remaining = packed.sizes
+    for j in range(model.n_stages):
+        # bincount adds each query's rows in row order, as plan's sum(axis=0)
+        # does, so the sums match plan bit for bit (reduceat adds pairwise).
+        pass_sum = np.bincount(group_of_row, weights=pass_prob[:, j], minlength=packed.n_groups)
+        remaining = np.minimum(remaining, np.maximum(1, np.ceil(pass_sum).astype(np.int64)))
+        keep[:, j] = remaining
+    entrants = np.concatenate([packed.sizes[:, None], keep[:, :-1]], axis=1)
+    return entrants, keep[:, -1]
+
+
+def _stochastic_funnel(model: CascadeModel, packed: PackedDataset, seed: int):
+    """(entrants (n_groups, T), final counts) of the Bernoulli replay; query
+    q draws from its own stream ``default_rng([seed, q])`` as in
+    ``serve_query``."""
+    p_stage = expit(batch_log_pass(model, packed)[0])
+    entrants = np.empty((packed.n_groups, model.n_stages), dtype=np.int64)
+    final = np.empty(packed.n_groups, dtype=np.int64)
+    for q in range(packed.n_groups):
+        rng = np.random.default_rng([seed, q])
+        survivors = np.arange(packed.offsets[q], packed.offsets[q + 1])
+        for a in range(model.n_stages):
+            entrants[q, a] = len(survivors)
+            survivors = survivors[rng.random(len(survivors)) < p_stage[survivors, a]]
+        final[q] = len(survivors)
+    return entrants, final
+
+
+def simulate(model: CascadeModel, data, cfg: ObjectiveConfig,
+             traffic_multiplier: float = 1.0, stochastic: bool = False,
+             seed: int = 0) -> SimReport:
+    """Replay every query of ``data`` (QueryGroups or a PackedDataset) and
+    aggregate; each record equals what ``plan`` then ``serve_query`` give
+    for that query.
+
+    Every entrant of stage j pays t_j, accumulated stage by stage. The
+    utilization proxy is traffic_multiplier times total cost (open loop);
+    per-query latency does not depend on the multiplier.
     """
     if traffic_multiplier <= 0:
         raise ValueError("traffic_multiplier must be > 0")
-    groups = list(data)
-    counts_fn = keep_counts_fn if keep_counts_fn is not None else (
-        lambda g: plan(model, g)
-    )
-
-    def _one(args):
-        idx, group = args
-        rng = np.random.default_rng([seed, idx]) if stochastic else None
-        served = serve_query(counts_fn(group), model, group, stochastic=stochastic, rng=rng)
-        scale = group.recalled_count / group.size
-        latency = served.realized_cost * scale
-        return SimQueryRecord(
-            query_id=group.query_id, recalled_count=group.recalled_count,
-            size=group.size, final_count=len(served.ranking) * scale,
-            realized_cost=served.realized_cost * scale,
-            realized_latency_units=latency,
-            realized_latency_ms=latency / cfg.cost_units_per_ms,
-            below_floor=bool(len(served.ranking) * scale < cfg.result_floor),
-            above_latency_ceiling=bool(latency > cfg.latency_ceiling),
-        )
-
-    workers = _env_workers()
-    if workers > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(_one, enumerate(groups)))
-    else:
-        records = tuple(_one(x) for x in enumerate(groups))
-
-    if records:
-        lat = np.array([r.realized_latency_units for r in records])
-        total = float(sum(r.realized_cost for r in records))
-        report = SimReport(
-            traffic_multiplier=float(traffic_multiplier), total_cost=total,
-            utilization_proxy=float(traffic_multiplier * total),
-            mean_latency_units=float(lat.mean()),
-            p95_latency_units=float(np.percentile(lat, 95)),
-            mean_latency_ms=float(lat.mean() / cfg.cost_units_per_ms),
-            p95_latency_ms=float(np.percentile(lat, 95) / cfg.cost_units_per_ms),
-            fraction_below_floor=float(np.mean([r.below_floor for r in records])),
-            fraction_above_latency_ceiling=float(
-                np.mean([r.above_latency_ceiling for r in records])
-            ),
-            per_query=records,
-        )
-    else:
-        report = SimReport(
+    packed = data if isinstance(data, PackedDataset) else pack_groups(data)
+    if packed.n_groups == 0:
+        return SimReport(
             traffic_multiplier=float(traffic_multiplier), total_cost=0.0,
             utilization_proxy=0.0, mean_latency_units=0.0, p95_latency_units=0.0,
             mean_latency_ms=0.0, p95_latency_ms=0.0, fraction_below_floor=0.0,
             fraction_above_latency_ceiling=0.0, per_query=(),
         )
-    return report
+    if stochastic:
+        entrants, final = _stochastic_funnel(model, packed, seed)
+    else:
+        entrants, final = _deterministic_funnel(model, packed)
+
+    t = stage_costs(model.assignment, model.schema)
+    cost = np.zeros(packed.n_groups)
+    for a in range(model.n_stages):
+        cost += entrants[:, a] * t[a]
+    scale = packed.mcounts / packed.sizes
+    latency = cost * scale
+    latency_ms = latency / cfg.cost_units_per_ms
+    final_count = final * scale
+    below = final_count < cfg.result_floor
+    above = latency > cfg.latency_ceiling
+    records = tuple(
+        SimQueryRecord(
+            query_id=qid, recalled_count=m, size=n, final_count=fc, realized_cost=lat,
+            realized_latency_units=lat, realized_latency_ms=ms, below_floor=lo,
+            above_latency_ceiling=hi,
+        )
+        for qid, m, n, fc, lat, ms, lo, hi in zip(
+            packed.query_ids, packed.mcounts.tolist(), packed.sizes.tolist(),
+            final_count.tolist(), latency.tolist(), latency_ms.tolist(),
+            below.tolist(), above.tolist(),
+        )
+    )
+    # builtin sum adds left to right over the records; np.sum would add pairwise
+    total = float(sum(latency.tolist()))
+    p95 = np.percentile(latency, 95)
+    return SimReport(
+        traffic_multiplier=float(traffic_multiplier), total_cost=total,
+        utilization_proxy=float(traffic_multiplier * total),
+        mean_latency_units=float(latency.mean()),
+        p95_latency_units=float(p95),
+        mean_latency_ms=float(latency.mean() / cfg.cost_units_per_ms),
+        p95_latency_ms=float(p95 / cfg.cost_units_per_ms),
+        fraction_below_floor=float(np.mean(below)),
+        fraction_above_latency_ceiling=float(np.mean(above)),
+        per_query=records,
+    )

@@ -96,6 +96,13 @@ class TestStageCost:
         asg = default_assignment(schema)
         assert stage_costs(asg, schema).sum() == pytest.approx(schema.costs().sum())
 
+    def test_summed_left_to_right_in_assignment_order(self):
+        # 1 + 1 + 1e16 keeps the small terms; 1 + 1e16 + 1 rounds both away
+        schema = FeatureSchema((Feature("a", 1.0), Feature("b", 1e16), Feature("c", 1.0)))
+        asg = StageAssignment(((0, 2, 1),))
+        assert stage_costs(asg, schema)[0] == 1e16 + 2.0
+        assert stage_cost(asg, schema, 1) == 1e16 + 2.0
+
 
 class TestValidateDataset:
     def test_well_formed_is_clean(self):
@@ -182,3 +189,9 @@ class TestPacking:
     def test_empty(self):
         packed = pack_groups([])
         assert packed.n_instances == 0 and packed.n_groups == 0
+
+    def test_empty_group_rejected_with_query_id(self):
+        schema = default_schema()
+        empty = QueryGroup("q-empty", schema.query_onehot(4), 4, ())
+        with pytest.raises(ValueError, match="q-empty"):
+            pack_groups([_group(schema, qid="a"), empty, _group(schema, qid="b")])

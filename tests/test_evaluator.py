@@ -3,12 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade_ranker.core import (
     CascadeModel,
     Feature,
     FeatureSchema,
     Instance,
+    PackedDataset,
     QueryGroup,
     StageAssignment,
     pack_groups,
@@ -21,6 +24,7 @@ from cascade_ranker.evaluator import (
     baseline_two_stage,
     evaluate,
     fit_two_stage,
+    macro_auc,
 )
 from cascade_ranker.objective import ObjectiveConfig, expected_cost
 from cascade_ranker.trainer import TrainConfig, init_weights, train
@@ -63,6 +67,51 @@ class TestAuc:
         base = auc(list(zip(scores, y)))
         for f in (lambda s: 3 * s + 1, np.exp, lambda s: s ** 3):
             assert auc(list(zip(f(scores), y))) == pytest.approx(base, rel=1e-12)
+
+
+def _packed(groups):
+    """PackedDataset holding only what ``macro_auc`` reads: (score, label) pairs per query."""
+    sizes = np.array([len(g) for g in groups], dtype=np.int64)
+    labels = np.array([y for g in groups for _, y in g], dtype=np.int8)
+    n, q = int(sizes.sum()), len(groups)
+    return PackedDataset(
+        X=np.zeros((n, 1)), labels=labels, y=labels.astype(np.float64), prices=np.ones(n),
+        G=np.zeros((q, 1)), sizes=sizes, mcounts=sizes,
+        offsets=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+        query_ids=tuple(f"q{i}" for i in range(q)),
+    )
+
+
+# Scores from a small set make ties within a query common.
+_SCORE = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]),
+                   st.floats(-1e6, 1e6, allow_nan=False))
+_QUERY = st.lists(st.tuples(_SCORE, st.integers(0, 1)), min_size=1, max_size=12)
+
+
+class TestMacroAuc:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(groups=st.lists(_QUERY, min_size=1, max_size=15))
+    def test_equals_mean_of_scalar_auc(self, groups):
+        scores = np.array([s for g in groups for s, _ in g])
+        two_class = [g for g in groups if len({y for _, y in g}) == 2]
+        if not two_class:
+            with pytest.raises(ValueError, match="both"):
+                macro_auc(scores, _packed(groups))
+            return
+        assert macro_auc(scores, _packed(groups)) == float(np.mean([auc(g) for g in two_class]))
+
+    def test_size_one_and_single_class_queries_skipped(self):
+        groups = [[(0.3, 1)], [(0.9, 1), (0.1, 0)], [(0.5, 0), (0.5, 0)], [(0.2, 1), (0.8, 0)]]
+        scores = np.array([s for g in groups for s, _ in g])
+        assert macro_auc(scores, _packed(groups)) == 0.5
+
+    def test_no_two_class_query_raises(self):
+        groups = [[(0.3, 1)], [(0.5, 0), (0.1, 0)]]
+        scores = np.array([s for g in groups for s, _ in g])
+        with pytest.raises(ValueError, match="both a positive and a negative"):
+            macro_auc(scores, _packed(groups))
+        with pytest.raises(ValueError, match="both a positive and a negative"):
+            macro_auc(np.zeros(0), pack_groups([]))
 
 
 def _benchmark(seed=0, n=150):

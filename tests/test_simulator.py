@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade_ranker.cascade import score_group
 from cascade_ranker.core import (
@@ -10,11 +12,12 @@ from cascade_ranker.core import (
     Instance,
     QueryGroup,
     StageAssignment,
+    pack_groups,
     stage_costs,
 )
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
 from cascade_ranker.objective import ObjectiveConfig, dataset_expected_count
-from cascade_ranker.simulator import ServePlan, plan, serve_query, simulate
+from cascade_ranker.simulator import SimQueryRecord, ServePlan, plan, serve_query, simulate
 from cascade_ranker.trainer import init_weights
 
 
@@ -40,6 +43,26 @@ def _group_with_stage1_probs(schema, probs, mcount=None, second_feature=0.0):
         Instance(np.array([_logit(p), second_feature]), 0, 2.0) for p in probs
     )
     return QueryGroup("q0", schema.query_onehot(mcount), mcount, instances)
+
+
+def _serve_loop_records(model, data, cfg, stochastic=False, seed=0):
+    """Per-query reference for ``simulate``: plan, then serve_query, then
+    scale by M_q / N_q, one query at a time."""
+    records = []
+    for idx, g in enumerate(data):
+        rng = np.random.default_rng([seed, idx]) if stochastic else None
+        served = serve_query(plan(model, g), model, g, stochastic=stochastic, rng=rng)
+        scale = g.recalled_count / g.size
+        latency = served.realized_cost * scale
+        final = len(served.ranking) * scale
+        records.append(SimQueryRecord(
+            query_id=g.query_id, recalled_count=g.recalled_count, size=g.size,
+            final_count=final, realized_cost=latency, realized_latency_units=latency,
+            realized_latency_ms=latency / cfg.cost_units_per_ms,
+            below_floor=final < cfg.result_floor,
+            above_latency_ceiling=latency > cfg.latency_ceiling,
+        ))
+    return tuple(records)
 
 
 class TestPlan:
@@ -225,12 +248,55 @@ class TestSimulate:
         for r in rep.per_query:
             assert r.final_count <= r.recalled_count
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
+    def test_matches_per_query_serve_loop(self):
         schema, asg = default_schema(), default_assignment(schema=None)
         data = generate(GenConfig(n_queries=15, seed=1), schema)
         model = init_weights(schema, asg, 1, 0.4)
         cfg = ObjectiveConfig()
-        serial = simulate(model, data, cfg, 1.0)
-        monkeypatch.setenv("CLOES_THREADS", "4")
-        pooled = simulate(model, data, cfg, 1.0)
-        assert serial == pooled
+        for stochastic in (False, True):
+            rep = simulate(model, data, cfg, 1.0, stochastic=stochastic, seed=4)
+            oracle = _serve_loop_records(model, data, cfg, stochastic, seed=4)
+            for got, want in zip(rep.per_query, oracle, strict=True):
+                assert got == want
+            assert rep.total_cost == sum(r.realized_cost for r in oracle)
+
+    def test_packed_input_same_report(self):
+        schema, asg = default_schema(), default_assignment(schema=None)
+        data = generate(GenConfig(n_queries=10, seed=6), schema)
+        model = init_weights(schema, asg, 6, 0.5)
+        cfg = ObjectiveConfig()
+        assert simulate(model, pack_groups(data), cfg) == simulate(model, data, cfg)
+
+
+_SEEDS = st.integers(min_value=0, max_value=2**16)
+
+
+class TestReplayProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data_seed=_SEEDS, model_seed=_SEEDS, sim_seed=_SEEDS,
+           n_queries=st.integers(1, 6), cap=st.integers(1, 25),
+           scale=st.floats(0.05, 3.0), stochastic=st.booleans())
+    def test_simulate_equals_serve_loop(self, data_seed, model_seed, sim_seed, n_queries,
+                                        cap, scale, stochastic):
+        schema, asg = default_schema(), default_assignment(schema=None)
+        data = generate(GenConfig(n_queries=n_queries, group_size_cap=cap, seed=data_seed),
+                        schema)
+        model = init_weights(schema, asg, model_seed, scale)
+        cfg = ObjectiveConfig()
+        rep = simulate(model, data, cfg, stochastic=stochastic, seed=sim_seed)
+        assert rep.per_query == _serve_loop_records(model, data, cfg, stochastic, sim_seed)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(seed=_SEEDS, size=st.integers(1, 40), extra=st.integers(0, 500),
+           scale=st.floats(0.0, 5.0), sample_scaled=st.booleans())
+    def test_plan_counts_never_increase(self, seed, size, extra, scale, sample_scaled):
+        schema, asg = default_schema(), default_assignment(schema=None)
+        model = init_weights(schema, asg, seed, scale)
+        rng = np.random.default_rng(seed)
+        mcount = size + extra
+        g = QueryGroup("q0", schema.query_onehot(mcount), mcount, tuple(
+            Instance(3.0 * rng.standard_normal(schema.item_dim)) for _ in range(size)))
+        counts = plan(model, g, sample_scaled=sample_scaled)
+        assert len(counts) == asg.n_stages
+        assert 1 <= counts[0] <= size
+        assert all(b <= a for a, b in zip(counts, counts[1:]))
