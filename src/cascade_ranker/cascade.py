@@ -65,7 +65,7 @@ def cascade_probabilities(model: CascadeModel, group: QueryGroup, item_features:
 
 def score_group(model: CascadeModel, group: QueryGroup) -> list[StageProbs]:
     """Element i is ``cascade_probabilities`` on instance i; order preserved."""
-    return [cascade_probabilities(model, group, inst.item_features) for inst in group.instances]
+    return [cascade_probabilities(model, group, x) for x in group.X]
 
 
 def batch_logits(model: CascadeModel, packed: PackedDataset) -> np.ndarray:

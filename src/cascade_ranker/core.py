@@ -7,7 +7,7 @@ threads. Vectors are float64 numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -162,27 +162,86 @@ class Instance:
         return int(self.label != LABEL_NONE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QueryGroup:
     """A query with its one-hot query vector, recalled-item count M_q, and
-    the N_q sampled labeled instances (N_q <= M_q for valid datasets)."""
+    its N_q sampled labeled instances (N_q <= M_q for valid datasets), held
+    as one column block: ``X`` (N_q, item_dim) float64, ``labels`` (N_q,)
+    int8 in {0, 1, 2} and ``prices`` (N_q,) float64.
+
+    ``QueryGroup(query_id, query_features, recalled_count, instances)`` stacks
+    hand-built ``Instance`` objects; ``from_columns`` takes the block
+    directly and is what the generator and the reader use. ``instances`` is
+    a per-row view rebuilt on every access, for tests and small tools.
+    """
 
     query_id: str
     query_features: np.ndarray
     recalled_count: int
-    instances: tuple[Instance, ...]
+    X: np.ndarray
+    labels: np.ndarray
+    prices: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "query_features", np.asarray(self.query_features, dtype=np.float64)
+    def __init__(self, query_id: str, query_features, recalled_count: int,
+                 instances: Iterable[Instance] = ()):
+        instances = tuple(instances)
+        dims = {inst.item_features.shape for inst in instances}
+        if len(dims) > 1:
+            raise ValueError(
+                f"group {query_id}: instances have different feature shapes {sorted(dims)}"
+            )
+        X = np.stack([inst.item_features for inst in instances]) if instances else np.zeros((0, 0))
+        self._set_columns(
+            query_id, query_features, recalled_count, X,
+            np.array([inst.label for inst in instances], dtype=np.int8),
+            np.array([inst.price for inst in instances], dtype=np.float64),
         )
-        object.__setattr__(self, "instances", tuple(self.instances))
-        if self.recalled_count < 1:
-            raise ValueError(f"group {self.query_id}: recalled_count must be >= 1")
+
+    @classmethod
+    def from_columns(cls, query_id: str, query_features, recalled_count: int,
+                     X, labels, prices) -> "QueryGroup":
+        """Group over an existing column block; the arrays are not copied when
+        they already have the right dtype."""
+        group = cls.__new__(cls)
+        group._set_columns(query_id, query_features, recalled_count, X, labels, prices)
+        return group
+
+    def _set_columns(self, query_id, query_features, recalled_count, X, labels, prices):
+        X = np.asarray(X, dtype=np.float64)
+        labels = np.asarray(labels)
+        prices = np.asarray(prices, dtype=np.float64)
+        if recalled_count < 1:
+            raise ValueError(f"group {query_id}: recalled_count must be >= 1")
+        n = labels.shape[0] if labels.ndim == 1 else -1
+        if X.ndim != 2 or X.shape[0] != n or prices.shape != (n,):
+            raise ValueError(
+                f"group {query_id}: X {X.shape}, labels {labels.shape} and prices "
+                f"{prices.shape} do not form one block of rows"
+            )
+        if n > 0 and (labels.dtype.kind not in "iu"
+                      or labels.min() < LABEL_NONE or labels.max() > LABEL_PURCHASE):
+            raise ValueError(
+                f"group {query_id}: labels must be 0 (none), 1 (click) or 2 (purchase)"
+            )
+        object.__setattr__(self, "query_id", query_id)
+        object.__setattr__(
+            self, "query_features", np.asarray(query_features, dtype=np.float64)
+        )
+        object.__setattr__(self, "recalled_count", recalled_count)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "labels", labels.astype(np.int8, copy=False))
+        object.__setattr__(self, "prices", prices)
 
     @property
     def size(self) -> int:
-        return len(self.instances)
+        return self.labels.shape[0]
+
+    @property
+    def instances(self) -> tuple[Instance, ...]:
+        return tuple(
+            Instance(x, label, price)
+            for x, label, price in zip(self.X, self.labels.tolist(), self.prices.tolist())
+        )
 
 
 @dataclass(frozen=True)
@@ -261,7 +320,9 @@ def validate_dataset(groups: Iterable[QueryGroup], schema: FeatureSchema) -> lis
     """Report-based dataset validation; an empty list means valid.
 
     Checks feature dimension, one-hot query vectors, M_q >= N_q >= 1,
-    positive prices, and finite feature values.
+    finite feature values, positive prices, and prices above 1 for clicks
+    and purchases: their importance weight is log(price), and a weight of
+    zero or below leaves the weighted NLL unbounded below.
     """
     violations: list[str] = []
     d, dq = schema.item_dim, schema.query_feature_dim
@@ -280,25 +341,32 @@ def validate_dataset(groups: Iterable[QueryGroup], schema: FeatureSchema) -> lis
             violations.append(
                 f"group {gid}: recalled_count {group.recalled_count} < {group.size} instances"
             )
-        for i, inst in enumerate(group.instances):
-            if inst.item_features.shape != (d,):
-                violations.append(
-                    f"group {gid} instance {i}: feature dim {inst.item_features.shape[0]}"
-                    f" != schema dim {d}"
-                )
-            elif not np.all(np.isfinite(inst.item_features)):
+        if group.size and group.X.shape[1] != d:
+            violations.append(f"group {gid}: feature dim {group.X.shape[1]} != schema dim {d}")
+        else:
+            for i in np.flatnonzero(~np.isfinite(group.X).all(axis=1)).tolist():
                 violations.append(f"group {gid} instance {i}: non-finite feature value")
-            if not inst.price > 0:
-                violations.append(f"group {gid} instance {i}: price {inst.price} is not positive")
+        prices = group.prices
+        for i in np.flatnonzero(~(prices > 0)).tolist():
+            violations.append(
+                f"group {gid} instance {i}: price {float(prices[i])} is not positive"
+            )
+        low = (group.labels != LABEL_NONE) & (prices > 0) & (prices <= 1.0)
+        for i in np.flatnonzero(low).tolist():
+            violations.append(
+                f"group {gid} instance {i}: click or purchase at price {float(prices[i])} <= 1"
+                " has importance weight log(price) <= 0"
+            )
     return violations
 
 
 @dataclass(frozen=True)
 class PackedDataset:
-    """Columnar view of a list of QueryGroups for vectorized math.
+    """Columnar rows of many query groups, for vectorized math.
 
     Row order preserves group order and in-group instance order. ``offsets``
     has length n_groups + 1; group q owns rows offsets[q]:offsets[q+1].
+    ``pack_groups`` builds one from QueryGroups; ``take`` selects groups.
     """
 
     X: np.ndarray          # (n, item_dim)
@@ -322,11 +390,25 @@ class PackedDataset:
     def group_rows(self, q: int) -> slice:
         return slice(int(self.offsets[q]), int(self.offsets[q + 1]))
 
+    def take(self, group_idx) -> "PackedDataset":
+        """The groups ``group_idx`` in that order, each with its rows in order."""
+        group_idx = np.asarray(group_idx, dtype=np.int64)
+        sizes = self.sizes[group_idx]
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        # row r of the result is source row offsets[q] + (r - new offset of q)
+        rows = np.repeat(self.offsets[group_idx] - offsets[:-1], sizes) + np.arange(offsets[-1])
+        return PackedDataset(
+            X=self.X[rows], labels=self.labels[rows], y=self.y[rows],
+            prices=self.prices[rows], G=self.G[group_idx], sizes=sizes,
+            mcounts=self.mcounts[group_idx], offsets=offsets,
+            query_ids=tuple(self.query_ids[q] for q in group_idx.tolist()),
+        )
+
 
 def pack_groups(groups: Sequence[QueryGroup]) -> PackedDataset:
-    """Stack ``groups`` into one PackedDataset. Every group needs at least one
-    instance: the segmented kernels over ``offsets`` cannot represent an
-    empty segment."""
+    """Concatenate the column blocks of ``groups`` into one PackedDataset.
+    Every group needs at least one instance: the segmented kernels over
+    ``offsets`` cannot represent an empty segment."""
     groups = list(groups)
     for g in groups:
         if g.size == 0:
@@ -338,11 +420,9 @@ def pack_groups(groups: Sequence[QueryGroup]) -> PackedDataset:
             mcounts=np.zeros(0, dtype=np.int64), offsets=np.zeros(1, dtype=np.int64),
             query_ids=(),
         )
-    X = np.stack([inst.item_features for g in groups for inst in g.instances])
-    labels = np.array(
-        [inst.label for g in groups for inst in g.instances], dtype=np.int8
-    )
-    prices = np.array([inst.price for g in groups for inst in g.instances])
+    X = np.concatenate([g.X for g in groups])
+    labels = np.concatenate([g.labels for g in groups])
+    prices = np.concatenate([g.prices for g in groups])
     G = np.stack([g.query_features for g in groups])
     sizes = np.array([g.size for g in groups], dtype=np.int64)
     mcounts = np.array([g.recalled_count for g in groups], dtype=np.int64)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +25,6 @@ from .core import (
     LABEL_PURCHASE,
     Feature,
     FeatureSchema,
-    Instance,
     QueryGroup,
     StageAssignment,
 )
@@ -160,15 +160,8 @@ def generate(cfg: GenConfig, schema: FeatureSchema) -> list[QueryGroup]:
             purchased = positive & (rng.random(n_q) < p_purchase)
         labels = np.where(purchased, LABEL_PURCHASE, labels)
 
-        instances = tuple(
-            Instance(item_features=X[i], label=int(labels[i]), price=float(prices[i]))
-            for i in range(n_q)
-        )
-        groups.append(QueryGroup(
-            query_id=f"q{qi:05d}",
-            query_features=schema.query_onehot(m_q),
-            recalled_count=m_q,
-            instances=instances,
+        groups.append(QueryGroup.from_columns(
+            f"q{qi:05d}", schema.query_onehot(m_q), m_q, X, labels, prices,
         ))
     return groups
 
@@ -180,48 +173,53 @@ class DatasetFormatError(ValueError):
 def write_dataset(path, groups: Sequence[QueryGroup]) -> None:
     """One instance per line:
     ``qid:<id> mcount:<int> label:<0|1|2> price:<float> <idx>:<float> ...``
-    Zero-valued features are omitted; floats use 17 significant digits so the
-    round trip is exact."""
+    Zero-valued features are omitted (so -0.0 reads back as 0.0); floats use
+    17 significant digits so the round trip is otherwise exact."""
     with open(path, "w", encoding="utf-8") as fh:
         for group in groups:
-            for inst in group.instances:
-                feats = " ".join(
-                    f"{k}:{format(v, '.17g')}"
-                    for k, v in enumerate(inst.item_features) if v != 0.0
-                )
-                line = (f"qid:{group.query_id} mcount:{group.recalled_count} "
-                        f"label:{inst.label} price:{format(inst.price, '.17g')}")
+            head = f"qid:{group.query_id} mcount:{group.recalled_count} "
+            for x, label, price in zip(group.X.tolist(), group.labels.tolist(),
+                                       group.prices.tolist()):
+                feats = " ".join(f"{k}:{v:.17g}" for k, v in enumerate(x) if v != 0.0)
+                line = f"{head}label:{label} price:{price:.17g}"
                 fh.write(line + (" " + feats if feats else "") + "\n")
 
 
-def read_dataset(path, schema: FeatureSchema) -> list[QueryGroup]:
-    """Parse the dataset format; lines sharing a qid must be contiguous.
-    The query one-hot vector is derived from mcount via the schema's bins."""
-    groups: list[QueryGroup] = []
+# Lines parsed into Python lists before each conversion to arrays: bounds the
+# memory held in per-line Python objects while reading a large file.
+READ_CHUNK_LINES = 4096
+
+
+def _parse_prefix(fields: list[str]) -> tuple[str, int, int, float]:
+    """(qid, mcount, label, price) from a line's first four fields, in any
+    order; raises KeyError or ValueError."""
+    if (len(fields) >= 4 and fields[0][:4] == "qid:" and fields[1][:7] == "mcount:"
+            and fields[2][:6] == "label:" and fields[3][:6] == "price:"):
+        # the order write_dataset uses, without building a dict
+        return fields[0][4:], int(fields[1][7:]), int(fields[2][6:]), float(fields[3][6:])
+    tags = dict(f.split(":", 1) for f in fields[:4])
+    return tags["qid"], int(tags["mcount"]), int(tags["label"]), float(tags["price"])
+
+
+def _parse_chunks(fh, d: int):
+    """Yield one ``(X, labels, prices, starts)`` column block per chunk of
+    lines of ``fh``; ``starts`` holds ``(row, qid, mcount)`` for each query
+    whose first line is in the chunk, ``row`` counting data rows from the
+    start of the file. Raises DatasetFormatError at the first bad line."""
+    index_of = {str(i): i for i in range(d)}    # spares int() on canonical indices
     seen: set[str] = set()
-    cur_qid: str | None = None
-    cur_mcount = 0
-    cur_instances: list[Instance] = []
-
-    def _flush():
-        if cur_qid is not None:
-            groups.append(QueryGroup(
-                query_id=cur_qid, query_features=schema.query_onehot(cur_mcount),
-                recalled_count=cur_mcount, instances=tuple(cur_instances),
-            ))
-
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+    cur_qid, cur_mcount = None, 0
+    lineno = rows_before = 0
+    while chunk := list(islice(fh, READ_CHUNK_LINES)):
+        labels, prices, n_feats, cols, vals = [], [], [], [], []
+        starts = []
+        for raw in chunk:
+            lineno += 1
+            fields = raw.split()
+            if not fields:
                 continue
-            fields = line.split()
             try:
-                tags = dict(f.split(":", 1) for f in fields[:4])
-                qid = tags["qid"]
-                mcount = int(tags["mcount"])
-                label = int(tags["label"])
-                price = float(tags["price"])
+                qid, mcount, label, price = _parse_prefix(fields)
             except (KeyError, ValueError) as exc:
                 raise DatasetFormatError(
                     f"line {lineno}: expected 'qid: mcount: label: price:' prefix ({exc})"
@@ -230,32 +228,64 @@ def read_dataset(path, schema: FeatureSchema) -> list[QueryGroup]:
                 raise DatasetFormatError(f"line {lineno}: label must be 0, 1 or 2, got {label}")
             if mcount < 1:
                 raise DatasetFormatError(f"line {lineno}: mcount must be >= 1, got {mcount}")
-            x = np.zeros(schema.item_dim)
+            line_cols = []
             for f in fields[4:]:
                 try:
                     idx_s, val_s = f.split(":", 1)
-                    idx, val = int(idx_s), float(val_s)
+                    idx = index_of.get(idx_s)
+                    idx, val = int(idx_s) if idx is None else idx, float(val_s)
                 except ValueError:
                     raise DatasetFormatError(
                         f"line {lineno}: malformed feature entry {f!r}"
                     ) from None
-                if not 0 <= idx < schema.item_dim:
+                if not 0 <= idx < d:
                     raise DatasetFormatError(
-                        f"line {lineno}: feature index {idx} outside schema 0..{schema.item_dim - 1}"
+                        f"line {lineno}: feature index {idx} outside schema 0..{d - 1}"
                     )
-                x[idx] = val
+                line_cols.append(idx)
+                vals.append(val)
+            if len(set(line_cols)) != len(line_cols):
+                dup = next(i for k, i in enumerate(line_cols) if i in line_cols[:k])
+                raise DatasetFormatError(f"line {lineno}: feature index {dup} appears twice")
             if qid != cur_qid:
                 if qid in seen:
                     raise DatasetFormatError(
                         f"line {lineno}: qid {qid!r} reappears; lines per qid must be contiguous"
                     )
-                _flush()
                 seen.add(qid)
-                cur_qid, cur_mcount, cur_instances = qid, mcount, []
+                cur_qid, cur_mcount = qid, mcount
+                starts.append((rows_before + len(labels), qid, mcount))
             elif mcount != cur_mcount:
                 raise DatasetFormatError(
                     f"line {lineno}: mcount {mcount} differs within qid {qid!r}"
                 )
-            cur_instances.append(Instance(item_features=x, label=label, price=price))
-    _flush()
-    return groups
+            cols += line_cols
+            n_feats.append(len(line_cols))
+            labels.append(label)
+            prices.append(price)
+        X = np.zeros((len(labels), d))
+        X[np.repeat(np.arange(len(labels)), n_feats), cols] = vals
+        rows_before += len(labels)
+        yield X, np.array(labels, dtype=np.int8), np.array(prices, dtype=np.float64), starts
+
+
+def read_dataset(path, schema: FeatureSchema) -> list[QueryGroup]:
+    """Parse the dataset format; lines sharing a qid must be contiguous, and
+    a line may give each feature index once. The query one-hot vector is
+    derived from mcount via the schema's bins.
+
+    Lines are parsed into column blocks READ_CHUNK_LINES at a time; the
+    blocks are joined into one matrix, and each query's group is a slice of
+    it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        chunks = list(_parse_chunks(fh, schema.item_dim))
+    if not chunks:
+        return []
+    X, labels, prices = (np.concatenate(parts) for parts in list(zip(*chunks))[:3])
+    starts = [start for chunk in chunks for start in chunk[3]]
+    ends = [row for row, _, _ in starts[1:]] + [len(labels)]
+    return [
+        QueryGroup.from_columns(qid, schema.query_onehot(mcount), mcount,
+                                X[row:end], labels[row:end], prices[row:end])
+        for (row, qid, mcount), end in zip(starts, ends)
+    ]

@@ -26,7 +26,10 @@ from .core import (
     StageAssignment,
     pack_groups,
 )
-from .objective import ObjectiveConfig, expected_cost, per_query_expectations
+from .objective import ObjectiveConfig, forward_expectations
+# Not called here since evaluate takes everything from forward_expectations;
+# still bound because the benchmark's tracer wraps these names in this module.
+from .objective import expected_cost, per_query_expectations  # noqa: F401
 from .trainer import TrainConfig, train
 
 
@@ -180,12 +183,10 @@ def evaluate(model: CascadeModel, data, cfg: ObjectiveConfig,
              baseline_cost: float | None = None) -> EvalReport:
     """Full model-based report: per-query mean AUC, expected cost (normalized
     to ``baseline_cost``; to itself when omitted), and per-query expected
-    result counts and latencies."""
+    result counts and latencies, all from one forward pass."""
     packed = data if isinstance(data, PackedDataset) else pack_groups(data)
-    scores = batch_final_probs(model, packed)
+    scores, cost, counts, latencies = forward_expectations(model, packed, cfg)
     auc_val = macro_auc(scores, packed)
-    cost = expected_cost(model, packed)
-    counts, latencies = per_query_expectations(model, packed, cfg)
     return _report_from_per_query(
         auc_val, cost, baseline_cost if baseline_cost is not None else cost,
         packed, counts, latencies, cfg,

@@ -196,9 +196,46 @@ def _accumulate_weight_grad(model: CascadeModel, packed: PackedDataset, dZ: np.n
     return np.concatenate(parts)
 
 
+def _query_expectations(packed: PackedDataset, cfg: ObjectiveConfig, t: np.ndarray,
+                        P: np.ndarray):
+    """(suffix, counts_final, latencies, lat_suffix) from the cumulative pass
+    probabilities ``P`` (n, T): per-query expected final counts and
+    latencies, recall-scaled, and the per-item cost suffixes behind them."""
+    T = P.shape[1]
+    mratio = packed.mcounts / packed.sizes     # M_q / N_q
+
+    # suffix[i, b] = sum_{k=b}^{T-2} t[k+1] * P[i, k]: the cost the item is
+    # expected to incur in stages after b, given it passes stage b.
+    suffix = np.zeros_like(P)
+    if T > 1:
+        later = P[:, : T - 1] * t[1:]
+        suffix[:, : T - 1] = np.flip(np.cumsum(np.flip(later, axis=1), axis=1), axis=1)
+
+    counts_final = mratio * np.add.reduceat(P[:, -1], packed.offsets[:-1])
+    if cfg.latency_survivor_form:
+        surv = np.flip(np.cumsum(np.flip(P * t, axis=1), axis=1), axis=1)
+        latencies = mratio * np.add.reduceat(surv[:, 0], packed.offsets[:-1])
+        lat_suffix = surv
+    else:
+        latencies = t[0] * packed.mcounts + mratio * np.add.reduceat(
+            suffix[:, 0], packed.offsets[:-1]
+        )
+        lat_suffix = suffix
+    return suffix, counts_final, latencies, lat_suffix
+
+
+def _entrant_cost(t: np.ndarray, P: np.ndarray) -> float:
+    """Expected cost charged stage by stage: t_1 per instance, then t_j times
+    the expected number of instances entering stage j, added in stage order."""
+    total = t[0] * P.shape[0]
+    for j in range(1, len(t)):
+        # a contiguous copy sums exactly like np.exp(cum_log_p[:, j - 1])
+        total += t[j] * float(np.sum(np.ascontiguousarray(P[:, j - 1])))
+    return float(total)
+
+
 def _evaluate_terms(model: CascadeModel, packed: PackedDataset, cfg: ObjectiveConfig,
                     want_grad: bool) -> _Terms:
-    T = model.n_stages
     t = stage_costs(model.assignment, model.schema)
     nw = model.n_weights
 
@@ -221,29 +258,10 @@ def _evaluate_terms(model: CascadeModel, packed: PackedDataset, cfg: ObjectiveCo
     P = np.exp(cum_log_p)                      # cumulative pass probabilities
     sizes = packed.sizes
     mratio = packed.mcounts / sizes            # M_q / N_q
-
-    # suffix[i, b] = sum_{k=b}^{T-2} t[k+1] * P[i, k]: the cost the item is
-    # expected to incur in stages after b, given it passes stage b.
-    suffix = np.zeros_like(P)
-    if T > 1:
-        later = P[:, : T - 1] * t[1:]
-        suffix[:, : T - 1] = np.flip(np.cumsum(np.flip(later, axis=1), axis=1), axis=1)
+    suffix, counts_final, latencies, lat_suffix = _query_expectations(packed, cfg, t, P)
 
     cost = float(t[0] * packed.n_instances + np.sum(suffix[:, 0]))
-
-    group_final = np.add.reduceat(P[:, -1], packed.offsets[:-1])
-    counts_final = mratio * group_final
     size_pen_q = _scaled_softplus_gap(cfg.result_floor - counts_final, cfg.gamma)
-
-    if cfg.latency_survivor_form:
-        surv = np.flip(np.cumsum(np.flip(P * t, axis=1), axis=1), axis=1)
-        latencies = mratio * np.add.reduceat(surv[:, 0], packed.offsets[:-1])
-        lat_suffix = surv
-    else:
-        latencies = t[0] * packed.mcounts + mratio * np.add.reduceat(
-            suffix[:, 0], packed.offsets[:-1]
-        )
-        lat_suffix = suffix
     lat_pen_q = _scaled_softplus_gap(latencies - cfg.latency_ceiling, cfg.gamma)
 
     pen_scale = sizes.astype(np.float64) if cfg.penalty_per_instance else np.ones_like(mratio)
@@ -315,11 +333,8 @@ def expected_cost(model: CascadeModel, data) -> float:
     """Total expected CPU cost: every item entering stage j pays t_j, with all
     instances entering stage 1 and no cost beyond the final stage."""
     packed = _as_packed(data)
-    t = stage_costs(model.assignment, model.schema)
-    total = t[0] * packed.n_instances
-    for j in range(1, model.n_stages):
-        total += t[j] * dataset_expected_count(model, packed, j)
-    return float(total)
+    P = np.exp(batch_log_pass(model, packed)[1])
+    return _entrant_cost(stage_costs(model.assignment, model.schema), P)
 
 
 def expected_latency(model: CascadeModel, group: QueryGroup, cfg: ObjectiveConfig | None = None) -> float:
@@ -397,6 +412,15 @@ def loss_l3(model: CascadeModel, data, cfg: ObjectiveConfig) -> LossBreakdown:
 
 def per_query_expectations(model: CascadeModel, data, cfg: ObjectiveConfig):
     """(expected final counts, expected latencies) per query, recall-scaled."""
-    packed = _as_packed(data)
-    terms = _evaluate_terms(model, packed, cfg, want_grad=False)
-    return terms.counts_final, terms.latencies
+    return forward_expectations(model, _as_packed(data), cfg)[2:]
+
+
+def forward_expectations(model: CascadeModel, packed: PackedDataset, cfg: ObjectiveConfig):
+    """Everything a report needs from one forward pass over ``packed``:
+    (final pass probability per instance, ``expected_cost``, and the per-query
+    expected final counts and latencies of ``per_query_expectations``), each
+    summed in the same order as those functions."""
+    t = stage_costs(model.assignment, model.schema)
+    P = np.exp(batch_log_pass(model, packed)[1])
+    _, counts_final, latencies, _ = _query_expectations(packed, cfg, t, P)
+    return P[:, -1], _entrant_cost(t, P), counts_final, latencies

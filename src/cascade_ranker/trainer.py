@@ -86,20 +86,6 @@ def init_weights(schema: FeatureSchema, assignment: StageAssignment, seed: int,
     return CascadeModel(tuple(item), tuple(query), assignment, schema)
 
 
-def _slice_packed(packed: PackedDataset, group_idx: np.ndarray) -> PackedDataset:
-    rows = np.concatenate(
-        [np.arange(packed.offsets[q], packed.offsets[q + 1]) for q in group_idx]
-    ) if len(group_idx) else np.zeros(0, dtype=np.int64)
-    sizes = packed.sizes[group_idx]
-    return PackedDataset(
-        X=packed.X[rows], labels=packed.labels[rows], y=packed.y[rows],
-        prices=packed.prices[rows], G=packed.G[group_idx], sizes=sizes,
-        mcounts=packed.mcounts[group_idx],
-        offsets=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
-        query_ids=tuple(packed.query_ids[q] for q in group_idx),
-    )
-
-
 def train(data: Sequence[QueryGroup], schema: FeatureSchema, assignment: StageAssignment,
           obj_cfg: ObjectiveConfig, train_cfg: TrainConfig,
           eval_data: Sequence[QueryGroup] | None = None,
@@ -131,7 +117,7 @@ def train(data: Sequence[QueryGroup], schema: FeatureSchema, assignment: StageAs
         order = shuffle_rng.permutation(packed.n_groups)
         for b0 in range(0, len(order), train_cfg.batch_size):
             batch_idx = order[b0 : b0 + train_cfg.batch_size]
-            batch = _slice_packed(packed, batch_idx)
+            batch = packed.take(batch_idx)
             batch_cfg = replace(obj_cfg, alpha=obj_cfg.alpha * batch.n_instances / n_total)
             model = model.with_flat_weights(w)
             bd = loss(model, batch, batch_cfg, train_cfg.objective)
@@ -236,14 +222,25 @@ def save_model(model: CascadeModel, path) -> None:
 
 
 def load_model(path, schema: FeatureSchema) -> CascadeModel:
+    """Read a model written by ``save_model``. A malformed, empty or truncated
+    file raises ValueError naming the line that is wrong or missing."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    head = lines[0].split()
+
+    def line(k: int, what: str) -> str:
+        if k >= len(lines):
+            raise ValueError(f"model file {path} ends before its {what} line")
+        return lines[k]
+
+    head = line(0, "header").split()
     if head[:2] != ["cascade-model", f"v{MODEL_FORMAT_VERSION}"]:
         raise ValueError(f"unsupported model header: {lines[0]!r}")
-    T = int(head[head.index("stages") + 1])
-    item_dim = int(head[head.index("item_dim") + 1])
-    query_dim = int(head[head.index("query_dim") + 1])
+    try:
+        T, item_dim, query_dim = (
+            int(head[head.index(key) + 1]) for key in ("stages", "item_dim", "query_dim")
+        )
+    except (ValueError, IndexError):
+        raise ValueError(f"malformed model header: {lines[0]!r}") from None
     if item_dim != schema.item_dim or query_dim != schema.query_feature_dim:
         raise ValueError(
             f"model dims (item {item_dim}, query {query_dim}) do not match schema "
@@ -251,16 +248,17 @@ def load_model(path, schema: FeatureSchema) -> CascadeModel:
         )
     stages = []
     for j in range(T):
-        parts = lines[1 + j].split()
+        text = line(1 + j, f"'stage {j} features'")
+        parts = text.split()
         if parts[:2] != ["stage", str(j)]:
-            raise ValueError(f"expected stage {j} line, got {lines[1 + j]!r}")
+            raise ValueError(f"expected stage {j} line, got {text!r}")
         stages.append(tuple(int(x) for x in parts[3:]))
     assignment = StageAssignment(tuple(stages))
     item, query = [], []
     pos = 1 + T
     for j in range(T):
-        ip = lines[pos].split()
-        qp = lines[pos + 1].split()
+        ip = line(pos, f"'item_weights {j}'").split()
+        qp = line(pos + 1, f"'query_weights {j}'").split()
         if ip[:2] != ["item_weights", str(j)] or qp[:2] != ["query_weights", str(j)]:
             raise ValueError(f"malformed weight lines for stage {j}")
         item.append(np.array([float(x) for x in ip[2:]]))

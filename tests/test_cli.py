@@ -118,6 +118,23 @@ class TestEvalCommand:
         assert {"query_id", "expected_final_count", "expected_latency_ms"} <= set(rec)
 
 
+    def test_truncated_model_exits_1_without_traceback(self, tmp_path, small_config, capsys):
+        data = _gen(tmp_path, small_config)
+        run = tmp_path / "run"
+        main(["train", "--config", str(small_config), "--dataset", str(data),
+              "--out", str(run)])
+        model = run / "model.txt"
+        lines = model.read_text().splitlines(keepends=True)
+        model.write_text("".join(lines[:5]))
+        capsys.readouterr()
+        rc = main(["eval", "--config", str(small_config), "--dataset", str(data),
+                   "--model", str(model), "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "ends before its 'query_weights 0' line" in err
+        assert "Traceback" not in err
+
+
 class TestSimulateCommand:
     def _sim(self, tmp_path, small_config, data, model, traffic, name):
         out = tmp_path / name

@@ -195,3 +195,97 @@ class TestPacking:
         empty = QueryGroup("q-empty", schema.query_onehot(4), 4, ())
         with pytest.raises(ValueError, match="q-empty"):
             pack_groups([_group(schema, qid="a"), empty, _group(schema, qid="b")])
+
+    def test_concatenates_column_blocks(self):
+        schema = default_schema()
+        groups = [_group(schema, n=2, qid="a", seed=1), _group(schema, n=3, qid="b", seed=2)]
+        packed = pack_groups(groups)
+        np.testing.assert_array_equal(packed.X, np.concatenate([g.X for g in groups]))
+        assert packed.labels.dtype == np.int8 and list(packed.labels) == [1, 0, 1, 0, 0]
+        assert packed.X.dtype == packed.prices.dtype == np.float64
+
+
+class TestQueryGroupColumns:
+    def test_instances_and_columns_agree(self):
+        schema = default_schema()
+        g = _group(schema, n=4, price=3.5)
+        assert g.X.shape == (4, schema.item_dim) and g.size == 4
+        assert g.labels.dtype == np.int8 and list(g.labels) == [1, 0, 0, 0]
+        back = QueryGroup.from_columns(g.query_id, g.query_features, g.recalled_count,
+                                       g.X, g.labels, g.prices)
+        for a, b in zip(g.instances, back.instances):
+            np.testing.assert_array_equal(a.item_features, b.item_features)
+            assert (a.label, a.price) == (b.label, b.price) == (a.label, 3.5)
+
+    def test_from_columns_keeps_float64_arrays(self):
+        schema = default_schema()
+        X = np.ones((2, schema.item_dim))
+        prices = np.array([2.0, 3.0])
+        g = QueryGroup.from_columns("q", schema.query_onehot(5), 5, X, [0, 2], prices)
+        assert g.X is X and g.prices is prices
+
+    @pytest.mark.parametrize("labels", [[0, 3], [-1, 0], [0.0, 1.0]])
+    def test_from_columns_rejects_bad_labels(self, labels):
+        schema = default_schema()
+        with pytest.raises(ValueError, match="group q: labels"):
+            QueryGroup.from_columns("q", schema.query_onehot(5), 5,
+                                    np.zeros((2, schema.item_dim)), labels, [2.0, 2.0])
+
+    def test_from_columns_rejects_ragged_block(self):
+        schema = default_schema()
+        with pytest.raises(ValueError, match="group q: .*one block"):
+            QueryGroup.from_columns("q", schema.query_onehot(5), 5,
+                                    np.zeros((3, schema.item_dim)), [0, 1], [2.0, 2.0])
+
+    def test_instances_of_different_dims_rejected(self):
+        schema = default_schema()
+        with pytest.raises(ValueError, match="group q: instances have different"):
+            QueryGroup("q", schema.query_onehot(5), 5,
+                       (Instance(np.zeros(2)), Instance(np.zeros(3))))
+
+
+class TestTake:
+    def _reference(self, packed, group_idx):
+        """Per-group row ranges, concatenated: what take must equal."""
+        rows = np.concatenate(
+            [np.arange(packed.offsets[q], packed.offsets[q + 1]) for q in group_idx]
+        ) if len(group_idx) else np.zeros(0, dtype=np.int64)
+        return rows
+
+    def test_matches_per_group_rows(self):
+        schema = default_schema()
+        groups = [_group(schema, n=n, qid=f"q{i}", seed=i) for i, n in enumerate((3, 1, 4, 2))]
+        packed = pack_groups(groups)
+        for idx in ([2, 0, 3], [1], [3, 2, 1, 0], [], [0, 0]):
+            sub = packed.take(np.array(idx, dtype=np.int64))
+            rows = self._reference(packed, idx)
+            for name in ("X", "labels", "y", "prices"):
+                np.testing.assert_array_equal(getattr(sub, name), getattr(packed, name)[rows])
+            np.testing.assert_array_equal(sub.G, packed.G[idx])
+            np.testing.assert_array_equal(sub.sizes, packed.sizes[idx])
+            np.testing.assert_array_equal(sub.mcounts, packed.mcounts[idx])
+            assert list(sub.offsets) == [0, *np.cumsum(packed.sizes[idx]).tolist()]
+            assert sub.offsets.dtype == np.int64
+            assert sub.query_ids == tuple(f"q{q}" for q in idx)
+
+
+class TestValidateLowPrice:
+    @pytest.mark.parametrize("label", [1, 2])
+    def test_click_or_purchase_at_price_up_to_one_reported(self, label):
+        schema = default_schema()
+        g = _group(schema, n=3)
+        prices = np.array([5.0, 1.0, 0.5])
+        labels = np.array([0, label, label])
+        bad = QueryGroup.from_columns(g.query_id, g.query_features, g.recalled_count,
+                                      g.X, labels, prices)
+        report = validate_dataset([bad], schema)
+        assert len(report) == 2
+        assert "instance 1" in report[0] and "price 1.0 <= 1" in report[0]
+        assert "instance 2" in report[1] and "log(price)" in report[1]
+
+    def test_no_behaviour_at_low_price_is_valid(self):
+        schema = default_schema()
+        g = _group(schema, n=2)
+        ok = QueryGroup.from_columns(g.query_id, g.query_features, g.recalled_count,
+                                     g.X, [0, 0], [0.5, 1.0])
+        assert validate_dataset([ok], schema) == []

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cascade_ranker.core import pack_groups, validate_dataset
+from cascade_ranker import datagen
+from cascade_ranker.core import Instance, QueryGroup, pack_groups, validate_dataset
 from cascade_ranker.datagen import (
     DatasetFormatError,
     FeatureQuality,
@@ -164,3 +169,135 @@ class TestDatasetFileFormat:
         groups = read_dataset(path, default_schema())
         np.testing.assert_array_equal(groups[0].instances[0].item_features,
                                       [0.0, 0.0, 1.5, 0.0, 0.0])
+
+    def test_repeated_feature_index_names_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            "qid:a mcount:5 label:0 price:2.0 0:1.0 1:2.0\n"
+            "qid:a mcount:5 label:0 price:2.0 1:1.0 3:2.0 1:3.0\n"
+        )
+        with pytest.raises(DatasetFormatError, match="line 2: feature index 1 appears twice"):
+            read_dataset(path, default_schema())
+
+    def test_non_canonical_prefix_order_accepted(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("price:2.5 label:1 qid:a mcount:7 01:1.5\n")
+        (g,) = read_dataset(path, default_schema())
+        assert (g.query_id, g.recalled_count, g.size) == ("a", 7, 1)
+        assert g.labels[0] == 1 and g.prices[0] == 2.5 and g.X[0, 1] == 1.5
+
+    def test_first_bad_line_reported(self, tmp_path, monkeypatch):
+        # a qid that reappears on line 3 is reported before the bad entry on
+        # line 4, whichever chunk either falls in
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            "qid:a mcount:5 label:0 price:2.0 0:1.0\n"
+            "qid:b mcount:5 label:0 price:2.0 0:1.0\n"
+            "qid:a mcount:5 label:0 price:2.0 0:1.0\n"
+            "qid:c mcount:5 label:0 price:2.0 zero:1.0\n"
+        )
+        for chunk in (1, 2, 3, 4096):
+            monkeypatch.setattr(datagen, "READ_CHUNK_LINES", chunk)
+            with pytest.raises(DatasetFormatError, match="line 3.*contiguous"):
+                read_dataset(path, default_schema())
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 4096])
+    def test_queries_straddling_chunks(self, tmp_path, monkeypatch, chunk):
+        schema = default_schema()
+        groups = generate(GenConfig(n_queries=12, group_size_cap=5, seed=4), schema)
+        path = tmp_path / "data.txt"
+        write_dataset(path, groups)
+        monkeypatch.setattr(datagen, "READ_CHUNK_LINES", chunk)
+        _assert_packed_identical(pack_groups(read_dataset(path, schema)), pack_groups(groups))
+
+
+def _assert_packed_identical(a, b):
+    assert a.query_ids == b.query_ids
+    for name in ("X", "labels", "y", "prices", "G", "sizes", "mcounts", "offsets"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        # bit for bit: -0.0 and +0.0 differ, NaN equals NaN
+        assert x.tobytes() == y.tobytes(), name
+
+
+_feature_value = st.one_of(
+    st.just(0.0),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+
+
+@st.composite
+def _groups(draw):
+    schema = default_schema()
+    d = schema.item_dim
+    qids = draw(st.lists(
+        st.text(alphabet="abcxyz0123456789_-.:", min_size=1, max_size=6),
+        min_size=1, max_size=6, unique=True,
+    ))
+    groups = []
+    for qid in qids:
+        n = draw(st.integers(1, 4))
+        mcount = draw(st.integers(n, 200_000))
+        X = np.array(draw(st.lists(
+            st.lists(_feature_value, min_size=d, max_size=d), min_size=n, max_size=n,
+        )), dtype=np.float64)
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        prices = draw(st.lists(
+            st.floats(min_value=1e-3, max_value=1e6, allow_subnormal=False),
+            min_size=n, max_size=n,
+        ))
+        groups.append(QueryGroup.from_columns(
+            qid, schema.query_onehot(mcount), mcount, X, labels, prices,
+        ))
+    return groups
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(groups=_groups(), blank_every=st.integers(0, 3), crlf=st.booleans(),
+           chunk=st.sampled_from([1, 3, 4096]))
+    def test_write_read_pack_is_bit_exact(self, tmp_path, monkeypatch, groups,
+                                         blank_every, crlf, chunk):
+        schema = default_schema()
+        path = tmp_path / "data.txt"
+        write_dataset(path, groups)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if blank_every:
+            # blank and whitespace-only lines between and around the records
+            lines = [x for i, line in enumerate(lines)
+                     for x in ((line, "  ") if i % blank_every == 0 else (line,))]
+            lines.insert(0, "")
+        eol = "\r\n" if crlf else "\n"
+        path.write_bytes(eol.join(lines).encode("utf-8") + eol.encode())
+        monkeypatch.setattr(datagen, "READ_CHUNK_LINES", chunk)
+        back = pack_groups(read_dataset(path, schema))
+        want = pack_groups(groups)
+        # the writer omits zeros, so -0.0 comes back as +0.0 (x + 0.0 maps
+        # -0.0 to +0.0 and keeps every other value)
+        want = replace(want, X=want.X + 0.0)
+        _assert_packed_identical(back, want)
+
+    def test_negative_zero_reads_back_as_positive_zero(self, tmp_path):
+        schema = default_schema()
+        X = np.array([[-0.0, 1.0, 0.0, -2.5, -0.0]])
+        g = QueryGroup.from_columns("q", schema.query_onehot(3), 3, X, [1], [2.0])
+        path = tmp_path / "data.txt"
+        write_dataset(path, [g])
+        assert path.read_text() == "qid:q mcount:3 label:1 price:2 1:1 3:-2.5\n"
+        (back,) = read_dataset(path, schema)
+        assert back.X.tobytes() == np.array([[0.0, 1.0, 0.0, -2.5, 0.0]]).tobytes()
+
+
+class TestNoInstanceOnHotPaths:
+    def test_read_generate_pack_write_validate(self, tmp_path, monkeypatch):
+        schema = default_schema()
+        built = []
+        monkeypatch.setattr(Instance, "__post_init__", lambda self: built.append(self))
+        groups = generate(GenConfig(n_queries=20, seed=2), schema)
+        path = tmp_path / "data.txt"
+        write_dataset(path, groups)
+        back = read_dataset(path, schema)
+        pack_groups(back)
+        assert validate_dataset(back, schema) == []
+        assert built == []

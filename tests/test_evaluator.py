@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascade_ranker import cascade, objective, simulator
 from cascade_ranker.core import (
     CascadeModel,
     Feature,
@@ -178,6 +179,31 @@ class TestEvaluate:
             np.mean(counts < cfg.result_floor))
         assert report.mean_latency_units == pytest.approx(lats.mean())
         assert report.mean_latency_ms == pytest.approx(lats.mean() / cfg.cost_units_per_ms)
+
+
+    def test_one_forward_pass_same_figures(self, monkeypatch):
+        schema, asg, data = _benchmark(seed=3, n=60)
+        model = init_weights(schema, asg, 2, 0.4)
+        packed = pack_groups(data)
+        cfg = ObjectiveConfig(latency_ceiling=4000.0)
+        calls = []
+        real = cascade.batch_log_pass
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (cascade, objective, simulator):
+            monkeypatch.setattr(module, "batch_log_pass", counting)
+        report = evaluate(model, packed, cfg)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # bit for bit what the per-quantity functions give
+        assert report.auc == macro_auc(cascade.batch_final_probs(model, packed), packed)
+        assert report.expected_cost == expected_cost(model, packed)
+        terms = objective._evaluate_terms(model, packed, cfg, want_grad=False)
+        assert [r.expected_final_count for r in report.per_query] == terms.counts_final.tolist()
+        assert [r.expected_latency_units for r in report.per_query] == terms.latencies.tolist()
 
 
 class TestSingleStageBaseline:

@@ -283,3 +283,24 @@ class TestModelSerialization:
         path.write_text("something-else v9\n")
         with pytest.raises(ValueError, match="header"):
             load_model(path, default_schema())
+
+    @pytest.mark.parametrize("keep, missing", [
+        (0, "header"), (1, "'stage 0 features'"), (3, "'stage 2 features'"),
+        (4, "'item_weights 0'"), (7, "'query_weights 1'"), (8, "'item_weights 2'"),
+        (9, "'query_weights 2'"),
+    ])
+    def test_truncated_file_names_missing_line(self, tmp_path, keep, missing):
+        schema = default_schema()
+        model = init_weights(schema, default_assignment(schema), 0, 0.1)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:keep]))
+        with pytest.raises(ValueError, match=f"ends before its {missing} line"):
+            load_model(path, schema)
+
+    def test_header_without_counts_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("cascade-model v1 stages\n")
+        with pytest.raises(ValueError, match="malformed model header"):
+            load_model(path, default_schema())
