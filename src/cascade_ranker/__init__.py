@@ -14,18 +14,14 @@ from .core import (
     QueryGroup,
     StageAssignment,
     pack_groups,
-    stage_cost,
     stage_costs,
     validate_dataset,
 )
-from .cascade import StageProbs, cascade_probabilities, score_group, stage_probability
 from .objective import (
     LossBreakdown,
     ObjectiveConfig,
     expected_cost,
-    expected_count,
-    expected_latency,
-    instance_weight,
+    instance_weights,
     loss_l1,
     loss_l2,
     loss_l3,
@@ -50,7 +46,7 @@ from .evaluator import (
     baseline_two_stage,
     evaluate,
 )
-from .simulator import ServePlan, SimReport, plan, serve_query, simulate
+from .simulator import SimReport, plan, serve_query, simulate
 from .datagen import (
     GenConfig,
     default_assignment,

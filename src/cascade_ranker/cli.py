@@ -31,16 +31,18 @@ from .datagen import (
     read_dataset,
     write_dataset,
 )
-from .evaluator import (
-    baseline_single_stage,
-    baseline_soft_cascade,
-    baseline_two_stage,
-    evaluate,
-    fit_two_stage,
-)
+from .evaluator import baseline_single_stage, baseline_soft_cascade, baseline_two_stage, evaluate
 from .objective import ObjectiveConfig
 from .simulator import simulate
-from .trainer import TrainConfig, gradient_check, init_weights, load_model, save_model, train
+from .trainer import (
+    TrainConfig,
+    TrainingDiverged,
+    gradient_check,
+    init_weights,
+    load_model,
+    save_model,
+    train,
+)
 from .objective import loss as loss_fn_real
 
 MANIFEST_NAME = "manifest.json"
@@ -99,10 +101,25 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | None) -> dict:
+    """The default config overlaid with the JSON object at ``path``. Every
+    section and key of the file must exist in the default config."""
     cfg = default_config()
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = _deep_merge(cfg, json.load(fh))
+            override = json.load(fh)
+        if not isinstance(override, dict):
+            raise ValueError(
+                f"config {path}: expected a JSON object, got {type(override).__name__}"
+            )
+        for section, values in override.items():
+            if section not in cfg:
+                raise ValueError(f"config {path}: unknown section {section!r}")
+            if not isinstance(values, dict):
+                raise ValueError(f"config {path}: section {section!r} is not an object")
+            for key in values:
+                if key not in cfg[section]:
+                    raise ValueError(f"config {path}: unknown key {key!r} in section {section!r}")
+        cfg = _deep_merge(cfg, override)
     return cfg
 
 
@@ -116,7 +133,10 @@ def schema_from_config(cfg: dict) -> FeatureSchema:
 
 
 def assignment_from_config(cfg: dict, schema: FeatureSchema) -> StageAssignment:
-    return StageAssignment.from_names(schema, cfg["schema"]["stages"])
+    try:
+        return StageAssignment.from_names(schema, cfg["schema"]["stages"])
+    except KeyError as exc:
+        raise ValueError(f"config section 'schema', key 'stages': {exc.args[0]}") from None
 
 
 def objective_from_config(cfg: dict) -> ObjectiveConfig:
@@ -205,6 +225,32 @@ def _split_holdout(groups, fraction: float, seed: int):
     return kept, hold
 
 
+def _read_valid_dataset(path, schema: FeatureSchema):
+    groups = read_dataset(path, schema)
+    violations = validate_dataset(groups, schema)
+    if violations:
+        raise ValueError(f"dataset {path} fails validation ({len(violations)} violations): "
+                         + "; ".join(violations[:3]))
+    return groups
+
+
+def _stage_names(assignment: StageAssignment, schema: FeatureSchema) -> list[list[str]]:
+    return [[schema.features[i].name for i in stage] for stage in assignment.stages]
+
+
+def _load_matching_model(path, cfg: dict, schema: FeatureSchema):
+    """The model at ``path``, which must assign features to stages as the
+    config's ``schema.stages`` does."""
+    model = load_model(path, schema)
+    assignment = assignment_from_config(cfg, schema)
+    if model.assignment != assignment:
+        raise ValueError(
+            f"model {path} has stages {_stage_names(model.assignment, schema)} but the "
+            f"config's schema.stages are {_stage_names(assignment, schema)}"
+        )
+    return model
+
+
 def cmd_datagen(args) -> int:
     started = time.monotonic()
     cfg = apply_overrides(load_config(args.config), args)
@@ -229,7 +275,7 @@ def cmd_train(args) -> int:
     assignment = assignment_from_config(cfg, schema)
     obj_cfg = objective_from_config(cfg)
     train_cfg = train_from_config(cfg)
-    groups = read_dataset(args.dataset, schema)
+    groups = _read_valid_dataset(args.dataset, schema)
     train_groups, holdout = _split_holdout(
         groups, cfg["train"].get("holdout_fraction", 0.0), train_cfg.seed
     )
@@ -259,8 +305,8 @@ def cmd_eval(args) -> int:
     cfg = apply_overrides(load_config(args.config), args)
     schema = schema_from_config(cfg)
     obj_cfg = objective_from_config(cfg)
-    model = load_model(args.model, schema)
-    groups = read_dataset(args.dataset, schema)
+    model = _load_matching_model(args.model, cfg, schema)
+    groups = _read_valid_dataset(args.dataset, schema)
     packed = pack_groups(groups)
     base = _baseline_cost(schema, packed.n_instances)
     report = evaluate(model, packed, obj_cfg, baseline_cost=base)
@@ -278,8 +324,8 @@ def cmd_eval(args) -> int:
         _, rep_cheap = baseline_single_stage(groups, schema, cheap or all_feats[:1],
                                              obj_cfg, train_cfg, base)
         rep_two = baseline_two_stage(groups, schema, filt, keep_k, obj_cfg, train_cfg, base)
-        assignment = assignment_from_config(cfg, schema)
-        rep_soft = baseline_soft_cascade(groups, schema, assignment, obj_cfg, train_cfg, base)
+        rep_soft = baseline_soft_cascade(groups, schema, model.assignment, obj_cfg, train_cfg,
+                                         base)
         rows = [
             ("single-all", rep_all), ("single-cheap", rep_cheap), ("two-stage", rep_two),
             ("soft-cascade", rep_soft), ("cloes", report),
@@ -300,8 +346,8 @@ def cmd_simulate(args) -> int:
     cfg = apply_overrides(load_config(args.config), args)
     schema = schema_from_config(cfg)
     obj_cfg = objective_from_config(cfg)
-    model = load_model(args.model, schema)
-    groups = read_dataset(args.dataset, schema)
+    model = _load_matching_model(args.model, cfg, schema)
+    groups = _read_valid_dataset(args.dataset, schema)
     multiplier = float(cfg["simulate"]["traffic_multiplier"])
     if multiplier <= 0:
         print("--traffic must be > 0", file=sys.stderr)
@@ -430,7 +476,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -124,13 +124,6 @@ class StageAssignment:
         return cls(tuple(tuple(schema.feature_index(n) for n in stage) for stage in stages))
 
 
-def stage_cost(assignment: StageAssignment, schema: FeatureSchema, j: int) -> float:
-    """Fixed per-item cost of evaluating stage ``j`` (1-based)."""
-    if not 1 <= j <= assignment.n_stages:
-        raise ValueError(f"stage index {j} out of range 1..{assignment.n_stages}")
-    return float(stage_costs(assignment, schema)[j - 1])
-
-
 def stage_costs(assignment: StageAssignment, schema: FeatureSchema) -> np.ndarray:
     """Fixed per-item cost of every stage, shape (T,). Each stage's feature
     costs are added left to right in assignment order."""
@@ -386,9 +379,6 @@ class PackedDataset:
     @property
     def n_groups(self) -> int:
         return self.G.shape[0]
-
-    def group_rows(self, q: int) -> slice:
-        return slice(int(self.offsets[q]), int(self.offsets[q + 1]))
 
     def take(self, group_idx) -> "PackedDataset":
         """The groups ``group_idx`` in that order, each with its rows in order."""

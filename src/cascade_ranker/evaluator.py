@@ -1,4 +1,5 @@
-"""Offline metrics and comparison baselines.
+"""Offline metrics, comparison baselines, and the per-query report that
+evaluation and serving replay share.
 
 ``auc`` is the flat rank-sum primitive. Reports carry the per-query mean AUC
 (click and purchase both count as positive): ranking quality is a within-query
@@ -6,26 +7,22 @@ notion here, since the query-only feature deliberately shifts whole queries'
 score magnitudes to control result size and cost. Costs are reported as ratios
 against a caller-supplied baseline, conventionally the single-stage
 all-features expected cost.
+
+``EvalReport`` and the simulator's ``SimReport`` are both built by
+``query_table`` from per-query counts and latencies, and print and write
+themselves through ``QueryReport``.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from .cascade import batch_final_probs
-from .core import (
-    CascadeModel,
-    FeatureSchema,
-    PackedDataset,
-    QueryGroup,
-    StageAssignment,
-    pack_groups,
-)
+from .core import CascadeModel, FeatureSchema, PackedDataset, StageAssignment, pack_groups
 from .objective import ObjectiveConfig, forward_expectations
 # Not called here since evaluate takes everything from forward_expectations;
 # still bound because the benchmark's tracer wraps these names in this module.
@@ -91,6 +88,49 @@ def macro_auc(scores: np.ndarray, packed: PackedDataset) -> float:
     return float(np.mean((pos_rank_sum[both] - p * (p + 1) / 2.0) / (p * n)))
 
 
+class QueryReport:
+    """Output shared by the per-query reports: ``to_text`` prints every
+    scalar field in declaration order, ``write_records`` writes one JSON
+    object per record of ``per_query`` with its fields in declaration order."""
+
+    def to_text(self) -> str:
+        return "".join(
+            f"{f.name} {getattr(self, f.name):.6g}\n" for f in fields(self) if f.name != "per_query"
+        )
+
+    def write_records(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            for r in self.per_query:
+                fh.write(json.dumps(asdict(r)) + "\n")
+
+
+def query_table(packed: PackedDataset, counts: np.ndarray, latencies: np.ndarray,
+                cfg: ObjectiveConfig) -> tuple[list, dict]:
+    """Per-query columns and the floor and latency summary of a report.
+
+    ``counts`` and ``latencies`` hold each query's recall-scaled result count
+    and latency in cost units. The columns are lists of query ids, recalled
+    counts, sizes, counts, latencies, latencies in ms, below-floor and
+    above-ceiling flags; the summary maps the six figures both reports carry
+    to their values, all 0 when there are no queries.
+    """
+    ms = cfg.cost_units_per_ms
+    below = counts < cfg.result_floor
+    above = latencies > cfg.latency_ceiling
+    columns = [
+        list(packed.query_ids), packed.mcounts.tolist(), packed.sizes.tolist(),
+        counts.tolist(), latencies.tolist(), (latencies / ms).tolist(),
+        below.tolist(), above.tolist(),
+    ]
+    names = ("fraction_below_floor", "fraction_above_latency_ceiling", "mean_latency_units",
+             "p95_latency_units", "mean_latency_ms", "p95_latency_ms")
+    if not len(latencies):
+        return columns, dict.fromkeys(names, 0.0)
+    mean, p95 = np.mean(latencies), np.percentile(latencies, 95)
+    values = (np.mean(below), np.mean(above), mean, p95, mean / ms, p95 / ms)
+    return columns, {k: float(v) for k, v in zip(names, values)}
+
+
 @dataclass(frozen=True)
 class PerQueryRecord:
     query_id: str
@@ -104,7 +144,7 @@ class PerQueryRecord:
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(QueryReport):
     auc: float
     expected_cost: float
     expected_cost_ratio: float
@@ -117,65 +157,17 @@ class EvalReport:
     p95_latency_ms: float
     per_query: tuple[PerQueryRecord, ...]
 
-    def to_text(self) -> str:
-        pairs = [
-            ("auc", self.auc),
-            ("expected_cost", self.expected_cost),
-            ("expected_cost_ratio", self.expected_cost_ratio),
-            ("mean_final_count", self.mean_final_count),
-            ("fraction_below_floor", self.fraction_below_floor),
-            ("fraction_above_latency_ceiling", self.fraction_above_latency_ceiling),
-            ("mean_latency_units", self.mean_latency_units),
-            ("p95_latency_units", self.p95_latency_units),
-            ("mean_latency_ms", self.mean_latency_ms),
-            ("p95_latency_ms", self.p95_latency_ms),
-        ]
-        return "\n".join(f"{k} {v:.6g}" for k, v in pairs) + "\n"
 
-    def write_records(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in self.per_query:
-                fh.write(json.dumps({
-                    "query_id": r.query_id, "recalled_count": r.recalled_count,
-                    "size": r.size, "expected_final_count": r.expected_final_count,
-                    "expected_latency_units": r.expected_latency_units,
-                    "expected_latency_ms": r.expected_latency_ms,
-                    "below_floor": r.below_floor,
-                    "above_latency_ceiling": r.above_latency_ceiling,
-                }) + "\n")
-
-
-def _report_from_per_query(auc_val: float, cost: float, baseline_cost: float,
-                           packed: PackedDataset, counts: np.ndarray,
-                           latencies: np.ndarray, cfg: ObjectiveConfig) -> EvalReport:
-    ms = cfg.cost_units_per_ms
-    records = tuple(
-        PerQueryRecord(
-            query_id=packed.query_ids[q],
-            recalled_count=int(packed.mcounts[q]),
-            size=int(packed.sizes[q]),
-            expected_final_count=float(counts[q]),
-            expected_latency_units=float(latencies[q]),
-            expected_latency_ms=float(latencies[q] / ms),
-            below_floor=bool(counts[q] < cfg.result_floor),
-            above_latency_ceiling=bool(latencies[q] > cfg.latency_ceiling),
-        )
-        for q in range(packed.n_groups)
-    )
+def _report(auc_val: float, cost: float, baseline_cost: float | None, packed: PackedDataset,
+            counts: np.ndarray, latencies: np.ndarray, cfg: ObjectiveConfig) -> EvalReport:
+    columns, summary = query_table(packed, counts, latencies, cfg)
     return EvalReport(
         auc=float(auc_val),
         expected_cost=float(cost),
-        expected_cost_ratio=float(cost / baseline_cost),
-        mean_final_count=float(np.mean(counts)) if len(counts) else 0.0,
-        fraction_below_floor=float(np.mean(counts < cfg.result_floor)) if len(counts) else 0.0,
-        fraction_above_latency_ceiling=(
-            float(np.mean(latencies > cfg.latency_ceiling)) if len(latencies) else 0.0
-        ),
-        mean_latency_units=float(np.mean(latencies)) if len(latencies) else 0.0,
-        p95_latency_units=float(np.percentile(latencies, 95)) if len(latencies) else 0.0,
-        mean_latency_ms=float(np.mean(latencies) / ms) if len(latencies) else 0.0,
-        p95_latency_ms=float(np.percentile(latencies, 95) / ms) if len(latencies) else 0.0,
-        per_query=records,
+        expected_cost_ratio=float(cost / (baseline_cost if baseline_cost is not None else cost)),
+        mean_final_count=float(np.mean(counts)),
+        **summary,
+        per_query=tuple(map(PerQueryRecord, *columns)),
     )
 
 
@@ -186,11 +178,7 @@ def evaluate(model: CascadeModel, data, cfg: ObjectiveConfig,
     result counts and latencies, all from one forward pass."""
     packed = data if isinstance(data, PackedDataset) else pack_groups(data)
     scores, cost, counts, latencies = forward_expectations(model, packed, cfg)
-    auc_val = macro_auc(scores, packed)
-    return _report_from_per_query(
-        auc_val, cost, baseline_cost if baseline_cost is not None else cost,
-        packed, counts, latencies, cfg,
-    )
+    return _report(macro_auc(scores, packed), cost, baseline_cost, packed, counts, latencies, cfg)
 
 
 def baseline_single_stage(data, schema: FeatureSchema, feature_indices: Sequence[int],
@@ -204,84 +192,44 @@ def baseline_single_stage(data, schema: FeatureSchema, feature_indices: Sequence
     return model, evaluate(model, data, obj_cfg, baseline_cost)
 
 
-@dataclass(frozen=True)
-class TwoStageBaseline:
-    """Deployed-style heuristic: a single cheap feature filters each query down
-    to a constant result size, then a logistic regression over the remaining
-    features ranks the survivors."""
-
-    filter_feature: int
-    keep_k: int
-    model: CascadeModel           # stage 1 = raw filter feature, stage 2 = fitted LR
-
-    def keep_counts(self, group: QueryGroup) -> list[int]:
-        """Sample-scaled stage-1 keep count, then no further filtering."""
-        k = min(group.size, max(1, math.ceil(self.keep_k * group.size / group.recalled_count)))
-        return [k, k]
-
-
-def fit_two_stage(data, schema: FeatureSchema, filter_feature: int, keep_k: int,
-                  obj_cfg: ObjectiveConfig, train_cfg: TrainConfig) -> TwoStageBaseline:
+def baseline_two_stage(data, schema: FeatureSchema, filter_feature: int, keep_k: int,
+                       obj_cfg: ObjectiveConfig, train_cfg: TrainConfig,
+                       baseline_cost: float | None = None) -> EvalReport:
+    """Report for the deployed-style heuristic: a single cheap feature filters
+    each query down to a constant result size (``keep_k`` recalled items,
+    sample-scaled), then a logistic regression over the remaining features
+    ranks the survivors. Non-survivors rank below every survivor (tied among
+    themselves) in the per-query AUC; cost is N * t_filter for the filter
+    pass plus t_rest per survivor."""
     if not 0 <= filter_feature < schema.item_dim:
         raise ValueError(f"filter feature index {filter_feature} not in schema")
     if keep_k < 1:
         raise ValueError("keep_k must be >= 1")
     rest = tuple(i for i in range(schema.item_dim) if i != filter_feature)
-    lr_assignment = StageAssignment((rest,))
-    lr_model, _ = train(data, schema, lr_assignment, obj_cfg,
+    lr_model, _ = train(data, schema, StageAssignment((rest,)), obj_cfg,
                         replace(train_cfg, objective="l1"))
-    dq = schema.query_feature_dim
-    model = CascadeModel(
-        stage_item_weights=(np.array([1.0]), lr_model.stage_item_weights[0]),
-        stage_query_weights=(np.zeros(dq), lr_model.stage_query_weights[0]),
-        assignment=StageAssignment(((filter_feature,), rest)),
-        schema=schema,
-    )
-    return TwoStageBaseline(filter_feature=filter_feature, keep_k=keep_k, model=model)
-
-
-def baseline_two_stage(data, schema: FeatureSchema, filter_feature: int, keep_k: int,
-                       obj_cfg: ObjectiveConfig, train_cfg: TrainConfig,
-                       baseline_cost: float | None = None) -> EvalReport:
-    """Report for the two-stage heuristic. Non-survivors of the filter rank
-    below every survivor (tied among themselves) in the pooled AUC; cost is
-    N * t_filter for the filter pass plus t_rest per survivor."""
-    two = fit_two_stage(data, schema, filter_feature, keep_k, obj_cfg, train_cfg)
     packed = data if isinstance(data, PackedDataset) else pack_groups(data)
     costs = schema.costs()
     t_filter = float(costs[filter_feature])
     t_rest = float(costs.sum() - t_filter)
 
-    lr_scores = batch_final_probs(
-        CascadeModel(
-            (two.model.stage_item_weights[1],), (two.model.stage_query_weights[1],),
-            StageAssignment((two.model.assignment.stages[1],)), schema,
-        ),
-        packed,
-    )
+    sizes, mcounts = packed.sizes, packed.mcounts
+    # any keep_k >= M_q keeps all of query q; the bound keeps keep_k * sizes in int64
+    keep_k = min(keep_k, int(mcounts.max(initial=1)))
+    keep = np.minimum(sizes, np.maximum(1, np.ceil(keep_k * sizes / mcounts).astype(np.int64)))
+    # each query's rows by descending filter value, ties in row order; the
+    # first keep[q] of query q survive the filter
+    group = np.repeat(np.arange(packed.n_groups), sizes)
+    order = np.lexsort((-packed.X[:, filter_feature], group))
+    survivors = order[np.arange(packed.n_instances) - packed.offsets[group] < keep[group]]
     scores = np.full(packed.n_instances, -1.0)   # below every survivor's (0,1) score
-    survivor_total = 0
-    counts = np.zeros(packed.n_groups)
-    latencies = np.zeros(packed.n_groups)
-    for q in range(packed.n_groups):
-        rows = packed.group_rows(q)
-        n_q = int(packed.sizes[q])
-        m_q = int(packed.mcounts[q])
-        k = min(n_q, max(1, math.ceil(keep_k * n_q / m_q)))
-        filt = packed.X[rows, filter_feature]
-        order = np.argsort(-filt, kind="stable")
-        keep_rows = np.arange(rows.start, rows.stop)[order[:k]]
-        scores[keep_rows] = lr_scores[keep_rows]
-        survivor_total += k
-        scale = m_q / n_q
-        counts[q] = k * scale
-        latencies[q] = m_q * t_filter + k * scale * t_rest
-    auc_val = macro_auc(scores, packed)
-    cost = packed.n_instances * t_filter + survivor_total * t_rest
-    return _report_from_per_query(
-        auc_val, cost, baseline_cost if baseline_cost is not None else cost,
-        packed, counts, latencies, obj_cfg,
-    )
+    scores[survivors] = batch_final_probs(lr_model, packed)[survivors]
+
+    scaled_keep = keep * (mcounts / sizes)
+    latencies = mcounts * t_filter + scaled_keep * t_rest
+    cost = packed.n_instances * t_filter + int(keep.sum()) * t_rest
+    return _report(macro_auc(scores, packed), cost, baseline_cost, packed, scaled_keep,
+                   latencies, obj_cfg)
 
 
 def baseline_soft_cascade(data, schema: FeatureSchema, assignment: StageAssignment,

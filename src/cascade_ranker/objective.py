@@ -20,9 +20,7 @@ whose terms are products of sigmoids, each stable as a sum of log-sigmoids.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, log_expit, logsumexp
@@ -33,7 +31,6 @@ from .core import (
     LABEL_PURCHASE,
     CascadeModel,
     PackedDataset,
-    QueryGroup,
     pack_groups,
     stage_costs,
 )
@@ -115,24 +112,14 @@ class LossBreakdown:
     objective: str = "l3"
 
 
-def instance_weight(instance, cfg: ObjectiveConfig) -> float:
-    """Importance weight of one instance by behavior type and log price.
+def instance_weights(labels: np.ndarray, prices: np.ndarray, cfg: ObjectiveConfig) -> np.ndarray:
+    """Importance weight of each instance by behavior type and log price.
 
     purchase -> purchase_weight * price_weight * log(price)
     click    -> price_weight * log(price)
     none     -> 1
     Positive for prices above 1 (natural log).
     """
-    if not instance.price > 0:
-        raise ValueError(f"price must be positive, got {instance.price}")
-    if instance.label == LABEL_PURCHASE:
-        return cfg.purchase_weight * cfg.price_weight * math.log(instance.price)
-    if instance.label == LABEL_CLICK:
-        return cfg.price_weight * math.log(instance.price)
-    return 1.0
-
-
-def _instance_weights(labels: np.ndarray, prices: np.ndarray, cfg: ObjectiveConfig) -> np.ndarray:
     if np.any(prices <= 0):
         raise ValueError("prices must be positive")
     w = np.ones_like(prices)
@@ -140,11 +127,6 @@ def _instance_weights(labels: np.ndarray, prices: np.ndarray, cfg: ObjectiveConf
     w = np.where(labels == LABEL_CLICK, cfg.price_weight * logp, w)
     w = np.where(labels == LABEL_PURCHASE, cfg.purchase_weight * cfg.price_weight * logp, w)
     return w
-
-
-def softplus(x):
-    """Overflow-safe log(1 + exp(x))."""
-    return np.logaddexp(0.0, x)
 
 
 def _scaled_softplus_gap(diff, gamma):
@@ -251,7 +233,7 @@ def _evaluate_terms(model: CascadeModel, packed: PackedDataset, cfg: ObjectiveCo
     # telescoping: log(1 - prod p) = logsumexp_j [log(1-p_j) + sum_{k<j} log p_k]
     log_1mp = logsumexp(log_q + prefix, axis=1)
 
-    wgt = _instance_weights(packed.labels, packed.prices, cfg)
+    wgt = instance_weights(packed.labels, packed.prices, cfg)
     y = packed.y
     nll = -float(np.sum(wgt * (y * log_p_final + (1.0 - y) * log_1mp)))
 
@@ -303,53 +285,12 @@ def weighted_nll(model: CascadeModel, data, cfg: ObjectiveConfig) -> float:
     return _evaluate_terms(model, _as_packed(data), cfg, want_grad=False).nll
 
 
-def expected_count(model: CascadeModel, group: QueryGroup, j: int) -> float:
-    """Expected number of the query's recalled items passing the first ``j``
-    stages: (M_q / N_q) * sum_i P(pass stages 1..j). ``j = 0`` returns M_q."""
-    T = model.n_stages
-    if not 0 <= j <= T:
-        raise ValueError(f"stage index {j} out of range 0..{T}")
-    if j == 0:
-        return float(group.recalled_count)
-    packed = pack_groups([group])
-    _, cum_log_p = batch_log_pass(model, packed)
-    return float(group.recalled_count / group.size * np.sum(np.exp(cum_log_p[:, j - 1])))
-
-
-def dataset_expected_count(model: CascadeModel, data, j: int) -> float:
-    """Unscaled dataset-level expectation: sum over all instances of the
-    probability of passing the first ``j`` stages (``j = 0`` counts them all)."""
-    packed = _as_packed(data)
-    T = model.n_stages
-    if not 0 <= j <= T:
-        raise ValueError(f"stage index {j} out of range 0..{T}")
-    if j == 0:
-        return float(packed.n_instances)
-    _, cum_log_p = batch_log_pass(model, packed)
-    return float(np.sum(np.exp(cum_log_p[:, j - 1])))
-
-
 def expected_cost(model: CascadeModel, data) -> float:
     """Total expected CPU cost: every item entering stage j pays t_j, with all
     instances entering stage 1 and no cost beyond the final stage."""
     packed = _as_packed(data)
     P = np.exp(batch_log_pass(model, packed)[1])
     return _entrant_cost(stage_costs(model.assignment, model.schema), P)
-
-
-def expected_latency(model: CascadeModel, group: QueryGroup, cfg: ObjectiveConfig | None = None) -> float:
-    """Expected latency of one query in cost units.
-
-    Default charges stage j's cost to the items expected to enter it
-    (all M_q recalled items enter stage 1). With ``latency_survivor_form``
-    the cost is charged to stage j's survivors instead.
-    """
-    survivor_form = bool(cfg and cfg.latency_survivor_form)
-    t = stage_costs(model.assignment, model.schema)
-    T = model.n_stages
-    if survivor_form:
-        return float(sum(t[j] * expected_count(model, group, j + 1) for j in range(T)))
-    return float(sum(t[j] * expected_count(model, group, j) for j in range(T)))
 
 
 def _masked_coeffs(cfg: ObjectiveConfig, objective: str) -> tuple[float, float, float]:

@@ -11,12 +11,12 @@ latency ceiling are expressed against.
 ``plan`` and ``serve_query`` replay one query at a time and are the reference
 that ``simulate`` matches record for record. ``simulate`` replays a whole
 dataset with one forward pass and stage-by-stage accounting vectorised over
-queries.
+queries; its ``SimReport`` shares the per-query table, the text and the
+record output of the evaluator's ``EvalReport``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,51 +26,31 @@ from scipy.special import expit
 
 from .cascade import batch_log_pass
 from .core import CascadeModel, PackedDataset, QueryGroup, pack_groups, stage_costs
+from .evaluator import QueryReport, query_table
 from .objective import ObjectiveConfig
 
 
-def plan(model: CascadeModel, group: QueryGroup, sample_scaled: bool = True) -> list[int]:
-    """Integer keep counts per stage: ceil of the expected pass count, clamped
-    to [1, items remaining]; non-increasing across stages.
-
-    With ``sample_scaled`` (default) the expectation is over the group's
-    sampled instances, i.e. the recall-scaled expectation times N_q / M_q,
-    which is the threshold actually applicable when replaying a sample.
-    ``sample_scaled=False`` uses the recall-scaled expectation directly and is
-    only meaningful when the group holds the full recalled set.
-    """
+def plan(model: CascadeModel, group: QueryGroup) -> list[int]:
+    """Integer keep counts per stage: ceil of the expected pass count over the
+    group's sampled instances (the recall-scaled expectation times N_q / M_q,
+    the threshold that applies when replaying a sample), clamped to
+    [1, items remaining]; non-increasing across stages."""
     packed = pack_groups([group])
     _, cum_log_p = batch_log_pass(model, packed)
     pass_sums = np.exp(cum_log_p).sum(axis=0)
-    scale = 1.0 if sample_scaled else group.recalled_count / group.size
     remaining = group.size
     counts = []
     for j in range(model.n_stages):
-        k = min(remaining, max(1, math.ceil(pass_sums[j] * scale)))
+        k = min(remaining, max(1, math.ceil(pass_sums[j])))
         counts.append(int(k))
         remaining = k
     return counts
 
 
 @dataclass(frozen=True)
-class ServePlan:
-    """Threshold rule bound to a model; keep counts derive per query at run time."""
-
-    model: CascadeModel
-    rule: str = "expected_count_topk"
-    sample_scaled: bool = True
-
-    def keep_counts(self, group: QueryGroup) -> list[int]:
-        if self.rule != "expected_count_topk":
-            raise ValueError(f"unknown threshold rule {self.rule!r}")
-        return plan(self.model, group, self.sample_scaled)
-
-
-@dataclass(frozen=True)
 class ServedQuery:
     ranking: tuple[int, ...]          # surviving instance indices, best first
     realized_cost: float              # sample units
-    realized_latency_units: float     # == realized_cost (single shard)
     stage_entrants: tuple[int, ...]
     stage_survivors: tuple[int, ...]
 
@@ -112,8 +92,8 @@ def serve_query(keep_counts: Sequence[int], model: CascadeModel, group: QueryGro
     final_order = np.lexsort((survivors, -cum_log_p[survivors, -1]))
     ranking = tuple(int(i) for i in survivors[final_order])
     return ServedQuery(
-        ranking=ranking, realized_cost=float(cost), realized_latency_units=float(cost),
-        stage_entrants=tuple(entrants), stage_survivors=tuple(kept),
+        ranking=ranking, realized_cost=float(cost), stage_entrants=tuple(entrants),
+        stage_survivors=tuple(kept),
     )
 
 
@@ -124,14 +104,14 @@ class SimQueryRecord:
     size: int
     final_count: float                # recall-scaled
     realized_cost: float              # recall-scaled cost units
-    realized_latency_units: float
+    realized_latency_units: float     # == realized_cost (single shard)
     realized_latency_ms: float
     below_floor: bool
     above_latency_ceiling: bool
 
 
 @dataclass(frozen=True)
-class SimReport:
+class SimReport(QueryReport):
     traffic_multiplier: float
     total_cost: float
     utilization_proxy: float          # traffic_multiplier * total_cost
@@ -142,33 +122,6 @@ class SimReport:
     fraction_below_floor: float
     fraction_above_latency_ceiling: float
     per_query: tuple[SimQueryRecord, ...]
-
-    def to_text(self) -> str:
-        pairs = [
-            ("traffic_multiplier", self.traffic_multiplier),
-            ("total_cost", self.total_cost),
-            ("utilization_proxy", self.utilization_proxy),
-            ("mean_latency_units", self.mean_latency_units),
-            ("p95_latency_units", self.p95_latency_units),
-            ("mean_latency_ms", self.mean_latency_ms),
-            ("p95_latency_ms", self.p95_latency_ms),
-            ("fraction_below_floor", self.fraction_below_floor),
-            ("fraction_above_latency_ceiling", self.fraction_above_latency_ceiling),
-        ]
-        return "\n".join(f"{k} {v:.6g}" for k, v in pairs) + "\n"
-
-    def write_records(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in self.per_query:
-                fh.write(json.dumps({
-                    "query_id": r.query_id, "recalled_count": r.recalled_count,
-                    "size": r.size, "final_count": r.final_count,
-                    "realized_cost": r.realized_cost,
-                    "realized_latency_units": r.realized_latency_units,
-                    "realized_latency_ms": r.realized_latency_ms,
-                    "below_floor": r.below_floor,
-                    "above_latency_ceiling": r.above_latency_ceiling,
-                }) + "\n")
 
 
 def _deterministic_funnel(model: CascadeModel, packed: PackedDataset):
@@ -225,13 +178,6 @@ def simulate(model: CascadeModel, data, cfg: ObjectiveConfig,
     if traffic_multiplier <= 0:
         raise ValueError("traffic_multiplier must be > 0")
     packed = data if isinstance(data, PackedDataset) else pack_groups(data)
-    if packed.n_groups == 0:
-        return SimReport(
-            traffic_multiplier=float(traffic_multiplier), total_cost=0.0,
-            utilization_proxy=0.0, mean_latency_units=0.0, p95_latency_units=0.0,
-            mean_latency_ms=0.0, p95_latency_ms=0.0, fraction_below_floor=0.0,
-            fraction_above_latency_ceiling=0.0, per_query=(),
-        )
     if stochastic:
         entrants, final = _stochastic_funnel(model, packed, seed)
     else:
@@ -243,33 +189,13 @@ def simulate(model: CascadeModel, data, cfg: ObjectiveConfig,
         cost += entrants[:, a] * t[a]
     scale = packed.mcounts / packed.sizes
     latency = cost * scale
-    latency_ms = latency / cfg.cost_units_per_ms
-    final_count = final * scale
-    below = final_count < cfg.result_floor
-    above = latency > cfg.latency_ceiling
-    records = tuple(
-        SimQueryRecord(
-            query_id=qid, recalled_count=m, size=n, final_count=fc, realized_cost=lat,
-            realized_latency_units=lat, realized_latency_ms=ms, below_floor=lo,
-            above_latency_ceiling=hi,
-        )
-        for qid, m, n, fc, lat, ms, lo, hi in zip(
-            packed.query_ids, packed.mcounts.tolist(), packed.sizes.tolist(),
-            final_count.tolist(), latency.tolist(), latency_ms.tolist(),
-            below.tolist(), above.tolist(),
-        )
-    )
+    columns, summary = query_table(packed, final * scale, latency, cfg)
+    qid, m, n, final_count, lat, lat_ms, below, above = columns
     # builtin sum adds left to right over the records; np.sum would add pairwise
-    total = float(sum(latency.tolist()))
-    p95 = np.percentile(latency, 95)
+    total = float(sum(lat))
     return SimReport(
         traffic_multiplier=float(traffic_multiplier), total_cost=total,
-        utilization_proxy=float(traffic_multiplier * total),
-        mean_latency_units=float(latency.mean()),
-        p95_latency_units=float(p95),
-        mean_latency_ms=float(latency.mean() / cfg.cost_units_per_ms),
-        p95_latency_ms=float(p95 / cfg.cost_units_per_ms),
-        fraction_below_floor=float(np.mean(below)),
-        fraction_above_latency_ceiling=float(np.mean(above)),
-        per_query=records,
+        utilization_proxy=float(traffic_multiplier * total), **summary,
+        per_query=tuple(map(SimQueryRecord, qid, m, n, final_count, lat, lat, lat_ms,
+                            below, above)),
     )

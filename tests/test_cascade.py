@@ -3,13 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from cascade_ranker.cascade import (
-    batch_final_probs,
-    cascade_probabilities,
-    score_group,
-    stage_probability,
-)
+from cascade_ranker.cascade import batch_final_probs, batch_log_pass, batch_logits
 from cascade_ranker.core import (
     CascadeModel,
     Feature,
@@ -17,13 +13,27 @@ from cascade_ranker.core import (
     Instance,
     QueryGroup,
     StageAssignment,
+    pack_groups,
 )
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
 from cascade_ranker.trainer import init_weights
+from oracle import cumulative_probabilities, stage_probabilities
 
 
 def _logit(p):
     return math.log(p / (1.0 - p))
+
+
+def _batch_probs(model, group):
+    """(per-stage, cumulative) pass probabilities of every row of ``group``
+    from the batch forward pass, each shape (n, T)."""
+    Z, cum_log_p = batch_log_pass(model, pack_groups([group]))
+    return expit(Z), np.exp(cum_log_p)
+
+
+def _item(group, x):
+    return QueryGroup(group.query_id, group.query_features, group.recalled_count,
+                      (Instance(x, 0, 2.0),))
 
 
 def _tiny_setup(T=3, seed=0, init_scale=0.0):
@@ -41,18 +51,23 @@ def _tiny_setup(T=3, seed=0, init_scale=0.0):
 class TestStageProbability:
     def test_zero_weights_give_half(self):
         _, _, model, group = _tiny_setup()
-        for j in (1, 2, 3):
-            assert stage_probability(model, group, np.zeros(3), j) == 0.5
+        per_stage, _ = _batch_probs(model, group)
+        np.testing.assert_array_equal(per_stage, [[0.5, 0.5, 0.5]])
+        np.testing.assert_array_equal(stage_probabilities(model, group.query_features,
+                                                          np.zeros(3)), [0.5, 0.5, 0.5])
 
     def test_saturation_without_overflow(self):
         schema, asg, model, group = _tiny_setup(T=1)
+        group = _item(group, np.ones(1))
         m = model.with_flat_weights(np.array([100.0, 0.0, 0.0]))
-        p = stage_probability(m, group, np.ones(1), 1)
-        assert p == pytest.approx(1.0, abs=1e-10)
+        assert _batch_probs(m, group)[0][0, 0] == pytest.approx(1.0, abs=1e-10)
         m = m.with_flat_weights(np.array([1000.0, 0.0, 0.0]))
-        assert np.isfinite(stage_probability(m, group, np.ones(1), 1))
+        assert np.all(np.isfinite(batch_log_pass(m, pack_groups([group]))[1]))
+        assert _batch_probs(m, group)[0][0, 0] == 1.0
         m = m.with_flat_weights(np.array([-1000.0, 0.0, 0.0]))
-        assert stage_probability(m, group, np.ones(1), 1) >= 0.0
+        _, cum_log_p = batch_log_pass(m, pack_groups([group]))
+        assert cum_log_p[0, 0] == pytest.approx(-1000.0)
+        assert _batch_probs(m, group)[0][0, 0] >= 0.0
 
     def test_item_query_cancellation(self):
         # w_x = (1), f(x) = (2), query logit = -2 -> sigma(0) = 0.5
@@ -62,26 +77,22 @@ class TestStageProbability:
         w[0] = 1.0
         w[1 + hot] = -2.0
         m = model.with_flat_weights(w)
-        assert stage_probability(m, group, np.array([2.0]), 1) == pytest.approx(0.5)
-
-    def test_bad_stage_index(self):
-        _, _, model, group = _tiny_setup()
-        with pytest.raises(ValueError, match="out of range"):
-            stage_probability(model, group, np.zeros(3), 0)
+        assert batch_logits(m, pack_groups([_item(group, np.array([2.0]))]))[0, 0] == 0.0
 
     def test_dimension_mismatch(self):
         _, _, model, group = _tiny_setup()
+        narrow = QueryGroup("q0", group.query_features, 5, (Instance(np.zeros(2), 0, 2.0),))
         with pytest.raises(ValueError, match="dim"):
-            stage_probability(model, group, np.zeros(2), 1)
+            batch_logits(model, pack_groups([narrow]))
 
 
 class TestCascadeProbabilities:
     def test_zero_weights_three_stages(self):
         _, _, model, group = _tiny_setup(T=3)
-        probs = cascade_probabilities(model, group, np.zeros(3))
-        np.testing.assert_allclose(probs.per_stage, [0.5, 0.5, 0.5])
-        np.testing.assert_allclose(probs.cumulative, [0.5, 0.25, 0.125])
-        assert probs.final == pytest.approx(0.125)
+        per_stage, cumulative = _batch_probs(model, group)
+        np.testing.assert_allclose(per_stage[0], [0.5, 0.5, 0.5])
+        np.testing.assert_allclose(cumulative[0], [0.5, 0.25, 0.125])
+        assert batch_final_probs(model, [group])[0] == pytest.approx(0.125)
 
     def test_single_stage_is_plain_logistic(self):
         schema, asg, model, group = _tiny_setup(T=1, seed=4, init_scale=0.8)
@@ -89,7 +100,7 @@ class TestCascadeProbabilities:
         z = (model.stage_item_weights[0] @ x
              + model.stage_query_weights[0] @ group.query_features)
         want = 1.0 / (1.0 + math.exp(-z))
-        assert cascade_probabilities(model, group, x).final == pytest.approx(want, rel=1e-12)
+        assert batch_final_probs(model, [_item(group, x)])[0] == pytest.approx(want, rel=1e-12)
 
     def test_arithmetic_of_two_stages(self):
         # per-stage (0.9, 0.8) -> cumulative (0.9, 0.72)
@@ -99,9 +110,9 @@ class TestCascadeProbabilities:
         w[1 + hot] = _logit(0.9)           # stage 0 query weight
         w[3 + 1 + hot] = _logit(0.8)       # stage 1 query weight
         m = model.with_flat_weights(w)
-        probs = cascade_probabilities(m, group, np.zeros(2))
-        np.testing.assert_allclose(probs.per_stage, [0.9, 0.8], rtol=1e-12)
-        np.testing.assert_allclose(probs.cumulative, [0.9, 0.72], rtol=1e-12)
+        per_stage, cumulative = _batch_probs(m, _item(group, np.zeros(2)))
+        np.testing.assert_allclose(per_stage[0], [0.9, 0.8], rtol=1e-12)
+        np.testing.assert_allclose(cumulative[0], [0.9, 0.72], rtol=1e-12)
 
     def test_monotone_chain(self):
         schema = default_schema()
@@ -111,8 +122,7 @@ class TestCascadeProbabilities:
                            tuple(Instance(rng.standard_normal(5), 0, 2.0) for _ in range(8)))
         for seed in range(5):
             model = init_weights(schema, asg, seed, 2.0)
-            for probs in score_group(model, group):
-                assert np.all(np.diff(probs.cumulative) <= 0)
+            assert np.all(np.diff(_batch_probs(model, group)[1], axis=1) <= 0)
 
     def test_extended_precision_agreement(self):
         # final prob vs mpmath product of sigmoids, 1e-12 relative
@@ -123,14 +133,14 @@ class TestCascadeProbabilities:
         group = QueryGroup("q0", schema.query_onehot(50), 50,
                            tuple(Instance(rng.standard_normal(5), 0, 2.0) for _ in range(6)))
         mpmath.mp.dps = 50
-        for inst, probs in zip(group.instances, score_group(model, group)):
+        for inst, final in zip(group.instances, batch_final_probs(model, [group])):
             exact = mpmath.mpf(1)
             for j in range(model.n_stages):
                 cols = list(model.assignment.stages[j])
                 z = (inst.item_features[cols] @ model.stage_item_weights[j]
                      + group.query_features @ model.stage_query_weights[j])
                 exact *= 1 / (1 + mpmath.exp(-mpmath.mpf(float(z))))
-            assert abs(probs.final - float(exact)) <= 1e-12 * float(exact)
+            assert abs(final - float(exact)) <= 1e-12 * float(exact)
 
 
 class TestQueryFeatureNeutrality:
@@ -147,7 +157,7 @@ class TestQueryFeatureNeutrality:
         group = QueryGroup("q0", schema.query_onehot(3000), 3000,
                            tuple(Instance(rng.standard_normal(5), 0, 2.0) for _ in range(12)))
         model = init_weights(schema, asg, 23, 1.0)
-        base = np.stack([p.per_stage for p in score_group(model, group)])
+        base = _batch_probs(model, group)[0]
         for trial in range(5):
             shifted = CascadeModel(
                 model.stage_item_weights,
@@ -155,7 +165,7 @@ class TestQueryFeatureNeutrality:
                       for w in model.stage_query_weights),
                 asg, schema,
             )
-            moved = np.stack([p.per_stage for p in score_group(shifted, group)])
+            moved = _batch_probs(shifted, group)[0]
             for j in range(model.n_stages):
                 np.testing.assert_array_equal(
                     np.argsort(-base[:, j], kind="stable"),
@@ -169,14 +179,14 @@ class TestQueryFeatureNeutrality:
         group = QueryGroup("q0", schema.query_onehot(40), 40,
                            tuple(Instance(rng.standard_normal(5), 0, 2.0) for _ in range(15)))
         model = init_weights(schema, asg, 2, 1.0)
-        base = np.array([p.final for p in score_group(model, group)])
+        base = batch_final_probs(model, [group])
         for trial in range(5):
             shifted = CascadeModel(
                 model.stage_item_weights,
                 (model.stage_query_weights[0] + rng.standard_normal(schema.query_feature_dim) * 4.0,),
                 asg, schema,
             )
-            moved = np.array([p.final for p in score_group(shifted, group)])
+            moved = batch_final_probs(shifted, [group])
             np.testing.assert_array_equal(np.argsort(-base, kind="stable"),
                                           np.argsort(-moved, kind="stable"))
 
@@ -187,20 +197,23 @@ class TestScoreGroup:
         rng = np.random.default_rng(0)
         group = QueryGroup("q0", np.array([1.0, 0.0]), 9,
                            tuple(Instance(rng.standard_normal(2), 0, 2.0) for _ in range(4)))
-        for probs in score_group(model, group):
-            assert probs.final == pytest.approx(0.25)
+        np.testing.assert_allclose(batch_final_probs(model, [group]), [0.25] * 4)
 
     def test_empty_group(self):
         _, _, model, _ = _tiny_setup()
-        group = QueryGroup("q0", np.array([1.0, 0.0]), 5, ())
-        assert score_group(model, group) == []
+        assert batch_final_probs(model, []).shape == (0,)
 
     def test_singleton_matches_direct(self):
         schema, asg, model, group = _tiny_setup(T=3, seed=2, init_scale=0.5)
-        out = score_group(model, group)
-        assert len(out) == 1
-        direct = cascade_probabilities(model, group, group.instances[0].item_features)
-        assert out[0].final == direct.final
+        per_stage, cumulative = _batch_probs(model, group)
+        assert per_stage.shape == cumulative.shape == (1, 3)
+        x = group.instances[0].item_features
+        np.testing.assert_allclose(per_stage[0],
+                                   stage_probabilities(model, group.query_features, x),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(cumulative[0],
+                                   cumulative_probabilities(model, group.query_features, x),
+                                   rtol=1e-12)
 
     def test_batch_matches_per_instance(self):
         schema = default_schema()
@@ -208,5 +221,6 @@ class TestScoreGroup:
         groups = generate(GenConfig(n_queries=5, seed=9), schema)
         model = init_weights(schema, asg, 1, 0.6)
         batch = batch_final_probs(model, groups)
-        singles = [p.final for g in groups for p in score_group(model, g)]
+        singles = [cumulative_probabilities(model, g.query_features, x)[-1]
+                   for g in groups for x in g.X]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)

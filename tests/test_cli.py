@@ -24,6 +24,35 @@ def _gen(tmp_path, small_config, name="data"):
     return out / "dataset.txt"
 
 
+def _train(tmp_path, small_config, data, name="run"):
+    out = tmp_path / name
+    assert main(["train", "--config", str(small_config), "--dataset", str(data),
+                 "--out", str(out)]) == 0
+    return out / "model.txt"
+
+
+def _with_nan_feature(data):
+    """Copy of the dataset at ``data`` whose first line has a NaN feature 0."""
+    lines = data.read_text().splitlines(keepends=True)
+    fields = lines[0].split(" ")
+    fields = [("0:nan" if f.startswith("0:") else f) for f in fields]
+    bad = data.parent / "nan_dataset.txt"
+    bad.write_text(" ".join(fields) + "".join(lines[1:]))
+    return bad
+
+
+def _fails_cleanly(argv, capsys, *needles):
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+    return err
+
+
 class TestDatagenCommand:
     def test_output_feeds_train(self, tmp_path, small_config):
         data = _gen(tmp_path, small_config)
@@ -50,6 +79,64 @@ class TestDatagenCommand:
         rc = main(["datagen", "--config", str(path), "--out", str(tmp_path / "x")])
         assert rc != 0
         assert "positives_ratio" in capsys.readouterr().err
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize("content, named", [
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('{"objective": {"alhpa": 0.1}}', "unknown key 'alhpa' in section 'objective'"),
+        ('{"train": {"epoch": 1}}', "unknown key 'epoch' in section 'train'"),
+        ('{"objectve": {}}', "unknown section 'objectve'"),
+        ('{"objective": 0.1}', "section 'objective' is not an object"),
+        ('{"schema": {"stages": [["sales_volume"], ["no_such_feature"]]}}',
+         "section 'schema', key 'stages': no feature named 'no_such_feature'"),
+    ])
+    def test_bad_config_exits_1(self, tmp_path, capsys, content, named):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        _fails_cleanly(["gradcheck", "--config", str(path), "--out", str(tmp_path / "x")],
+                       capsys, named)
+
+
+class TestDatasetValidation:
+    def test_train_rejects_nan_feature(self, tmp_path, small_config, capsys):
+        bad = _with_nan_feature(_gen(tmp_path, small_config))
+        _fails_cleanly(["train", "--config", str(small_config), "--dataset", str(bad),
+                        "--out", str(tmp_path / "run")],
+                       capsys, "fails validation", "non-finite feature value")
+        assert not (tmp_path / "run" / "model.txt").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    def test_replay_commands_reject_nan_feature(self, tmp_path, small_config, capsys, command):
+        data = _gen(tmp_path, small_config)
+        model = _train(tmp_path, small_config, data)
+        bad = _with_nan_feature(data)
+        _fails_cleanly([command, "--config", str(small_config), "--dataset", str(bad),
+                        "--model", str(model), "--out", str(tmp_path / "out")],
+                       capsys, "group q00000 instance 0: non-finite feature value")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    def test_model_stages_must_match_config(self, tmp_path, small_config, capsys, command):
+        data = _gen(tmp_path, small_config)
+        model = _train(tmp_path, small_config, data)
+        cfg = json.loads(small_config.read_text())
+        cfg["schema"]["stages"] = [["sales_volume"], ["postpay_score", "ctr_score"],
+                                   ["relevance_score", "deep_wide_score"]]
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(cfg))
+        _fails_cleanly([command, "--config", str(other), "--dataset", str(data),
+                        "--model", str(model), "--out", str(tmp_path / "out")],
+                       capsys,
+                       "[['sales_volume', 'postpay_score'], ['ctr_score'],",
+                       "[['sales_volume'], ['postpay_score', 'ctr_score'],")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diverged_training_exits_1(self, tmp_path, small_config, capsys):
+        data = _gen(tmp_path, small_config)
+        _fails_cleanly(["train", "--config", str(small_config), "--dataset", str(data),
+                        "--out", str(tmp_path / "run"), "--lr", "1e308"],
+                       capsys, "non-finite")
 
 
 class TestTrainCommand:

@@ -8,7 +8,6 @@ from cascade_ranker.core import (
     QueryGroup,
     StageAssignment,
     pack_groups,
-    stage_cost,
     stage_costs,
     validate_dataset,
 )
@@ -60,36 +59,28 @@ class TestStageAssignment:
         schema = default_schema()
         asg = StageAssignment(((0, 99),))
         with pytest.raises(ValueError, match="not in schema"):
-            stage_cost(asg, schema, 1)
+            stage_costs(asg, schema)
 
 
 class TestStageCost:
     def test_single_cheap_feature(self):
         schema = default_schema()
         asg = StageAssignment(((schema.feature_index("sales_volume"),),))
-        assert stage_cost(asg, schema, 1) == pytest.approx(0.02)
+        assert stage_costs(asg, schema)[0] == pytest.approx(0.02)
 
     def test_expensive_pair(self):
         schema = default_schema()
         asg = StageAssignment((
             (schema.feature_index("relevance_score"), schema.feature_index("deep_wide_score")),
         ))
-        assert stage_cost(asg, schema, 1) == pytest.approx(1.58)
-
-    def test_out_of_range_stage(self):
-        schema = default_schema()
-        asg = default_assignment(schema)
-        with pytest.raises(ValueError, match="out of range"):
-            stage_cost(asg, schema, 0)
-        with pytest.raises(ValueError, match="out of range"):
-            stage_cost(asg, schema, 4)
+        assert stage_costs(asg, schema)[0] == pytest.approx(1.58)
 
     def test_additive_over_disjoint_sets(self):
         schema = default_schema()
         asg = default_assignment(schema)
         merged = StageAssignment((tuple(i for s in asg.stages for i in s),))
-        total = sum(stage_cost(asg, schema, j) for j in range(1, asg.n_stages + 1))
-        assert total == pytest.approx(stage_cost(merged, schema, 1))
+        total = sum(stage_costs(asg, schema)[j - 1] for j in range(1, asg.n_stages + 1))
+        assert total == pytest.approx(stage_costs(merged, schema)[0])
 
     def test_full_partition_matches_single_stage_all(self):
         schema = default_schema()
@@ -101,7 +92,6 @@ class TestStageCost:
         schema = FeatureSchema((Feature("a", 1.0), Feature("b", 1e16), Feature("c", 1.0)))
         asg = StageAssignment(((0, 2, 1),))
         assert stage_costs(asg, schema)[0] == 1e16 + 2.0
-        assert stage_cost(asg, schema, 1) == 1e16 + 2.0
 
 
 class TestValidateDataset:

@@ -24,11 +24,11 @@ from cascade_ranker.evaluator import (
     baseline_soft_cascade,
     baseline_two_stage,
     evaluate,
-    fit_two_stage,
     macro_auc,
 )
 from cascade_ranker.objective import ObjectiveConfig, expected_cost
 from cascade_ranker.trainer import TrainConfig, init_weights, train
+from oracle import stage_probabilities
 
 
 class TestAuc:
@@ -157,8 +157,7 @@ class TestEvaluate:
         group = QueryGroup("q0", schema.query_onehot(40), 40, tuple(
             Instance(rng.standard_normal(5), int(i < 3), 2.0) for i in range(10)))
         report = evaluate(sat, [group], ObjectiveConfig())
-        from cascade_ranker.cascade import score_group
-        stage_p = np.stack([p.per_stage for p in score_group(sat, group)])
+        stage_p = np.stack([stage_probabilities(sat, group.query_features, x) for x in group.X])
         assert np.all(stage_p[:, 0] > 1 - 1e-10)
         trials = 10_000
         mc = np.random.default_rng(11)
@@ -238,6 +237,12 @@ class TestTwoStageBaseline:
         _, rep_rest = baseline_single_stage(data, schema, (1, 2, 3, 4), obj, cfg)
         assert rep_two.auc == pytest.approx(rep_rest.auc, rel=1e-12)
 
+    def test_keep_k_beyond_int64_keeps_all(self):
+        schema, _, data = _benchmark(seed=5, n=30)
+        obj, cfg = ObjectiveConfig(), TrainConfig(epochs=1, seed=2)
+        assert (baseline_two_stage(data, schema, 0, 10 ** 30, obj, cfg)
+                == baseline_two_stage(data, schema, 0, 10 ** 9, obj, cfg))
+
     def test_cost_increases_with_keep_k(self):
         schema, _, data = _benchmark(seed=6, n=80)
         obj = ObjectiveConfig()
@@ -263,7 +268,7 @@ class TestTwoStageBaseline:
     def test_invalid_filter_feature(self):
         schema, _, data = _benchmark(n=10)
         with pytest.raises(ValueError, match="filter feature"):
-            fit_two_stage(data, schema, 99, 100, ObjectiveConfig(), TrainConfig(epochs=1))
+            baseline_two_stage(data, schema, 99, 100, ObjectiveConfig(), TrainConfig(epochs=1))
 
 
 class TestSoftCascadeBaseline:

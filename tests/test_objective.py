@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cascade_ranker.cascade import batch_log_pass
 from cascade_ranker.core import (
     Feature,
     FeatureSchema,
@@ -15,19 +16,18 @@ from cascade_ranker.datagen import GenConfig, default_assignment, default_schema
 from cascade_ranker.objective import (
     LossBreakdown,
     ObjectiveConfig,
-    dataset_expected_count,
     expected_cost,
-    expected_count,
-    expected_latency,
-    instance_weight,
+    instance_weights,
     loss,
     loss_l1,
     loss_l2,
     loss_l3,
+    per_query_expectations,
     softplus_penalty,
     weighted_nll,
 )
 from cascade_ranker.trainer import init_weights
+from oracle import expected_count, expected_latency, stage_probabilities
 
 
 def _logit(p):
@@ -61,25 +61,22 @@ def _unit_model(schema, stages):
 class TestInstanceWeight:
     def test_purchase(self):
         cfg = ObjectiveConfig(purchase_weight=10, price_weight=3)
-        inst = Instance(np.zeros(1), label=2, price=math.e)
-        assert instance_weight(inst, cfg) == pytest.approx(30.0)
+        assert instance_weights(np.array([2]), np.array([math.e]), cfg)[0] == pytest.approx(30.0)
 
     def test_click(self):
         cfg = ObjectiveConfig(purchase_weight=10, price_weight=3)
-        inst = Instance(np.zeros(1), label=1, price=math.e)
-        assert instance_weight(inst, cfg) == pytest.approx(3.0)
+        assert instance_weights(np.array([1]), np.array([math.e]), cfg)[0] == pytest.approx(3.0)
 
     def test_no_behavior_is_one(self):
         cfg = ObjectiveConfig(purchase_weight=10, price_weight=3)
-        for price in (0.5, 1.0, math.e, 1e6):
-            assert instance_weight(Instance(np.zeros(1), 0, price), cfg) == 1.0
+        prices = np.array([0.5, 1.0, math.e, 1e6])
+        np.testing.assert_array_equal(instance_weights(np.zeros(4, dtype=np.int8), prices, cfg),
+                                      [1.0] * 4)
 
     def test_nonpositive_price_rejected(self):
         cfg = ObjectiveConfig()
-        bad = Instance(np.zeros(1), 1, 1.0)
-        object.__setattr__(bad, "price", 0.0)  # bypass dataclass freezing
         with pytest.raises(ValueError, match="positive"):
-            instance_weight(bad, cfg)
+            instance_weights(np.array([0, 1]), np.array([2.0, 0.0]), cfg)
 
 
 class TestWeightedNll:
@@ -139,24 +136,36 @@ class TestWeightedNll:
         assert np.all(np.isfinite(bd.gradient))
 
 
+def _expectations(model, g, cfg=None):
+    """(expected final count, expected latency) of the one query ``g``."""
+    counts, latencies = per_query_expectations(model, [g], cfg or ObjectiveConfig())
+    return float(counts[0]), float(latencies[0])
+
+
+def _stage_passes(model, groups):
+    """Unscaled expected number of instances passing stages 1..j, for each j."""
+    return np.exp(batch_log_pass(model, pack_groups(groups))[1]).sum(axis=0)
+
+
 class TestExpectedCount:
     def test_two_instances(self):
         schema = _schema2()
         model = _unit_model(schema, ((0, 1),))
         g = _group_with_final_probs(schema, [0.5, 0.25], mcount=2)
-        assert expected_count(model, g, 1) == pytest.approx(0.75, rel=1e-12)
+        assert _expectations(model, g)[0] == pytest.approx(0.75, rel=1e-12)
 
     def test_recall_scaling(self):
         schema = _schema2()
         model = _unit_model(schema, ((0, 1),))
         g = _group_with_final_probs(schema, [0.5, 0.25], mcount=200)
-        assert expected_count(model, g, 1) == pytest.approx(75.0, rel=1e-12)
+        assert _expectations(model, g)[0] == pytest.approx(75.0, rel=1e-12)
 
     def test_stage_zero_is_recalled_count(self):
+        # all M_q recalled items enter stage 1, so a 1-stage latency is t_1 * M_q
         schema = _schema2()
         model = _unit_model(schema, ((0, 1),))
         g = _group_with_final_probs(schema, [0.5, 0.25], mcount=123)
-        assert expected_count(model, g, 0) == 123.0
+        assert _expectations(model, g)[1] == pytest.approx(123 * 0.76, rel=1e-12)
 
     def test_monte_carlo_consistency(self):
         # Eq-7-style expectations vs Bernoulli per-stage survival over 1e4
@@ -167,8 +176,8 @@ class TestExpectedCount:
         rng = np.random.default_rng(99)
         group = QueryGroup("q0", schema.query_onehot(40), 40, tuple(
             Instance(rng.standard_normal(5), 0, 2.0) for _ in range(12)))
-        from cascade_ranker.cascade import score_group
-        stage_p = np.stack([p.per_stage for p in score_group(model, group)])  # (n, T)
+        stage_p = np.stack([stage_probabilities(model, group.query_features, x)
+                            for x in group.X])                  # (n, T)
 
         trials = 10_000
         mc = np.random.default_rng(7)
@@ -176,7 +185,7 @@ class TestExpectedCount:
         alive = np.cumprod(draws, axis=2)                        # survived through stage
         counts = alive.sum(axis=1)                               # (trials, T)
         for j in range(1, model.n_stages + 1):
-            exact = dataset_expected_count(model, [group], j)
+            exact = _stage_passes(model, [group])[j - 1]
             sample_mean = counts[:, j - 1].mean()
             se = counts[:, j - 1].std(ddof=1) / math.sqrt(trials)
             assert abs(sample_mean - exact) <= 3 * max(se, 1e-12), (
@@ -214,7 +223,7 @@ class TestExpectedLatency:
         model = _unit_model(schema, ((0,),))
         g = QueryGroup("q", schema.query_onehot(100), 100,
                        (Instance(np.array([0.0, 0.0]), 0, 2.0),))
-        assert expected_latency(model, g) == pytest.approx(2.0)
+        assert _expectations(model, g)[1] == pytest.approx(2.0)
 
     def test_two_stage_arithmetic(self):
         # M=100, t=(0.02, 0.74), E[Count_1]=25 -> 2 + 18.5
@@ -222,15 +231,15 @@ class TestExpectedLatency:
         model = _unit_model(schema, ((0,), (1,)))
         g = QueryGroup("q", schema.query_onehot(100), 100,
                        (Instance(np.array([_logit(0.25), 0.0]), 0, 2.0),))
-        assert expected_count(model, g, 1) == pytest.approx(25.0, rel=1e-12)
-        assert expected_latency(model, g) == pytest.approx(20.5, rel=1e-9)
+        assert 100 * _stage_passes(model, [g])[0] == pytest.approx(25.0, rel=1e-12)
+        assert _expectations(model, g)[1] == pytest.approx(20.5, rel=1e-9)
 
     def test_zero_probability_floor(self):
         schema = _schema2()
         model = _unit_model(schema, ((0,), (1,)))
         g = QueryGroup("q", schema.query_onehot(100), 100,
                        (Instance(np.array([-800.0, 0.0]), 0, 2.0),))
-        assert expected_latency(model, g) == pytest.approx(2.0)
+        assert _expectations(model, g)[1] == pytest.approx(2.0)
 
     def test_survivor_form_flag(self):
         schema = _schema2()
@@ -240,7 +249,8 @@ class TestExpectedLatency:
         cfg = ObjectiveConfig(latency_survivor_form=True)
         # survivors: t1*E[C1] + t2*E[C2]; E[C2] = 100 * 0.25 * 0.5
         want = 0.02 * 25.0 + 0.74 * 12.5
-        assert expected_latency(model, g, cfg) == pytest.approx(want, rel=1e-9)
+        assert _expectations(model, g, cfg)[1] == pytest.approx(want, rel=1e-9)
+        assert expected_latency(model, g, survivor_form=True) == pytest.approx(want, rel=1e-9)
 
 
 class TestSoftplusPenalty:

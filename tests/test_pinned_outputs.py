@@ -1,14 +1,19 @@
-"""Report text pinned at fixed seeds.
+"""Report text and records pinned at fixed seeds.
 
 The strings were produced by the per-query evaluator and simulator that the
 segmented kernels replaced. A change that alters any of them changes the
-numbers a user sees, which a refactor or speed-up must not do.
+numbers a user sees, which a refactor or speed-up must not do. The text
+rounds to 6 digits, so the per-query records are pinned by sha256 and the
+two-stage baseline by the ``repr`` of every figure, which catches a change
+in the last bit.
 """
+
+import hashlib
 
 import pytest
 
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
-from cascade_ranker.evaluator import evaluate
+from cascade_ranker.evaluator import baseline_two_stage, evaluate
 from cascade_ranker.objective import ObjectiveConfig
 from cascade_ranker.simulator import simulate
 from cascade_ranker.trainer import TrainConfig, train
@@ -24,6 +29,22 @@ SIM_TEXT = (
     "mean_latency_units 3261.27\np95_latency_units 9534.49\nmean_latency_ms 21.7418\n"
     "p95_latency_ms 63.5632\nfraction_below_floor 0.185\nfraction_above_latency_ceiling 0.305\n"
 )
+EVAL_RECORDS_SHA256 = "009c74b7d73ca09a2d610ebe5b468c6cb165ee9a84136333f76b13e827728543"
+SIM_RECORDS_SHA256 = "bc76f6499aa22ba6d9fcc20e7359a630b2fbf5eb8f7a3a27457191031a664381"
+STOCHASTIC_SIM_RECORDS_SHA256 = "4f5822388fdfaacb4938b0d55d095eb883f6e376b28e34fe9adc77aadc91306e"
+TWO_STAGE_RECORDS_SHA256 = "d45929e9f6e8f5255a3e85cb6183e7c4a8334565ee873e834349035c337a4d1d"
+TWO_STAGE_FIGURES = {
+    "auc": "0.7132772236364802",
+    "expected_cost": "4682.599999999999",
+    "expected_cost_ratio": "1.0",
+    "mean_final_count": "4025.21675",
+    "fraction_below_floor": "0.0",
+    "fraction_above_latency_ceiling": "0.59",
+    "mean_latency_units": "7528.538149999999",
+    "p95_latency_units": "14085.488499999998",
+    "mean_latency_ms": "50.19025433333333",
+    "p95_latency_ms": "93.90325666666665",
+}
 STOCHASTIC_SIM_TEXT = (
     "traffic_multiplier 1\ntotal_cost 565265\nutilization_proxy 565265\n"
     "mean_latency_units 2826.32\np95_latency_units 8496.61\nmean_latency_ms 18.8422\n"
@@ -55,3 +76,33 @@ def test_sim_text(fixture):
 def test_stochastic_sim_text(fixture):
     model, data, cfg = fixture
     assert simulate(model, data, cfg, stochastic=True, seed=11).to_text() == STOCHASTIC_SIM_TEXT
+
+
+def _records_sha256(report, tmp_path) -> str:
+    path = tmp_path / "records.ndjson"
+    report.write_records(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_eval_records(fixture, tmp_path):
+    model, data, cfg = fixture
+    assert _records_sha256(evaluate(model, data, cfg), tmp_path) == EVAL_RECORDS_SHA256
+
+
+def test_sim_records(fixture, tmp_path):
+    model, data, cfg = fixture
+    assert _records_sha256(simulate(model, data, cfg), tmp_path) == SIM_RECORDS_SHA256
+
+
+def test_stochastic_sim_records(fixture, tmp_path):
+    model, data, cfg = fixture
+    report = simulate(model, data, cfg, stochastic=True, seed=11)
+    assert _records_sha256(report, tmp_path) == STOCHASTIC_SIM_RECORDS_SHA256
+
+
+def test_two_stage_figures(fixture, tmp_path):
+    _, data, cfg = fixture
+    report = baseline_two_stage(data, default_schema(), 0, 6000, cfg,
+                                TrainConfig(objective="l3", epochs=2, seed=11))
+    assert {k: repr(getattr(report, k)) for k in TWO_STAGE_FIGURES} == TWO_STAGE_FIGURES
+    assert _records_sha256(report, tmp_path) == TWO_STAGE_RECORDS_SHA256

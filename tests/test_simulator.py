@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascade_ranker.cascade import score_group
+from cascade_ranker.cascade import batch_final_probs
 from cascade_ranker.core import (
     Feature,
     FeatureSchema,
@@ -16,9 +16,10 @@ from cascade_ranker.core import (
     stage_costs,
 )
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
-from cascade_ranker.objective import ObjectiveConfig, dataset_expected_count
-from cascade_ranker.simulator import SimQueryRecord, ServePlan, plan, serve_query, simulate
+from cascade_ranker.objective import ObjectiveConfig
+from cascade_ranker.simulator import SimQueryRecord, plan, serve_query, simulate
 from cascade_ranker.trainer import init_weights
+from oracle import expected_count
 
 
 def _logit(p):
@@ -91,23 +92,12 @@ class TestPlan:
                 assert all(c >= 1 for c in counts)
 
     def test_sample_scaling_matches_recall_scaled_expectation(self):
-        # with M_q = N_q the sample-scaled and literal forms coincide
+        # the keep count is the recall-scaled expectation times N_q / M_q:
+        # ceil(100 * 0.75 * 10 / 100) for 10 samples of 100 recalled items
         schema = _schema2()
         model = _unit_model(schema, ((0, 1),))
-        g = _group_with_stage1_probs(schema, [0.75] * 100)
-        assert plan(model, g, sample_scaled=False) == plan(model, g)
         g_scaled = _group_with_stage1_probs(schema, [0.75] * 10, mcount=100)
-        # literal reading: ceil(10 * 0.75 * 10) clamped to the 10 samples
-        assert plan(model, g_scaled, sample_scaled=False) == [10]
         assert plan(model, g_scaled) == [8]
-
-    def test_serve_plan_wrapper(self):
-        schema = _schema2()
-        model = _unit_model(schema, ((0, 1),))
-        g = _group_with_stage1_probs(schema, [0.75] * 100)
-        assert ServePlan(model).keep_counts(g) == [75]
-        with pytest.raises(ValueError, match="rule"):
-            ServePlan(model, rule="bogus").keep_counts(g)
 
 
 class TestServeQuery:
@@ -119,7 +109,7 @@ class TestServeQuery:
         g = QueryGroup("q0", schema.query_onehot(12), 12, tuple(
             Instance(rng.standard_normal(5), 0, 2.0) for _ in range(12)))
         served = serve_query([12, 12, 12], model, g)
-        finals = np.array([p.final for p in score_group(model, g)])
+        finals = batch_final_probs(model, [g])
         want = np.lexsort((np.arange(12), -finals))
         np.testing.assert_array_equal(served.ranking, want)
 
@@ -197,7 +187,7 @@ class TestServeQuery:
                                  rng=np.random.default_rng([9, t]))
             counts[t] = served.stage_survivors
         for j in (1, 2, 3):
-            exact = dataset_expected_count(model, [g], j)
+            exact = expected_count(model, g, j)
             se = counts[:, j - 1].std(ddof=1) / math.sqrt(trials)
             assert abs(counts[:, j - 1].mean() - exact) <= 3 * max(se, 1e-9)
 
@@ -288,15 +278,15 @@ class TestReplayProperties:
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(seed=_SEEDS, size=st.integers(1, 40), extra=st.integers(0, 500),
-           scale=st.floats(0.0, 5.0), sample_scaled=st.booleans())
-    def test_plan_counts_never_increase(self, seed, size, extra, scale, sample_scaled):
+           scale=st.floats(0.0, 5.0))
+    def test_plan_counts_never_increase(self, seed, size, extra, scale):
         schema, asg = default_schema(), default_assignment(schema=None)
         model = init_weights(schema, asg, seed, scale)
         rng = np.random.default_rng(seed)
         mcount = size + extra
         g = QueryGroup("q0", schema.query_onehot(mcount), mcount, tuple(
             Instance(3.0 * rng.standard_normal(schema.item_dim)) for _ in range(size)))
-        counts = plan(model, g, sample_scaled=sample_scaled)
+        counts = plan(model, g)
         assert len(counts) == asg.n_stages
         assert 1 <= counts[0] <= size
         assert all(b <= a for a, b in zip(counts, counts[1:]))
