@@ -38,7 +38,12 @@ def batch_log_pass(model: CascadeModel, packed: PackedDataset) -> tuple[np.ndarr
     ``cum_log_p[:, k]`` is log of the probability of passing stages 0..k.
     """
     Z = batch_logits(model, packed)
-    return Z, np.cumsum(log_expit(Z), axis=1)
+    cum_log_p = log_expit(Z)
+    # np.cumsum(axis=1), one column at a time: the same additions in the
+    # same order, without numpy's per-row loop over a handful of stages
+    for k in range(1, cum_log_p.shape[1]):
+        cum_log_p[:, k] += cum_log_p[:, k - 1]
+    return Z, cum_log_p
 
 
 def batch_final_probs(model: CascadeModel, groups) -> np.ndarray:

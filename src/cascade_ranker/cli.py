@@ -116,11 +116,50 @@ def load_config(path: str | None) -> dict:
                 raise ValueError(f"config {path}: unknown section {section!r}")
             if not isinstance(values, dict):
                 raise ValueError(f"config {path}: section {section!r} is not an object")
-            for key in values:
+            for key, value in values.items():
                 if key not in cfg[section]:
                     raise ValueError(f"config {path}: unknown key {key!r} in section {section!r}")
+                _check_value(f"config {path}: key {key!r} in section {section!r}", value,
+                             cfg[section][key])
         cfg = _deep_merge(cfg, override)
     return cfg
+
+
+# keys that an entry of a config list of objects may leave out
+_OPTIONAL_ENTRY_KEYS = frozenset({"kind", "noise", "price_strength"})
+
+
+def _check_value(where: str, value, default) -> None:
+    """Raise ValueError naming ``where`` unless ``value`` has the JSON type of
+    ``default``, the default config's value at that place. A number may stand
+    for a float, but not a bool; a list is checked entry by entry against
+    the default's first entry, and an object entry must carry every key of
+    that entry except the optional ones, and no other key."""
+    if isinstance(default, bool):
+        ok, want = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    elif isinstance(default, str):
+        ok, want = isinstance(value, str), "a string"
+    elif isinstance(default, list):
+        ok, want = isinstance(value, list), "a list"
+    else:
+        ok, want = isinstance(value, dict), "an object"
+    if not ok:
+        raise ValueError(f"{where} must be {want}, got {json.dumps(value)}")
+    if isinstance(default, list) and default:
+        for k, entry in enumerate(value):
+            _check_value(f"{where}, entry {k}", entry, default[0])
+    elif isinstance(default, dict):
+        for key in default:
+            if key not in value and key not in _OPTIONAL_ENTRY_KEYS:
+                raise ValueError(f"{where} lacks key {key!r}")
+        for key, entry in value.items():
+            if key not in default:
+                raise ValueError(f"{where} has unknown key {key!r}")
+            _check_value(f"{where}, key {key!r}", entry, default[key])
 
 
 def schema_from_config(cfg: dict) -> FeatureSchema:
@@ -372,7 +411,7 @@ def cmd_gradcheck(args) -> int:
     obj_cfg = objective_from_config(cfg)
     seed = int(cfg["train"]["seed"])
     if args.dataset:
-        groups = read_dataset(args.dataset, schema)
+        groups = _read_valid_dataset(args.dataset, schema)
     else:
         gen_cfg = gen_from_config(cfg)
         groups = generate(replace(gen_cfg, n_queries=min(gen_cfg.n_queries, 10), seed=seed),

@@ -316,38 +316,71 @@ def validate_dataset(groups: Iterable[QueryGroup], schema: FeatureSchema) -> lis
     finite feature values, positive prices, and prices above 1 for clicks
     and purchases: their importance weight is log(price), and a weight of
     zero or below leaves the weighted NLL unbounded below.
+
+    Every check runs once over the columns of all groups; the violations
+    are listed group by group, in the order of the checks above.
     """
-    violations: list[str] = []
+    groups = list(groups)
+    if not groups:
+        return []
     d, dq = schema.item_dim, schema.query_feature_dim
-    for group in groups:
-        gid = group.query_id
-        g = group.query_features
-        if g.shape != (dq,):
-            violations.append(f"group {gid}: query vector has dim {g.shape}, expected ({dq},)")
-        else:
-            nonzero = np.flatnonzero(g)
-            if len(nonzero) != 1 or g[nonzero[0]] != 1.0:
-                violations.append(f"group {gid}: query vector is not one-hot")
-        if group.size < 1:
+    sizes = np.array([g.size for g in groups], dtype=np.int64)
+    recalled = np.array([g.recalled_count for g in groups])
+    starts = np.cumsum(sizes) - sizes
+
+    q_dim_ok = np.array([g.query_features.shape == (dq,) for g in groups])
+    one_hot = np.zeros(len(groups), dtype=bool)
+    if q_dim_ok.any():
+        Q = np.stack([groups[q].query_features for q in np.flatnonzero(q_dim_ok)])
+        nonzero = Q != 0
+        first = Q[np.arange(len(Q)), nonzero.argmax(axis=1)]
+        one_hot[q_dim_ok] = (nonzero.sum(axis=1) == 1) & (first == 1.0)
+    x_dim_ok = np.array([g.X.shape[1] == d for g in groups])
+    finite = np.ones(int(sizes.sum()), dtype=bool)
+    if x_dim_ok.any():
+        X = np.concatenate([groups[q].X for q in np.flatnonzero(x_dim_ok)])
+        finite[np.repeat(x_dim_ok, sizes)] = np.isfinite(X).all(axis=1)
+    prices = np.concatenate([g.prices for g in groups])
+    labels = np.concatenate([g.labels for g in groups])
+    low = (labels != LABEL_NONE) & (prices > 0) & (prices <= 1.0)
+
+    # (check, group, instance) of every finding; instance -1 for a group-level one
+    found = []
+    for check, bad in enumerate((~one_hot, sizes < 1, recalled < sizes, (sizes > 0) & ~x_dim_ok)):
+        q = np.flatnonzero(bad)
+        found.append(np.stack([np.full_like(q, check), q, np.full_like(q, -1)]))
+    group_of_row = np.repeat(np.arange(len(groups)), sizes)
+    for check, bad in ((3, ~finite), (4, ~(prices > 0)), (5, low)):
+        r = np.flatnonzero(bad)
+        q = group_of_row[r]
+        found.append(np.stack([np.full_like(r, check), q, r - starts[q]]))
+    check, group, inst = np.concatenate(found, axis=1)
+    order = np.lexsort((inst, check, group))
+
+    violations: list[str] = []
+    for c, q, i in zip(check[order].tolist(), group[order].tolist(), inst[order].tolist()):
+        g = groups[q]
+        gid = g.query_id
+        if c == 0 and not q_dim_ok[q]:
+            violations.append(
+                f"group {gid}: query vector has dim {g.query_features.shape}, expected ({dq},)")
+        elif c == 0:
+            violations.append(f"group {gid}: query vector is not one-hot")
+        elif c == 1:
             violations.append(f"group {gid}: has no instances")
-        if group.recalled_count < group.size:
+        elif c == 2:
             violations.append(
-                f"group {gid}: recalled_count {group.recalled_count} < {group.size} instances"
-            )
-        if group.size and group.X.shape[1] != d:
-            violations.append(f"group {gid}: feature dim {group.X.shape[1]} != schema dim {d}")
+                f"group {gid}: recalled_count {g.recalled_count} < {g.size} instances")
+        elif c == 3 and i < 0:
+            violations.append(f"group {gid}: feature dim {g.X.shape[1]} != schema dim {d}")
+        elif c == 3:
+            violations.append(f"group {gid} instance {i}: non-finite feature value")
+        elif c == 4:
+            violations.append(
+                f"group {gid} instance {i}: price {float(g.prices[i])} is not positive")
         else:
-            for i in np.flatnonzero(~np.isfinite(group.X).all(axis=1)).tolist():
-                violations.append(f"group {gid} instance {i}: non-finite feature value")
-        prices = group.prices
-        for i in np.flatnonzero(~(prices > 0)).tolist():
             violations.append(
-                f"group {gid} instance {i}: price {float(prices[i])} is not positive"
-            )
-        low = (group.labels != LABEL_NONE) & (prices > 0) & (prices <= 1.0)
-        for i in np.flatnonzero(low).tolist():
-            violations.append(
-                f"group {gid} instance {i}: click or purchase at price {float(prices[i])} <= 1"
+                f"group {gid} instance {i}: click or purchase at price {float(g.prices[i])} <= 1"
                 " has importance weight log(price) <= 0"
             )
     return violations
@@ -383,10 +416,22 @@ class PackedDataset:
     def take(self, group_idx) -> "PackedDataset":
         """The groups ``group_idx`` in that order, each with its rows in order."""
         group_idx = np.asarray(group_idx, dtype=np.int64)
+        sizes, offsets, rows = self._group_rows(group_idx)
+        return self._select(group_idx, rows, sizes, offsets)
+
+    def _group_rows(self, group_idx: np.ndarray):
+        """(sizes, offsets, rows) of the groups ``group_idx`` laid end to end:
+        ``rows`` lists the source row of every result row."""
         sizes = self.sizes[group_idx]
         offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         # row r of the result is source row offsets[q] + (r - new offset of q)
         rows = np.repeat(self.offsets[group_idx] - offsets[:-1], sizes) + np.arange(offsets[-1])
+        return sizes, offsets, rows
+
+    def _select(self, group_idx: np.ndarray, rows: np.ndarray, sizes: np.ndarray,
+                offsets: np.ndarray) -> "PackedDataset":
+        """The groups ``group_idx`` given their rows, sizes and offsets from
+        ``_group_rows``."""
         return PackedDataset(
             X=self.X[rows], labels=self.labels[rows], y=self.y[rows],
             prices=self.prices[rows], G=self.G[group_idx], sizes=sizes,

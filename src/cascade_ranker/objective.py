@@ -21,9 +21,10 @@ whose terms are products of sigmoids, each stable as a sum of log-sigmoids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-from scipy.special import expit, log_expit, logsumexp
+from scipy.special import expit, log_expit
 
 from .cascade import batch_log_pass
 from .core import (
@@ -166,16 +167,61 @@ class _Terms:
     grad_latency: np.ndarray | None
 
 
-def _accumulate_weight_grad(model: CascadeModel, packed: PackedDataset, dZ: np.ndarray) -> np.ndarray:
-    """Chain dLoss/dZ (n, T) back to the flat weight vector."""
-    T = model.n_stages
-    parts = []
-    for a in range(T):
-        cols = list(model.assignment.stages[a])
-        parts.append(packed.X[:, cols].T @ dZ[:, a])
-        per_group = np.add.reduceat(dZ[:, a], packed.offsets[:-1])
-        parts.append(packed.G.T @ per_group)
-    return np.concatenate(parts)
+def _weight_grads(model: CascadeModel, packed: PackedDataset, dZs) -> np.ndarray:
+    """Chain each dLoss/dZ (n, T) of ``dZs`` back to the flat weight vector:
+    row k of the result is the gradient of ``dZs[k]``.
+
+    Each stage's feature columns are gathered once and every per-group sum is
+    taken by one ``reduceat``; the products stay one matrix-vector product per
+    column, which keeps every component's bits those of the per-column chain."""
+    T, dq = model.n_stages, packed.G.shape[1]
+    per_group = np.ascontiguousarray(
+        np.add.reduceat(np.concatenate(dZs, axis=1), packed.offsets[:-1], axis=0).T
+    )
+    grads = np.empty((len(dZs), model.n_weights))
+    pos = 0
+    for a, stage in enumerate(model.assignment.stages):
+        X_a = packed.X[:, list(stage)]
+        k = len(stage)
+        for i, dZ in enumerate(dZs):
+            grads[i, pos : pos + k] = X_a.T @ dZ[:, a]
+            grads[i, pos + k : pos + k + dq] = packed.G.T @ per_group[i * T + a]
+        pos += k + dq
+    return grads
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=1)`` for a real 2-D ``a``, bit for
+    bit: scipy's operation order without its per-call array-API overhead.
+    The row maximum is taken out of the sum of the shifted exponentials,
+    and a row whose result is not finite (all -inf, say) falls back to
+    log(sum(exp(a))).
+
+    numpy reduces a short row one call at a time, so the maximum, the
+    count and the sum run over the columns instead: a maximum is exact in
+    any order, and numpy adds fewer than 8 columns left to right, as the
+    column-wise adds do."""
+    a_max = reduce(np.maximum, a.T)
+    at_max = a == a_max[:, None]
+    m = reduce(np.add, at_max.T.astype(a.dtype))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shifted = np.exp(np.where(at_max, -np.inf, a) - a_max[:, None])
+        s = reduce(np.add, shifted.T) if a.shape[1] < 8 else np.sum(shifted, axis=1)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+    return out
+
+
+def _suffix_sums(M: np.ndarray) -> np.ndarray:
+    """``np.flip(np.cumsum(np.flip(M, axis=1), axis=1), axis=1)``: the sum of
+    every column with those to its right, added column by column in the
+    same order, which is faster than numpy's row-wise accumulation."""
+    out = M.copy()
+    for k in range(M.shape[1] - 2, -1, -1):
+        out[:, k] += out[:, k + 1]
+    return out
 
 
 def _query_expectations(packed: PackedDataset, cfg: ObjectiveConfig, t: np.ndarray,
@@ -190,12 +236,11 @@ def _query_expectations(packed: PackedDataset, cfg: ObjectiveConfig, t: np.ndarr
     # expected to incur in stages after b, given it passes stage b.
     suffix = np.zeros_like(P)
     if T > 1:
-        later = P[:, : T - 1] * t[1:]
-        suffix[:, : T - 1] = np.flip(np.cumsum(np.flip(later, axis=1), axis=1), axis=1)
+        suffix[:, : T - 1] = _suffix_sums(P[:, : T - 1] * t[1:])
 
     counts_final = mratio * np.add.reduceat(P[:, -1], packed.offsets[:-1])
     if cfg.latency_survivor_form:
-        surv = np.flip(np.cumsum(np.flip(P * t, axis=1), axis=1), axis=1)
+        surv = _suffix_sums(P * t)
         latencies = mratio * np.add.reduceat(surv[:, 0], packed.offsets[:-1])
         lat_suffix = surv
     else:
@@ -231,7 +276,7 @@ def _evaluate_terms(model: CascadeModel, packed: PackedDataset, cfg: ObjectiveCo
     prefix = cum_log_p - log_expit(Z)          # sum of log p over stages < j
     log_p_final = cum_log_p[:, -1]
     # telescoping: log(1 - prod p) = logsumexp_j [log(1-p_j) + sum_{k<j} log p_k]
-    log_1mp = logsumexp(log_q + prefix, axis=1)
+    log_1mp = _logsumexp_rows(log_q + prefix)
 
     wgt = instance_weights(packed.labels, packed.prices, cfg)
     y = packed.y
@@ -259,18 +304,13 @@ def _evaluate_terms(model: CascadeModel, packed: PackedDataset, cfg: ObjectiveCo
     # exponents before exponentiating cannot overflow.
     neg_term = np.exp((log_p_final - log_1mp)[:, None] + log_q)
     dZ_nll = wgt[:, None] * np.where(y[:, None] > 0, -sig_neg, neg_term)
-    grad_nll = _accumulate_weight_grad(model, packed, dZ_nll)
-
     dZ_cost = sig_neg * suffix
-    grad_cost = _accumulate_weight_grad(model, packed, dZ_cost)
-
     size_coef = -expit(cfg.gamma * (cfg.result_floor - counts_final)) * mratio * pen_scale
     dZ_size = np.repeat(size_coef, sizes)[:, None] * P[:, -1][:, None] * sig_neg
-    grad_size = _accumulate_weight_grad(model, packed, dZ_size)
-
     lat_coef = expit(cfg.gamma * (latencies - cfg.latency_ceiling)) * mratio * pen_scale
     dZ_lat = np.repeat(lat_coef, sizes)[:, None] * sig_neg * lat_suffix
-    grad_latency = _accumulate_weight_grad(model, packed, dZ_lat)
+    grad_nll, grad_cost, grad_size, grad_latency = _weight_grads(
+        model, packed, (dZ_nll, dZ_cost, dZ_size, dZ_lat))
 
     return _Terms(nll, cost, size_penalty, latency_penalty, counts_final, latencies,
                   grad_nll, grad_cost, grad_size, grad_latency)

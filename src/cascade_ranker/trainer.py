@@ -115,9 +115,11 @@ def train(data: Sequence[QueryGroup], schema: FeatureSchema, assignment: StageAs
     lr = train_cfg.learning_rate
     for epoch in range(1, train_cfg.epochs + 1):
         order = shuffle_rng.permutation(packed.n_groups)
+        sizes, offsets, rows = packed._group_rows(order)
         for b0 in range(0, len(order), train_cfg.batch_size):
-            batch_idx = order[b0 : b0 + train_cfg.batch_size]
-            batch = packed.take(batch_idx)
+            b1 = min(b0 + train_cfg.batch_size, len(order))
+            batch = packed._select(order[b0:b1], rows[offsets[b0] : offsets[b1]],
+                                   sizes[b0:b1], offsets[b0 : b1 + 1] - offsets[b0])
             batch_cfg = replace(obj_cfg, alpha=obj_cfg.alpha * batch.n_instances / n_total)
             model = model.with_flat_weights(w)
             bd = loss(model, batch, batch_cfg, train_cfg.objective)
@@ -126,7 +128,9 @@ def train(data: Sequence[QueryGroup], schema: FeatureSchema, assignment: StageAs
                     f"non-finite loss or gradient at epoch {epoch}, "
                     f"batch {b0 // train_cfg.batch_size}"
                 )
-            w = w - lr * bd.gradient / batch.n_instances
+            # an overflowing step is reported by the check below, not by numpy
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = w - lr * bd.gradient / batch.n_instances
             if not np.all(np.isfinite(w)):
                 raise TrainingDiverged(
                     f"non-finite weights after update at epoch {epoch}, "

@@ -1,10 +1,13 @@
-"""Per-item and per-query reference math, written stage by stage so that the
-tests can check the vectorised forward pass and expectations against it."""
+"""Reference implementations the tests check the fast paths against: per-item
+and per-query math written stage by stage, the loss gradient chained one
+term and one stage column at a time, and dataset validation group by group."""
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, log_expit, logsumexp
 
-from cascade_ranker.core import stage_costs
+from cascade_ranker.cascade import batch_logits
+from cascade_ranker.core import LABEL_NONE, stage_costs
+from cascade_ranker.objective import _masked_coeffs, _reg_value_and_grad, instance_weights
 
 
 def stage_probabilities(model, query_features, x) -> np.ndarray:
@@ -35,3 +38,102 @@ def expected_latency(model, group, survivor_form: bool = False) -> float:
     t = stage_costs(model.assignment, model.schema)
     shift = 1 if survivor_form else 0
     return float(sum(t[j] * expected_count(model, group, j + shift) for j in range(len(t))))
+
+
+def accumulate_weight_grad(model, packed, dZ) -> np.ndarray:
+    """Chain dLoss/dZ (n, T) back to the flat weight vector, one stage column
+    at a time."""
+    parts = []
+    for a in range(model.n_stages):
+        cols = list(model.assignment.stages[a])
+        parts.append(packed.X[:, cols].T @ dZ[:, a])
+        per_group = np.add.reduceat(dZ[:, a], packed.offsets[:-1])
+        parts.append(packed.G.T @ per_group)
+    return np.concatenate(parts)
+
+
+def _suffix_sums(M) -> np.ndarray:
+    return np.flip(np.cumsum(np.flip(M, axis=1), axis=1), axis=1)
+
+
+def loss_gradient(model, packed, cfg, objective: str) -> np.ndarray:
+    """``loss(model, packed, cfg, objective).gradient`` through numpy's
+    row-wise cumulative sums, scipy's logsumexp and one
+    ``accumulate_weight_grad`` call per loss term."""
+    t = stage_costs(model.assignment, model.schema)
+    Z = batch_logits(model, packed)
+    cum_log_p = np.cumsum(log_expit(Z), axis=1)
+    log_q = log_expit(-Z)
+    prefix = cum_log_p - log_expit(Z)
+    log_p_final = cum_log_p[:, -1]
+    log_1mp = logsumexp(log_q + prefix, axis=1)
+    wgt = instance_weights(packed.labels, packed.prices, cfg)
+    P = np.exp(cum_log_p)
+    sizes = packed.sizes
+    mratio = packed.mcounts / sizes
+    starts = packed.offsets[:-1]
+    suffix = np.zeros_like(P)
+    suffix[:, :-1] = _suffix_sums(P[:, :-1] * t[1:])
+    counts_final = mratio * np.add.reduceat(P[:, -1], starts)
+    if cfg.latency_survivor_form:
+        lat_suffix = _suffix_sums(P * t)
+        latencies = mratio * np.add.reduceat(lat_suffix[:, 0], starts)
+    else:
+        lat_suffix = suffix
+        latencies = t[0] * packed.mcounts + mratio * np.add.reduceat(suffix[:, 0], starts)
+    pen_scale = sizes.astype(np.float64) if cfg.penalty_per_instance else np.ones_like(mratio)
+
+    sig_neg = np.exp(log_q)
+    neg_term = np.exp((log_p_final - log_1mp)[:, None] + log_q)
+    dZ_nll = wgt[:, None] * np.where(packed.y[:, None] > 0, -sig_neg, neg_term)
+    grad_nll = accumulate_weight_grad(model, packed, dZ_nll)
+    grad_cost = accumulate_weight_grad(model, packed, sig_neg * suffix)
+    size_coef = -expit(cfg.gamma * (cfg.result_floor - counts_final)) * mratio * pen_scale
+    dZ_size = np.repeat(size_coef, sizes)[:, None] * P[:, -1][:, None] * sig_neg
+    grad_size = accumulate_weight_grad(model, packed, dZ_size)
+    lat_coef = expit(cfg.gamma * (latencies - cfg.latency_ceiling)) * mratio * pen_scale
+    dZ_lat = np.repeat(lat_coef, sizes)[:, None] * sig_neg * lat_suffix
+    grad_latency = accumulate_weight_grad(model, packed, dZ_lat)
+
+    beta, delta, lat_w = _masked_coeffs(cfg, objective)
+    reg_grad = _reg_value_and_grad(model.flat_weights(), cfg, want_grad=True)[1]
+    return (grad_nll + cfg.alpha * reg_grad + beta * grad_cost
+            + delta * grad_size + lat_w * grad_latency)
+
+
+def validate_dataset(groups, schema) -> list[str]:
+    """``cascade_ranker.core.validate_dataset``, one group at a time."""
+    violations: list[str] = []
+    d, dq = schema.item_dim, schema.query_feature_dim
+    for group in groups:
+        gid = group.query_id
+        g = group.query_features
+        if g.shape != (dq,):
+            violations.append(f"group {gid}: query vector has dim {g.shape}, expected ({dq},)")
+        else:
+            nonzero = np.flatnonzero(g)
+            if len(nonzero) != 1 or g[nonzero[0]] != 1.0:
+                violations.append(f"group {gid}: query vector is not one-hot")
+        if group.size < 1:
+            violations.append(f"group {gid}: has no instances")
+        if group.recalled_count < group.size:
+            violations.append(
+                f"group {gid}: recalled_count {group.recalled_count} < {group.size} instances"
+            )
+        if group.size and group.X.shape[1] != d:
+            violations.append(f"group {gid}: feature dim {group.X.shape[1]} != schema dim {d}")
+        else:
+            for i in np.flatnonzero(~np.isfinite(group.X).all(axis=1)).tolist():
+                violations.append(f"group {gid} instance {i}: non-finite feature value")
+        prices = group.prices
+        for i in np.flatnonzero(~(prices > 0)).tolist():
+            violations.append(
+                f"group {gid} instance {i}: price {float(prices[i])} is not positive"
+            )
+        low = (group.labels != LABEL_NONE) & (prices > 0) & (prices <= 1.0)
+        for i in np.flatnonzero(low).tolist():
+            violations.append(
+                f"group {gid} instance {i}: click or purchase at price {float(prices[i])} <= 1"
+                " has importance weight log(price) <= 0"
+            )
+    return violations

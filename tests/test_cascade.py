@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, log_expit
 
 from cascade_ranker.cascade import batch_final_probs, batch_log_pass, batch_logits
 from cascade_ranker.core import (
@@ -224,3 +224,17 @@ class TestScoreGroup:
         singles = [cumulative_probabilities(model, g.query_features, x)[-1]
                    for g in groups for x in g.X]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
+
+
+class TestCumulativeLogPass:
+    @pytest.mark.parametrize("T", [1, 2, 3, 7, 8, 11])
+    @pytest.mark.parametrize("init_scale", [0.5, 900.0])
+    def test_bit_identical_to_numpy_cumsum(self, T, init_scale):
+        schema, asg, model, _ = _tiny_setup(T=T, seed=T, init_scale=init_scale)
+        rng = np.random.default_rng(T)
+        groups = [QueryGroup.from_columns(f"q{i}", schema.query_onehot(40), 40,
+                                          rng.standard_normal((n, T)) * 3, np.zeros(n, np.int8),
+                                          np.full(n, 2.0))
+                  for i, n in enumerate((1, 9, 30))]
+        Z, cum_log_p = batch_log_pass(model, pack_groups(groups))
+        assert cum_log_p.tobytes() == np.cumsum(log_expit(Z), axis=1).tobytes()

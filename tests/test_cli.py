@@ -97,6 +97,24 @@ class TestConfigBoundary:
         _fails_cleanly(["gradcheck", "--config", str(path), "--out", str(tmp_path / "x")],
                        capsys, named)
 
+    @pytest.mark.parametrize("command, content, named", [
+        ("gradcheck", '{"objective": {"alpha": "x"}}',
+         "key 'alpha' in section 'objective' must be a number, got \"x\""),
+        ("train", '{"train": {"epochs": "3"}}',
+         "key 'epochs' in section 'train' must be an integer, got \"3\""),
+        ("datagen", '{"datagen": {"feature_quality": [{"signal": 1}]}}',
+         "key 'feature_quality' in section 'datagen', entry 0 lacks key 'signal_strength'"),
+        ("gradcheck", '{"schema": {"features": [{"name": "sales_volume"}]}}',
+         "key 'features' in section 'schema', entry 0 lacks key 'cost'"),
+    ])
+    def test_wrong_value_type_exits_1(self, tmp_path, capsys, command, content, named):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "x")]
+        if command == "train":
+            argv += ["--dataset", str(tmp_path / "dataset.txt")]
+        _fails_cleanly(argv, capsys, named)
+
 
 class TestDatasetValidation:
     def test_train_rejects_nan_feature(self, tmp_path, small_config, capsys):
@@ -105,6 +123,14 @@ class TestDatasetValidation:
                         "--out", str(tmp_path / "run")],
                        capsys, "fails validation", "non-finite feature value")
         assert not (tmp_path / "run" / "model.txt").exists()
+
+    def test_gradcheck_rejects_nan_feature(self, tmp_path, small_config, capsys):
+        bad = _with_nan_feature(_gen(tmp_path, small_config))
+        _fails_cleanly(["gradcheck", "--config", str(small_config), "--dataset", str(bad),
+                        "--out", str(tmp_path / "gc")],
+                       capsys, "fails validation",
+                       "group q00000 instance 0: non-finite feature value")
+        assert not (tmp_path / "gc").exists()
 
     @pytest.mark.parametrize("command", ["eval", "simulate"])
     def test_replay_commands_reject_nan_feature(self, tmp_path, small_config, capsys, command):
@@ -131,12 +157,13 @@ class TestDatasetValidation:
                        "[['sales_volume', 'postpay_score'], ['ctr_score'],",
                        "[['sales_volume'], ['postpay_score', 'ctr_score'],")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_training_exits_1(self, tmp_path, small_config, capsys):
         data = _gen(tmp_path, small_config)
-        _fails_cleanly(["train", "--config", str(small_config), "--dataset", str(data),
-                        "--out", str(tmp_path / "run"), "--lr", "1e308"],
-                       capsys, "non-finite")
+        err = _fails_cleanly(["train", "--config", str(small_config), "--dataset", str(data),
+                              "--out", str(tmp_path / "run"), "--lr", "1e308"],
+                             capsys, "non-finite")
+        assert "RuntimeWarning" not in err
 
 
 class TestTrainCommand:

@@ -1,5 +1,9 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade_ranker.core import (
     Feature,
@@ -11,8 +15,9 @@ from cascade_ranker.core import (
     stage_costs,
     validate_dataset,
 )
-from cascade_ranker.datagen import default_assignment, default_schema
+from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
 from cascade_ranker.trainer import init_weights
+import oracle
 
 
 def _group(schema, n=3, mcount=10, qid="q0", price=5.0, seed=0):
@@ -138,6 +143,61 @@ class TestValidateDataset:
         g = QueryGroup("q0", schema.query_onehot(5), 5, (Instance(x, 0, 1.0),))
         report = validate_dataset([g], schema)
         assert any("non-finite" in v for v in report)
+
+
+@cache
+def _clean_groups(seed):
+    return tuple(generate(GenConfig(n_queries=6, group_size_cap=5, seed=seed), default_schema()))
+
+
+_CORRUPTIONS = ("feature", "price", "query", "recalled", "dim", "empty")
+
+
+@st.composite
+def _corrupted_groups(draw):
+    """Generated groups, each with up to three kinds of corruption."""
+    groups = []
+    for g in _clean_groups(draw(st.integers(0, 2))):
+        X, labels, prices = g.X.copy(), g.labels.copy(), g.prices.copy()
+        query, recalled = g.query_features.copy(), g.recalled_count
+        kinds = draw(st.sets(st.sampled_from(_CORRUPTIONS), max_size=3))
+        rows = st.lists(st.integers(0, g.size - 1), min_size=1, max_size=3)
+        if "feature" in kinds:
+            for r in draw(rows):
+                X[r, draw(st.integers(0, X.shape[1] - 1))] = draw(
+                    st.sampled_from([np.nan, np.inf, -np.inf]))
+        if "price" in kinds:
+            for r in draw(rows):
+                prices[r] = draw(st.sampled_from([0.0, -2.5, np.nan, 1e-300, 0.5, 1.0]))
+                labels[r] = draw(st.integers(0, 2))
+        if "query" in kinds:
+            dq = query.shape[0]
+            query = draw(st.sampled_from([
+                np.zeros(dq), np.ones(dq), 2.0 * query, np.append(query, 0.0), query[:-1],
+                np.where(query > 0, np.nan, 0.0), query.reshape(1, dq),
+            ]))
+        if "recalled" in kinds:
+            recalled = draw(st.integers(1, g.size))
+        if "dim" in kinds:
+            X = draw(st.sampled_from([X[:, :-1], np.hstack([X, X[:, :1]])]))
+        if "empty" in kinds and draw(st.booleans()):
+            groups.append(QueryGroup(g.query_id, query, recalled, ()))
+            continue
+        if "empty" in kinds:
+            X, labels, prices = X[:0], labels[:0], prices[:0]
+        groups.append(QueryGroup.from_columns(g.query_id, query, recalled, X, labels, prices))
+    return groups
+
+
+class TestValidateAgainstOracle:
+    @given(_corrupted_groups())
+    @settings(max_examples=200, deadline=None)
+    def test_same_violations_in_same_order(self, groups):
+        schema = default_schema()
+        assert validate_dataset(groups, schema) == oracle.validate_dataset(groups, schema)
+
+    def test_no_groups(self):
+        assert validate_dataset([], default_schema()) == []
 
 
 class TestModelWeights:

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
 from cascade_ranker.cascade import batch_log_pass
 from cascade_ranker.core import (
@@ -14,6 +18,7 @@ from cascade_ranker.core import (
 )
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
 from cascade_ranker.objective import (
+    OBJECTIVE_LEVELS,
     LossBreakdown,
     ObjectiveConfig,
     expected_cost,
@@ -25,9 +30,11 @@ from cascade_ranker.objective import (
     per_query_expectations,
     softplus_penalty,
     weighted_nll,
+    _logsumexp_rows,
+    _suffix_sums,
 )
 from cascade_ranker.trainer import init_weights
-from oracle import expected_count, expected_latency, stage_probabilities
+from oracle import expected_count, expected_latency, loss_gradient, stage_probabilities
 
 
 def _logit(p):
@@ -405,3 +412,67 @@ class TestGradients:
         numeric = _fd_gradient(model, groups, cfg, "l3")
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
         assert np.max(np.abs(analytic - numeric) / denom) < 2e-5
+
+
+# ties (0 and -0 among them), saturated logits and -inf, next to arbitrary values
+_LSE_ELEMENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, -745.0, -800.0, 800.0, -np.inf]),
+    st.floats(-800.0, 800.0),
+)
+
+
+class TestInlineLogsumexp:
+    # up to 10 columns: numpy sums 8 or more in pairwise blocks
+    @given(st.integers(1, 10).flatmap(lambda T: arrays(
+        np.float64, st.tuples(st.integers(1, 20), st.just(T)), elements=_LSE_ELEMENTS)))
+    @example(np.full((3, 3), -np.inf))
+    @example(np.array([[-np.inf, -np.inf], [800.0, 800.0], [-800.0, -np.inf]]))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_scipy(self, a):
+        assert _logsumexp_rows(a).tobytes() == logsumexp(a, axis=1).tobytes()
+
+    @pytest.mark.parametrize("T", range(1, 11))
+    def test_bit_identical_on_random_rows(self, T):
+        # maxima near 0 leave the last bit of the summed exponentials visible
+        a = np.random.default_rng(T).standard_normal((5000, T)) * 4.0 - 2.0
+        assert _logsumexp_rows(a).tobytes() == logsumexp(a, axis=1).tobytes()
+
+
+class TestSuffixSums:
+    @given(st.integers(1, 10).flatmap(lambda T: arrays(
+        np.float64, st.tuples(st.integers(1, 20), st.just(T)),
+        elements=st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0]))))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_flipped_cumsum(self, M):
+        expected = np.flip(np.cumsum(np.flip(M, axis=1), axis=1), axis=1)
+        assert _suffix_sums(M).tobytes() == expected.tobytes()
+
+
+def _generated_problem(seed, init_scale):
+    """Generated groups of up to 40 rows, so the per-group sums run past the
+    8-way unrolled blocks of numpy's pairwise summation."""
+    schema = default_schema()
+    groups = generate(GenConfig(n_queries=30, group_size_cap=40, seed=seed), schema)
+    model = init_weights(schema, default_assignment(schema), seed, init_scale)
+    return model, groups, ObjectiveConfig(result_floor=100.0, latency_ceiling=3000.0)
+
+
+class TestGradientChain:
+    @pytest.mark.parametrize("objective", OBJECTIVE_LEVELS)
+    @pytest.mark.parametrize("problem", [
+        lambda: _random_problem(0),
+        lambda: _random_problem(3),
+        lambda: _generated_problem(4, 0.5),
+        lambda: _generated_problem(5, 40.0),
+    ])
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"latency_survivor_form": True}, {"penalty_per_instance": True},
+        {"squared_l2": False},
+    ])
+    def test_bit_identical_to_per_column_chain(self, objective, problem, kwargs):
+        import dataclasses
+        model, groups, cfg = problem()
+        cfg = dataclasses.replace(cfg, **kwargs)
+        packed = pack_groups(groups)
+        ours = loss(model, packed, cfg, objective).gradient
+        assert ours.tobytes() == loss_gradient(model, packed, cfg, objective).tobytes()

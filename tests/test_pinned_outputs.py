@@ -5,7 +5,9 @@ segmented kernels replaced. A change that alters any of them changes the
 numbers a user sees, which a refactor or speed-up must not do. The text
 rounds to 6 digits, so the per-query records are pinned by sha256 and the
 two-stage baseline by the ``repr`` of every figure, which catches a change
-in the last bit.
+in the last bit. The model files written after two epochs of SGD at each
+objective level are pinned by sha256 too: their 17-digit weights carry the
+last bit of every loss gradient and update of the training run.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ from cascade_ranker.datagen import GenConfig, default_assignment, default_schema
 from cascade_ranker.evaluator import baseline_two_stage, evaluate
 from cascade_ranker.objective import ObjectiveConfig
 from cascade_ranker.simulator import simulate
-from cascade_ranker.trainer import TrainConfig, train
+from cascade_ranker.trainer import TrainConfig, save_model, train
 
 EVAL_TEXT = (
     "auc 0.824287\nexpected_cost 1923.46\nexpected_cost_ratio 1\nmean_final_count 423.411\n"
@@ -44,6 +46,11 @@ TWO_STAGE_FIGURES = {
     "p95_latency_units": "14085.488499999998",
     "mean_latency_ms": "50.19025433333333",
     "p95_latency_ms": "93.90325666666665",
+}
+MODEL_SHA256 = {
+    "l1": "0625e4b5d19f764d045fa0002109855c401a0e6dc095081cbf22692945199bac",
+    "l2": "583b2d884cfb165bd946b28ebc1f8832f29797354da03a54f69201b07e53aba9",
+    "l3": "f4901dee4b196f498de12f36ba8729c4125c3289494891c9a7f1e791444e323e",
 }
 STOCHASTIC_SIM_TEXT = (
     "traffic_multiplier 1\ntotal_cost 565265\nutilization_proxy 565265\n"
@@ -106,3 +113,14 @@ def test_two_stage_figures(fixture, tmp_path):
                                 TrainConfig(objective="l3", epochs=2, seed=11))
     assert {k: repr(getattr(report, k)) for k in TWO_STAGE_FIGURES} == TWO_STAGE_FIGURES
     assert _records_sha256(report, tmp_path) == TWO_STAGE_RECORDS_SHA256
+
+
+@pytest.mark.parametrize("objective", sorted(MODEL_SHA256))
+def test_trained_model_file(fixture, tmp_path, objective):
+    _, data, cfg = fixture
+    schema = default_schema()
+    model, _ = train(data, schema, default_assignment(schema), cfg,
+                     TrainConfig(objective=objective, epochs=2, seed=11))
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MODEL_SHA256[objective]
