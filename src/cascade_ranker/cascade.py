@@ -38,12 +38,20 @@ def batch_log_pass(model: CascadeModel, packed: PackedDataset) -> tuple[np.ndarr
     ``cum_log_p[:, k]`` is log of the probability of passing stages 0..k.
     """
     Z = batch_logits(model, packed)
-    cum_log_p = log_expit(Z)
-    # np.cumsum(axis=1), one column at a time: the same additions in the
-    # same order, without numpy's per-row loop over a handful of stages
-    for k in range(1, cum_log_p.shape[1]):
-        cum_log_p[:, k] += cum_log_p[:, k - 1]
-    return Z, cum_log_p
+    log_p = log_expit(Z)
+    return Z, _cumsum_columns(log_p, out=log_p)
+
+
+def _cumsum_columns(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.cumsum(a, axis=1)`` written to ``out``, which may be ``a`` itself.
+
+    One column at a time: the same additions in the same order, without
+    numpy's per-row loop over a handful of stages."""
+    if out is not a:
+        out[:, 0] = a[:, 0]
+    for k in range(1, a.shape[1]):
+        np.add(a[:, k], out[:, k - 1], out=out[:, k])
+    return out
 
 
 def batch_final_probs(model: CascadeModel, groups) -> np.ndarray:

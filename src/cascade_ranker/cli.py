@@ -14,7 +14,7 @@ import copy
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +248,8 @@ def write_manifest(out_dir: Path, command: str, args: argparse.Namespace, cfg: d
         "tool_version": __version__,
         "wall_time_s": time.monotonic() - started,
     }
+    if command == "eval":
+        manifest["compare"] = args.compare
     with open(out_dir / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -325,12 +327,7 @@ def cmd_train(args) -> int:
     save_model(model, out_dir / "model.txt")
     with open(out_dir / "trainlog.ndjson", "w", encoding="utf-8") as fh:
         for r in log.records:
-            fh.write(json.dumps({
-                "epoch": r.epoch, "total": r.total, "nll": r.nll,
-                "expected_cost": r.expected_cost, "size_penalty": r.size_penalty,
-                "latency_penalty": r.latency_penalty, "auc": r.auc,
-                "wall_time_s": r.wall_time_s,
-            }) + "\n")
+            fh.write(json.dumps(asdict(r)) + "\n")
     write_manifest(out_dir, "train", args, cfg, ["model.txt", "trainlog.ndjson"], started)
     return 0
 
@@ -508,6 +505,8 @@ def rerun_from_manifest(manifest_path, out_dir) -> int:
     for key in ("dataset", "model"):
         if manifest["inputs"].get(key):
             argv += [f"--{key}", manifest["inputs"][key]]
+    if manifest.get("compare"):
+        argv.append("--compare")
     return main(argv)
 
 

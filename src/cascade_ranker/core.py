@@ -291,17 +291,30 @@ class CascadeModel:
 
     def with_flat_weights(self, w: np.ndarray) -> "CascadeModel":
         w = np.asarray(w, dtype=np.float64)
+        if w.shape != (self.n_weights,):
+            raise ValueError(
+                f"flat weight vector has length {w.shape[0]}, expected {self.n_weights}"
+            )
+        view = self._flat_view(w.copy())
+        return CascadeModel(view.stage_item_weights, view.stage_query_weights,
+                            self.assignment, self.schema)
+
+    def _flat_view(self, w: np.ndarray) -> "CascadeModel":
+        """This model's cascade with stage weights that are views into the
+        flat vector ``w``, built without any of the constructor's checks:
+        for a loop that checks ``w`` itself, such as an SGD step."""
         item, query, pos = [], [], 0
-        for j in range(self.n_stages):
-            k = len(self.assignment.stages[j])
-            item.append(w[pos : pos + k].copy())
-            pos += k
-            dq = self.query_feature_dim
-            query.append(w[pos : pos + dq].copy())
-            pos += dq
-        if pos != w.shape[0]:
-            raise ValueError(f"flat weight vector has length {w.shape[0]}, expected {pos}")
-        return CascadeModel(tuple(item), tuple(query), self.assignment, self.schema)
+        dq = self.query_feature_dim
+        for stage in self.assignment.stages:
+            item.append(w[pos : pos + len(stage)])
+            query.append(w[pos + len(stage) : pos + len(stage) + dq])
+            pos += len(stage) + dq
+        view = object.__new__(CascadeModel)
+        object.__setattr__(view, "stage_item_weights", tuple(item))
+        object.__setattr__(view, "stage_query_weights", tuple(query))
+        object.__setattr__(view, "assignment", self.assignment)
+        object.__setattr__(view, "schema", self.schema)
+        return view
 
     @property
     def n_weights(self) -> int:

@@ -26,7 +26,7 @@ from functools import reduce
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .cascade import batch_log_pass
+from .cascade import _cumsum_columns, batch_log_pass, batch_logits
 from .core import (
     LABEL_CLICK,
     LABEL_PURCHASE,
@@ -101,6 +101,9 @@ class LossBreakdown:
     nll + alpha*l2 + beta*expected_cost + delta*size_penalty
         + latency_penalty_weight*latency_penalty
     with the coefficients of terms absent from the objective level zeroed.
+    ``queries_below_floor`` and ``queries_above_ceiling`` count the queries
+    whose expected result count is below ``result_floor`` and whose expected
+    latency is above ``latency_ceiling``, at every objective level.
     """
 
     total: float
@@ -109,6 +112,8 @@ class LossBreakdown:
     expected_cost: float
     size_penalty: float
     latency_penalty: float
+    queries_below_floor: int
+    queries_above_ceiling: int
     gradient: np.ndarray
     objective: str = "l3"
 
@@ -271,9 +276,12 @@ def _evaluate_terms(model: CascadeModel, packed: PackedDataset, cfg: ObjectiveCo
         return _Terms(0.0, 0.0, 0.0, 0.0, np.zeros(0), np.zeros(0),
                       zeros, zeros, zeros, zeros)
 
-    Z, cum_log_p = batch_log_pass(model, packed)
+    Z = batch_logits(model, packed)
+    log_p = log_expit(Z)                       # log p per stage
+    # batch_log_pass's cumulative sum, into a second array so that log p stays
+    cum_log_p = _cumsum_columns(log_p, out=np.empty_like(log_p))
     log_q = log_expit(-Z)                      # log(1 - p) per stage
-    prefix = cum_log_p - log_expit(Z)          # sum of log p over stages < j
+    prefix = cum_log_p - log_p                 # sum of log p over stages < j
     log_p_final = cum_log_p[:, -1]
     # telescoping: log(1 - prod p) = logsumexp_j [log(1-p_j) + sum_{k<j} log p_k]
     log_1mp = _logsumexp_rows(log_q + prefix)
@@ -375,6 +383,8 @@ def loss(model: CascadeModel, data, cfg: ObjectiveConfig, objective: str = "l3",
     return LossBreakdown(
         total=float(total), nll=terms.nll, l2=reg, expected_cost=terms.cost,
         size_penalty=terms.size_penalty, latency_penalty=terms.latency_penalty,
+        queries_below_floor=int(np.count_nonzero(terms.counts_final < cfg.result_floor)),
+        queries_above_ceiling=int(np.count_nonzero(terms.latencies > cfg.latency_ceiling)),
         gradient=gradient, objective=objective,
     )
 

@@ -54,12 +54,29 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """What one epoch of ``train`` saw.
+
+    The loss fields are sums over the epoch's batches of the ``LossBreakdown``
+    each batch step computed, at the weights before that batch's update: not
+    the loss of the whole training split at the end of the epoch. ``lr`` is
+    the learning rate of the epoch's steps, ``grad_norm`` the mean L2 norm of
+    the batch loss gradients, and ``frac_below_floor`` / ``frac_above_ceiling``
+    the shares of training queries whose expected result count fell below
+    ``result_floor`` / whose expected latency rose above ``latency_ceiling``
+    at their batch's weights. ``auc`` is the macro AUC on the evaluation data
+    at the end of the epoch.
+    """
+
     epoch: int
     total: float
     nll: float
     expected_cost: float
     size_penalty: float
     latency_penalty: float
+    lr: float
+    grad_norm: float
+    frac_below_floor: float
+    frac_above_ceiling: float
     auc: float
     wall_time_s: float
 
@@ -92,8 +109,11 @@ def train(data: Sequence[QueryGroup], schema: FeatureSchema, assignment: StageAs
           ) -> tuple[CascadeModel, TrainLog]:
     """SGD over shuffled mini-batches of query groups.
 
-    The per-epoch log records the loss breakdown on the training split and AUC
-    on ``eval_data`` (or the training split when no held-out data is given).
+    Each epoch appends an ``EpochRecord``. Its loss fields add up the loss
+    breakdowns of the epoch's batches, each taken at the weights before that
+    batch's update, so no extra pass over the training split is made. Its
+    AUC is measured on ``eval_data`` (or the training split when no held-out
+    data is given) at the end of the epoch.
     """
     from .evaluator import macro_auc  # local import: evaluator depends on objective
     from .cascade import batch_final_probs
@@ -116,13 +136,15 @@ def train(data: Sequence[QueryGroup], schema: FeatureSchema, assignment: StageAs
     for epoch in range(1, train_cfg.epochs + 1):
         order = shuffle_rng.permutation(packed.n_groups)
         sizes, offsets, rows = packed._group_rows(order)
+        total = nll = cost = size_pen = lat_pen = grad_norms = 0.0
+        below = above = n_batches = 0
         for b0 in range(0, len(order), train_cfg.batch_size):
             b1 = min(b0 + train_cfg.batch_size, len(order))
             batch = packed._select(order[b0:b1], rows[offsets[b0] : offsets[b1]],
                                    sizes[b0:b1], offsets[b0 : b1 + 1] - offsets[b0])
             batch_cfg = replace(obj_cfg, alpha=obj_cfg.alpha * batch.n_instances / n_total)
-            model = model.with_flat_weights(w)
-            bd = loss(model, batch, batch_cfg, train_cfg.objective)
+            # the checks below stand in for those of with_flat_weights
+            bd = loss(model._flat_view(w), batch, batch_cfg, train_cfg.objective)
             if not (np.isfinite(bd.total) and np.all(np.isfinite(bd.gradient))):
                 raise TrainingDiverged(
                     f"non-finite loss or gradient at epoch {epoch}, "
@@ -136,20 +158,29 @@ def train(data: Sequence[QueryGroup], schema: FeatureSchema, assignment: StageAs
                     f"non-finite weights after update at epoch {epoch}, "
                     f"batch {b0 // train_cfg.batch_size}"
                 )
-        lr *= train_cfg.lr_decay
+            total += bd.total
+            nll += bd.nll
+            cost += bd.expected_cost
+            size_pen += bd.size_penalty
+            lat_pen += bd.latency_penalty
+            grad_norms += float(np.linalg.norm(bd.gradient))
+            below += bd.queries_below_floor
+            above += bd.queries_above_ceiling
+            n_batches += 1
 
         model = model.with_flat_weights(w)
-        bd = loss(model, packed, obj_cfg, train_cfg.objective, want_grad=False)
         scores = batch_final_probs(model, eval_packed)
         try:
             auc_val = macro_auc(scores, eval_packed)
         except ValueError:
             auc_val = float("nan")
         log.records.append(EpochRecord(
-            epoch=epoch, total=bd.total, nll=bd.nll, expected_cost=bd.expected_cost,
-            size_penalty=bd.size_penalty, latency_penalty=bd.latency_penalty,
+            epoch=epoch, total=total, nll=nll, expected_cost=cost, size_penalty=size_pen,
+            latency_penalty=lat_pen, lr=lr, grad_norm=grad_norms / n_batches,
+            frac_below_floor=below / packed.n_groups, frac_above_ceiling=above / packed.n_groups,
             auc=auc_val, wall_time_s=time.monotonic() - start,
         ))
+        lr *= train_cfg.lr_decay
     return model, log
 
 

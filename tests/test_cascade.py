@@ -3,9 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, log_expit
 
-from cascade_ranker.cascade import batch_final_probs, batch_log_pass, batch_logits
+from cascade_ranker.cascade import _cumsum_columns, batch_final_probs, batch_log_pass, batch_logits
 from cascade_ranker.core import (
     CascadeModel,
     Feature,
@@ -238,3 +240,50 @@ class TestCumulativeLogPass:
                   for i, n in enumerate((1, 9, 30))]
         Z, cum_log_p = batch_log_pass(model, pack_groups(groups))
         assert cum_log_p.tobytes() == np.cumsum(log_expit(Z), axis=1).tobytes()
+        # the objective keeps log p and sums into a second array
+        log_p = log_expit(Z)
+        assert _cumsum_columns(log_p, out=np.empty_like(log_p)).tobytes() == cum_log_p.tobytes()
+        assert log_p.tobytes() == log_expit(Z).tobytes()
+
+
+@st.composite
+def _cascades(draw):
+    """A random cascade of 1-4 stages over up to 6 features, some features
+    unused, at a weight scale from zero to saturating, and 1-4 groups of
+    1-12 rows."""
+    T = draw(st.integers(1, 4))
+    d = draw(st.integers(T, 6))
+    owner = list(range(T)) + draw(st.lists(st.integers(-1, T - 1), min_size=d - T,
+                                           max_size=d - T))
+    features = draw(st.permutations(range(d)))
+    stages = tuple(tuple(f for f, o in zip(features, owner) if o == j) for j in range(T))
+    schema = FeatureSchema(tuple(Feature(f"f{k}", 0.1 * (k + 1)) for k in range(d)),
+                           query_bin_edges=(10, 100))
+    model = init_weights(schema, StageAssignment(stages), draw(st.integers(0, 2**16)),
+                         draw(st.sampled_from([0.0, 0.3, 2.0, 40.0, 800.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    groups = []
+    for i, n in enumerate(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))):
+        m = int(rng.integers(n, 300))
+        groups.append(QueryGroup.from_columns(
+            f"q{i}", schema.query_onehot(m), m, rng.standard_normal((n, d)) * 3.0,
+            np.zeros(n, np.int8), np.full(n, 2.0)))
+    return model, groups
+
+
+class TestAgainstScalarOracle:
+    @given(_cascades())
+    @settings(max_examples=150, deadline=None)
+    def test_batch_passes_match_per_item_reference(self, problem):
+        model, groups = problem
+        Z, cum_log_p = batch_log_pass(model, pack_groups(groups))
+        final = batch_final_probs(model, groups)
+        rows = [(g.query_features, x) for g in groups for x in g.X]
+        per_stage = np.array([stage_probabilities(model, q, x) for q, x in rows])
+        cumulative = np.array([cumulative_probabilities(model, q, x) for q, x in rows])
+        # log space against a product of sigmoids: agreement to rounding,
+        # with an absolute floor where the product is subnormal
+        np.testing.assert_allclose(expit(Z), per_stage, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(np.exp(cum_log_p), cumulative, rtol=1e-12, atol=1e-300)
+        assert final.tobytes() == np.exp(cum_log_p[:, -1]).tobytes()
+        np.testing.assert_allclose(final, cumulative[:, -1], rtol=1e-12, atol=1e-300)

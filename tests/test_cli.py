@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cascade_ranker.cli import default_config, main, rerun_from_manifest
+from cascade_ranker.trainer import EpochRecord
 
 
 @pytest.fixture()
@@ -185,6 +187,16 @@ class TestTrainCommand:
             outs[beta] = log[-1]["expected_cost"]
         assert outs["10.0"] < outs["0.0"]
 
+    def test_trainlog_lines_carry_every_record_field(self, tmp_path, small_config):
+        run = _train(tmp_path, small_config, _gen(tmp_path, small_config)).parent
+        log = [json.loads(l) for l in (run / "trainlog.ndjson").read_text().splitlines()]
+        assert [r["epoch"] for r in log] == [1, 2, 3]
+        assert list(log[0]) == [f.name for f in fields(EpochRecord)]
+        assert log[1]["lr"] == pytest.approx(0.1 * 0.95)
+        assert all(0.0 <= r[k] <= 1.0 for r in log for k in ("frac_below_floor",
+                                                             "frac_above_ceiling"))
+        assert all(r["grad_norm"] > 0.0 for r in log)
+
     def test_objective_flag_recorded_in_manifest(self, tmp_path, small_config):
         data = _gen(tmp_path, small_config)
         out = tmp_path / "l1run"
@@ -320,3 +332,15 @@ class TestManifestReproducibility:
         rc = rerun_from_manifest(first / "manifest.json", second)
         assert rc == 0
         assert (first / "model.txt").read_bytes() == (second / "model.txt").read_bytes()
+
+    def test_eval_compare_rerun_byte_identical(self, tmp_path, small_config):
+        data = _gen(tmp_path, small_config)
+        model = _train(tmp_path, small_config, data)
+        first = tmp_path / "e1"
+        assert main(["eval", "--config", str(small_config), "--dataset", str(data),
+                     "--model", str(model), "--out", str(first), "--compare"]) == 0
+        second = tmp_path / "e2"
+        assert rerun_from_manifest(first / "manifest.json", second) == 0
+        text = (first / "eval.txt").read_bytes()
+        assert b"compare cloes " in text
+        assert (second / "eval.txt").read_bytes() == text

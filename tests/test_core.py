@@ -211,6 +211,20 @@ class TestModelWeights:
             np.testing.assert_array_equal(back.stage_item_weights[j], model.stage_item_weights[j])
             np.testing.assert_array_equal(back.stage_query_weights[j], model.stage_query_weights[j])
 
+    def test_flat_view_is_the_checked_model_without_copies(self):
+        schema = default_schema()
+        model = init_weights(schema, default_assignment(schema), seed=4, init_scale=0.7)
+        w = model.flat_weights()[::-1].copy()
+        view, checked = model._flat_view(w), model.with_flat_weights(w)
+        for j in range(model.n_stages):
+            assert np.shares_memory(view.stage_item_weights[j], w)
+            assert not np.shares_memory(checked.stage_item_weights[j], w)
+            np.testing.assert_array_equal(view.stage_item_weights[j], checked.stage_item_weights[j])
+            np.testing.assert_array_equal(view.stage_query_weights[j],
+                                          checked.stage_query_weights[j])
+        assert view.flat_weights().tobytes() == w.tobytes()
+        assert view.n_weights == model.n_weights
+
     def test_wrong_flat_length(self):
         schema = default_schema()
         model = init_weights(schema, default_assignment(schema), 0, 0.1)

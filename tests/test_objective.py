@@ -337,6 +337,16 @@ class TestLossComposition:
                           + delta * bd.size_penalty + latw * bd.latency_penalty)
             assert recomposed == bd.total  # bitwise
 
+    @pytest.mark.parametrize("objective", OBJECTIVE_LEVELS)
+    def test_threshold_counts_match_report_flags(self, objective):
+        from cascade_ranker.evaluator import evaluate
+        model, groups, cfg = _generated_problem(2, 0.5)
+        per_query = evaluate(model, groups, cfg).per_query
+        for want_grad in (True, False):
+            bd = loss(model, groups, cfg, objective, want_grad)
+            assert bd.queries_below_floor == sum(r.below_floor for r in per_query) == 9
+            assert bd.queries_above_ceiling == sum(r.above_latency_ceiling for r in per_query) == 16
+
     def test_all_components_finite(self):
         model, groups, cfg = _random_problem(3)
         bd = loss_l3(model, groups, cfg)

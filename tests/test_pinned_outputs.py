@@ -7,10 +7,14 @@ rounds to 6 digits, so the per-query records are pinned by sha256 and the
 two-stage baseline by the ``repr`` of every figure, which catches a change
 in the last bit. The model files written after two epochs of SGD at each
 objective level are pinned by sha256 too: their 17-digit weights carry the
-last bit of every loss gradient and update of the training run.
+last bit of every loss gradient and update of the training run. The
+records of those runs' training logs are pinned by sha256 of their JSON
+lines without the wall time, which carry every batch loss sum in full.
 """
 
 import hashlib
+import json
+from dataclasses import asdict
 
 import pytest
 
@@ -51,6 +55,11 @@ MODEL_SHA256 = {
     "l1": "0625e4b5d19f764d045fa0002109855c401a0e6dc095081cbf22692945199bac",
     "l2": "583b2d884cfb165bd946b28ebc1f8832f29797354da03a54f69201b07e53aba9",
     "l3": "f4901dee4b196f498de12f36ba8729c4125c3289494891c9a7f1e791444e323e",
+}
+TRAINLOG_SHA256 = {
+    "l1": "2f248c1cf8b136501ed6ea514c83ce4bfcc1943633984d80934daff97642c40b",
+    "l2": "e98dded8ff6e3e876a762bae619ae03e1efabfc505d915e43a1c53cc5f69ea64",
+    "l3": "59863802e9fd45d270bb065d456eea8afc7a8d4197a2259bdf711cb5c4352e3a",
 }
 STOCHASTIC_SIM_TEXT = (
     "traffic_multiplier 1\ntotal_cost 565265\nutilization_proxy 565265\n"
@@ -124,3 +133,16 @@ def test_trained_model_file(fixture, tmp_path, objective):
     path = tmp_path / "model.txt"
     save_model(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MODEL_SHA256[objective]
+
+
+@pytest.mark.parametrize("objective", sorted(TRAINLOG_SHA256))
+def test_training_log_records(fixture, objective):
+    _, data, cfg = fixture
+    schema = default_schema()
+    _, log = train(data, schema, default_assignment(schema), cfg,
+                   TrainConfig(objective=objective, epochs=2, seed=11))
+    lines = "".join(
+        json.dumps({k: v for k, v in asdict(r).items() if k != "wall_time_s"}) + "\n"
+        for r in log.records
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == TRAINLOG_SHA256[objective]
