@@ -9,7 +9,6 @@ from .core import (
     CascadeModel,
     Feature,
     FeatureSchema,
-    Instance,
     PackedDataset,
     QueryGroup,
     StageAssignment,
@@ -22,11 +21,8 @@ from .objective import (
     ObjectiveConfig,
     expected_cost,
     instance_weights,
-    loss_l1,
-    loss_l2,
-    loss_l3,
+    loss,
     softplus_penalty,
-    weighted_nll,
 )
 from .trainer import (
     GradCheckReport,
@@ -40,7 +36,6 @@ from .trainer import (
 )
 from .evaluator import (
     EvalReport,
-    auc,
     baseline_single_stage,
     baseline_soft_cascade,
     baseline_two_stage,

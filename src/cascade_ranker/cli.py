@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .core import Feature, FeatureSchema, StageAssignment, pack_groups, validate_dataset
 from .datagen import (
-    DEFAULT_FEATURE_QUALITY,
     FeatureQuality,
     GenConfig,
     default_assignment,
@@ -49,45 +48,21 @@ MANIFEST_NAME = "manifest.json"
 
 
 def default_config() -> dict:
+    """Every config section and key with its default: the dataclass defaults
+    of the package, as JSON reads them back (tuples become lists)."""
     schema = default_schema()
-    return {
+    return json.loads(json.dumps({
         "schema": {
-            "features": [
-                {"name": f.name, "cost": f.cost, "kind": f.kind} for f in schema.features
-            ],
-            "stages": [
-                ["sales_volume", "postpay_score"],
-                ["ctr_score"],
-                ["relevance_score", "deep_wide_score"],
-            ],
-            "query_bins": list(schema.query_bin_edges),
+            "features": [asdict(f) for f in schema.features],
+            "stages": _stage_names(default_assignment(schema), schema),
+            "query_bins": schema.query_bin_edges,
         },
-        "objective": {
-            "alpha": 0.1, "beta": 1.0, "gamma": 10.0, "delta": 1.0,
-            "latency_penalty_weight": 0.05, "result_floor": 200.0,
-            "latency_ceiling": 19500.0, "purchase_weight": 10.0, "price_weight": 1.0,
-            "squared_l2": True, "penalty_per_instance": False,
-            "latency_survivor_form": False, "cost_units_per_ms": 150.0,
-        },
-        "train": {
-            "objective": "l3", "learning_rate": 0.1, "lr_decay": 0.95, "epochs": 50,
-            "batch_size": 32, "seed": 7, "init_scale": 0.01, "holdout_fraction": 0.2,
-        },
-        "datagen": {
-            "n_queries": 2000, "head_fraction": 0.5,
-            "head_mcount_range": [10000, 50000], "tail_mcount_range": [300, 3000],
-            "group_size_cap": 20, "positives_ratio": 0.1, "label_noise": 0.75,
-            "purchase_fraction_of_positives": 0.1, "purchase_price_tilt": 1.5,
-            "feature_quality": [
-                {"signal_strength": q.signal_strength, "noise": q.noise,
-                 "price_strength": q.price_strength} for q in DEFAULT_FEATURE_QUALITY
-            ],
-            "price_mean_log": 3.5, "price_sigma_log": 0.8, "price_floor": 1.05,
-            "seed": 0,
-        },
+        "objective": asdict(ObjectiveConfig()),
+        "train": {**asdict(TrainConfig()), "holdout_fraction": 0.2},
+        "datagen": asdict(GenConfig()),
         "eval": {"two_stage_keep_k": 6000},
         "simulate": {"traffic_multiplier": 1.0, "stochastic": False},
-    }
+    }))
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -317,9 +292,8 @@ def cmd_train(args) -> int:
     obj_cfg = objective_from_config(cfg)
     train_cfg = train_from_config(cfg)
     groups = _read_valid_dataset(args.dataset, schema)
-    train_groups, holdout = _split_holdout(
-        groups, cfg["train"].get("holdout_fraction", 0.0), train_cfg.seed
-    )
+    train_groups, holdout = _split_holdout(groups, cfg["train"]["holdout_fraction"],
+                                           train_cfg.seed)
     model, log = train(train_groups, schema, assignment, obj_cfg, train_cfg,
                        eval_data=holdout)
     out_dir = Path(args.out)

@@ -1,6 +1,11 @@
 """Domain types shared by every module: feature schema with per-feature costs,
 query-grouped datasets, and the cascade model itself.
 
+A query group is built one way, from its column block:
+``QueryGroup(query_id, query_features, recalled_count, X, labels, prices)``.
+``pack_groups`` joins the blocks of many groups into one ``PackedDataset``
+for the vectorized math.
+
 All types here are immutable after construction and safe to share across
 threads. Vectors are float64 numpy arrays.
 """
@@ -135,37 +140,14 @@ def stage_costs(assignment: StageAssignment, schema: FeatureSchema) -> np.ndarra
 
 
 @dataclass(frozen=True)
-class Instance:
-    """One labeled query-item pair: feature vector, behavior label, price."""
-
-    item_features: np.ndarray
-    label: int = LABEL_NONE
-    price: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "item_features", np.asarray(self.item_features, dtype=np.float64)
-        )
-        if self.label not in (LABEL_NONE, LABEL_CLICK, LABEL_PURCHASE):
-            raise ValueError(f"label must be 0 (none), 1 (click) or 2 (purchase); got {self.label}")
-
-    @property
-    def y(self) -> int:
-        """Binary target: 1 iff the item was clicked or purchased."""
-        return int(self.label != LABEL_NONE)
-
-
-@dataclass(frozen=True, init=False)
 class QueryGroup:
     """A query with its one-hot query vector, recalled-item count M_q, and
     its N_q sampled labeled instances (N_q <= M_q for valid datasets), held
     as one column block: ``X`` (N_q, item_dim) float64, ``labels`` (N_q,)
     int8 in {0, 1, 2} and ``prices`` (N_q,) float64.
 
-    ``QueryGroup(query_id, query_features, recalled_count, instances)`` stacks
-    hand-built ``Instance`` objects; ``from_columns`` takes the block
-    directly and is what the generator and the reader use. ``instances`` is
-    a per-row view rebuilt on every access, for tests and small tools.
+    The constructor takes the block as it is: arrays that already have
+    those dtypes are kept, not copied, and others are converted.
     """
 
     query_id: str
@@ -175,35 +157,12 @@ class QueryGroup:
     labels: np.ndarray
     prices: np.ndarray
 
-    def __init__(self, query_id: str, query_features, recalled_count: int,
-                 instances: Iterable[Instance] = ()):
-        instances = tuple(instances)
-        dims = {inst.item_features.shape for inst in instances}
-        if len(dims) > 1:
-            raise ValueError(
-                f"group {query_id}: instances have different feature shapes {sorted(dims)}"
-            )
-        X = np.stack([inst.item_features for inst in instances]) if instances else np.zeros((0, 0))
-        self._set_columns(
-            query_id, query_features, recalled_count, X,
-            np.array([inst.label for inst in instances], dtype=np.int8),
-            np.array([inst.price for inst in instances], dtype=np.float64),
-        )
-
-    @classmethod
-    def from_columns(cls, query_id: str, query_features, recalled_count: int,
-                     X, labels, prices) -> "QueryGroup":
-        """Group over an existing column block; the arrays are not copied when
-        they already have the right dtype."""
-        group = cls.__new__(cls)
-        group._set_columns(query_id, query_features, recalled_count, X, labels, prices)
-        return group
-
-    def _set_columns(self, query_id, query_features, recalled_count, X, labels, prices):
-        X = np.asarray(X, dtype=np.float64)
-        labels = np.asarray(labels)
-        prices = np.asarray(prices, dtype=np.float64)
-        if recalled_count < 1:
+    def __post_init__(self):
+        query_id = self.query_id
+        X = np.asarray(self.X, dtype=np.float64)
+        labels = np.asarray(self.labels)
+        prices = np.asarray(self.prices, dtype=np.float64)
+        if self.recalled_count < 1:
             raise ValueError(f"group {query_id}: recalled_count must be >= 1")
         n = labels.shape[0] if labels.ndim == 1 else -1
         if X.ndim != 2 or X.shape[0] != n or prices.shape != (n,):
@@ -216,11 +175,9 @@ class QueryGroup:
             raise ValueError(
                 f"group {query_id}: labels must be 0 (none), 1 (click) or 2 (purchase)"
             )
-        object.__setattr__(self, "query_id", query_id)
         object.__setattr__(
-            self, "query_features", np.asarray(query_features, dtype=np.float64)
+            self, "query_features", np.asarray(self.query_features, dtype=np.float64)
         )
-        object.__setattr__(self, "recalled_count", recalled_count)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "labels", labels.astype(np.int8, copy=False))
         object.__setattr__(self, "prices", prices)
@@ -228,13 +185,6 @@ class QueryGroup:
     @property
     def size(self) -> int:
         return self.labels.shape[0]
-
-    @property
-    def instances(self) -> tuple[Instance, ...]:
-        return tuple(
-            Instance(x, label, price)
-            for x, label, price in zip(self.X, self.labels.tolist(), self.prices.tolist())
-        )
 
 
 @dataclass(frozen=True)

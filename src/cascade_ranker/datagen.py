@@ -7,6 +7,10 @@ informativeness grows with their evaluation cost. A latent relevance scalar
 drives labels; a latent (standardized log) price scalar drives purchase
 selection among positives and leaks into some features so that price-sensitive
 training has signal to exploit.
+
+Both ``generate`` and ``read_dataset`` return one ``QueryGroup`` per query,
+each built by the one constructor from the column block the generator drew
+or the reader parsed.
 """
 
 from __future__ import annotations
@@ -160,7 +164,7 @@ def generate(cfg: GenConfig, schema: FeatureSchema) -> list[QueryGroup]:
             purchased = positive & (rng.random(n_q) < p_purchase)
         labels = np.where(purchased, LABEL_PURCHASE, labels)
 
-        groups.append(QueryGroup.from_columns(
+        groups.append(QueryGroup(
             f"q{qi:05d}", schema.query_onehot(m_q), m_q, X, labels, prices,
         ))
     return groups
@@ -285,7 +289,7 @@ def read_dataset(path, schema: FeatureSchema) -> list[QueryGroup]:
     starts = [start for chunk in chunks for start in chunk[3]]
     ends = [row for row, _, _ in starts[1:]] + [len(labels)]
     return [
-        QueryGroup.from_columns(qid, schema.query_onehot(mcount), mcount,
-                                X[row:end], labels[row:end], prices[row:end])
+        QueryGroup(qid, schema.query_onehot(mcount), mcount,
+                   X[row:end], labels[row:end], prices[row:end])
         for (row, qid, mcount), end in zip(starts, ends)
     ]

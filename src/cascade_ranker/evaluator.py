@@ -1,12 +1,12 @@
 """Offline metrics, comparison baselines, and the per-query report that
 evaluation and serving replay share.
 
-``auc`` is the flat rank-sum primitive. Reports carry the per-query mean AUC
-(click and purchase both count as positive): ranking quality is a within-query
-notion here, since the query-only feature deliberately shifts whole queries'
-score magnitudes to control result size and cost. Costs are reported as ratios
-against a caller-supplied baseline, conventionally the single-stage
-all-features expected cost.
+Reports carry the per-query mean AUC (click and purchase both count as
+positive): ranking quality is a within-query notion here, since the
+query-only feature deliberately shifts whole queries' score magnitudes to
+control result size and cost. Costs are reported as ratios against a
+caller-supplied baseline, conventionally the single-stage all-features
+expected cost.
 
 ``EvalReport`` and the simulator's ``SimReport`` are both built by
 ``query_table`` from per-query counts and latencies, and print and write
@@ -30,37 +30,14 @@ from .objective import expected_cost, per_query_expectations  # noqa: F401
 from .trainer import TrainConfig, train
 
 
-def _tied_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; ties share the average of their rank range."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    avg = ends - (counts - 1) / 2.0
-    return avg[inverse]
-
-
-def auc(scores: Sequence[tuple[float, int]]) -> float:
-    """Probability that a uniformly random positive outranks a uniformly
-    random negative; ties contribute 1/2. Sort-and-rank-sum, O(n log n)."""
-    vals = np.array([s for s, _ in scores], dtype=np.float64)
-    y = np.array([int(l) for _, l in scores])
-    n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == 0))
-    if n_pos == 0:
-        raise ValueError("AUC undefined: no positive labels")
-    if n_neg == 0:
-        raise ValueError("AUC undefined: no negative labels")
-    ranks = _tied_ranks(vals)
-    rank_sum = float(np.sum(ranks[y == 1]))
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
 def macro_auc(scores: np.ndarray, packed: PackedDataset) -> float:
     """Mean per-query AUC over queries holding both classes.
 
     One segmented pass over all rows: a single sort by (query, score), the
     average rank for each run of tied scores within a query, and per-query
     sums of the positives' ranks. Ranks are half-integers, so every sum is
-    exact and each query's AUC equals ``auc`` on its rows bit for bit.
+    exact and each query's AUC equals the flat rank-sum AUC of its rows,
+    ``tests/oracle.py``'s ``auc``, bit for bit.
 
     Raises when no query has both a positive and a negative instance.
     """
@@ -78,7 +55,7 @@ def macro_auc(scores: np.ndarray, packed: PackedDataset) -> float:
     new_run[1:] = (s[1:] != s[:-1]) | (g[1:] != g[:-1])
     run_start = np.flatnonzero(new_run)
     run_len = np.diff(np.append(run_start, len(s)))
-    # 1-based rank of each run's last row within its query, as in _tied_ranks
+    # 1-based rank of each run's last row within its query
     run_end = run_start + run_len - packed.offsets[g[run_start]]
     ranks = np.repeat(run_end - (run_len - 1) / 2.0, run_len)
     pos_rank_sum = np.add.reduceat(ranks * packed.y[order], starts)

@@ -89,9 +89,6 @@ class ObjectiveConfig:
         if self.price_weight < 0:
             raise ValueError("price_weight must be >= 0")
 
-    def latency_ceiling_ms(self) -> float:
-        return self.latency_ceiling / self.cost_units_per_ms
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -328,11 +325,6 @@ def _as_packed(data) -> PackedDataset:
     return data if isinstance(data, PackedDataset) else pack_groups(data)
 
 
-def weighted_nll(model: CascadeModel, data, cfg: ObjectiveConfig) -> float:
-    """Behavior-weighted negative log-likelihood of the cascade on ``data``."""
-    return _evaluate_terms(model, _as_packed(data), cfg, want_grad=False).nll
-
-
 def expected_cost(model: CascadeModel, data) -> float:
     """Total expected CPU cost: every item entering stage j pays t_j, with all
     instances entering stage 1 and no cost beyond the final stage."""
@@ -387,18 +379,6 @@ def loss(model: CascadeModel, data, cfg: ObjectiveConfig, objective: str = "l3",
         queries_above_ceiling=int(np.count_nonzero(terms.latencies > cfg.latency_ceiling)),
         gradient=gradient, objective=objective,
     )
-
-
-def loss_l1(model: CascadeModel, data, cfg: ObjectiveConfig) -> LossBreakdown:
-    return loss(model, data, cfg, "l1")
-
-
-def loss_l2(model: CascadeModel, data, cfg: ObjectiveConfig) -> LossBreakdown:
-    return loss(model, data, cfg, "l2")
-
-
-def loss_l3(model: CascadeModel, data, cfg: ObjectiveConfig) -> LossBreakdown:
-    return loss(model, data, cfg, "l3")
 
 
 def per_query_expectations(model: CascadeModel, data, cfg: ObjectiveConfig):

@@ -203,7 +203,13 @@ def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
     """Compare the analytic gradient to central finite differences.
 
     Checks every weight, or a seeded random subset of ``max_coords`` when the
-    model is larger. Relative error uses an absolute floor of 1e-8.
+    model is larger. A coordinate's relative error is
+    |analytic - numeric| / max(|analytic|, |numeric|, R / tolerance), where
+    R = 16 * eps * max(|f(w + h)|, |f(w - h)|) / h bounds the rounding error
+    of the central difference with a margin of 16 (eps is the float64
+    machine epsilon). So a small gradient fails only when it is off by more
+    than that rounding noise, and a large one when it is off by ``tolerance``
+    relative to itself. ``max_rel_error`` uses the same denominator.
     ``loss_fn`` exists as a test hook and defaults to the real loss.
     """
     if h <= 0:
@@ -228,7 +234,9 @@ def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
         fp = fn(model.with_flat_weights(wp), packed, obj_cfg, objective, want_grad=False).total
         fm = fn(model.with_flat_weights(wm), packed, obj_cfg, objective, want_grad=False).total
         numeric = (fp - fm) / (2.0 * h)
-        rel = abs(analytic[k] - numeric) / max(abs(analytic[k]), abs(numeric), 1e-8)
+        rounding = 16.0 * np.finfo(np.float64).eps * max(abs(fp), abs(fm)) / h
+        denom = max(abs(analytic[k]), abs(numeric), rounding / tolerance)
+        rel = abs(analytic[k] - numeric) / denom if denom > 0 else 0.0
         max_rel = max(max_rel, rel)
         if rel >= tolerance:
             failures.append((int(k), float(rel)))

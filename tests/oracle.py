@@ -1,6 +1,7 @@
 """Reference implementations the tests check the fast paths against: per-item
 and per-query math written stage by stage, the loss gradient chained one
-term and one stage column at a time, and dataset validation group by group."""
+term and one stage column at a time, dataset validation group by group, and
+the flat rank-sum AUC that ``evaluator.macro_auc`` computes per query."""
 
 import numpy as np
 from scipy.special import expit, log_expit, logsumexp
@@ -137,3 +138,28 @@ def validate_dataset(groups, schema) -> list[str]:
                 " has importance weight log(price) <= 0"
             )
     return violations
+
+
+def _tied_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; ties share the average of their rank range."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    avg = ends - (counts - 1) / 2.0
+    return avg[inverse]
+
+
+def auc(scores) -> float:
+    """Probability that a uniformly random positive outranks a uniformly
+    random negative over ``(score, label)`` pairs; ties contribute 1/2.
+    Sort-and-rank-sum, O(n log n)."""
+    vals = np.array([s for s, _ in scores], dtype=np.float64)
+    y = np.array([int(l) for _, l in scores])
+    n_pos = int(np.sum(y == 1))
+    n_neg = int(np.sum(y == 0))
+    if n_pos == 0:
+        raise ValueError("AUC undefined: no positive labels")
+    if n_neg == 0:
+        raise ValueError("AUC undefined: no negative labels")
+    ranks = _tied_ranks(vals)
+    rank_sum = float(np.sum(ranks[y == 1]))
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

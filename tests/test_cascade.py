@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -12,13 +13,12 @@ from cascade_ranker.core import (
     CascadeModel,
     Feature,
     FeatureSchema,
-    Instance,
-    QueryGroup,
     StageAssignment,
     pack_groups,
 )
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
 from cascade_ranker.trainer import init_weights
+from groups import make_group
 from oracle import cumulative_probabilities, stage_probabilities
 
 
@@ -34,8 +34,8 @@ def _batch_probs(model, group):
 
 
 def _item(group, x):
-    return QueryGroup(group.query_id, group.query_features, group.recalled_count,
-                      (Instance(x, 0, 2.0),))
+    """The one-row ``group`` with its row's features replaced by ``x``."""
+    return replace(group, X=x[None, :])
 
 
 def _tiny_setup(T=3, seed=0, init_scale=0.0):
@@ -45,8 +45,7 @@ def _tiny_setup(T=3, seed=0, init_scale=0.0):
     )
     asg = StageAssignment(tuple((k,) for k in range(T)))
     model = init_weights(schema, asg, seed, init_scale)
-    group = QueryGroup("q0", schema.query_onehot(5), 5,
-                       (Instance(np.zeros(T), 0, 2.0),))
+    group = make_group(schema, 5, np.zeros((1, T)))
     return schema, asg, model, group
 
 
@@ -83,7 +82,7 @@ class TestStageProbability:
 
     def test_dimension_mismatch(self):
         _, _, model, group = _tiny_setup()
-        narrow = QueryGroup("q0", group.query_features, 5, (Instance(np.zeros(2), 0, 2.0),))
+        narrow = _item(group, np.zeros(2))
         with pytest.raises(ValueError, match="dim"):
             batch_logits(model, pack_groups([narrow]))
 
@@ -120,8 +119,7 @@ class TestCascadeProbabilities:
         schema = default_schema()
         asg = default_assignment(schema)
         rng = np.random.default_rng(7)
-        group = QueryGroup("q0", schema.query_onehot(500), 500,
-                           tuple(Instance(rng.standard_normal(5), 0, 2.0) for _ in range(8)))
+        group = make_group(schema, 500, rng.standard_normal((8, 5)))
         for seed in range(5):
             model = init_weights(schema, asg, seed, 2.0)
             assert np.all(np.diff(_batch_probs(model, group)[1], axis=1) <= 0)
@@ -132,14 +130,13 @@ class TestCascadeProbabilities:
         asg = default_assignment(schema)
         rng = np.random.default_rng(3)
         model = init_weights(schema, asg, 11, 1.5)
-        group = QueryGroup("q0", schema.query_onehot(50), 50,
-                           tuple(Instance(rng.standard_normal(5), 0, 2.0) for _ in range(6)))
+        group = make_group(schema, 50, rng.standard_normal((6, 5)))
         mpmath.mp.dps = 50
-        for inst, final in zip(group.instances, batch_final_probs(model, [group])):
+        for x, final in zip(group.X, batch_final_probs(model, [group])):
             exact = mpmath.mpf(1)
             for j in range(model.n_stages):
                 cols = list(model.assignment.stages[j])
-                z = (inst.item_features[cols] @ model.stage_item_weights[j]
+                z = (x[cols] @ model.stage_item_weights[j]
                      + group.query_features @ model.stage_query_weights[j])
                 exact *= 1 / (1 + mpmath.exp(-mpmath.mpf(float(z))))
             assert abs(final - float(exact)) <= 1e-12 * float(exact)
@@ -156,8 +153,7 @@ class TestQueryFeatureNeutrality:
         schema = default_schema()
         asg = default_assignment(schema)
         rng = np.random.default_rng(19)
-        group = QueryGroup("q0", schema.query_onehot(3000), 3000,
-                           tuple(Instance(rng.standard_normal(5), 0, 2.0) for _ in range(12)))
+        group = make_group(schema, 3000, rng.standard_normal((12, 5)))
         model = init_weights(schema, asg, 23, 1.0)
         base = _batch_probs(model, group)[0]
         for trial in range(5):
@@ -178,8 +174,7 @@ class TestQueryFeatureNeutrality:
         schema = default_schema()
         asg = StageAssignment((tuple(range(schema.item_dim)),))
         rng = np.random.default_rng(5)
-        group = QueryGroup("q0", schema.query_onehot(40), 40,
-                           tuple(Instance(rng.standard_normal(5), 0, 2.0) for _ in range(15)))
+        group = make_group(schema, 40, rng.standard_normal((15, 5)))
         model = init_weights(schema, asg, 2, 1.0)
         base = batch_final_probs(model, [group])
         for trial in range(5):
@@ -197,8 +192,7 @@ class TestScoreGroup:
     def test_zero_weight_two_stage_quarter(self):
         schema, asg, model, _ = _tiny_setup(T=2)
         rng = np.random.default_rng(0)
-        group = QueryGroup("q0", np.array([1.0, 0.0]), 9,
-                           tuple(Instance(rng.standard_normal(2), 0, 2.0) for _ in range(4)))
+        group = make_group(schema, 9, rng.standard_normal((4, 2)))
         np.testing.assert_allclose(batch_final_probs(model, [group]), [0.25] * 4)
 
     def test_empty_group(self):
@@ -209,7 +203,7 @@ class TestScoreGroup:
         schema, asg, model, group = _tiny_setup(T=3, seed=2, init_scale=0.5)
         per_stage, cumulative = _batch_probs(model, group)
         assert per_stage.shape == cumulative.shape == (1, 3)
-        x = group.instances[0].item_features
+        x = group.X[0]
         np.testing.assert_allclose(per_stage[0],
                                    stage_probabilities(model, group.query_features, x),
                                    rtol=1e-12)
@@ -234,9 +228,7 @@ class TestCumulativeLogPass:
     def test_bit_identical_to_numpy_cumsum(self, T, init_scale):
         schema, asg, model, _ = _tiny_setup(T=T, seed=T, init_scale=init_scale)
         rng = np.random.default_rng(T)
-        groups = [QueryGroup.from_columns(f"q{i}", schema.query_onehot(40), 40,
-                                          rng.standard_normal((n, T)) * 3, np.zeros(n, np.int8),
-                                          np.full(n, 2.0))
+        groups = [make_group(schema, 40, rng.standard_normal((n, T)) * 3, qid=f"q{i}")
                   for i, n in enumerate((1, 9, 30))]
         Z, cum_log_p = batch_log_pass(model, pack_groups(groups))
         assert cum_log_p.tobytes() == np.cumsum(log_expit(Z), axis=1).tobytes()
@@ -265,9 +257,7 @@ def _cascades(draw):
     groups = []
     for i, n in enumerate(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))):
         m = int(rng.integers(n, 300))
-        groups.append(QueryGroup.from_columns(
-            f"q{i}", schema.query_onehot(m), m, rng.standard_normal((n, d)) * 3.0,
-            np.zeros(n, np.int8), np.full(n, 2.0)))
+        groups.append(make_group(schema, m, rng.standard_normal((n, d)) * 3.0, qid=f"q{i}"))
     return model, groups
 
 

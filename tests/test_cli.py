@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -83,7 +84,16 @@ class TestDatagenCommand:
         assert "positives_ratio" in capsys.readouterr().err
 
 
+# sha256 of json.dumps(default_config(), indent=2): the manifests embed the
+# resolved config, so a changed default changes every manifest
+DEFAULT_CONFIG_SHA256 = "db0fa8345eed7a8381fd63711b6e858a1117b33d7501181f883392d53949a54d"
+
+
 class TestConfigBoundary:
+    def test_default_config_json_pinned(self):
+        text = json.dumps(default_config(), indent=2)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEFAULT_CONFIG_SHA256
+
     @pytest.mark.parametrize("content, named", [
         ("[1, 2]", "expected a JSON object, got list"),
         ('{"objective": {"alhpa": 0.1}}', "unknown key 'alhpa' in section 'objective'"),

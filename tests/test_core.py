@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from cascade_ranker.core import (
     Feature,
     FeatureSchema,
-    Instance,
     QueryGroup,
     StageAssignment,
     pack_groups,
@@ -17,16 +17,15 @@ from cascade_ranker.core import (
 )
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
 from cascade_ranker.trainer import init_weights
+from groups import make_group
 import oracle
 
 
 def _group(schema, n=3, mcount=10, qid="q0", price=5.0, seed=0):
+    """``n`` standard normal rows, the first one clicked, all at ``price``."""
     rng = np.random.default_rng(seed)
-    instances = tuple(
-        Instance(rng.standard_normal(schema.item_dim), label=int(i == 0), price=price)
-        for i in range(n)
-    )
-    return QueryGroup(qid, schema.query_onehot(mcount), mcount, instances)
+    return make_group(schema, mcount, rng.standard_normal((n, schema.item_dim)),
+                      labels=(np.arange(n) == 0).astype(np.int8), prices=price, qid=qid)
 
 
 class TestFeatureSchema:
@@ -107,8 +106,7 @@ class TestValidateDataset:
     def test_nonpositive_price_named(self):
         schema = default_schema()
         g = _group(schema)
-        bad = QueryGroup(g.query_id, g.query_features, g.recalled_count,
-                         (g.instances[0], Instance(g.instances[1].item_features, 0, 0.0)))
+        bad = replace(g, X=g.X[:2], labels=g.labels[:2], prices=[g.prices[0], 0.0])
         report = validate_dataset([bad], schema)
         assert len(report) == 1
         assert "instance 1" in report[0] and "price" in report[0]
@@ -118,21 +116,20 @@ class TestValidateDataset:
         g = _group(schema)
         two_hot = np.zeros(schema.query_feature_dim)
         two_hot[0] = two_hot[1] = 1.0
-        bad = QueryGroup(g.query_id, two_hot, g.recalled_count, g.instances)
+        bad = replace(g, query_features=two_hot)
         report = validate_dataset([bad], schema)
         assert len(report) == 1 and "one-hot" in report[0]
 
     def test_mcount_below_size(self):
         schema = default_schema()
         g = _group(schema, n=3)
-        bad = QueryGroup(g.query_id, schema.query_onehot(2), 2, g.instances)
+        bad = replace(g, query_features=schema.query_onehot(2), recalled_count=2)
         report = validate_dataset([bad], schema)
         assert any("recalled_count" in v for v in report)
 
     def test_dimension_mismatch(self):
         schema = default_schema()
-        g = QueryGroup("q0", schema.query_onehot(5), 5,
-                       (Instance(np.zeros(2), 0, 1.0),))
+        g = make_group(schema, 5, np.zeros((1, 2)), prices=1.0)
         report = validate_dataset([g], schema)
         assert any("dim" in v for v in report)
 
@@ -140,7 +137,7 @@ class TestValidateDataset:
         schema = default_schema()
         x = np.zeros(schema.item_dim)
         x[0] = np.inf
-        g = QueryGroup("q0", schema.query_onehot(5), 5, (Instance(x, 0, 1.0),))
+        g = make_group(schema, 5, x[None, :], prices=1.0)
         report = validate_dataset([g], schema)
         assert any("non-finite" in v for v in report)
 
@@ -181,11 +178,11 @@ def _corrupted_groups(draw):
         if "dim" in kinds:
             X = draw(st.sampled_from([X[:, :-1], np.hstack([X, X[:, :1]])]))
         if "empty" in kinds and draw(st.booleans()):
-            groups.append(QueryGroup(g.query_id, query, recalled, ()))
+            groups.append(QueryGroup(g.query_id, query, recalled, np.zeros((0, 0)), (), ()))
             continue
         if "empty" in kinds:
             X, labels, prices = X[:0], labels[:0], prices[:0]
-        groups.append(QueryGroup.from_columns(g.query_id, query, recalled, X, labels, prices))
+        groups.append(QueryGroup(g.query_id, query, recalled, X, labels, prices))
     return groups
 
 
@@ -247,7 +244,7 @@ class TestPacking:
         packed = pack_groups(groups)
         assert packed.n_instances == 5 and packed.n_groups == 2
         assert list(packed.offsets) == [0, 2, 5]
-        np.testing.assert_array_equal(packed.X[2], groups[1].instances[0].item_features)
+        np.testing.assert_array_equal(packed.X[2], groups[1].X[0])
         assert packed.query_ids == ("a", "b")
 
     def test_empty(self):
@@ -256,7 +253,7 @@ class TestPacking:
 
     def test_empty_group_rejected_with_query_id(self):
         schema = default_schema()
-        empty = QueryGroup("q-empty", schema.query_onehot(4), 4, ())
+        empty = make_group(schema, 4, np.zeros((0, schema.item_dim)), qid="q-empty")
         with pytest.raises(ValueError, match="q-empty"):
             pack_groups([_group(schema, qid="a"), empty, _group(schema, qid="b")])
 
@@ -270,42 +267,42 @@ class TestPacking:
 
 
 class TestQueryGroupColumns:
-    def test_instances_and_columns_agree(self):
-        schema = default_schema()
-        g = _group(schema, n=4, price=3.5)
-        assert g.X.shape == (4, schema.item_dim) and g.size == 4
-        assert g.labels.dtype == np.int8 and list(g.labels) == [1, 0, 0, 0]
-        back = QueryGroup.from_columns(g.query_id, g.query_features, g.recalled_count,
-                                       g.X, g.labels, g.prices)
-        for a, b in zip(g.instances, back.instances):
-            np.testing.assert_array_equal(a.item_features, b.item_features)
-            assert (a.label, a.price) == (b.label, b.price) == (a.label, 3.5)
-
     def test_from_columns_keeps_float64_arrays(self):
         schema = default_schema()
         X = np.ones((2, schema.item_dim))
         prices = np.array([2.0, 3.0])
-        g = QueryGroup.from_columns("q", schema.query_onehot(5), 5, X, [0, 2], prices)
+        g = QueryGroup("q", schema.query_onehot(5), 5, X, [0, 2], prices)
         assert g.X is X and g.prices is prices
+        assert g.labels.dtype == np.int8 and list(g.labels) == [0, 2] and g.size == 2
 
     @pytest.mark.parametrize("labels", [[0, 3], [-1, 0], [0.0, 1.0]])
     def test_from_columns_rejects_bad_labels(self, labels):
         schema = default_schema()
         with pytest.raises(ValueError, match="group q: labels"):
-            QueryGroup.from_columns("q", schema.query_onehot(5), 5,
-                                    np.zeros((2, schema.item_dim)), labels, [2.0, 2.0])
+            QueryGroup("q", schema.query_onehot(5), 5,
+                       np.zeros((2, schema.item_dim)), labels, [2.0, 2.0])
 
     def test_from_columns_rejects_ragged_block(self):
         schema = default_schema()
         with pytest.raises(ValueError, match="group q: .*one block"):
-            QueryGroup.from_columns("q", schema.query_onehot(5), 5,
-                                    np.zeros((3, schema.item_dim)), [0, 1], [2.0, 2.0])
-
-    def test_instances_of_different_dims_rejected(self):
-        schema = default_schema()
-        with pytest.raises(ValueError, match="group q: instances have different"):
             QueryGroup("q", schema.query_onehot(5), 5,
-                       (Instance(np.zeros(2)), Instance(np.zeros(3))))
+                       np.zeros((3, schema.item_dim)), [0, 1], [2.0, 2.0])
+
+    def test_recalled_count_below_one_rejected(self):
+        schema = default_schema()
+        with pytest.raises(ValueError, match="group q: recalled_count must be >= 1"):
+            QueryGroup("q", schema.query_onehot(5), 0,
+                       np.zeros((1, schema.item_dim)), [0], [2.0])
+
+    def test_replace_converts_and_checks_like_the_constructor(self):
+        schema = default_schema()
+        g = _group(schema, n=2)
+        moved = replace(g, labels=[0, 2], prices=[3, 4])
+        assert moved.X is g.X and moved.query_id == g.query_id
+        assert moved.labels.dtype == np.int8 and list(moved.labels) == [0, 2]
+        assert moved.prices.dtype == np.float64 and list(moved.prices) == [3.0, 4.0]
+        with pytest.raises(ValueError, match="group q0: .*one block"):
+            replace(g, prices=[2.0])
 
 
 class TestTake:
@@ -340,8 +337,7 @@ class TestValidateLowPrice:
         g = _group(schema, n=3)
         prices = np.array([5.0, 1.0, 0.5])
         labels = np.array([0, label, label])
-        bad = QueryGroup.from_columns(g.query_id, g.query_features, g.recalled_count,
-                                      g.X, labels, prices)
+        bad = replace(g, labels=labels, prices=prices)
         report = validate_dataset([bad], schema)
         assert len(report) == 2
         assert "instance 1" in report[0] and "price 1.0 <= 1" in report[0]
@@ -350,6 +346,5 @@ class TestValidateLowPrice:
     def test_no_behaviour_at_low_price_is_valid(self):
         schema = default_schema()
         g = _group(schema, n=2)
-        ok = QueryGroup.from_columns(g.query_id, g.query_features, g.recalled_count,
-                                     g.X, [0, 0], [0.5, 1.0])
+        ok = replace(g, labels=[0, 0], prices=[0.5, 1.0])
         assert validate_dataset([ok], schema) == []

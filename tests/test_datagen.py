@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cascade_ranker import datagen
-from cascade_ranker.core import Instance, QueryGroup, pack_groups, validate_dataset
+from cascade_ranker.core import QueryGroup, pack_groups, validate_dataset
 from cascade_ranker.datagen import (
     DatasetFormatError,
     FeatureQuality,
@@ -17,9 +17,9 @@ from cascade_ranker.datagen import (
     read_dataset,
     write_dataset,
 )
-from cascade_ranker.evaluator import auc
 from cascade_ranker.objective import ObjectiveConfig
 from cascade_ranker.trainer import TrainConfig, train
+from oracle import auc
 
 
 class TestGenConfigValidation:
@@ -110,10 +110,9 @@ class TestDatasetFileFormat:
             assert g.query_id == h.query_id
             assert g.recalled_count == h.recalled_count
             np.testing.assert_array_equal(g.query_features, h.query_features)
-            assert len(g.instances) == len(h.instances)
-            for a, b in zip(g.instances, h.instances):
-                np.testing.assert_array_equal(a.item_features, b.item_features)
-                assert a.label == b.label and a.price == b.price
+            np.testing.assert_array_equal(g.X, h.X)
+            np.testing.assert_array_equal(g.labels, h.labels)
+            np.testing.assert_array_equal(g.prices, h.prices)
 
     def test_empty_file_is_valid(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -167,8 +166,7 @@ class TestDatasetFileFormat:
         path = tmp_path / "sparse.txt"
         path.write_text("qid:a mcount:5 label:0 price:2.0 2:1.5\n")
         groups = read_dataset(path, default_schema())
-        np.testing.assert_array_equal(groups[0].instances[0].item_features,
-                                      [0.0, 0.0, 1.5, 0.0, 0.0])
+        np.testing.assert_array_equal(groups[0].X, [[0.0, 0.0, 1.5, 0.0, 0.0]])
 
     def test_repeated_feature_index_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -246,9 +244,7 @@ def _groups(draw):
             st.floats(min_value=1e-3, max_value=1e6, allow_subnormal=False),
             min_size=n, max_size=n,
         ))
-        groups.append(QueryGroup.from_columns(
-            qid, schema.query_onehot(mcount), mcount, X, labels, prices,
-        ))
+        groups.append(QueryGroup(qid, schema.query_onehot(mcount), mcount, X, labels, prices))
     return groups
 
 
@@ -281,23 +277,10 @@ class TestRoundTripProperty:
     def test_negative_zero_reads_back_as_positive_zero(self, tmp_path):
         schema = default_schema()
         X = np.array([[-0.0, 1.0, 0.0, -2.5, -0.0]])
-        g = QueryGroup.from_columns("q", schema.query_onehot(3), 3, X, [1], [2.0])
+        g = QueryGroup("q", schema.query_onehot(3), 3, X, [1], [2.0])
         path = tmp_path / "data.txt"
         write_dataset(path, [g])
         assert path.read_text() == "qid:q mcount:3 label:1 price:2 1:1 3:-2.5\n"
         (back,) = read_dataset(path, schema)
         assert back.X.tobytes() == np.array([[0.0, 1.0, 0.0, -2.5, 0.0]]).tobytes()
 
-
-class TestNoInstanceOnHotPaths:
-    def test_read_generate_pack_write_validate(self, tmp_path, monkeypatch):
-        schema = default_schema()
-        built = []
-        monkeypatch.setattr(Instance, "__post_init__", lambda self: built.append(self))
-        groups = generate(GenConfig(n_queries=20, seed=2), schema)
-        path = tmp_path / "data.txt"
-        write_dataset(path, groups)
-        back = read_dataset(path, schema)
-        pack_groups(back)
-        assert validate_dataset(back, schema) == []
-        assert built == []

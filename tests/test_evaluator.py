@@ -11,15 +11,12 @@ from cascade_ranker.core import (
     CascadeModel,
     Feature,
     FeatureSchema,
-    Instance,
     PackedDataset,
-    QueryGroup,
     StageAssignment,
     pack_groups,
 )
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
 from cascade_ranker.evaluator import (
-    auc,
     baseline_single_stage,
     baseline_soft_cascade,
     baseline_two_stage,
@@ -28,10 +25,13 @@ from cascade_ranker.evaluator import (
 )
 from cascade_ranker.objective import ObjectiveConfig, expected_cost
 from cascade_ranker.trainer import TrainConfig, init_weights, train
-from oracle import stage_probabilities
+from groups import make_group
+from oracle import auc, stage_probabilities
 
 
 class TestAuc:
+    """The flat rank-sum AUC of ``oracle``, the reference of ``macro_auc``."""
+
     def test_perfect_separation(self):
         assert auc([(0.9, 1), (0.1, 0)]) == 1.0
 
@@ -154,8 +154,8 @@ class TestEvaluate:
             (np.full(model.query_feature_dim, 60.0), *model.stage_query_weights[1:]),
             asg, schema)
         rng = np.random.default_rng(5)
-        group = QueryGroup("q0", schema.query_onehot(40), 40, tuple(
-            Instance(rng.standard_normal(5), int(i < 3), 2.0) for i in range(10)))
+        group = make_group(schema, 40, rng.standard_normal((10, 5)),
+                           labels=(np.arange(10) < 3).astype(np.int8))
         report = evaluate(sat, [group], ObjectiveConfig())
         stage_p = np.stack([stage_probabilities(sat, group.query_features, x) for x in group.X])
         assert np.all(stage_p[:, 0] > 1 - 1e-10)

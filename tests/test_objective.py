@@ -11,8 +11,6 @@ from cascade_ranker.cascade import batch_log_pass
 from cascade_ranker.core import (
     Feature,
     FeatureSchema,
-    Instance,
-    QueryGroup,
     StageAssignment,
     pack_groups,
 )
@@ -24,16 +22,13 @@ from cascade_ranker.objective import (
     expected_cost,
     instance_weights,
     loss,
-    loss_l1,
-    loss_l2,
-    loss_l3,
     per_query_expectations,
     softplus_penalty,
-    weighted_nll,
     _logsumexp_rows,
     _suffix_sums,
 )
 from cascade_ranker.trainer import init_weights
+from groups import make_group
 from oracle import expected_count, expected_latency, loss_gradient, stage_probabilities
 
 
@@ -49,11 +44,14 @@ def _schema2(costs=(0.02, 0.74)):
 def _group_with_final_probs(schema, probs, mcount, label=0, price=math.e, qid="q0"):
     """T=1 group whose instances have the given final probabilities (via the
     first feature with unit weight)."""
-    instances = tuple(
-        Instance(np.array([_logit(p)] + [0.0] * (schema.item_dim - 1)), label, price)
-        for p in probs
-    )
-    return QueryGroup(qid, schema.query_onehot(mcount), mcount, instances)
+    X = np.zeros((len(probs), schema.item_dim))
+    X[:, 0] = [_logit(p) for p in probs]
+    return make_group(schema, mcount, X, label, price, qid)
+
+
+def _nll(model, groups, cfg):
+    """The behavior-weighted negative log-likelihood of ``model`` on ``groups``."""
+    return loss(model, groups, cfg, "l1", want_grad=False).nll
 
 
 def _unit_model(schema, stages):
@@ -92,10 +90,9 @@ class TestWeightedNll:
         model = init_weights(schema, StageAssignment(((0,), (1,))), 0, 0.0)
         model1 = init_weights(schema, StageAssignment(((0, 1),)), 0, 0.0)
         cfg = ObjectiveConfig(purchase_weight=1, price_weight=1)
-        g = QueryGroup("q", schema.query_onehot(5), 5,
-                       (Instance(np.zeros(2), 1, math.e),))  # wgt = 1
-        assert weighted_nll(model1, [g], cfg) == pytest.approx(math.log(2), rel=1e-12)
-        assert weighted_nll(model, [g], cfg) == pytest.approx(math.log(4), rel=1e-12)
+        g = make_group(schema, 5, np.zeros((1, 2)), 1, math.e)  # wgt = 1
+        assert _nll(model1, [g], cfg) == pytest.approx(math.log(2), rel=1e-12)
+        assert _nll(model, [g], cfg) == pytest.approx(math.log(4), rel=1e-12)
 
     def test_weight_linearity(self):
         # weight 2 on one instance == two copies at weight 1
@@ -103,12 +100,9 @@ class TestWeightedNll:
         model = init_weights(schema, StageAssignment(((0, 1),)), 3, 0.5)
         cfg = ObjectiveConfig(purchase_weight=1, price_weight=1)
         x = np.array([0.4, -0.2])
-        heavy = QueryGroup("q", schema.query_onehot(5), 5,
-                           (Instance(x, 1, math.e ** 2),))             # wgt = 2
-        twice = QueryGroup("q", schema.query_onehot(5), 5,
-                           (Instance(x, 1, math.e), Instance(x, 1, math.e)))
-        assert weighted_nll(model, [heavy], cfg) == pytest.approx(
-            weighted_nll(model, [twice], cfg), rel=1e-12)
+        heavy = make_group(schema, 5, [x], 1, math.e ** 2)   # wgt = 2
+        twice = make_group(schema, 5, [x, x], 1, math.e)
+        assert _nll(model, [heavy], cfg) == pytest.approx(_nll(model, [twice], cfg), rel=1e-12)
 
     def test_reduces_to_unweighted_loglik(self):
         # purchase_weight 1, all prices e, price_weight 1 -> every wgt = 1
@@ -116,28 +110,24 @@ class TestWeightedNll:
         asg = default_assignment(schema)
         model = init_weights(schema, asg, 5, 0.4)
         rng = np.random.default_rng(8)
-        groups = [
-            QueryGroup(f"q{i}", schema.query_onehot(30), 30, tuple(
-                Instance(rng.standard_normal(5), int(rng.random() < 0.3), math.e)
-                for _ in range(6)))
-            for i in range(4)
-        ]
+        groups = []
+        for i in range(4):
+            rows = [(rng.standard_normal(5), int(rng.random() < 0.3)) for _ in range(6)]
+            X, labels = zip(*rows)
+            groups.append(make_group(schema, 30, X, labels, math.e, qid=f"q{i}"))
         cfg = ObjectiveConfig(purchase_weight=1, price_weight=1)
         from cascade_ranker.cascade import batch_final_probs
         p = batch_final_probs(model, groups)
         y = pack_groups(groups).y
         plain = -float(np.sum(y * np.log(p) + (1 - y) * np.log(1 - p)))
-        assert weighted_nll(model, groups, cfg) == pytest.approx(plain, rel=1e-10)
+        assert _nll(model, groups, cfg) == pytest.approx(plain, rel=1e-10)
 
     def test_extreme_logits_stay_finite(self):
         schema = _schema2()
         model = _unit_model(schema, ((0,), (1,)))
         cfg = ObjectiveConfig()
-        g = QueryGroup("q", schema.query_onehot(5), 5, (
-            Instance(np.array([800.0, 900.0]), 0, 2.0),
-            Instance(np.array([-900.0, 700.0]), 1, 2.0),
-        ))
-        val = weighted_nll(model, [g], cfg)
+        g = make_group(schema, 5, [[800.0, 900.0], [-900.0, 700.0]], [0, 1])
+        val = _nll(model, [g], cfg)
         assert np.isfinite(val)
         bd = loss(model, [g], cfg, "l1")
         assert np.all(np.isfinite(bd.gradient))
@@ -181,8 +171,7 @@ class TestExpectedCount:
         asg = default_assignment(schema)
         model = init_weights(schema, asg, 13, 0.8)
         rng = np.random.default_rng(99)
-        group = QueryGroup("q0", schema.query_onehot(40), 40, tuple(
-            Instance(rng.standard_normal(5), 0, 2.0) for _ in range(12)))
+        group = make_group(schema, 40, rng.standard_normal((12, 5)))
         stage_p = np.stack([stage_probabilities(model, group.query_features, x)
                             for x in group.X])                  # (n, T)
 
@@ -205,15 +194,13 @@ class TestExpectedCost:
         schema = _schema2()
         model = _unit_model(schema, ((0,), (1,)))
         probs = [0.1] * 100
-        g = QueryGroup("q", schema.query_onehot(100), 100, tuple(
-            Instance(np.array([_logit(p), 0.0]), 0, 2.0) for p in probs))
+        g = make_group(schema, 100, [[_logit(p), 0.0] for p in probs])
         assert expected_cost(model, [g]) == pytest.approx(9.4, rel=1e-9)
 
     def test_zero_pass_limit(self):
         schema = _schema2()
         model = _unit_model(schema, ((0,), (1,)))
-        g = QueryGroup("q", schema.query_onehot(50), 50, tuple(
-            Instance(np.array([-800.0, 0.0]), 0, 2.0) for _ in range(50)))
+        g = make_group(schema, 50, np.tile([-800.0, 0.0], (50, 1)))
         assert expected_cost(model, [g]) == pytest.approx(50 * 0.02)
 
     def test_single_stage_cost_ignores_weights(self):
@@ -228,31 +215,27 @@ class TestExpectedLatency:
     def test_single_stage(self):
         schema = _schema2()
         model = _unit_model(schema, ((0,),))
-        g = QueryGroup("q", schema.query_onehot(100), 100,
-                       (Instance(np.array([0.0, 0.0]), 0, 2.0),))
+        g = make_group(schema, 100, [[0.0, 0.0]])
         assert _expectations(model, g)[1] == pytest.approx(2.0)
 
     def test_two_stage_arithmetic(self):
         # M=100, t=(0.02, 0.74), E[Count_1]=25 -> 2 + 18.5
         schema = _schema2()
         model = _unit_model(schema, ((0,), (1,)))
-        g = QueryGroup("q", schema.query_onehot(100), 100,
-                       (Instance(np.array([_logit(0.25), 0.0]), 0, 2.0),))
+        g = make_group(schema, 100, [[_logit(0.25), 0.0]])
         assert 100 * _stage_passes(model, [g])[0] == pytest.approx(25.0, rel=1e-12)
         assert _expectations(model, g)[1] == pytest.approx(20.5, rel=1e-9)
 
     def test_zero_probability_floor(self):
         schema = _schema2()
         model = _unit_model(schema, ((0,), (1,)))
-        g = QueryGroup("q", schema.query_onehot(100), 100,
-                       (Instance(np.array([-800.0, 0.0]), 0, 2.0),))
+        g = make_group(schema, 100, [[-800.0, 0.0]])
         assert _expectations(model, g)[1] == pytest.approx(2.0)
 
     def test_survivor_form_flag(self):
         schema = _schema2()
         model = _unit_model(schema, ((0,), (1,)))
-        g = QueryGroup("q", schema.query_onehot(100), 100,
-                       (Instance(np.array([_logit(0.25), 0.0]), 0, 2.0),))
+        g = make_group(schema, 100, [[_logit(0.25), 0.0]])
         cfg = ObjectiveConfig(latency_survivor_form=True)
         # survivors: t1*E[C1] + t2*E[C2]; E[C2] = 100 * 0.25 * 0.5
         want = 0.02 * 25.0 + 0.74 * 12.5
@@ -298,11 +281,10 @@ def _random_problem(seed, n_groups=6, size=5, t_l=40.0, n_o=8.0):
     groups = []
     for i in range(n_groups):
         m = int(rng.integers(size, 40))
-        groups.append(QueryGroup(
-            f"q{i}", schema.query_onehot(m), m, tuple(
-                Instance(rng.standard_normal(5), int(rng.integers(0, 3)),
-                         float(1.1 + rng.random() * 20))
-                for _ in range(size))))
+        rows = [(rng.standard_normal(5), int(rng.integers(0, 3)), 1.1 + rng.random() * 20)
+                for _ in range(size)]
+        X, labels, prices = zip(*rows)
+        groups.append(make_group(schema, m, X, labels, prices, qid=f"q{i}"))
     model = init_weights(schema, asg, seed + 100, 0.7)
     cfg = ObjectiveConfig(alpha=0.3, beta=0.7, gamma=10.0, delta=0.9,
                           latency_penalty_weight=0.4, result_floor=n_o,
@@ -314,16 +296,16 @@ class TestLossComposition:
     def test_zero_coefficients_collapse_to_nll(self):
         model, groups, _ = _random_problem(1)
         cfg = ObjectiveConfig(alpha=0.0, beta=0.0, delta=0.0, latency_penalty_weight=0.0)
-        nll = weighted_nll(model, groups, cfg)
-        for fn in (loss_l1, loss_l2, loss_l3):
-            assert fn(model, groups, cfg).total == pytest.approx(nll, rel=1e-12)
+        nll = _nll(model, groups, cfg)
+        for objective in OBJECTIVE_LEVELS:
+            assert loss(model, groups, cfg, objective).total == pytest.approx(nll, rel=1e-12)
 
     def test_zero_weight_single_positive(self):
         schema = _schema2()
         model = init_weights(schema, StageAssignment(((0, 1),)), 0, 0.0)
         cfg = ObjectiveConfig(alpha=1.0, purchase_weight=1, price_weight=1)
-        g = QueryGroup("q", schema.query_onehot(5), 5, (Instance(np.zeros(2), 1, math.e),))
-        assert loss_l1(model, [g], cfg).total == pytest.approx(math.log(2), rel=1e-12)
+        g = make_group(schema, 5, np.zeros((1, 2)), 1, math.e)
+        assert loss(model, [g], cfg, "l1").total == pytest.approx(math.log(2), rel=1e-12)
 
     def test_bitwise_recomposition(self):
         model, groups, cfg = _random_problem(2)
@@ -349,7 +331,7 @@ class TestLossComposition:
 
     def test_all_components_finite(self):
         model, groups, cfg = _random_problem(3)
-        bd = loss_l3(model, groups, cfg)
+        bd = loss(model, groups, cfg, "l3")
         for v in (bd.total, bd.nll, bd.l2, bd.expected_cost, bd.size_penalty,
                   bd.latency_penalty):
             assert np.isfinite(v)
@@ -358,20 +340,20 @@ class TestLossComposition:
     def test_monotone_in_beta_and_delta(self):
         model, groups, cfg = _random_problem(4)
         import dataclasses
-        lo = loss_l2(model, groups, dataclasses.replace(cfg, beta=0.5)).total
-        hi = loss_l2(model, groups, dataclasses.replace(cfg, beta=1.5)).total
+        lo = loss(model, groups, dataclasses.replace(cfg, beta=0.5), "l2").total
+        hi = loss(model, groups, dataclasses.replace(cfg, beta=1.5), "l2").total
         assert hi > lo  # expected_cost > 0 always (stage-1 term)
-        bd = loss_l3(model, groups, cfg)
+        bd = loss(model, groups, cfg, "l3")
         if bd.size_penalty > 0:
-            lo = loss_l3(model, groups, dataclasses.replace(cfg, delta=0.5)).total
-            hi = loss_l3(model, groups, dataclasses.replace(cfg, delta=1.5)).total
+            lo = loss(model, groups, dataclasses.replace(cfg, delta=0.5), "l3").total
+            hi = loss(model, groups, dataclasses.replace(cfg, delta=1.5), "l3").total
             assert hi > lo
 
     def test_reduction_order_stability(self):
         # vectorized whole-dataset loss vs per-group accumulation
         model, groups, cfg = _random_problem(5, n_groups=12)
-        whole = loss_l3(model, groups, cfg)
-        nll = sum(weighted_nll(model, [g], cfg) for g in groups)
+        whole = loss(model, groups, cfg, "l3")
+        nll = sum(_nll(model, [g], cfg) for g in groups)
         assert nll == pytest.approx(whole.nll, rel=1e-10)
         cost = sum(expected_cost(model, [g]) for g in groups)
         assert cost == pytest.approx(whole.expected_cost, rel=1e-10)

@@ -9,8 +9,6 @@ from cascade_ranker.cascade import batch_final_probs
 from cascade_ranker.core import (
     Feature,
     FeatureSchema,
-    Instance,
-    QueryGroup,
     StageAssignment,
     pack_groups,
     stage_costs,
@@ -19,6 +17,7 @@ from cascade_ranker.datagen import GenConfig, default_assignment, default_schema
 from cascade_ranker.objective import ObjectiveConfig
 from cascade_ranker.simulator import SimQueryRecord, plan, serve_query, simulate
 from cascade_ranker.trainer import init_weights
+from groups import make_group
 from oracle import expected_count
 
 
@@ -40,10 +39,7 @@ def _unit_model(schema, stages):
 
 def _group_with_stage1_probs(schema, probs, mcount=None, second_feature=0.0):
     mcount = mcount if mcount is not None else len(probs)
-    instances = tuple(
-        Instance(np.array([_logit(p), second_feature]), 0, 2.0) for p in probs
-    )
-    return QueryGroup("q0", schema.query_onehot(mcount), mcount, instances)
+    return make_group(schema, mcount, [[_logit(p), second_feature] for p in probs])
 
 
 def _serve_loop_records(model, data, cfg, stochastic=False, seed=0):
@@ -106,8 +102,7 @@ class TestServeQuery:
         asg = default_assignment(schema)
         model = init_weights(schema, asg, 3, 0.8)
         rng = np.random.default_rng(0)
-        g = QueryGroup("q0", schema.query_onehot(12), 12, tuple(
-            Instance(rng.standard_normal(5), 0, 2.0) for _ in range(12)))
+        g = make_group(schema, 12, rng.standard_normal((12, 5)))
         served = serve_query([12, 12, 12], model, g)
         finals = batch_final_probs(model, [g])
         want = np.lexsort((np.arange(12), -finals))
@@ -130,8 +125,7 @@ class TestServeQuery:
         asg = default_assignment(schema)
         model = init_weights(schema, asg, 5, 0.7)
         rng = np.random.default_rng(2)
-        g = QueryGroup("q0", schema.query_onehot(9), 9, tuple(
-            Instance(rng.standard_normal(5), 0, 2.0) for _ in range(9)))
+        g = make_group(schema, 9, rng.standard_normal((9, 5)))
         a = serve_query([5, 3, 2], model, g)
         b = serve_query([5, 3, 2], model, g)
         assert a == b
@@ -141,8 +135,7 @@ class TestServeQuery:
         asg = default_assignment(schema)
         model = init_weights(schema, asg, 7, 0.6)
         rng = np.random.default_rng(3)
-        g = QueryGroup("q0", schema.query_onehot(15), 15, tuple(
-            Instance(rng.standard_normal(5), 0, 2.0) for _ in range(15)))
+        g = make_group(schema, 15, rng.standard_normal((15, 5)))
         keep_all = serve_query([15, 15, 15], model, g)
         filtered = serve_query([10, 4, 2], model, g)
         assert filtered.realized_cost < keep_all.realized_cost
@@ -153,8 +146,7 @@ class TestServeQuery:
         asg = default_assignment(schema)
         model = init_weights(schema, asg, 11, 0.8)
         rng = np.random.default_rng(4)
-        g = QueryGroup("q0", schema.query_onehot(20), 20, tuple(
-            Instance(rng.standard_normal(5), 0, 2.0) for _ in range(20)))
+        g = make_group(schema, 20, rng.standard_normal((20, 5)))
         full = serve_query([20, 20, 20], model, g).ranking
         filtered = serve_query([12, 6, 4], model, g).ranking
         pos = {item: i for i, item in enumerate(full)}
@@ -165,8 +157,7 @@ class TestServeQuery:
         asg = default_assignment(schema)
         model = init_weights(schema, asg, 13, 0.5)
         rng = np.random.default_rng(5)
-        g = QueryGroup("q0", schema.query_onehot(18), 18, tuple(
-            Instance(rng.standard_normal(5), 0, 2.0) for _ in range(18)))
+        g = make_group(schema, 18, rng.standard_normal((18, 5)))
         counts = plan(model, g)
         served = serve_query(counts, model, g)
         assert served.stage_survivors == tuple(counts)
@@ -178,8 +169,7 @@ class TestServeQuery:
         asg = default_assignment(schema)
         model = init_weights(schema, asg, 17, 0.6)
         rng = np.random.default_rng(6)
-        g = QueryGroup("q0", schema.query_onehot(10), 10, tuple(
-            Instance(rng.standard_normal(5), 0, 2.0) for _ in range(10)))
+        g = make_group(schema, 10, rng.standard_normal((10, 5)))
         trials = 10_000
         counts = np.zeros((trials, 3))
         for t in range(trials):
@@ -284,8 +274,8 @@ class TestReplayProperties:
         model = init_weights(schema, asg, seed, scale)
         rng = np.random.default_rng(seed)
         mcount = size + extra
-        g = QueryGroup("q0", schema.query_onehot(mcount), mcount, tuple(
-            Instance(3.0 * rng.standard_normal(schema.item_dim)) for _ in range(size)))
+        g = make_group(schema, mcount, 3.0 * rng.standard_normal((size, schema.item_dim)),
+                       prices=1.0)
         counts = plan(model, g)
         assert len(counts) == asg.n_stages
         assert 1 <= counts[0] <= size

@@ -9,20 +9,11 @@ from hypothesis import strategies as st
 from cascade_ranker.core import (
     Feature,
     FeatureSchema,
-    Instance,
-    QueryGroup,
     StageAssignment,
     pack_groups,
 )
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
-from cascade_ranker.evaluator import auc
-from cascade_ranker.objective import (
-    OBJECTIVE_LEVELS,
-    ObjectiveConfig,
-    expected_cost,
-    loss,
-    weighted_nll,
-)
+from cascade_ranker.objective import OBJECTIVE_LEVELS, ObjectiveConfig, expected_cost, loss
 from cascade_ranker.trainer import (
     TrainConfig,
     TrainingDiverged,
@@ -32,6 +23,7 @@ from cascade_ranker.trainer import (
     save_model,
     train,
 )
+from groups import make_group
 
 
 class TestInitWeights:
@@ -76,15 +68,8 @@ class TestTrainConfigValidation:
 
 def _separable_toy(schema):
     # two groups, four instances, positives at +2 on every feature
-    d = schema.item_dim
-    groups = []
-    for qi in range(2):
-        groups.append(QueryGroup(
-            f"q{qi}", schema.query_onehot(4), 4, (
-                Instance(np.full(d, 2.0), 1, math.e),
-                Instance(np.full(d, -2.0), 0, math.e),
-            )))
-    return groups
+    X = np.repeat([[2.0], [-2.0]], schema.item_dim, axis=1)
+    return [make_group(schema, 4, X, [1, 0], math.e, qid=f"q{qi}") for qi in range(2)]
 
 
 class TestTrain:
@@ -129,8 +114,7 @@ class TestTrain:
 
     def test_degenerate_labels_rejected(self):
         schema = default_schema()
-        g = QueryGroup("q0", schema.query_onehot(3), 3, (
-            Instance(np.zeros(5), 1, 2.0), Instance(np.zeros(5), 1, 2.0)))
+        g = make_group(schema, 3, np.zeros((2, 5)), labels=1)
         with pytest.raises(ValueError, match="positive and one negative"):
             train([g], schema, default_assignment(schema), ObjectiveConfig(), TrainConfig())
 
@@ -266,18 +250,19 @@ class TestLogisticRegressionEquivalence:
         groups = []
         for qi in range(5):
             m = 5 if qi % 2 else 50
-            instances = []
+            X, labels, prices = [], [], []
             for _ in range(10):
                 yv = int(rng.random() < 0.4)
-                x = rng.standard_normal(2) + (0.8 if yv else -0.3)
-                instances.append(Instance(x, yv, float(rng.uniform(1.5, 20.0))))
-            groups.append(QueryGroup(f"q{qi}", schema.query_onehot(m), m, tuple(instances)))
+                X.append(rng.standard_normal(2) + (0.8 if yv else -0.3))
+                labels.append(yv)
+                prices.append(rng.uniform(1.5, 20.0))
+            groups.append(make_group(schema, m, X, labels, prices, qid=f"q{qi}"))
 
         obj = ObjectiveConfig(alpha=0.0, purchase_weight=1.0, price_weight=1.0)
         cfg = TrainConfig(objective="l1", learning_rate=1.5, lr_decay=1.0,
                           epochs=4000, batch_size=100, seed=0, init_scale=0.0)
         model, _ = train(groups, schema, asg, obj, cfg)
-        ours = weighted_nll(model, groups, obj)
+        ours = loss(model, groups, obj, "l1", want_grad=False).nll
 
         from cascade_ranker.core import pack_groups
         packed = pack_groups(groups)
@@ -292,9 +277,9 @@ class TestGradientCheck:
         schema = default_schema()
         asg = StageAssignment(((0, 1), (2, 3, 4)))
         rng = np.random.default_rng(3)
-        groups = [QueryGroup("q0", schema.query_onehot(30), 30, tuple(
-            Instance(rng.standard_normal(5), int(rng.random() < 0.3), 3.0)
-            for _ in range(20)))]
+        rows = [(rng.standard_normal(5), int(rng.random() < 0.3)) for _ in range(20)]
+        X, labels = zip(*rows)
+        groups = [make_group(schema, 30, X, labels, 3.0)]
         model = init_weights(schema, asg, 9, 0.6)
         report = gradient_check(model, groups, ObjectiveConfig(), objective="l1")
         assert report.max_rel_error < 1e-5 and report.passed
@@ -360,6 +345,35 @@ class TestGradientCheck:
                else ObjectiveConfig())
         report = gradient_check(model, data, cfg, objective=objective)
         assert report.passed, (report.max_rel_error, report.failures)
+
+    def test_passes_at_the_default_init_scale(self):
+        # at init_scale 0.01 some true components are ~1e-5 against a loss
+        # of ~1200: their central differences are mostly rounding noise
+        schema = default_schema()
+        data = generate(GenConfig(n_queries=6, seed=1), schema)
+        model = init_weights(schema, default_assignment(schema), 7, TrainConfig().init_scale)
+        for objective in OBJECTIVE_LEVELS:
+            report = gradient_check(model, data, ObjectiveConfig(), objective=objective)
+            assert report.passed, (objective, report.max_rel_error, report.failures)
+
+    def test_large_component_off_by_a_thousandth_fails(self):
+        schema = default_schema()
+        data = generate(GenConfig(n_queries=6, seed=1), schema)
+        model = init_weights(schema, default_assignment(schema), 7, TrainConfig().init_scale)
+        k = int(np.argmax(np.abs(loss(model, data, ObjectiveConfig()).gradient)))
+
+        def off(model_, data_, cfg_, objective_="l3", want_grad=True):
+            bd = loss(model_, data_, cfg_, objective_, want_grad)
+            if want_grad:
+                g = bd.gradient.copy()
+                assert abs(g[k]) >= 1.0
+                g[k] *= 1.001
+                bd = replace(bd, gradient=g)
+            return bd
+
+        report = gradient_check(model, data, ObjectiveConfig(), loss_fn=off)
+        assert not report.passed and [c for c, _ in report.failures] == [k]
+        assert report.max_rel_error == pytest.approx(1e-3, rel=0.01)
 
     def test_invalid_step_rejected(self):
         schema = default_schema()
