@@ -200,8 +200,6 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     if getattr(args, "seed", None) is not None:
         cfg["train"]["seed"] = args.seed
         cfg["datagen"]["seed"] = args.seed
-    if getattr(args, "unsquared_l2", False):
-        cfg["objective"]["squared_l2"] = False
     if getattr(args, "stochastic", False):
         cfg["simulate"]["stochastic"] = True
     return cfg
@@ -316,8 +314,7 @@ def cmd_eval(args) -> int:
     schema = schema_from_config(cfg)
     obj_cfg = objective_from_config(cfg)
     model = _load_matching_model(args.model, cfg, schema)
-    groups = _read_valid_dataset(args.dataset, schema)
-    packed = pack_groups(groups)
+    packed = pack_groups(_read_valid_dataset(args.dataset, schema))
     base = _baseline_cost(schema, packed.n_instances)
     report = evaluate(model, packed, obj_cfg, baseline_cost=base)
 
@@ -330,11 +327,11 @@ def cmd_eval(args) -> int:
         cheap = tuple(i for i, f in enumerate(schema.features) if f.kind == "statistical")
         keep_k = int(cfg["eval"]["two_stage_keep_k"])
         filt = min(cheap or all_feats, key=lambda i: schema.features[i].cost)
-        _, rep_all = baseline_single_stage(groups, schema, all_feats, obj_cfg, train_cfg, base)
-        _, rep_cheap = baseline_single_stage(groups, schema, cheap or all_feats[:1],
+        _, rep_all = baseline_single_stage(packed, schema, all_feats, obj_cfg, train_cfg, base)
+        _, rep_cheap = baseline_single_stage(packed, schema, cheap or all_feats[:1],
                                              obj_cfg, train_cfg, base)
-        rep_two = baseline_two_stage(groups, schema, filt, keep_k, obj_cfg, train_cfg, base)
-        rep_soft = baseline_soft_cascade(groups, schema, model.assignment, obj_cfg, train_cfg,
+        rep_two = baseline_two_stage(packed, schema, filt, keep_k, obj_cfg, train_cfg, base)
+        rep_soft = baseline_soft_cascade(packed, schema, model.assignment, obj_cfg, train_cfg,
                                          base)
         rows = [
             ("single-all", rep_all), ("single-cheap", rep_cheap), ("two-stage", rep_two),
@@ -430,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
         shared.add_argument(flag, type=float, default=None)
     shared.add_argument("--epochs", type=int, default=None)
     shared.add_argument("--batch-size", type=int, default=None)
-    shared.add_argument("--unsquared-l2", action="store_true")
 
     parser = argparse.ArgumentParser(prog="cascade-ranker",
                                      description="Cost-aware cascade ranking toolkit")

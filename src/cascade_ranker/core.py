@@ -7,7 +7,9 @@ A query group is built one way, from its column block:
 for the vectorized math.
 
 All types here are immutable after construction and safe to share across
-threads. Vectors are float64 numpy arrays.
+threads. Vectors are float64 numpy arrays. The types that hold arrays
+(``QueryGroup``, ``CascadeModel``, ``PackedDataset``) compare and hash by
+identity.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def stage_costs(assignment: StageAssignment, schema: FeatureSchema) -> np.ndarra
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryGroup:
     """A query with its one-hot query vector, recalled-item count M_q, and
     its N_q sampled labeled instances (N_q <= M_q for valid datasets), held
@@ -187,7 +189,7 @@ class QueryGroup:
         return self.labels.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CascadeModel:
     """Learned cascade: per-stage item-feature weights over that stage's
     feature subset plus per-stage query-feature weights."""
@@ -349,7 +351,7 @@ def validate_dataset(groups: Iterable[QueryGroup], schema: FeatureSchema) -> lis
     return violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackedDataset:
     """Columnar rows of many query groups, for vectorized math.
 

@@ -137,11 +137,14 @@ class EvalReport(QueryReport):
 
 def _report(auc_val: float, cost: float, baseline_cost: float | None, packed: PackedDataset,
             counts: np.ndarray, latencies: np.ndarray, cfg: ObjectiveConfig) -> EvalReport:
+    base = cost if baseline_cost is None else baseline_cost
+    if base == 0:
+        raise ValueError("expected cost ratio is undefined: the baseline cost is 0")
     columns, summary = query_table(packed, counts, latencies, cfg)
     return EvalReport(
         auc=float(auc_val),
         expected_cost=float(cost),
-        expected_cost_ratio=float(cost / (baseline_cost if baseline_cost is not None else cost)),
+        expected_cost_ratio=float(cost / base),
         mean_final_count=float(np.mean(counts)),
         **summary,
         per_query=tuple(map(PerQueryRecord, *columns)),
@@ -154,7 +157,7 @@ def evaluate(model: CascadeModel, data, cfg: ObjectiveConfig,
     to ``baseline_cost``; to itself when omitted), and per-query expected
     result counts and latencies, all from one forward pass."""
     packed = data if isinstance(data, PackedDataset) else pack_groups(data)
-    scores, cost, counts, latencies = forward_expectations(model, packed, cfg)
+    scores, cost, counts, latencies = forward_expectations(model, packed)
     return _report(macro_auc(scores, packed), cost, baseline_cost, packed, counts, latencies, cfg)
 
 

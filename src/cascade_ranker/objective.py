@@ -2,12 +2,13 @@
 
 Three nested objectives over a cascade model:
 
-  level 1: behavior-weighted negative log-likelihood + L2 regularization
+  level 1: behavior-weighted negative log-likelihood + ridge regularization
+           alpha * |w|^2
   level 2: level 1 + a CPU-cost term charging each stage's cost to the items
            expected to enter it
-  level 3: level 2 + smooth (softplus) penalties keeping the expected
-           per-query result count above a floor and the expected per-query
-           latency below a ceiling
+  level 3: level 2 + smooth (softplus) penalties, one per query, keeping the
+           expected result count above a floor and the expected latency (stage
+           j's cost charged to its expected entrants) below a ceiling
 
 Everything is computed in log space from the stage logits, so no intermediate
 log(0) occurs for finite weights. The key identity used for log(1 - prod_j p_j)
@@ -41,9 +42,12 @@ OBJECTIVE_LEVELS = ("l1", "l2", "l3")
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    """Coefficients and thresholds of the full objective.
+    """Coefficients and thresholds of the full objective: the ridge term
+    alpha * |w|^2, the expected CPU cost, and per query one softplus penalty
+    on its expected result count and one on its expected latency, where
+    stage j's cost is charged to the items expected to enter it.
 
-    alpha      L2 regularization coefficient.
+    alpha      ridge (squared L2) regularization coefficient.
     beta       CPU-cost trade-off coefficient.
     gamma      softplus sharpness; the softplus-hinge gap is ln(2)/gamma.
     delta      weight of the result-count floor penalty.
@@ -53,13 +57,6 @@ class ObjectiveConfig:
     latency_ceiling    latency threshold per query, in cost units (T_l).
     purchase_weight    how many times more important a purchase is than a click.
     price_weight       multiplier on log(price) in behavior weights.
-    squared_l2         ridge (|w|^2) when True, plain Euclidean norm otherwise.
-    penalty_per_instance
-               sum the per-query penalties once per instance (multiplying each
-               query's penalty by its group size) instead of once per query.
-    latency_survivor_form
-               charge stage j's cost to that stage's survivors instead of its
-               entrants when computing expected latency.
     cost_units_per_ms  reporting-only conversion between cost units and ms.
     """
 
@@ -72,9 +69,6 @@ class ObjectiveConfig:
     latency_ceiling: float = 19_500.0
     purchase_weight: float = 10.0
     price_weight: float = 1.0
-    squared_l2: bool = True
-    penalty_per_instance: bool = False
-    latency_survivor_form: bool = False
     cost_units_per_ms: float = 150.0
 
     def __post_init__(self):
@@ -153,22 +147,6 @@ def softplus_penalty(z: float, threshold: float, gamma: float) -> float:
     return float(_scaled_softplus_gap(threshold - z, gamma))
 
 
-@dataclass(frozen=True)
-class _Terms:
-    """Raw per-dataset quantities produced by one forward/backward sweep."""
-
-    nll: float
-    cost: float
-    size_penalty: float
-    latency_penalty: float
-    counts_final: np.ndarray      # per-query expected final count (recall-scaled)
-    latencies: np.ndarray         # per-query expected latency, cost units
-    grad_nll: np.ndarray | None
-    grad_cost: np.ndarray | None
-    grad_size: np.ndarray | None
-    grad_latency: np.ndarray | None
-
-
 def _weight_grads(model: CascadeModel, packed: PackedDataset, dZs) -> np.ndarray:
     """Chain each dLoss/dZ (n, T) of ``dZs`` back to the flat weight vector:
     row k of the result is the gradient of ``dZs[k]``.
@@ -177,6 +155,8 @@ def _weight_grads(model: CascadeModel, packed: PackedDataset, dZs) -> np.ndarray
     taken by one ``reduceat``; the products stay one matrix-vector product per
     column, which keeps every component's bits those of the per-column chain."""
     T, dq = model.n_stages, packed.G.shape[1]
+    if packed.n_instances == 0:    # pack_groups([]) has no feature columns to gather
+        return np.zeros((len(dZs), model.n_weights))
     per_group = np.ascontiguousarray(
         np.add.reduceat(np.concatenate(dZs, axis=1), packed.offsets[:-1], axis=0).T
     )
@@ -226,9 +206,8 @@ def _suffix_sums(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _query_expectations(packed: PackedDataset, cfg: ObjectiveConfig, t: np.ndarray,
-                        P: np.ndarray):
-    """(suffix, counts_final, latencies, lat_suffix) from the cumulative pass
+def _query_expectations(packed: PackedDataset, t: np.ndarray, P: np.ndarray):
+    """(suffix, counts_final, latencies) from the cumulative pass
     probabilities ``P`` (n, T): per-query expected final counts and
     latencies, recall-scaled, and the per-item cost suffixes behind them."""
     T = P.shape[1]
@@ -241,16 +220,10 @@ def _query_expectations(packed: PackedDataset, cfg: ObjectiveConfig, t: np.ndarr
         suffix[:, : T - 1] = _suffix_sums(P[:, : T - 1] * t[1:])
 
     counts_final = mratio * np.add.reduceat(P[:, -1], packed.offsets[:-1])
-    if cfg.latency_survivor_form:
-        surv = _suffix_sums(P * t)
-        latencies = mratio * np.add.reduceat(surv[:, 0], packed.offsets[:-1])
-        lat_suffix = surv
-    else:
-        latencies = t[0] * packed.mcounts + mratio * np.add.reduceat(
-            suffix[:, 0], packed.offsets[:-1]
-        )
-        lat_suffix = suffix
-    return suffix, counts_final, latencies, lat_suffix
+    latencies = t[0] * packed.mcounts + mratio * np.add.reduceat(
+        suffix[:, 0], packed.offsets[:-1]
+    )
+    return suffix, counts_final, latencies
 
 
 def _entrant_cost(t: np.ndarray, P: np.ndarray) -> float:
@@ -261,64 +234,6 @@ def _entrant_cost(t: np.ndarray, P: np.ndarray) -> float:
         # a contiguous copy sums exactly like np.exp(cum_log_p[:, j - 1])
         total += t[j] * float(np.sum(np.ascontiguousarray(P[:, j - 1])))
     return float(total)
-
-
-def _evaluate_terms(model: CascadeModel, packed: PackedDataset, cfg: ObjectiveConfig,
-                    want_grad: bool) -> _Terms:
-    t = stage_costs(model.assignment, model.schema)
-    nw = model.n_weights
-
-    if packed.n_instances == 0:
-        zeros = (np.zeros(nw) if want_grad else None)
-        return _Terms(0.0, 0.0, 0.0, 0.0, np.zeros(0), np.zeros(0),
-                      zeros, zeros, zeros, zeros)
-
-    Z = batch_logits(model, packed)
-    log_p = log_expit(Z)                       # log p per stage
-    # batch_log_pass's cumulative sum, into a second array so that log p stays
-    cum_log_p = _cumsum_columns(log_p, out=np.empty_like(log_p))
-    log_q = log_expit(-Z)                      # log(1 - p) per stage
-    prefix = cum_log_p - log_p                 # sum of log p over stages < j
-    log_p_final = cum_log_p[:, -1]
-    # telescoping: log(1 - prod p) = logsumexp_j [log(1-p_j) + sum_{k<j} log p_k]
-    log_1mp = _logsumexp_rows(log_q + prefix)
-
-    wgt = instance_weights(packed.labels, packed.prices, cfg)
-    y = packed.y
-    nll = -float(np.sum(wgt * (y * log_p_final + (1.0 - y) * log_1mp)))
-
-    P = np.exp(cum_log_p)                      # cumulative pass probabilities
-    sizes = packed.sizes
-    mratio = packed.mcounts / sizes            # M_q / N_q
-    suffix, counts_final, latencies, lat_suffix = _query_expectations(packed, cfg, t, P)
-
-    cost = float(t[0] * packed.n_instances + np.sum(suffix[:, 0]))
-    size_pen_q = _scaled_softplus_gap(cfg.result_floor - counts_final, cfg.gamma)
-    lat_pen_q = _scaled_softplus_gap(latencies - cfg.latency_ceiling, cfg.gamma)
-
-    pen_scale = sizes.astype(np.float64) if cfg.penalty_per_instance else np.ones_like(mratio)
-    size_penalty = float(np.sum(pen_scale * size_pen_q))
-    latency_penalty = float(np.sum(pen_scale * lat_pen_q))
-
-    if not want_grad:
-        return _Terms(nll, cost, size_penalty, latency_penalty, counts_final,
-                      latencies, None, None, None, None)
-
-    sig_neg = np.exp(log_q)                    # 1 - p per stage, underflow-safe
-    # y=0 term is p * (1 - p_j) / (1 - p): <= 1 analytically, so summing the
-    # exponents before exponentiating cannot overflow.
-    neg_term = np.exp((log_p_final - log_1mp)[:, None] + log_q)
-    dZ_nll = wgt[:, None] * np.where(y[:, None] > 0, -sig_neg, neg_term)
-    dZ_cost = sig_neg * suffix
-    size_coef = -expit(cfg.gamma * (cfg.result_floor - counts_final)) * mratio * pen_scale
-    dZ_size = np.repeat(size_coef, sizes)[:, None] * P[:, -1][:, None] * sig_neg
-    lat_coef = expit(cfg.gamma * (latencies - cfg.latency_ceiling)) * mratio * pen_scale
-    dZ_lat = np.repeat(lat_coef, sizes)[:, None] * sig_neg * lat_suffix
-    grad_nll, grad_cost, grad_size, grad_latency = _weight_grads(
-        model, packed, (dZ_nll, dZ_cost, dZ_size, dZ_lat))
-
-    return _Terms(nll, cost, size_penalty, latency_penalty, counts_final, latencies,
-                  grad_nll, grad_cost, grad_size, grad_latency)
 
 
 def _as_packed(data) -> PackedDataset:
@@ -342,56 +257,82 @@ def _masked_coeffs(cfg: ObjectiveConfig, objective: str) -> tuple[float, float, 
     return beta, delta, lat_w
 
 
-def _reg_value_and_grad(w: np.ndarray, cfg: ObjectiveConfig, want_grad: bool):
-    if cfg.squared_l2:
-        val = float(w @ w)
-        grad = 2.0 * w if want_grad else None
-    else:
-        norm = float(np.linalg.norm(w))
-        val = norm
-        if want_grad:
-            grad = w / norm if norm > 0 else np.zeros_like(w)
-        else:
-            grad = None
-    return val, grad
-
-
 def loss(model: CascadeModel, data, cfg: ObjectiveConfig, objective: str = "l3",
          want_grad: bool = True) -> LossBreakdown:
-    """Loss breakdown (and analytic gradient) at the requested objective level."""
+    """Loss breakdown (and analytic gradient) at the requested objective level.
+
+    One forward sweep over the rows gives the weighted NLL, the expected CPU
+    cost (stage j's cost charged to its expected entrants) and one softplus
+    penalty per query on its expected result count and latency; the ridge
+    term is alpha * |w|^2. With ``want_grad`` one backward sweep chains the
+    four data terms to the weights together; otherwise ``gradient`` is empty.
+    """
     packed = _as_packed(data)
     beta, delta, lat_w = _masked_coeffs(cfg, objective)
-    terms = _evaluate_terms(model, packed, cfg, want_grad)
-    w = model.flat_weights()
-    reg, reg_grad = _reg_value_and_grad(w, cfg, want_grad)
+    t = stage_costs(model.assignment, model.schema)
+    Z = batch_logits(model, packed)
+    log_p = log_expit(Z)                       # log p per stage
+    # batch_log_pass's cumulative sum, into a second array so that log p stays
+    cum_log_p = _cumsum_columns(log_p, out=np.empty_like(log_p))
+    log_q = log_expit(-Z)                      # log(1 - p) per stage
+    prefix = cum_log_p - log_p                 # sum of log p over stages < j
+    log_p_final = cum_log_p[:, -1]
+    # telescoping: log(1 - prod p) = logsumexp_j [log(1-p_j) + sum_{k<j} log p_k]
+    log_1mp = _logsumexp_rows(log_q + prefix)
 
-    total = (terms.nll + cfg.alpha * reg + beta * terms.cost
-             + delta * terms.size_penalty + lat_w * terms.latency_penalty)
+    wgt = instance_weights(packed.labels, packed.prices, cfg)
+    y = packed.y
+    nll = -float(np.sum(wgt * (y * log_p_final + (1.0 - y) * log_1mp)))
+
+    P = np.exp(cum_log_p)                      # cumulative pass probabilities
+    suffix, counts_final, latencies = _query_expectations(packed, t, P)
+    cost = float(t[0] * packed.n_instances + np.sum(suffix[:, 0]))
+    size_penalty = float(np.sum(_scaled_softplus_gap(cfg.result_floor - counts_final, cfg.gamma)))
+    latency_penalty = float(np.sum(
+        _scaled_softplus_gap(latencies - cfg.latency_ceiling, cfg.gamma)))
+
+    w = model.flat_weights()
+    l2 = float(w @ w)
+    total = (nll + cfg.alpha * l2 + beta * cost
+             + delta * size_penalty + lat_w * latency_penalty)
+    gradient = np.zeros(0)
     if want_grad:
-        gradient = (terms.grad_nll + cfg.alpha * reg_grad + beta * terms.grad_cost
-                    + delta * terms.grad_size + lat_w * terms.grad_latency)
-    else:
-        gradient = np.zeros(0)
+        sizes = packed.sizes
+        mratio = packed.mcounts / sizes        # M_q / N_q
+        sig_neg = np.exp(log_q)                # 1 - p per stage, underflow-safe
+        # y=0 term is p * (1 - p_j) / (1 - p): <= 1 analytically, so summing the
+        # exponents before exponentiating cannot overflow.
+        neg_term = np.exp((log_p_final - log_1mp)[:, None] + log_q)
+        dZ_nll = wgt[:, None] * np.where(y[:, None] > 0, -sig_neg, neg_term)
+        dZ_cost = sig_neg * suffix
+        size_coef = -expit(cfg.gamma * (cfg.result_floor - counts_final)) * mratio
+        dZ_size = np.repeat(size_coef, sizes)[:, None] * P[:, -1][:, None] * sig_neg
+        lat_coef = expit(cfg.gamma * (latencies - cfg.latency_ceiling)) * mratio
+        dZ_lat = np.repeat(lat_coef, sizes)[:, None] * sig_neg * suffix
+        grad_nll, grad_cost, grad_size, grad_latency = _weight_grads(
+            model, packed, (dZ_nll, dZ_cost, dZ_size, dZ_lat))
+        gradient = (grad_nll + cfg.alpha * (2.0 * w) + beta * grad_cost
+                    + delta * grad_size + lat_w * grad_latency)
     return LossBreakdown(
-        total=float(total), nll=terms.nll, l2=reg, expected_cost=terms.cost,
-        size_penalty=terms.size_penalty, latency_penalty=terms.latency_penalty,
-        queries_below_floor=int(np.count_nonzero(terms.counts_final < cfg.result_floor)),
-        queries_above_ceiling=int(np.count_nonzero(terms.latencies > cfg.latency_ceiling)),
+        total=float(total), nll=nll, l2=l2, expected_cost=cost,
+        size_penalty=size_penalty, latency_penalty=latency_penalty,
+        queries_below_floor=int(np.count_nonzero(counts_final < cfg.result_floor)),
+        queries_above_ceiling=int(np.count_nonzero(latencies > cfg.latency_ceiling)),
         gradient=gradient, objective=objective,
     )
 
 
-def per_query_expectations(model: CascadeModel, data, cfg: ObjectiveConfig):
+def per_query_expectations(model: CascadeModel, data):
     """(expected final counts, expected latencies) per query, recall-scaled."""
-    return forward_expectations(model, _as_packed(data), cfg)[2:]
+    return forward_expectations(model, _as_packed(data))[2:]
 
 
-def forward_expectations(model: CascadeModel, packed: PackedDataset, cfg: ObjectiveConfig):
+def forward_expectations(model: CascadeModel, packed: PackedDataset):
     """Everything a report needs from one forward pass over ``packed``:
     (final pass probability per instance, ``expected_cost``, and the per-query
     expected final counts and latencies of ``per_query_expectations``), each
     summed in the same order as those functions."""
     t = stage_costs(model.assignment, model.schema)
     P = np.exp(batch_log_pass(model, packed)[1])
-    _, counts_final, latencies, _ = _query_expectations(packed, cfg, t, P)
+    _, counts_final, latencies = _query_expectations(packed, t, P)
     return P[:, -1], _entrant_cost(t, P), counts_final, latencies

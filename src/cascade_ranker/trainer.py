@@ -103,11 +103,16 @@ def init_weights(schema: FeatureSchema, assignment: StageAssignment, seed: int,
     return CascadeModel(tuple(item), tuple(query), assignment, schema)
 
 
-def train(data: Sequence[QueryGroup], schema: FeatureSchema, assignment: StageAssignment,
-          obj_cfg: ObjectiveConfig, train_cfg: TrainConfig,
-          eval_data: Sequence[QueryGroup] | None = None,
+def _packed(data: PackedDataset | Sequence[QueryGroup]) -> PackedDataset:
+    return data if isinstance(data, PackedDataset) else pack_groups(data)
+
+
+def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
+          assignment: StageAssignment, obj_cfg: ObjectiveConfig, train_cfg: TrainConfig,
+          eval_data: PackedDataset | Sequence[QueryGroup] | None = None,
           ) -> tuple[CascadeModel, TrainLog]:
-    """SGD over shuffled mini-batches of query groups.
+    """SGD over shuffled mini-batches of query groups, given as a
+    ``PackedDataset`` or a sequence of ``QueryGroup``s.
 
     Each epoch appends an ``EpochRecord``. Its loss fields add up the loss
     breakdowns of the epoch's batches, each taken at the weights before that
@@ -118,7 +123,7 @@ def train(data: Sequence[QueryGroup], schema: FeatureSchema, assignment: StageAs
     from .evaluator import macro_auc  # local import: evaluator depends on objective
     from .cascade import batch_final_probs
 
-    packed = pack_groups(data)
+    packed = _packed(data)
     if packed.n_instances == 0:
         raise ValueError("training data is empty")
     if packed.y.min() == packed.y.max():
@@ -128,7 +133,7 @@ def train(data: Sequence[QueryGroup], schema: FeatureSchema, assignment: StageAs
     w = model.flat_weights()
     shuffle_rng = np.random.default_rng([train_cfg.seed, 1])
     n_total = packed.n_instances
-    eval_packed = pack_groups(eval_data) if eval_data is not None else packed
+    eval_packed = _packed(eval_data) if eval_data is not None else packed
 
     log = TrainLog()
     start = time.monotonic()
@@ -215,7 +220,7 @@ def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
     if h <= 0:
         raise ValueError("h must be > 0")
     fn = loss_fn if loss_fn is not None else loss
-    packed = data if isinstance(data, PackedDataset) else pack_groups(data)
+    packed = _packed(data)
     w = model.flat_weights()
     analytic = fn(model, packed, obj_cfg, objective).gradient
 

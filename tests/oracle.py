@@ -8,7 +8,7 @@ from scipy.special import expit, log_expit, logsumexp
 
 from cascade_ranker.cascade import batch_logits
 from cascade_ranker.core import LABEL_NONE, stage_costs
-from cascade_ranker.objective import _masked_coeffs, _reg_value_and_grad, instance_weights
+from cascade_ranker.objective import _masked_coeffs, instance_weights
 
 
 def stage_probabilities(model, query_features, x) -> np.ndarray:
@@ -33,12 +33,10 @@ def expected_count(model, group, j: int) -> float:
     return float(group.recalled_count / group.size * passed)
 
 
-def expected_latency(model, group, survivor_form: bool = False) -> float:
-    """t_j charged to stage j's expected entrants, or with ``survivor_form``
-    to its expected survivors."""
+def expected_latency(model, group) -> float:
+    """t_j charged to stage j's expected entrants."""
     t = stage_costs(model.assignment, model.schema)
-    shift = 1 if survivor_form else 0
-    return float(sum(t[j] * expected_count(model, group, j + shift) for j in range(len(t))))
+    return float(sum(t[j] * expected_count(model, group, j) for j in range(len(t))))
 
 
 def accumulate_weight_grad(model, packed, dZ) -> np.ndarray:
@@ -76,29 +74,22 @@ def loss_gradient(model, packed, cfg, objective: str) -> np.ndarray:
     suffix = np.zeros_like(P)
     suffix[:, :-1] = _suffix_sums(P[:, :-1] * t[1:])
     counts_final = mratio * np.add.reduceat(P[:, -1], starts)
-    if cfg.latency_survivor_form:
-        lat_suffix = _suffix_sums(P * t)
-        latencies = mratio * np.add.reduceat(lat_suffix[:, 0], starts)
-    else:
-        lat_suffix = suffix
-        latencies = t[0] * packed.mcounts + mratio * np.add.reduceat(suffix[:, 0], starts)
-    pen_scale = sizes.astype(np.float64) if cfg.penalty_per_instance else np.ones_like(mratio)
+    latencies = t[0] * packed.mcounts + mratio * np.add.reduceat(suffix[:, 0], starts)
 
     sig_neg = np.exp(log_q)
     neg_term = np.exp((log_p_final - log_1mp)[:, None] + log_q)
     dZ_nll = wgt[:, None] * np.where(packed.y[:, None] > 0, -sig_neg, neg_term)
     grad_nll = accumulate_weight_grad(model, packed, dZ_nll)
     grad_cost = accumulate_weight_grad(model, packed, sig_neg * suffix)
-    size_coef = -expit(cfg.gamma * (cfg.result_floor - counts_final)) * mratio * pen_scale
+    size_coef = -expit(cfg.gamma * (cfg.result_floor - counts_final)) * mratio
     dZ_size = np.repeat(size_coef, sizes)[:, None] * P[:, -1][:, None] * sig_neg
     grad_size = accumulate_weight_grad(model, packed, dZ_size)
-    lat_coef = expit(cfg.gamma * (latencies - cfg.latency_ceiling)) * mratio * pen_scale
-    dZ_lat = np.repeat(lat_coef, sizes)[:, None] * sig_neg * lat_suffix
+    lat_coef = expit(cfg.gamma * (latencies - cfg.latency_ceiling)) * mratio
+    dZ_lat = np.repeat(lat_coef, sizes)[:, None] * sig_neg * suffix
     grad_latency = accumulate_weight_grad(model, packed, dZ_lat)
 
     beta, delta, lat_w = _masked_coeffs(cfg, objective)
-    reg_grad = _reg_value_and_grad(model.flat_weights(), cfg, want_grad=True)[1]
-    return (grad_nll + cfg.alpha * reg_grad + beta * grad_cost
+    return (grad_nll + cfg.alpha * (2.0 * model.flat_weights()) + beta * grad_cost
             + delta * grad_size + lat_w * grad_latency)
 
 

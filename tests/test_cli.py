@@ -86,7 +86,7 @@ class TestDatagenCommand:
 
 # sha256 of json.dumps(default_config(), indent=2): the manifests embed the
 # resolved config, so a changed default changes every manifest
-DEFAULT_CONFIG_SHA256 = "db0fa8345eed7a8381fd63711b6e858a1117b33d7501181f883392d53949a54d"
+DEFAULT_CONFIG_SHA256 = "46fcca1802f7ceac14d50f91d4b8303c31356df6b4444cc59dc5490049564419"
 
 
 class TestConfigBoundary:
@@ -102,6 +102,11 @@ class TestConfigBoundary:
         ('{"objective": 0.1}', "section 'objective' is not an object"),
         ('{"schema": {"stages": [["sales_volume"], ["no_such_feature"]]}}',
          "section 'schema', key 'stages': no feature named 'no_such_feature'"),
+        ('{"objective": {"squared_l2": false}}', "unknown key 'squared_l2' in section 'objective'"),
+        ('{"objective": {"penalty_per_instance": true}}',
+         "unknown key 'penalty_per_instance' in section 'objective'"),
+        ('{"objective": {"latency_survivor_form": true}}',
+         "unknown key 'latency_survivor_form' in section 'objective'"),
     ])
     def test_bad_config_exits_1(self, tmp_path, capsys, content, named):
         path = tmp_path / "bad.json"
@@ -126,6 +131,27 @@ class TestConfigBoundary:
         if command == "train":
             argv += ["--dataset", str(tmp_path / "dataset.txt")]
         _fails_cleanly(argv, capsys, named)
+
+    def test_unsquared_l2_flag_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--unsquared-l2", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+
+    def test_zero_feature_costs_eval_exits_1(self, tmp_path, capsys):
+        cfg = default_config()
+        for feature in cfg["schema"]["features"]:
+            feature["cost"] = 0.0
+        cfg["datagen"]["n_queries"] = 30
+        cfg["train"]["epochs"] = 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        data = _gen(tmp_path, path)
+        model = _train(tmp_path, path, data)
+        common = ["--config", str(path), "--dataset", str(data), "--model", str(model)]
+        assert main(["simulate", *common, "--out", str(tmp_path / "sim")]) == 0
+        err = _fails_cleanly(["eval", *common, "--out", str(tmp_path / "eval")], capsys,
+                             "baseline cost is 0")
+        assert err.count("\n") == 1
 
 
 class TestDatasetValidation:

@@ -237,6 +237,30 @@ class TestModelWeights:
             model.with_flat_weights(w)
 
 
+class TestIdentityEquality:
+    """The types that hold arrays compare and hash by identity: a copy with
+    equal values is a different object."""
+
+    @staticmethod
+    def _check(x, copy):
+        assert x == x
+        assert x != copy
+        assert len({x, copy}) == 2
+
+    def test_query_group(self):
+        g = _group(default_schema())
+        self._check(g, replace(g, X=g.X.copy()))
+
+    def test_packed_dataset(self):
+        groups = [_group(default_schema(), qid="a"), _group(default_schema(), qid="b")]
+        self._check(pack_groups(groups), pack_groups(groups))
+
+    def test_cascade_model(self):
+        schema = default_schema()
+        model = init_weights(schema, default_assignment(schema), seed=2, init_scale=0.5)
+        self._check(model, model.with_flat_weights(model.flat_weights()))
+
+
 class TestPacking:
     def test_row_order_and_offsets(self):
         schema = default_schema()

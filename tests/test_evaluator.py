@@ -26,7 +26,7 @@ from cascade_ranker.evaluator import (
 from cascade_ranker.objective import ObjectiveConfig, expected_cost
 from cascade_ranker.trainer import TrainConfig, init_weights, train
 from groups import make_group
-from oracle import auc, stage_probabilities
+from oracle import auc, expected_count, expected_latency, stage_probabilities
 
 
 class TestAuc:
@@ -200,9 +200,25 @@ class TestEvaluate:
         # bit for bit what the per-quantity functions give
         assert report.auc == macro_auc(cascade.batch_final_probs(model, packed), packed)
         assert report.expected_cost == expected_cost(model, packed)
-        terms = objective._evaluate_terms(model, packed, cfg, want_grad=False)
-        assert [r.expected_final_count for r in report.per_query] == terms.counts_final.tolist()
-        assert [r.expected_latency_units for r in report.per_query] == terms.latencies.tolist()
+        # the per-query figures of the stage-by-stage reference, and the
+        # flags the loss counts
+        assert [r.expected_final_count for r in report.per_query] == pytest.approx(
+            [expected_count(model, g, model.n_stages) for g in data], rel=1e-12)
+        assert [r.expected_latency_units for r in report.per_query] == pytest.approx(
+            [expected_latency(model, g) for g in data], rel=1e-12)
+        bd = objective.loss(model, packed, cfg, want_grad=False)
+        below = sum(r.below_floor for r in report.per_query)
+        above = sum(r.above_latency_ceiling for r in report.per_query)
+        assert (below, above) == (bd.queries_below_floor, bd.queries_above_ceiling)
+        assert 0 < above < len(data)
+
+    def test_zero_baseline_cost_rejected(self):
+        schema = FeatureSchema(tuple(replace(f, cost=0.0) for f in default_schema().features))
+        data = generate(GenConfig(n_queries=10, seed=1), schema)
+        model = init_weights(schema, default_assignment(schema), 1, 0.3)
+        for base in (None, 0.0):
+            with pytest.raises(ValueError, match="baseline cost is 0"):
+                evaluate(model, data, ObjectiveConfig(), baseline_cost=base)
 
 
 class TestSingleStageBaseline:
@@ -269,6 +285,18 @@ class TestTwoStageBaseline:
         schema, _, data = _benchmark(n=10)
         with pytest.raises(ValueError, match="filter feature"):
             baseline_two_stage(data, schema, 99, 100, ObjectiveConfig(), TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("run", [
+    lambda data, schema, obj, cfg: baseline_single_stage(data, schema, (0, 1, 2), obj, cfg)[1],
+    lambda data, schema, obj, cfg: baseline_two_stage(data, schema, 0, 300, obj, cfg),
+    lambda data, schema, obj, cfg: baseline_soft_cascade(
+        data, schema, default_assignment(schema), obj, cfg),
+], ids=["single_stage", "two_stage", "soft_cascade"])
+def test_baseline_report_same_from_packed_data(run):
+    schema, _, data = _benchmark(seed=9, n=40)
+    obj, cfg = ObjectiveConfig(), TrainConfig(epochs=2, seed=3)
+    assert run(pack_groups(data), schema, obj, cfg) == run(data, schema, obj, cfg)
 
 
 class TestSoftCascadeBaseline:

@@ -133,9 +133,9 @@ class TestWeightedNll:
         assert np.all(np.isfinite(bd.gradient))
 
 
-def _expectations(model, g, cfg=None):
+def _expectations(model, g):
     """(expected final count, expected latency) of the one query ``g``."""
-    counts, latencies = per_query_expectations(model, [g], cfg or ObjectiveConfig())
+    counts, latencies = per_query_expectations(model, [g])
     return float(counts[0]), float(latencies[0])
 
 
@@ -231,16 +231,6 @@ class TestExpectedLatency:
         model = _unit_model(schema, ((0,), (1,)))
         g = make_group(schema, 100, [[-800.0, 0.0]])
         assert _expectations(model, g)[1] == pytest.approx(2.0)
-
-    def test_survivor_form_flag(self):
-        schema = _schema2()
-        model = _unit_model(schema, ((0,), (1,)))
-        g = make_group(schema, 100, [[_logit(0.25), 0.0]])
-        cfg = ObjectiveConfig(latency_survivor_form=True)
-        # survivors: t1*E[C1] + t2*E[C2]; E[C2] = 100 * 0.25 * 0.5
-        want = 0.02 * 25.0 + 0.74 * 12.5
-        assert _expectations(model, g, cfg)[1] == pytest.approx(want, rel=1e-9)
-        assert expected_latency(model, g, survivor_form=True) == pytest.approx(want, rel=1e-9)
 
 
 class TestSoftplusPenalty:
@@ -391,20 +381,6 @@ class TestGradients:
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-5
 
-    @pytest.mark.parametrize("kwargs", [
-        {"squared_l2": False, "alpha": 1.3},
-        {"latency_survivor_form": True},
-        {"penalty_per_instance": True},
-    ])
-    def test_variant_flags(self, kwargs):
-        import dataclasses
-        model, groups, cfg = _random_problem(6)
-        cfg = dataclasses.replace(cfg, **kwargs)
-        analytic = loss(model, groups, cfg, "l3").gradient
-        numeric = _fd_gradient(model, groups, cfg, "l3")
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-        assert np.max(np.abs(analytic - numeric) / denom) < 2e-5
-
 
 # ties (0 and -0 among them), saturated logits and -inf, next to arbitrary values
 _LSE_ELEMENTS = st.one_of(
@@ -458,8 +434,13 @@ class TestGradientChain:
         lambda: _generated_problem(5, 40.0),
     ])
     @pytest.mark.parametrize("kwargs", [
-        {}, {"latency_survivor_form": True}, {"penalty_per_instance": True},
-        {"squared_l2": False},
+        {},
+        # a small gamma: penalty coefficients away from 0 and 1
+        {"gamma": 0.05},
+        # every query below its floor and above its ceiling: coefficients at 1
+        {"result_floor": 1e9, "latency_ceiling": 1e-3},
+        # zero NLL weight on every click and purchase row
+        {"purchase_weight": 1.0, "price_weight": 0.0},
     ])
     def test_bit_identical_to_per_column_chain(self, objective, problem, kwargs):
         import dataclasses

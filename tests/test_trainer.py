@@ -112,6 +112,20 @@ class TestTrain:
         _, log = train(data, schema, asg, obj, cfg)
         assert log.records[-1].total <= log.records[0].total
 
+    def test_packed_dataset_trains_the_same_model(self, tmp_path):
+        schema = default_schema()
+        asg = default_assignment(schema)
+        data = generate(GenConfig(n_queries=40, seed=8), schema)
+        fit, hold = data[:30], data[30:]
+        cfg = TrainConfig(epochs=3, seed=4)
+        runs = []
+        for k, (fit_k, hold_k) in enumerate([(fit, hold), (pack_groups(fit), pack_groups(hold))]):
+            model, log = train(fit_k, schema, asg, ObjectiveConfig(), cfg, eval_data=hold_k)
+            save_model(model, tmp_path / f"model{k}.txt")
+            runs.append(((tmp_path / f"model{k}.txt").read_text(),
+                         [replace(r, wall_time_s=0.0) for r in log.records]))
+        assert runs[0] == runs[1]
+
     def test_degenerate_labels_rejected(self):
         schema = default_schema()
         g = make_group(schema, 3, np.zeros((2, 5)), labels=1)
