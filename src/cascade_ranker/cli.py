@@ -241,6 +241,8 @@ def _split_holdout(groups, fraction: float, seed: int):
 
 def _read_valid_dataset(path, schema: FeatureSchema):
     groups = read_dataset(path, schema)
+    if not groups:
+        raise ValueError(f"dataset {path} has no queries")
     violations = validate_dataset(groups, schema)
     if violations:
         raise ValueError(f"dataset {path} fails validation ({len(violations)} violations): "

@@ -84,12 +84,19 @@ class FeatureSchema:
 
     def query_onehot(self, recalled_count: int) -> np.ndarray:
         """One-hot vector for the bin containing ``recalled_count``."""
-        if recalled_count < 1:
-            raise ValueError(f"recalled_count must be >= 1, got {recalled_count}")
-        idx = int(np.searchsorted(self.query_bin_edges, recalled_count, side="right"))
-        g = np.zeros(self.query_feature_dim, dtype=np.float64)
-        g[idx] = 1.0
-        return g
+        return self.query_onehots([recalled_count])[0]
+
+    def query_onehots(self, recalled_counts: Sequence[int]) -> np.ndarray:
+        """One one-hot row per count, shape (len(recalled_counts),
+        query_feature_dim), from one ``searchsorted`` over all of them."""
+        counts = np.asarray(recalled_counts)
+        bad = np.flatnonzero(counts < 1)
+        if bad.size:
+            raise ValueError(f"recalled_count must be >= 1, got {counts[bad[0]]}")
+        G = np.zeros((counts.size, self.query_feature_dim), dtype=np.float64)
+        G[np.arange(counts.size),
+          np.searchsorted(self.query_bin_edges, counts, side="right")] = 1.0
+        return G
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,17 @@ training has signal to exploit.
 
 Both ``generate`` and ``read_dataset`` return one ``QueryGroup`` per query,
 each built by the one constructor from the column block the generator drew
-or the reader parsed.
+or the reader parsed; the query one-hot vectors of all groups come from one
+``FeatureSchema.query_onehots`` block.
+
+The reader has two parsers over one shared position in the file. A chunk of
+lines that all have the dense layout ``write_dataset`` writes when no feature
+is zero (``qid:Q mcount:M label:L price:P 0:v ... (d-1):v``, single spaces)
+is parsed in C by one ``np.loadtxt`` call and checked with array operations.
+Every other chunk (omitted zero features, blank lines, other whitespace,
+another field order, or any error) is parsed line by line in Python, which
+reads every valid layout and is the only source of error messages. Both give
+the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -134,7 +144,7 @@ def generate(cfg: GenConfig, schema: FeatureSchema) -> list[QueryGroup]:
         cfg.purchase_fraction_of_positives / (1.0 - cfg.purchase_fraction_of_positives)
     ) if 0 < cfg.purchase_fraction_of_positives < 1 else None
 
-    groups = []
+    blocks = []
     for qi in range(cfg.n_queries):
         if rng.random() < cfg.head_fraction:
             m_q = _log_uniform_int(rng, *cfg.head_mcount_range)
@@ -162,12 +172,14 @@ def generate(cfg: GenConfig, schema: FeatureSchema) -> list[QueryGroup]:
         else:
             p_purchase = 1.0 / (1.0 + np.exp(-(purchase_base + cfg.purchase_price_tilt * price_factor)))
             purchased = positive & (rng.random(n_q) < p_purchase)
-        labels = np.where(purchased, LABEL_PURCHASE, labels)
+        # int8 as QueryGroup keeps it, so that the block held until every
+        # count is drawn is the one the group keeps
+        labels = np.where(purchased, LABEL_PURCHASE, labels).astype(np.int8)
 
-        groups.append(QueryGroup(
-            f"q{qi:05d}", schema.query_onehot(m_q), m_q, X, labels, prices,
-        ))
-    return groups
+        blocks.append((m_q, X, labels, prices))
+    G = schema.query_onehots([m_q for m_q, _, _, _ in blocks])
+    return [QueryGroup(f"q{qi:05d}", g, m_q, X, labels, prices)
+            for qi, (g, (m_q, X, labels, prices)) in enumerate(zip(G, blocks))]
 
 
 class DatasetFormatError(ValueError):
@@ -189,9 +201,24 @@ def write_dataset(path, groups: Sequence[QueryGroup]) -> None:
                 fh.write(line + (" " + feats if feats else "") + "\n")
 
 
-# Lines parsed into Python lists before each conversion to arrays: bounds the
-# memory held in per-line Python objects while reading a large file.
+# Lines read from the file at a time; each chunk becomes one column block,
+# which bounds the memory held in per-line objects while reading a large file.
 READ_CHUNK_LINES = 4096
+
+_TAGS = ("qid", "mcount", "label", "price")
+
+
+@dataclass
+class _Position:
+    """Where reading has got to, shared by the two chunk parsers: every qid
+    met so far, the qid and mcount of the last data line, the lines read
+    and the data rows read."""
+
+    seen: set[str] = field(default_factory=set)
+    qid: str | None = None
+    mcount: int = 0
+    lineno: int = 0
+    rows: int = 0
 
 
 def _parse_prefix(fields: list[str]) -> tuple[str, int, int, float]:
@@ -205,82 +232,174 @@ def _parse_prefix(fields: list[str]) -> tuple[str, int, int, float]:
     return tags["qid"], int(tags["mcount"]), int(tags["label"]), float(tags["price"])
 
 
+def _parse_lines(chunk: list[str], d: int, pos: _Position):
+    """The column block of ``chunk``, parsed line by line with Python's
+    ``int`` and ``float``; reads any valid layout. Raises DatasetFormatError
+    at the first bad line."""
+    index_of = {str(i): i for i in range(d)}    # spares int() on canonical indices
+    seen, cur_qid, cur_mcount, lineno = pos.seen, pos.qid, pos.mcount, pos.lineno
+    labels, prices, n_feats, cols, vals = [], [], [], [], []
+    starts = []
+    for raw in chunk:
+        lineno += 1
+        fields = raw.split()
+        if not fields:
+            continue
+        try:
+            qid, mcount, label, price = _parse_prefix(fields)
+        except (KeyError, ValueError) as exc:
+            raise DatasetFormatError(
+                f"line {lineno}: expected 'qid: mcount: label: price:' prefix ({exc})"
+            ) from None
+        if label not in (0, 1, 2):
+            raise DatasetFormatError(f"line {lineno}: label must be 0, 1 or 2, got {label}")
+        if mcount < 1:
+            raise DatasetFormatError(f"line {lineno}: mcount must be >= 1, got {mcount}")
+        line_cols = []
+        for f in fields[4:]:
+            try:
+                idx_s, val_s = f.split(":", 1)
+                idx = index_of.get(idx_s)
+                idx, val = int(idx_s) if idx is None else idx, float(val_s)
+            except ValueError:
+                raise DatasetFormatError(
+                    f"line {lineno}: malformed feature entry {f!r}"
+                ) from None
+            if not 0 <= idx < d:
+                raise DatasetFormatError(
+                    f"line {lineno}: feature index {idx} outside schema 0..{d - 1}"
+                )
+            line_cols.append(idx)
+            vals.append(val)
+        if len(set(line_cols)) != len(line_cols):
+            dup = next(i for k, i in enumerate(line_cols) if i in line_cols[:k])
+            raise DatasetFormatError(f"line {lineno}: feature index {dup} appears twice")
+        if qid != cur_qid:
+            if qid in seen:
+                raise DatasetFormatError(
+                    f"line {lineno}: qid {qid!r} reappears; lines per qid must be contiguous"
+                )
+            seen.add(qid)
+            cur_qid, cur_mcount = qid, mcount
+            starts.append((pos.rows + len(labels), qid, mcount))
+        elif mcount != cur_mcount:
+            raise DatasetFormatError(
+                f"line {lineno}: mcount {mcount} differs within qid {qid!r}"
+            )
+        cols += line_cols
+        n_feats.append(len(line_cols))
+        labels.append(label)
+        prices.append(price)
+    X = np.zeros((len(labels), d))
+    X[np.repeat(np.arange(len(labels)), n_feats), cols] = vals
+    pos.qid, pos.mcount, pos.lineno = cur_qid, cur_mcount, lineno
+    pos.rows += len(labels)
+    return X, np.array(labels, dtype=np.int8), np.array(prices, dtype=np.float64), starts
+
+
+def _dense_dtype(d: int) -> np.dtype:
+    """One record per dense line once ':' reads as ' ': a tag and a value
+    for each prefix field, then an index and a value for each feature."""
+    # U7 holds a tag one character longer than the longest, so a longer
+    # token cut short still differs from every tag
+    return np.dtype([f for tag, kind in zip(_TAGS, (object, "i8", "i8", "f8"))
+                     for f in ((f"{tag}_tag", "U7"), (tag, kind))]
+                    + [f for k in range(d) for f in ((f"i{k}", "i8"), (f"v{k}", "f8"))])
+
+
+_PRINTABLE = bytes(range(32, 127))
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b": \n")
+
+
+def _has_dense_layout(chunk: list[str], d: int) -> bool:
+    """Whether ``chunk`` is printable ASCII whose separators are, on every
+    line, exactly ``':' ' '`` repeated 3 + d times, then ``':' '\\n'``:
+    then each of its lines is 4 + d ``tag:value`` fields split by single
+    spaces, and reading ':' as ' ' gives a record of ``_dense_dtype(d)``."""
+    text = "".join(chunk)
+    if not text.isascii():
+        return False
+    b = text.encode("ascii")
+    if not b.endswith(b"\n"):      # the file's last line may lack its line end
+        b += b"\n"
+    n = len(chunk)
+    return (b.translate(None, _PRINTABLE) == b"\n" * n
+            and b.translate(None, _NOT_SEPARATOR) == (b": " * (3 + d) + b":\n") * n)
+
+
+def _parse_dense(chunk: list[str], d: int, pos: _Position):
+    """The column block of ``chunk`` when every line of it has the layout
+    ``write_dataset`` writes if no feature is zero,
+    ``qid:Q mcount:M label:L price:P 0:v ... (d-1):v``, and passes every
+    check of ``_parse_lines``; None otherwise, with ``pos`` untouched.
+
+    One ``np.loadtxt`` call parses the chunk in C, with the float parser
+    ``float`` uses. ``loadtxt`` strips whitespace other than its delimiter
+    around a field, and ':' read as ' ' would split a field anywhere, so a
+    chunk goes to it only if ``_has_dense_layout``."""
+    if not _has_dense_layout(chunk, d):
+        return None
+    try:
+        a = np.loadtxt((line.replace(":", " ") for line in chunk), dtype=_dense_dtype(d),
+                       delimiter=" ", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    n = len(chunk)
+    qids, mcounts, labels = a["qid"], a["mcount"], a["label"]
+    if (any(np.any(a[f"{tag}_tag"] != tag) for tag in _TAGS)
+            or any(np.any(a[f"i{k}"] != k) for k in range(d))
+            or np.any((labels < 0) | (labels > 2)) or np.any(mcounts < 1)):
+        return None
+    new = np.empty(n, dtype=bool)
+    new[0] = qids[0] != pos.qid
+    new[1:] = qids[1:] != qids[:-1]
+    if ((not new[0] and mcounts[0] != pos.mcount)
+            or np.any(~new[1:] & (mcounts[1:] != mcounts[:-1]))):
+        return None
+    rows = np.flatnonzero(new)
+    start_qids = qids[rows].tolist()
+    if len(set(start_qids)) != len(start_qids) or not pos.seen.isdisjoint(start_qids):
+        return None
+    # copy every kept column out of ``a``: a view would keep the whole
+    # record array of the chunk alive
+    X = np.empty((n, d))
+    for k in range(d):
+        X[:, k] = a[f"v{k}"]
+    starts = list(zip((pos.rows + rows).tolist(), start_qids, mcounts[rows].tolist()))
+    pos.seen.update(start_qids)
+    pos.qid, pos.mcount = qids[-1], int(mcounts[-1])
+    pos.lineno += n
+    pos.rows += n
+    return X, labels.astype(np.int8), a["price"].copy(), starts
+
+
 def _parse_chunks(fh, d: int):
     """Yield one ``(X, labels, prices, starts)`` column block per chunk of
     lines of ``fh``; ``starts`` holds ``(row, qid, mcount)`` for each query
     whose first line is in the chunk, ``row`` counting data rows from the
-    start of the file. Raises DatasetFormatError at the first bad line."""
-    index_of = {str(i): i for i in range(d)}    # spares int() on canonical indices
-    seen: set[str] = set()
-    cur_qid, cur_mcount = None, 0
-    lineno = rows_before = 0
+    start of the file. A chunk goes to ``_parse_dense`` and, if that
+    declines it, to ``_parse_lines``; both continue from one ``_Position``,
+    so the file is read once. Raises DatasetFormatError at the first bad
+    line."""
+    pos = _Position()
     while chunk := list(islice(fh, READ_CHUNK_LINES)):
-        labels, prices, n_feats, cols, vals = [], [], [], [], []
-        starts = []
-        for raw in chunk:
-            lineno += 1
-            fields = raw.split()
-            if not fields:
-                continue
-            try:
-                qid, mcount, label, price = _parse_prefix(fields)
-            except (KeyError, ValueError) as exc:
-                raise DatasetFormatError(
-                    f"line {lineno}: expected 'qid: mcount: label: price:' prefix ({exc})"
-                ) from None
-            if label not in (0, 1, 2):
-                raise DatasetFormatError(f"line {lineno}: label must be 0, 1 or 2, got {label}")
-            if mcount < 1:
-                raise DatasetFormatError(f"line {lineno}: mcount must be >= 1, got {mcount}")
-            line_cols = []
-            for f in fields[4:]:
-                try:
-                    idx_s, val_s = f.split(":", 1)
-                    idx = index_of.get(idx_s)
-                    idx, val = int(idx_s) if idx is None else idx, float(val_s)
-                except ValueError:
-                    raise DatasetFormatError(
-                        f"line {lineno}: malformed feature entry {f!r}"
-                    ) from None
-                if not 0 <= idx < d:
-                    raise DatasetFormatError(
-                        f"line {lineno}: feature index {idx} outside schema 0..{d - 1}"
-                    )
-                line_cols.append(idx)
-                vals.append(val)
-            if len(set(line_cols)) != len(line_cols):
-                dup = next(i for k, i in enumerate(line_cols) if i in line_cols[:k])
-                raise DatasetFormatError(f"line {lineno}: feature index {dup} appears twice")
-            if qid != cur_qid:
-                if qid in seen:
-                    raise DatasetFormatError(
-                        f"line {lineno}: qid {qid!r} reappears; lines per qid must be contiguous"
-                    )
-                seen.add(qid)
-                cur_qid, cur_mcount = qid, mcount
-                starts.append((rows_before + len(labels), qid, mcount))
-            elif mcount != cur_mcount:
-                raise DatasetFormatError(
-                    f"line {lineno}: mcount {mcount} differs within qid {qid!r}"
-                )
-            cols += line_cols
-            n_feats.append(len(line_cols))
-            labels.append(label)
-            prices.append(price)
-        X = np.zeros((len(labels), d))
-        X[np.repeat(np.arange(len(labels)), n_feats), cols] = vals
-        rows_before += len(labels)
-        yield X, np.array(labels, dtype=np.int8), np.array(prices, dtype=np.float64), starts
+        block = _parse_dense(chunk, d, pos)
+        yield _parse_lines(chunk, d, pos) if block is None else block
 
 
 def read_dataset(path, schema: FeatureSchema) -> list[QueryGroup]:
     """Parse the dataset format; lines sharing a qid must be contiguous, and
-    a line may give each feature index once. The query one-hot vector is
-    derived from mcount via the schema's bins.
+    a line may give each feature index once. The query one-hot vectors are
+    derived from mcount via the schema's bins, all in one block.
 
-    Lines are parsed into column blocks READ_CHUNK_LINES at a time; the
+    Lines are parsed READ_CHUNK_LINES at a time into column blocks; the
     blocks are joined into one matrix, and each query's group is a slice of
-    it."""
+    it. A chunk whose lines all have the dense layout ``write_dataset``
+    writes when no feature is zero (single spaces, every index 0..d-1 in
+    order) is parsed in C by ``np.loadtxt``; any other chunk (a zero feature
+    omitted, blank lines, other whitespace, another field order, or any
+    error) is parsed line by line. Both give the same values bit for bit,
+    and every error message comes from the line-by-line parser."""
     with open(path, "r", encoding="utf-8") as fh:
         chunks = list(_parse_chunks(fh, schema.item_dim))
     if not chunks:
@@ -288,8 +407,8 @@ def read_dataset(path, schema: FeatureSchema) -> list[QueryGroup]:
     X, labels, prices = (np.concatenate(parts) for parts in list(zip(*chunks))[:3])
     starts = [start for chunk in chunks for start in chunk[3]]
     ends = [row for row, _, _ in starts[1:]] + [len(labels)]
+    G = schema.query_onehots([mcount for _, _, mcount in starts])
     return [
-        QueryGroup(qid, schema.query_onehot(mcount), mcount,
-                   X[row:end], labels[row:end], prices[row:end])
-        for (row, qid, mcount), end in zip(starts, ends)
+        QueryGroup(qid, g, mcount, X[row:end], labels[row:end], prices[row:end])
+        for g, (row, qid, mcount), end in zip(G, starts, ends)
     ]

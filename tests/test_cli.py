@@ -180,6 +180,19 @@ class TestDatasetValidation:
                        capsys, "group q00000 instance 0: non-finite feature value")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("content", ["", "\n  \n"])
+    @pytest.mark.parametrize("command", ["train", "eval", "simulate", "gradcheck"])
+    def test_dataset_without_queries_exits_1(self, tmp_path, small_config, capsys, command,
+                                             content):
+        empty = tmp_path / "empty.txt"
+        empty.write_text(content)
+        argv = [command, "--config", str(small_config), "--dataset", str(empty),
+                "--out", str(tmp_path / "out")]
+        if command in ("eval", "simulate"):
+            argv += ["--model", str(_train(tmp_path, small_config, _gen(tmp_path, small_config)))]
+        _fails_cleanly(argv, capsys, f"error: dataset {empty} has no queries")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["eval", "simulate"])
     def test_model_stages_must_match_config(self, tmp_path, small_config, capsys, command):
         data = _gen(tmp_path, small_config)

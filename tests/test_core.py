@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from dataclasses import replace
 from functools import cache
 
@@ -46,8 +47,21 @@ class TestFeatureSchema:
             assert g.sum() == 1.0 and g[want] == 1.0
 
     def test_query_onehot_rejects_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^recalled_count must be >= 1, got 0$"):
             default_schema().query_onehot(0)
+
+    def test_query_onehots_one_row_per_count(self):
+        schema = default_schema()
+        counts = [1, 9, 10, 99, 100, 9_999, 10_000, 99_999, 100_000, 10**7, 7]
+        G = schema.query_onehots(counts)
+        assert G.shape == (len(counts), 6) and G.dtype == np.float64
+        want = np.eye(6)[[bisect_right(schema.query_bin_edges, c) for c in counts]]
+        assert G.tobytes() == want.tobytes()
+        assert schema.query_onehots([]).shape == (0, 6)
+
+    def test_query_onehots_names_first_bad_count(self):
+        with pytest.raises(ValueError, match=r"^recalled_count must be >= 1, got 0$"):
+            default_schema().query_onehots([5, 0, -1])
 
 
 class TestStageAssignment:

@@ -201,12 +201,197 @@ class TestDatasetFileFormat:
 
     @pytest.mark.parametrize("chunk", [1, 2, 7, 4096])
     def test_queries_straddling_chunks(self, tmp_path, monkeypatch, chunk):
+        # in the sparse file, the lines of two queries omit a zero feature,
+        # so only some chunks are dense
         schema = default_schema()
-        groups = generate(GenConfig(n_queries=12, group_size_cap=5, seed=4), schema)
+        dense = generate(GenConfig(n_queries=12, group_size_cap=5, seed=4), schema)
+        sparse = [replace(g, X=np.where(np.arange(5) == 2, 0.0, g.X)) if i in (3, 8) else g
+                  for i, g in enumerate(dense)]
+        monkeypatch.setattr(datagen, "READ_CHUNK_LINES", chunk)
+        for groups in (dense, sparse):
+            path = tmp_path / "data.txt"
+            write_dataset(path, groups)
+            with monkeypatch.context() as mp:
+                calls = _count_parsers(mp)
+                back = read_dataset(path, schema)
+            _assert_packed_identical(pack_groups(back), pack_groups(groups))
+            n_lines = len(path.read_text().splitlines())
+            assert calls["dense"] + calls["lines"] == -(-n_lines // chunk)
+            if groups is dense:
+                assert calls["lines"] == 0
+            elif chunk < n_lines:
+                assert calls["dense"] > 0 and calls["lines"] > 0
+            else:
+                assert calls["dense"] == 0
+
+
+def _count_parsers(monkeypatch) -> dict[str, int]:
+    """Count the chunks the dense parser accepts and the chunks parsed line
+    by line, until ``monkeypatch`` is undone."""
+    calls = {"dense": 0, "lines": 0}
+    parse_dense, parse_lines = datagen._parse_dense, datagen._parse_lines
+
+    def counted_dense(chunk, d, pos):
+        block = parse_dense(chunk, d, pos)
+        calls["dense"] += block is not None
+        return block
+
+    def counted_lines(chunk, d, pos):
+        calls["lines"] += 1
+        return parse_lines(chunk, d, pos)
+
+    monkeypatch.setattr(datagen, "_parse_dense", counted_dense)
+    monkeypatch.setattr(datagen, "_parse_lines", counted_lines)
+    return calls
+
+
+def _dense_line(qid="q0", mcount="5", label="1", price="3.5", values=("1",) * 5):
+    return (f"qid:{qid} mcount:{mcount} label:{label} price:{price} "
+            + " ".join(f"{k}:{v}" for k, v in enumerate(values)) + "\n")
+
+
+def _read_outcome(path, schema):
+    """What ``read_dataset`` gives for ``path``: the error message, or each
+    group's fields as bytes."""
+    try:
+        groups = read_dataset(path, schema)
+    except DatasetFormatError as exc:
+        return str(exc)
+    return [(g.query_id, type(g.recalled_count), g.recalled_count, g.query_features.tobytes(),
+             g.X.tobytes(), g.labels.dtype, g.labels.tobytes(), g.prices.tobytes())
+            for g in groups]
+
+
+def _line_parser_outcome(path, schema):
+    """``_read_outcome`` with every chunk parsed line by line."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datagen, "_parse_dense", lambda chunk, d, pos: None)
+        return _read_outcome(path, schema)
+
+
+class TestDenseFastPath:
+    def test_generated_file_is_read_densely(self, tmp_path, monkeypatch):
+        schema = default_schema()
+        groups = generate(GenConfig(n_queries=300, seed=8), schema)
         path = tmp_path / "data.txt"
         write_dataset(path, groups)
-        monkeypatch.setattr(datagen, "READ_CHUNK_LINES", chunk)
+        path.write_text(path.read_text()[:-1])    # the last line without its line end
+        monkeypatch.setattr(datagen, "READ_CHUNK_LINES", 512)
+        calls = _count_parsers(monkeypatch)
         _assert_packed_identical(pack_groups(read_dataset(path, schema)), pack_groups(groups))
+        assert calls["lines"] == 0 and calls["dense"] > 1
+
+    @pytest.mark.parametrize("line, message", [
+        (_dense_line(price="\t3.5"), "line 2: expected 'qid: mcount: label: price:' prefix "
+                                      "(could not convert string to float: '')"),
+        (_dense_line(values=("\x0b1", "1", "1", "1", "1")),
+         "line 2: malformed feature entry '0:'"),
+        (_dense_line(label="\x0c1"), "line 2: expected 'qid: mcount: label: price:' prefix "
+                                      "(dictionary update sequence element #3 has length 1; "
+                                      "2 is required)"),
+    ])
+    def test_whitespace_next_to_a_colon_rejected(self, tmp_path, line, message):
+        # np.loadtxt strips tab, VT and FF around a field; the per-line
+        # parser splits on them and finds an empty value
+        path = tmp_path / "bad.txt"
+        path.write_text(_dense_line() + line, newline="")
+        with pytest.raises(DatasetFormatError) as exc:
+            read_dataset(path, default_schema())
+        assert str(exc.value) == message == _line_parser_outcome(path, default_schema())
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4096])
+    @pytest.mark.parametrize("lines, message", [
+        ([_dense_line(), _dense_line(label="3")], "line 2: label must be 0, 1 or 2, got 3"),
+        ([_dense_line(mcount="0")], "line 1: mcount must be >= 1, got 0"),
+        ([_dense_line(), _dense_line(mcount="6")], "line 2: mcount 6 differs within qid 'q0'"),
+        ([_dense_line(), _dense_line("q1"), _dense_line()],
+         "line 3: qid 'q0' reappears; lines per qid must be contiguous"),
+        ([_dense_line(), _dense_line("q1"), _dense_line("q1", values=("1",) * 6)],
+         "line 3: feature index 5 outside schema 0..4"),
+    ])
+    def test_dense_line_errors_name_the_line(self, tmp_path, monkeypatch, lines, message, chunk):
+        path = tmp_path / "bad.txt"
+        path.write_text("".join(lines))
+        monkeypatch.setattr(datagen, "READ_CHUNK_LINES", chunk)
+        with pytest.raises(DatasetFormatError) as exc:
+            read_dataset(path, default_schema())
+        assert str(exc.value) == message
+
+    def test_dense_values_parse_as_float_does(self, tmp_path):
+        values = ("nan", "-inf", "1e400", "-0", "+1", "4.9e-324", "0.1", "1e-400", "00", ".5")
+        lines = [_dense_line(label="+1", mcount="007", values=values[i:i + 5]) for i in range(6)]
+        path = tmp_path / "data.txt"
+        path.write_text("".join(lines))
+        X = np.array([[float(v) for v in values[i:i + 5]] for i in range(6)])
+        (g,) = read_dataset(path, default_schema())
+        assert g.X.tobytes() == X.tobytes()
+        assert (g.recalled_count, g.labels.tolist()) == (7, [1] * 6)
+
+
+_TAG_TOKENS = ["qid", "mcount", "label", "price", "0", "4", "5", "00", "QID", "mcounts", "", "q0"]
+_VALUE_TOKENS = ["0", "1", "2", "3", "-1", "+1", "1.0", "00", "1_0", "nan", "-nan", "1e400",
+                 "-0", "inf", "", "0x1", "99999999999999999999", "q0", "q1", "a:b", "2.5"]
+_SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x85", "\xa0", ":", "\n", "",
+               " \n "]
+
+
+@st.composite
+def _mutated_dense_text(draw):
+    """Dense lines of a few queries after a few mutations: a field's tag or
+    value replaced, a separator replaced, a field dropped, added or moved,
+    or a line given another line's qid; then blank lines inserted, and the
+    last line end dropped or kept."""
+    lines = []
+    for q in range(draw(st.integers(1, 3))):
+        mcount = str(draw(st.integers(1, 30)))
+        for _ in range(draw(st.integers(1, 3))):
+            # distinct values, so that values in the wrong columns show
+            values = draw(st.lists(st.floats(allow_subnormal=True).map(repr)
+                                   | st.sampled_from(_VALUE_TOKENS[:4]),
+                                   min_size=5, max_size=5, unique=True))
+            fields = [["qid", f"q{q}"], ["mcount", mcount],
+                      ["label", str(draw(st.integers(0, 2)))], ["price", "2.5"]]
+            lines.append(fields + [[str(k), v] for k, v in enumerate(values)])
+    seps = [[" "] * (len(fields) - 1) + ["\n"] for fields in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i]
+        j = draw(st.integers(0, len(fields) - 1))
+        kind = draw(st.sampled_from(["tag", "value", "sep", "drop", "add", "move", "qid"]))
+        if kind == "tag":
+            fields[j][0] = draw(st.sampled_from(_TAG_TOKENS))
+        elif kind == "value":
+            fields[j][1] = draw(st.sampled_from(_VALUE_TOKENS))
+        elif kind == "sep":
+            seps[i][j] = draw(st.sampled_from(_SEPARATORS))
+        elif kind == "drop" and len(fields) > 1:
+            del fields[j], seps[i][min(j, len(seps[i]) - 2)]
+        elif kind == "add":
+            fields.insert(j, [draw(st.sampled_from(_TAG_TOKENS)),
+                              draw(st.sampled_from(_VALUE_TOKENS))])
+            seps[i].insert(j, " ")
+        elif kind == "move":
+            fields.insert(draw(st.integers(0, len(fields) - 1)), fields.pop(j))
+        elif kind == "qid":
+            fields[0][1] = lines[draw(st.integers(0, len(lines) - 1))][0][1]
+    text = ["".join(f"{tag}:{value}{sep}" for (tag, value), sep in zip(fields, line_seps))
+            for fields, line_seps in zip(lines, seps)]
+    for _ in range(draw(st.integers(0, 2))):
+        text.insert(draw(st.integers(0, len(text))), draw(st.sampled_from(["\n", " \n", "\t\n"])))
+    text = "".join(text)
+    return text[:-1] if draw(st.booleans()) else text
+
+
+class TestDensePathAgreesWithLineParser:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_mutated_dense_text(), chunk=st.sampled_from([1, 2, 3, 4096]))
+    def test_same_fields_or_same_message(self, tmp_path, monkeypatch, text, chunk):
+        path = tmp_path / "data.txt"
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(datagen, "READ_CHUNK_LINES", chunk)
+        schema = default_schema()
+        assert _read_outcome(path, schema) == _line_parser_outcome(path, schema)
 
 
 def _assert_packed_identical(a, b):
