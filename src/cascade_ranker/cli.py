@@ -228,26 +228,26 @@ def write_manifest(out_dir: Path, command: str, args: argparse.Namespace, cfg: d
         fh.write("\n")
 
 
-def _split_holdout(groups, fraction: float, seed: int):
-    if fraction <= 0 or len(groups) < 2:
-        return groups, None
-    rng = np.random.default_rng([seed, 2])
-    order = rng.permutation(len(groups))
-    n_hold = max(1, int(round(fraction * len(groups))))
-    hold = [groups[i] for i in sorted(order[:n_hold])]
-    kept = [groups[i] for i in sorted(order[n_hold:])]
-    return kept, hold
+def _split_holdout(packed, fraction: float, seed: int):
+    """(training, holdout) groups of ``packed``, each in file order; no
+    holdout when ``fraction`` is 0 or there is only one group."""
+    if fraction <= 0 or packed.n_groups < 2:
+        return packed, None
+    order = np.random.default_rng([seed, 2]).permutation(packed.n_groups)
+    n_hold = max(1, int(round(fraction * packed.n_groups)))
+    return packed.take(np.sort(order[n_hold:])), packed.take(np.sort(order[:n_hold]))
 
 
 def _read_valid_dataset(path, schema: FeatureSchema):
-    groups = read_dataset(path, schema)
-    if not groups:
+    """The dataset at ``path``, packed once and validated."""
+    packed = pack_groups(read_dataset(path, schema))
+    if not packed.n_groups:
         raise ValueError(f"dataset {path} has no queries")
-    violations = validate_dataset(groups, schema)
+    violations = validate_dataset(packed, schema)
     if violations:
         raise ValueError(f"dataset {path} fails validation ({len(violations)} violations): "
                          + "; ".join(violations[:3]))
-    return groups
+    return packed
 
 
 def _stage_names(assignment: StageAssignment, schema: FeatureSchema) -> list[list[str]]:
@@ -275,7 +275,7 @@ def cmd_datagen(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     groups = generate(gen_cfg, schema)
-    violations = validate_dataset(groups, schema)
+    violations = validate_dataset(pack_groups(groups), schema)
     if violations:
         print(f"generated data failed validation: {violations[:3]}", file=sys.stderr)
         return 1
@@ -291,10 +291,9 @@ def cmd_train(args) -> int:
     assignment = assignment_from_config(cfg, schema)
     obj_cfg = objective_from_config(cfg)
     train_cfg = train_from_config(cfg)
-    groups = _read_valid_dataset(args.dataset, schema)
-    train_groups, holdout = _split_holdout(groups, cfg["train"]["holdout_fraction"],
-                                           train_cfg.seed)
-    model, log = train(train_groups, schema, assignment, obj_cfg, train_cfg,
+    train_data, holdout = _split_holdout(_read_valid_dataset(args.dataset, schema),
+                                         cfg["train"]["holdout_fraction"], train_cfg.seed)
+    model, log = train(train_data, schema, assignment, obj_cfg, train_cfg,
                        eval_data=holdout)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -316,7 +315,7 @@ def cmd_eval(args) -> int:
     schema = schema_from_config(cfg)
     obj_cfg = objective_from_config(cfg)
     model = _load_matching_model(args.model, cfg, schema)
-    packed = pack_groups(_read_valid_dataset(args.dataset, schema))
+    packed = _read_valid_dataset(args.dataset, schema)
     base = _baseline_cost(schema, packed.n_instances)
     report = evaluate(model, packed, obj_cfg, baseline_cost=base)
 
@@ -356,12 +355,12 @@ def cmd_simulate(args) -> int:
     schema = schema_from_config(cfg)
     obj_cfg = objective_from_config(cfg)
     model = _load_matching_model(args.model, cfg, schema)
-    groups = _read_valid_dataset(args.dataset, schema)
+    packed = _read_valid_dataset(args.dataset, schema)
     multiplier = float(cfg["simulate"]["traffic_multiplier"])
     if multiplier <= 0:
         print("--traffic must be > 0", file=sys.stderr)
         return 2
-    report = simulate(model, groups, obj_cfg, traffic_multiplier=multiplier,
+    report = simulate(model, packed, obj_cfg, traffic_multiplier=multiplier,
                       stochastic=bool(cfg["simulate"]["stochastic"]),
                       seed=int(cfg["train"]["seed"]))
     out_dir = Path(args.out)
@@ -381,11 +380,11 @@ def cmd_gradcheck(args) -> int:
     obj_cfg = objective_from_config(cfg)
     seed = int(cfg["train"]["seed"])
     if args.dataset:
-        groups = _read_valid_dataset(args.dataset, schema)
+        packed = _read_valid_dataset(args.dataset, schema)
     else:
         gen_cfg = gen_from_config(cfg)
-        groups = generate(replace(gen_cfg, n_queries=min(gen_cfg.n_queries, 10), seed=seed),
-                          schema)
+        packed = pack_groups(generate(
+            replace(gen_cfg, n_queries=min(gen_cfg.n_queries, 10), seed=seed), schema))
     model = init_weights(schema, assignment, seed, 0.5)
 
     loss_fn = None
@@ -399,7 +398,7 @@ def cmd_gradcheck(args) -> int:
             return bd
 
     objective = cfg["train"]["objective"]
-    report = gradient_check(model, groups, obj_cfg, objective=objective,
+    report = gradient_check(model, packed, obj_cfg, objective=objective,
                             h=args.h, tolerance=args.tolerance, seed=seed,
                             loss_fn=loss_fn)
     out_dir = Path(args.out)

@@ -4,7 +4,9 @@ query-grouped datasets, and the cascade model itself.
 A query group is built one way, from its column block:
 ``QueryGroup(query_id, query_features, recalled_count, X, labels, prices)``.
 ``pack_groups`` joins the blocks of many groups into one ``PackedDataset``
-for the vectorized math.
+and is the one place that rejects groups that cannot form one block.
+Everything after that runs on the ``PackedDataset``: the vectorized math,
+and ``validate_dataset``, which checks its columns against the schema.
 
 All types here are immutable after construction and safe to share across
 threads. Vectors are float64 numpy arrays. The types that hold arrays
@@ -15,7 +17,7 @@ identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -281,78 +283,50 @@ class CascadeModel:
         return sum(len(s) for s in self.assignment.stages) + T * self.query_feature_dim
 
 
-def validate_dataset(groups: Iterable[QueryGroup], schema: FeatureSchema) -> list[str]:
+def validate_dataset(packed: PackedDataset, schema: FeatureSchema) -> list[str]:
     """Report-based dataset validation; an empty list means valid.
 
-    Checks feature dimension, one-hot query vectors, M_q >= N_q >= 1,
-    finite feature values, positive prices, and prices above 1 for clicks
-    and purchases: their importance weight is log(price), and a weight of
-    zero or below leaves the weighted NLL unbounded below.
+    Checks one-hot query vectors of the schema's width, M_q >= N_q, the
+    feature width, finite feature values, finite positive prices, and prices
+    above 1 for clicks and purchases: their importance weight is log(price),
+    and a weight of zero or below leaves the weighted NLL unbounded below.
 
-    Every check runs once over the columns of all groups; the violations
-    are listed group by group, in the order of the checks above.
+    Every check runs once over the columns of ``packed``; only the groups
+    that fail one are visited, to list their violations group by group in
+    the order of the checks above.
     """
-    groups = list(groups)
-    if not groups:
-        return []
     d, dq = schema.item_dim, schema.query_feature_dim
-    sizes = np.array([g.size for g in groups], dtype=np.int64)
-    recalled = np.array([g.recalled_count for g in groups])
-    starts = np.cumsum(sizes) - sizes
-
-    q_dim_ok = np.array([g.query_features.shape == (dq,) for g in groups])
-    one_hot = np.zeros(len(groups), dtype=bool)
-    if q_dim_ok.any():
-        Q = np.stack([groups[q].query_features for q in np.flatnonzero(q_dim_ok)])
-        nonzero = Q != 0
-        first = Q[np.arange(len(Q)), nonzero.argmax(axis=1)]
-        one_hot[q_dim_ok] = (nonzero.sum(axis=1) == 1) & (first == 1.0)
-    x_dim_ok = np.array([g.X.shape[1] == d for g in groups])
-    finite = np.ones(int(sizes.sum()), dtype=bool)
-    if x_dim_ok.any():
-        X = np.concatenate([groups[q].X for q in np.flatnonzero(x_dim_ok)])
-        finite[np.repeat(x_dim_ok, sizes)] = np.isfinite(X).all(axis=1)
-    prices = np.concatenate([g.prices for g in groups])
-    labels = np.concatenate([g.labels for g in groups])
-    low = (labels != LABEL_NONE) & (prices > 0) & (prices <= 1.0)
-
-    # (check, group, instance) of every finding; instance -1 for a group-level one
-    found = []
-    for check, bad in enumerate((~one_hot, sizes < 1, recalled < sizes, (sizes > 0) & ~x_dim_ok)):
-        q = np.flatnonzero(bad)
-        found.append(np.stack([np.full_like(q, check), q, np.full_like(q, -1)]))
-    group_of_row = np.repeat(np.arange(len(groups)), sizes)
-    for check, bad in ((3, ~finite), (4, ~(prices > 0)), (5, low)):
-        r = np.flatnonzero(bad)
-        q = group_of_row[r]
-        found.append(np.stack([np.full_like(r, check), q, r - starts[q]]))
-    check, group, inst = np.concatenate(found, axis=1)
-    order = np.lexsort((inst, check, group))
+    G, sizes, offsets, prices = packed.G, packed.sizes, packed.offsets, packed.prices
+    q_dim_ok, x_dim_ok = G.shape[1] == dq, packed.X.shape[1] == d
+    one_hot = ((G != 0).sum(axis=1) == 1) & ((G == 1.0).sum(axis=1) == 1)
+    finite = np.isfinite(packed.X).all(axis=1) | (not x_dim_ok)
+    bad_price = ~((prices > 0) & (prices < np.inf))
+    low = (packed.labels != LABEL_NONE) & (prices > 0) & (prices <= 1.0)
+    bad = ~one_hot | (packed.mcounts < sizes) | (not (q_dim_ok and x_dim_ok))
+    bad_rows = np.flatnonzero(~finite | bad_price | low)
+    bad[np.searchsorted(offsets, bad_rows, side="right") - 1] = True
 
     violations: list[str] = []
-    for c, q, i in zip(check[order].tolist(), group[order].tolist(), inst[order].tolist()):
-        g = groups[q]
-        gid = g.query_id
-        if c == 0 and not q_dim_ok[q]:
-            violations.append(
-                f"group {gid}: query vector has dim {g.query_features.shape}, expected ({dq},)")
-        elif c == 0:
+    for q in np.flatnonzero(bad).tolist():
+        gid, rows = packed.query_ids[q], slice(offsets[q], offsets[q + 1])
+        if not q_dim_ok:
+            violations.append(f"group {gid}: query vector has dim {G.shape[1:]}, expected ({dq},)")
+        elif not one_hot[q]:
             violations.append(f"group {gid}: query vector is not one-hot")
-        elif c == 1:
-            violations.append(f"group {gid}: has no instances")
-        elif c == 2:
+        if packed.mcounts[q] < sizes[q]:
             violations.append(
-                f"group {gid}: recalled_count {g.recalled_count} < {g.size} instances")
-        elif c == 3 and i < 0:
-            violations.append(f"group {gid}: feature dim {g.X.shape[1]} != schema dim {d}")
-        elif c == 3:
+                f"group {gid}: recalled_count {packed.mcounts[q]} < {sizes[q]} instances")
+        if not x_dim_ok:
+            violations.append(f"group {gid}: feature dim {packed.X.shape[1]} != schema dim {d}")
+        for i in np.flatnonzero(~finite[rows]).tolist():
             violations.append(f"group {gid} instance {i}: non-finite feature value")
-        elif c == 4:
+        p = prices[rows]
+        for i in np.flatnonzero(bad_price[rows]).tolist():
+            violations.append(f"group {gid} instance {i}: price {float(p[i])} is not "
+                              + ("finite" if p[i] > 0 else "positive"))
+        for i in np.flatnonzero(low[rows]).tolist():
             violations.append(
-                f"group {gid} instance {i}: price {float(g.prices[i])} is not positive")
-        else:
-            violations.append(
-                f"group {gid} instance {i}: click or purchase at price {float(g.prices[i])} <= 1"
+                f"group {gid} instance {i}: click or purchase at price {float(p[i])} <= 1"
                 " has importance weight log(price) <= 0"
             )
     return violations
@@ -414,12 +388,10 @@ class PackedDataset:
 
 def pack_groups(groups: Sequence[QueryGroup]) -> PackedDataset:
     """Concatenate the column blocks of ``groups`` into one PackedDataset.
-    Every group needs at least one instance: the segmented kernels over
-    ``offsets`` cannot represent an empty segment."""
+    Every group needs at least one instance, since the segmented kernels over
+    ``offsets`` cannot represent an empty segment, and the feature width and
+    1-D query vector shape of the first group, so that the blocks join."""
     groups = list(groups)
-    for g in groups:
-        if g.size == 0:
-            raise ValueError(f"group {g.query_id}: has no instances")
     if not groups:
         return PackedDataset(
             X=np.zeros((0, 0)), labels=np.zeros(0, dtype=np.int8), y=np.zeros(0),
@@ -427,6 +399,19 @@ def pack_groups(groups: Sequence[QueryGroup]) -> PackedDataset:
             mcounts=np.zeros(0, dtype=np.int64), offsets=np.zeros(1, dtype=np.int64),
             query_ids=(),
         )
+    width, q_shape = groups[0].X.shape[1], groups[0].query_features.shape
+    if len(q_shape) != 1:
+        raise ValueError(f"group {groups[0].query_id}: query vector has shape {q_shape}, "
+                         "expected one dimension")
+    for g in groups:
+        if g.size == 0:
+            raise ValueError(f"group {g.query_id}: has no instances")
+        if g.X.shape[1] != width:
+            raise ValueError(f"group {g.query_id}: feature width {g.X.shape[1]} differs "
+                             f"from the first group's {width}")
+        if g.query_features.shape != q_shape:
+            raise ValueError(f"group {g.query_id}: query vector shape {g.query_features.shape} "
+                             f"differs from the first group's {q_shape}")
     X = np.concatenate([g.X for g in groups])
     labels = np.concatenate([g.labels for g in groups])
     prices = np.concatenate([g.prices for g in groups])

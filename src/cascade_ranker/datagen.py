@@ -255,6 +255,8 @@ def _parse_lines(chunk: list[str], d: int, pos: _Position):
             raise DatasetFormatError(f"line {lineno}: label must be 0, 1 or 2, got {label}")
         if mcount < 1:
             raise DatasetFormatError(f"line {lineno}: mcount must be >= 1, got {mcount}")
+        if mcount > 2**63 - 1:     # the largest int64, as mcounts are packed
+            raise DatasetFormatError(f"line {lineno}: mcount must be <= 2**63 - 1, got {mcount}")
         line_cols = []
         for f in fields[4:]:
             try:

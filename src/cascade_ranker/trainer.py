@@ -214,7 +214,9 @@ def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
     of the central difference with a margin of 16 (eps is the float64
     machine epsilon). So a small gradient fails only when it is off by more
     than that rounding noise, and a large one when it is off by ``tolerance``
-    relative to itself. ``max_rel_error`` uses the same denominator.
+    relative to itself. ``max_rel_error`` uses the same denominator. A
+    coordinate whose analytic or numeric derivative is not finite fails with
+    relative error ``inf``.
     ``loss_fn`` exists as a test hook and defaults to the real loss.
     """
     if h <= 0:
@@ -239,9 +241,12 @@ def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
         fp = fn(model.with_flat_weights(wp), packed, obj_cfg, objective, want_grad=False).total
         fm = fn(model.with_flat_weights(wm), packed, obj_cfg, objective, want_grad=False).total
         numeric = (fp - fm) / (2.0 * h)
-        rounding = 16.0 * np.finfo(np.float64).eps * max(abs(fp), abs(fm)) / h
-        denom = max(abs(analytic[k]), abs(numeric), rounding / tolerance)
-        rel = abs(analytic[k] - numeric) / denom if denom > 0 else 0.0
+        if np.isfinite(analytic[k]) and np.isfinite(numeric):
+            rounding = 16.0 * np.finfo(np.float64).eps * max(abs(fp), abs(fm)) / h
+            denom = max(abs(analytic[k]), abs(numeric), rounding / tolerance)
+            rel = abs(analytic[k] - numeric) / denom if denom > 0 else 0.0
+        else:
+            rel = np.inf
         max_rel = max(max_rel, rel)
         if rel >= tolerance:
             failures.append((int(k), float(rel)))

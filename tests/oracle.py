@@ -118,9 +118,10 @@ def validate_dataset(groups, schema) -> list[str]:
             for i in np.flatnonzero(~np.isfinite(group.X).all(axis=1)).tolist():
                 violations.append(f"group {gid} instance {i}: non-finite feature value")
         prices = group.prices
-        for i in np.flatnonzero(~(prices > 0)).tolist():
+        for i in np.flatnonzero(~(prices > 0) | (prices == np.inf)).tolist():
             violations.append(
-                f"group {gid} instance {i}: price {float(prices[i])} is not positive"
+                f"group {gid} instance {i}: price {float(prices[i])} is not "
+                + ("positive" if not prices[i] > 0 else "finite")
             )
         low = (group.labels != LABEL_NONE) & (prices > 0) & (prices <= 1.0)
         for i in np.flatnonzero(low).tolist():

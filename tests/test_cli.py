@@ -34,14 +34,20 @@ def _train(tmp_path, small_config, data, name="run"):
     return out / "model.txt"
 
 
-def _with_nan_feature(data):
-    """Copy of the dataset at ``data`` whose first line has a NaN feature 0."""
+def _with_first_line(data, name, **values):
+    """Copy ``name`` of the dataset at ``data`` whose first line has the
+    value of each tag in ``values`` (say ``price="inf"``) in place of its own."""
     lines = data.read_text().splitlines(keepends=True)
-    fields = lines[0].split(" ")
-    fields = [("0:nan" if f.startswith("0:") else f) for f in fields]
-    bad = data.parent / "nan_dataset.txt"
+    fields = [next((f"{t}:{v}" for t, v in values.items() if f.startswith(f"{t}:")), f)
+              for f in lines[0].split(" ")]
+    bad = data.parent / name
     bad.write_text(" ".join(fields) + "".join(lines[1:]))
     return bad
+
+
+def _with_nan_feature(data):
+    """Copy of the dataset at ``data`` whose first line has a NaN feature 0."""
+    return _with_first_line(data, "nan_dataset.txt", **{"0": "nan"})
 
 
 def _fails_cleanly(argv, capsys, *needles):
@@ -170,6 +176,26 @@ class TestDatasetValidation:
                        "group q00000 instance 0: non-finite feature value")
         assert not (tmp_path / "gc").exists()
 
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_infinite_price_on_a_click_rejected(self, tmp_path, small_config, capsys, command):
+        bad = _with_first_line(_gen(tmp_path, small_config), "inf.txt", label="1", price="inf")
+        err = _fails_cleanly([command, "--config", str(small_config), "--dataset", str(bad),
+                              "--out", str(tmp_path / "out")],
+                             capsys, "fails validation",
+                             "group q00000 instance 0: price inf is not finite")
+        assert "RuntimeWarning" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_mcount_above_int64_names_the_line(self, tmp_path, small_config, capsys, command):
+        mcount = "99999999999999999999"
+        bad = tmp_path / "two_lines.txt"
+        bad.write_text(f"qid:q0 mcount:{mcount} label:1 price:3.5 0:1 1:1 2:1 3:1 4:1\n" * 2)
+        _fails_cleanly([command, "--config", str(small_config), "--dataset", str(bad),
+                        "--out", str(tmp_path / "out")],
+                       capsys, f"line 1: mcount must be <= 2**63 - 1, got {mcount}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["eval", "simulate"])
     def test_replay_commands_reject_nan_feature(self, tmp_path, small_config, capsys, command):
         data = _gen(tmp_path, small_config)
@@ -245,6 +271,22 @@ class TestTrainCommand:
         assert all(0.0 <= r[k] <= 1.0 for r in log for k in ("frac_below_floor",
                                                              "frac_above_ceiling"))
         assert all(r["grad_norm"] > 0.0 for r in log)
+
+    def test_holdout_split_outputs_pinned(self, tmp_path, small_config):
+        # l3 with the default holdout 0.2: the sha256 of the model file and
+        # of the log records without their wall time pin which groups the
+        # split holds out, and in which order the rest are trained on
+        run = _train(tmp_path, small_config, _gen(tmp_path, small_config)).parent
+        assert json.loads((run / "manifest.json").read_text())["config"]["train"][
+            "holdout_fraction"] == 0.2
+        assert hashlib.sha256((run / "model.txt").read_bytes()).hexdigest() == (
+            "89cece1e1bd39f45c1173820ad7ee59377417238fc5188a20df6a705adf6c06b")
+        lines = "".join(
+            json.dumps({k: v for k, v in json.loads(l).items() if k != "wall_time_s"}) + "\n"
+            for l in (run / "trainlog.ndjson").read_text().splitlines()
+        )
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "27bea74e7a17c72c486c6e449a21151cf9590161262f08d506c57deca36acb96")
 
     def test_objective_flag_recorded_in_manifest(self, tmp_path, small_config):
         data = _gen(tmp_path, small_config)

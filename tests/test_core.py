@@ -115,13 +115,13 @@ class TestStageCost:
 class TestValidateDataset:
     def test_well_formed_is_clean(self):
         schema = default_schema()
-        assert validate_dataset([_group(schema)], schema) == []
+        assert validate_dataset(pack_groups([_group(schema)]), schema) == []
 
     def test_nonpositive_price_named(self):
         schema = default_schema()
         g = _group(schema)
         bad = replace(g, X=g.X[:2], labels=g.labels[:2], prices=[g.prices[0], 0.0])
-        report = validate_dataset([bad], schema)
+        report = validate_dataset(pack_groups([bad]), schema)
         assert len(report) == 1
         assert "instance 1" in report[0] and "price" in report[0]
 
@@ -131,20 +131,20 @@ class TestValidateDataset:
         two_hot = np.zeros(schema.query_feature_dim)
         two_hot[0] = two_hot[1] = 1.0
         bad = replace(g, query_features=two_hot)
-        report = validate_dataset([bad], schema)
+        report = validate_dataset(pack_groups([bad]), schema)
         assert len(report) == 1 and "one-hot" in report[0]
 
     def test_mcount_below_size(self):
         schema = default_schema()
         g = _group(schema, n=3)
         bad = replace(g, query_features=schema.query_onehot(2), recalled_count=2)
-        report = validate_dataset([bad], schema)
+        report = validate_dataset(pack_groups([bad]), schema)
         assert any("recalled_count" in v for v in report)
 
     def test_dimension_mismatch(self):
         schema = default_schema()
         g = make_group(schema, 5, np.zeros((1, 2)), prices=1.0)
-        report = validate_dataset([g], schema)
+        report = validate_dataset(pack_groups([g]), schema)
         assert any("dim" in v for v in report)
 
     def test_non_finite_feature(self):
@@ -152,8 +152,17 @@ class TestValidateDataset:
         x = np.zeros(schema.item_dim)
         x[0] = np.inf
         g = make_group(schema, 5, x[None, :], prices=1.0)
-        report = validate_dataset([g], schema)
+        report = validate_dataset(pack_groups([g]), schema)
         assert any("non-finite" in v for v in report)
+
+    def test_infinite_price_named(self):
+        schema = default_schema()
+        g = _group(schema)
+        bad = replace(g, prices=[5.0, np.inf, -np.inf])
+        assert validate_dataset(pack_groups([bad]), schema) == [
+            "group q0 instance 1: price inf is not finite",
+            "group q0 instance 2: price -inf is not positive",
+        ]
 
 
 @cache
@@ -161,12 +170,14 @@ def _clean_groups(seed):
     return tuple(generate(GenConfig(n_queries=6, group_size_cap=5, seed=seed), default_schema()))
 
 
-_CORRUPTIONS = ("feature", "price", "query", "recalled", "dim", "empty")
+_CORRUPTIONS = ("feature", "price", "query", "recalled")
 
 
 @st.composite
 def _corrupted_groups(draw):
-    """Generated groups, each with up to three kinds of corruption."""
+    """Generated groups, each with up to three kinds of corruption that keep
+    its shape; then maybe the feature width or query dim changed for the
+    whole dataset, and maybe one group whose block cannot join the others."""
     groups = []
     for g in _clean_groups(draw(st.integers(0, 2))):
         X, labels, prices = g.X.copy(), g.labels.copy(), g.prices.copy()
@@ -179,25 +190,51 @@ def _corrupted_groups(draw):
                     st.sampled_from([np.nan, np.inf, -np.inf]))
         if "price" in kinds:
             for r in draw(rows):
-                prices[r] = draw(st.sampled_from([0.0, -2.5, np.nan, 1e-300, 0.5, 1.0]))
+                prices[r] = draw(st.sampled_from(
+                    [0.0, -2.5, np.nan, np.inf, -np.inf, 1e-300, 0.5, 1.0]))
                 labels[r] = draw(st.integers(0, 2))
         if "query" in kinds:
-            dq = query.shape[0]
             query = draw(st.sampled_from([
-                np.zeros(dq), np.ones(dq), 2.0 * query, np.append(query, 0.0), query[:-1],
-                np.where(query > 0, np.nan, 0.0), query.reshape(1, dq),
+                np.zeros_like(query), np.ones_like(query), 2.0 * query,
+                np.where(query > 0, np.nan, 0.0),
             ]))
-        if "recalled" in kinds:
-            recalled = draw(st.integers(1, g.size))
-        if "dim" in kinds:
-            X = draw(st.sampled_from([X[:, :-1], np.hstack([X, X[:, :1]])]))
-        if "empty" in kinds and draw(st.booleans()):
-            groups.append(QueryGroup(g.query_id, query, recalled, np.zeros((0, 0)), (), ()))
+        groups.append((g.query_id, query, recalled, X, labels, prices))
+
+    width = draw(st.sampled_from([None, "narrow", "wide"]))
+    q_dim = draw(st.sampled_from([None, "short", "long"]))
+    odd = draw(st.sampled_from([None, "empty", "empty 0x0", "width", "query dim", "query 2-D"]))
+    odd_at = draw(st.integers(0, len(groups) - 1))
+    out = []
+    for k, (qid, query, recalled, X, labels, prices) in enumerate(groups):
+        X = {None: X, "narrow": X[:, :-1], "wide": np.hstack([X, X[:, :1]])}[width]
+        query = {None: query, "short": query[:-1], "long": np.append(query, 0.0)}[q_dim]
+        if k == odd_at and odd == "empty 0x0":
+            out.append(QueryGroup(qid, query, recalled, np.zeros((0, 0)), (), ()))
             continue
-        if "empty" in kinds:
+        if k == odd_at and odd == "empty":
             X, labels, prices = X[:0], labels[:0], prices[:0]
-        groups.append(QueryGroup(g.query_id, query, recalled, X, labels, prices))
-    return groups
+        elif k == odd_at and odd == "width":
+            X = X[:, :-1]
+        elif k == odd_at and odd == "query dim":
+            query = np.append(query, 0.0)
+        elif k == odd_at and odd == "query 2-D":
+            query = query.reshape(1, -1)
+        out.append(QueryGroup(qid, query, recalled, X, labels, prices))
+    return out
+
+
+def _unpackable(groups) -> set[str]:
+    """The query ids of the groups that keep ``groups`` from forming one
+    block: those with no instances, those whose feature width or query
+    vector shape differs from the first group's, and the first group when
+    its query vector is not 1-D."""
+    first = groups[0]
+    ids = {g.query_id for g in groups
+           if g.size == 0 or g.X.shape[1] != first.X.shape[1]
+           or g.query_features.shape != first.query_features.shape}
+    if first.query_features.ndim != 1:
+        ids.add(first.query_id)
+    return ids
 
 
 class TestValidateAgainstOracle:
@@ -205,10 +242,17 @@ class TestValidateAgainstOracle:
     @settings(max_examples=200, deadline=None)
     def test_same_violations_in_same_order(self, groups):
         schema = default_schema()
-        assert validate_dataset(groups, schema) == oracle.validate_dataset(groups, schema)
+        culprits = _unpackable(groups)
+        if culprits:
+            with pytest.raises(ValueError) as exc:
+                pack_groups(groups)
+            assert str(exc.value).split(":")[0] in {f"group {q}" for q in culprits}
+        else:
+            assert (validate_dataset(pack_groups(groups), schema)
+                    == oracle.validate_dataset(groups, schema))
 
     def test_no_groups(self):
-        assert validate_dataset([], default_schema()) == []
+        assert validate_dataset(pack_groups([]), default_schema()) == []
 
 
 class TestModelWeights:
@@ -295,6 +339,29 @@ class TestPacking:
         with pytest.raises(ValueError, match="q-empty"):
             pack_groups([_group(schema, qid="a"), empty, _group(schema, qid="b")])
 
+    def test_feature_width_differing_from_the_first_rejected(self):
+        schema = default_schema()
+        narrow = make_group(schema, 4, np.zeros((2, schema.item_dim - 1)), qid="q-narrow")
+        with pytest.raises(ValueError, match=r"group q-narrow: feature width 4 differs "
+                                             r"from the first group's 5"):
+            pack_groups([_group(schema, qid="a"), narrow])
+
+    def test_query_shape_differing_from_the_first_rejected(self):
+        schema = default_schema()
+        g = _group(schema, qid="q-long")
+        long = replace(g, query_features=np.append(g.query_features, 0.0))
+        with pytest.raises(ValueError, match=r"group q-long: query vector shape \(7,\) differs "
+                                             r"from the first group's \(6,\)"):
+            pack_groups([_group(schema, qid="a"), long])
+
+    def test_query_vector_not_1d_rejected(self):
+        schema = default_schema()
+        g = _group(schema, qid="q-2d")
+        flat = replace(g, query_features=g.query_features.reshape(1, -1))
+        with pytest.raises(ValueError, match=r"group q-2d: query vector has shape \(1, 6\), "
+                                             r"expected one dimension"):
+            pack_groups([flat, flat])
+
     def test_concatenates_column_blocks(self):
         schema = default_schema()
         groups = [_group(schema, n=2, qid="a", seed=1), _group(schema, n=3, qid="b", seed=2)]
@@ -376,7 +443,7 @@ class TestValidateLowPrice:
         prices = np.array([5.0, 1.0, 0.5])
         labels = np.array([0, label, label])
         bad = replace(g, labels=labels, prices=prices)
-        report = validate_dataset([bad], schema)
+        report = validate_dataset(pack_groups([bad]), schema)
         assert len(report) == 2
         assert "instance 1" in report[0] and "price 1.0 <= 1" in report[0]
         assert "instance 2" in report[1] and "log(price)" in report[1]
@@ -385,4 +452,4 @@ class TestValidateLowPrice:
         schema = default_schema()
         g = _group(schema, n=2)
         ok = replace(g, labels=[0, 0], prices=[0.5, 1.0])
-        assert validate_dataset([ok], schema) == []
+        assert validate_dataset(pack_groups([ok]), schema) == []

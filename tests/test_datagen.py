@@ -61,7 +61,7 @@ class TestGenerate:
     def test_passes_validation(self):
         schema = default_schema()
         groups = generate(GenConfig(n_queries=100, seed=5), schema)
-        assert validate_dataset(groups, schema) == []
+        assert validate_dataset(pack_groups(groups), schema) == []
 
     def test_no_signal_gives_chance_auc(self):
         schema = default_schema()
@@ -316,6 +316,23 @@ class TestDenseFastPath:
         with pytest.raises(DatasetFormatError) as exc:
             read_dataset(path, default_schema())
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("chunk", [1, 4096])
+    @pytest.mark.parametrize("mcount", ["99999999999999999999", str(2**63)])
+    def test_mcount_above_int64_names_the_line(self, tmp_path, monkeypatch, chunk, mcount):
+        path = tmp_path / "bad.txt"
+        path.write_text(_dense_line(mcount=mcount) * 2)
+        monkeypatch.setattr(datagen, "READ_CHUNK_LINES", chunk)
+        with pytest.raises(DatasetFormatError) as exc:
+            read_dataset(path, default_schema())
+        assert str(exc.value) == f"line 1: mcount must be <= 2**63 - 1, got {mcount}"
+
+    @pytest.mark.parametrize("chunk", [1, 4096])
+    def test_largest_int64_mcount_packs(self, tmp_path, monkeypatch, chunk):
+        path = tmp_path / "data.txt"
+        path.write_text(_dense_line(mcount=str(2**63 - 1)) * 2)
+        monkeypatch.setattr(datagen, "READ_CHUNK_LINES", chunk)
+        assert pack_groups(read_dataset(path, default_schema())).mcounts.tolist() == [2**63 - 1]
 
     def test_dense_values_parse_as_float_does(self, tmp_path):
         values = ("nan", "-inf", "1e400", "-0", "+1", "4.9e-324", "0.1", "1e-400", "00", ".5")

@@ -389,6 +389,25 @@ class TestGradientCheck:
         assert not report.passed and [c for c, _ in report.failures] == [k]
         assert report.max_rel_error == pytest.approx(1e-3, rel=0.01)
 
+    @pytest.mark.parametrize("where", ["total and gradient", "gradient", "total"])
+    def test_non_finite_derivative_fails(self, where):
+        # max(0.0, nan) is 0.0 and nan >= tol is False: a NaN must not pass
+        schema = default_schema()
+        data = generate(GenConfig(n_queries=4, seed=1), schema)
+        model = init_weights(schema, default_assignment(schema), 7, 0.5)
+
+        def nan_loss(model_, data_, cfg_, objective_="l3", want_grad=True):
+            bd = loss(model_, data_, cfg_, objective_, want_grad)
+            if "total" in where:
+                bd = replace(bd, total=math.nan)
+            if want_grad and "gradient" in where:
+                bd = replace(bd, gradient=np.full_like(bd.gradient, np.nan))
+            return bd
+
+        report = gradient_check(model, data, ObjectiveConfig(), loss_fn=nan_loss)
+        assert not report.passed and report.max_rel_error == math.inf
+        assert len(report.failures) == report.checked_coords
+
     def test_invalid_step_rejected(self):
         schema = default_schema()
         model = init_weights(schema, default_assignment(schema), 0, 0.1)
