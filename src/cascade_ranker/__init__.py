@@ -36,8 +36,7 @@ from .trainer import (
 )
 from .evaluator import (
     EvalReport,
-    baseline_single_stage,
-    baseline_soft_cascade,
+    baseline_l1,
     baseline_two_stage,
     evaluate,
 )

@@ -30,7 +30,7 @@ from .datagen import (
     read_dataset,
     write_dataset,
 )
-from .evaluator import baseline_single_stage, baseline_soft_cascade, baseline_two_stage, evaluate
+from .evaluator import baseline_l1, baseline_two_stage, evaluate
 from .objective import ObjectiveConfig
 from .simulator import simulate
 from .trainer import (
@@ -42,7 +42,6 @@ from .trainer import (
     save_model,
     train,
 )
-from .objective import loss as loss_fn_real
 
 MANIFEST_NAME = "manifest.json"
 
@@ -61,23 +60,14 @@ def default_config() -> dict:
         "train": {**asdict(TrainConfig()), "holdout_fraction": 0.2},
         "datagen": asdict(GenConfig()),
         "eval": {"two_stage_keep_k": 6000},
-        "simulate": {"traffic_multiplier": 1.0, "stochastic": False},
+        "simulate": {"stochastic": False},
     }))
-
-
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
 
 
 def load_config(path: str | None) -> dict:
     """The default config overlaid with the JSON object at ``path``. Every
-    section and key of the file must exist in the default config."""
+    section and key of the file must exist in the default config; a key's
+    value replaces the default's whole."""
     cfg = default_config()
     if path:
         with open(path, "r", encoding="utf-8") as fh:
@@ -96,7 +86,7 @@ def load_config(path: str | None) -> dict:
                     raise ValueError(f"config {path}: unknown key {key!r} in section {section!r}")
                 _check_value(f"config {path}: key {key!r} in section {section!r}", value,
                              cfg[section][key])
-        cfg = _deep_merge(cfg, override)
+            cfg[section].update(values)
     return cfg
 
 
@@ -187,7 +177,6 @@ _FLAG_TO_KEY = {
     "lr": ("train", "learning_rate"),
     "epochs": ("train", "epochs"),
     "batch_size": ("train", "batch_size"),
-    "traffic": ("simulate", "traffic_multiplier"),
 }
 
 
@@ -328,15 +317,17 @@ def cmd_eval(args) -> int:
         cheap = tuple(i for i, f in enumerate(schema.features) if f.kind == "statistical")
         keep_k = int(cfg["eval"]["two_stage_keep_k"])
         filt = min(cheap or all_feats, key=lambda i: schema.features[i].cost)
-        _, rep_all = baseline_single_stage(packed, schema, all_feats, obj_cfg, train_cfg, base)
-        _, rep_cheap = baseline_single_stage(packed, schema, cheap or all_feats[:1],
-                                             obj_cfg, train_cfg, base)
-        rep_two = baseline_two_stage(packed, schema, filt, keep_k, obj_cfg, train_cfg, base)
-        rep_soft = baseline_soft_cascade(packed, schema, model.assignment, obj_cfg, train_cfg,
-                                         base)
+
+        def l1(assignment):
+            return baseline_l1(packed, schema, assignment, obj_cfg, train_cfg, base)[1]
+
         rows = [
-            ("single-all", rep_all), ("single-cheap", rep_cheap), ("two-stage", rep_two),
-            ("soft-cascade", rep_soft), ("cloes", report),
+            ("single-all", l1(StageAssignment((all_feats,)))),
+            ("single-cheap", l1(StageAssignment((cheap or all_feats[:1],)))),
+            ("two-stage", baseline_two_stage(packed, schema, filt, keep_k, obj_cfg, train_cfg,
+                                             base)),
+            ("soft-cascade", l1(model.assignment)),
+            ("cloes", report),
         ]
         lines = ["compare method auc cost_ratio"]
         for name, rep in rows:
@@ -356,12 +347,7 @@ def cmd_simulate(args) -> int:
     obj_cfg = objective_from_config(cfg)
     model = _load_matching_model(args.model, cfg, schema)
     packed = _read_valid_dataset(args.dataset, schema)
-    multiplier = float(cfg["simulate"]["traffic_multiplier"])
-    if multiplier <= 0:
-        print("--traffic must be > 0", file=sys.stderr)
-        return 2
-    report = simulate(model, packed, obj_cfg, traffic_multiplier=multiplier,
-                      stochastic=bool(cfg["simulate"]["stochastic"]),
+    report = simulate(model, packed, obj_cfg, stochastic=bool(cfg["simulate"]["stochastic"]),
                       seed=int(cfg["train"]["seed"]))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -386,21 +372,9 @@ def cmd_gradcheck(args) -> int:
         packed = pack_groups(generate(
             replace(gen_cfg, n_queries=min(gen_cfg.n_queries, 10), seed=seed), schema))
     model = init_weights(schema, assignment, seed, 0.5)
-
-    loss_fn = None
-    if args.corrupt_gradient:
-        def loss_fn(model_, data_, cfg_, objective_="l3", want_grad=True):
-            bd = loss_fn_real(model_, data_, cfg_, objective_, want_grad)
-            if want_grad and bd.gradient.size:
-                g = bd.gradient.copy()
-                g[0] += 1.0 + abs(g[0])
-                bd = replace(bd, gradient=g)
-            return bd
-
     objective = cfg["train"]["objective"]
     report = gradient_check(model, packed, obj_cfg, objective=objective,
-                            h=args.h, tolerance=args.tolerance, seed=seed,
-                            loss_fn=loss_fn)
+                            h=args.h, tolerance=args.tolerance, seed=seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "gradcheck.txt", "w", encoding="utf-8") as fh:
@@ -450,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[shared], help="replay serving over a dataset")
     p.add_argument("--dataset", type=str, required=True)
     p.add_argument("--model", type=str, required=True)
-    p.add_argument("--traffic", type=float, default=None)
     p.add_argument("--stochastic", action="store_true")
     p.set_defaults(fn=cmd_simulate)
 
@@ -459,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", type=str, default=None)
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--corrupt-gradient", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_gradcheck)
     return parser
 

@@ -8,10 +8,14 @@ and is the one place that rejects groups that cannot form one block.
 Everything after that runs on the ``PackedDataset``: the vectorized math,
 and ``validate_dataset``, which checks its columns against the schema.
 
+A ``CascadeModel`` is its flat weight vector; its per-stage weights are
+views into that vector, so the weight layout is defined here alone.
+
 All types here are immutable after construction and safe to share across
-threads. Vectors are float64 numpy arrays. The types that hold arrays
-(``QueryGroup``, ``CascadeModel``, ``PackedDataset``) compare and hash by
-identity.
+threads; a ``CascadeModel`` keeps the float64 vector it is given, which its
+caller must not write to afterwards. Vectors are float64 numpy arrays. The
+types that hold arrays (``QueryGroup``, ``CascadeModel``, ``PackedDataset``)
+compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -200,38 +204,58 @@ class QueryGroup:
 
 @dataclass(frozen=True, eq=False)
 class CascadeModel:
-    """Learned cascade: per-stage item-feature weights over that stage's
-    feature subset plus per-stage query-feature weights."""
+    """Learned cascade, held as one flat float64 weight vector in canonical
+    order: stage 0 item weights, stage 0 query weights, stage 1 item
+    weights, ... Stage j's item weights go with its features in assignment
+    order, its query weights with the schema's one-hot query feature.
 
-    stage_item_weights: tuple[np.ndarray, ...]
-    stage_query_weights: tuple[np.ndarray, ...]
+    ``stage_slices[j]`` is the (item, query) pair of slices of stage j in
+    ``weights``, and ``stage_item_weights[j]`` / ``stage_query_weights[j]``
+    are views through them. The constructor keeps a float64 vector as it
+    is, without a copy; ``from_stages`` builds a model from per-stage
+    vectors.
+    """
+
+    weights: np.ndarray
     assignment: StageAssignment
     schema: FeatureSchema
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "stage_item_weights",
-            tuple(np.asarray(w, dtype=np.float64) for w in self.stage_item_weights),
-        )
-        object.__setattr__(
-            self,
-            "stage_query_weights",
-            tuple(np.asarray(w, dtype=np.float64) for w in self.stage_query_weights),
-        )
-        T = self.assignment.n_stages
-        if len(self.stage_item_weights) != T or len(self.stage_query_weights) != T:
-            raise ValueError("one item- and one query-weight vector required per stage")
+        w = np.asarray(self.weights, dtype=np.float64)
         self.assignment.validate_against(self.schema)
-        dq = self.stage_query_weights[0].shape[0]
-        for j in range(T):
-            if self.stage_item_weights[j].shape != (len(self.assignment.stages[j]),):
+        dq, pos, slices, item, query = self.schema.query_feature_dim, 0, [], [], []
+        for stage in self.assignment.stages:
+            k = pos + len(stage)
+            slices.append((slice(pos, k), slice(k, k + dq)))
+            item.append(w[pos:k])
+            query.append(w[k : k + dq])
+            pos = k + dq
+        if w.shape != (pos,):
+            raise ValueError(f"flat weight vector has shape {w.shape}, expected length {pos}")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "stage_slices", tuple(slices))
+        object.__setattr__(self, "stage_item_weights", tuple(item))
+        object.__setattr__(self, "stage_query_weights", tuple(query))
+
+    @classmethod
+    def from_stages(cls, item_weights: Sequence, query_weights: Sequence,
+                    assignment: StageAssignment, schema: FeatureSchema) -> "CascadeModel":
+        """The model whose stage j has item weights ``item_weights[j]`` and
+        query weights ``query_weights[j]``."""
+        if len(item_weights) != assignment.n_stages or len(query_weights) != assignment.n_stages:
+            raise ValueError("one item- and one query-weight vector required per stage")
+        parts = []
+        for j, stage in enumerate(assignment.stages):
+            item = np.asarray(item_weights[j], dtype=np.float64)
+            query = np.asarray(query_weights[j], dtype=np.float64)
+            if item.shape != (len(stage),):
                 raise ValueError(f"stage {j}: item weight length != stage feature count")
-            if self.stage_query_weights[j].shape != (dq,):
+            if query.shape != (schema.query_feature_dim,):
                 raise ValueError(f"stage {j}: query weight length mismatch")
-        for w in (*self.stage_item_weights, *self.stage_query_weights):
-            if not np.all(np.isfinite(w)):
-                raise ValueError("weights must be finite")
+            parts += [item, query]
+        return cls(np.concatenate(parts), assignment, schema)
 
     @property
     def n_stages(self) -> int:
@@ -239,48 +263,19 @@ class CascadeModel:
 
     @property
     def query_feature_dim(self) -> int:
-        return self.stage_query_weights[0].shape[0]
-
-    def flat_weights(self) -> np.ndarray:
-        """Concatenated weights in canonical order:
-        stage 0 item, stage 0 query, stage 1 item, stage 1 query, ..."""
-        parts = []
-        for j in range(self.n_stages):
-            parts.append(self.stage_item_weights[j])
-            parts.append(self.stage_query_weights[j])
-        return np.concatenate(parts)
-
-    def with_flat_weights(self, w: np.ndarray) -> "CascadeModel":
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (self.n_weights,):
-            raise ValueError(
-                f"flat weight vector has length {w.shape[0]}, expected {self.n_weights}"
-            )
-        view = self._flat_view(w.copy())
-        return CascadeModel(view.stage_item_weights, view.stage_query_weights,
-                            self.assignment, self.schema)
-
-    def _flat_view(self, w: np.ndarray) -> "CascadeModel":
-        """This model's cascade with stage weights that are views into the
-        flat vector ``w``, built without any of the constructor's checks:
-        for a loop that checks ``w`` itself, such as an SGD step."""
-        item, query, pos = [], [], 0
-        dq = self.query_feature_dim
-        for stage in self.assignment.stages:
-            item.append(w[pos : pos + len(stage)])
-            query.append(w[pos + len(stage) : pos + len(stage) + dq])
-            pos += len(stage) + dq
-        view = object.__new__(CascadeModel)
-        object.__setattr__(view, "stage_item_weights", tuple(item))
-        object.__setattr__(view, "stage_query_weights", tuple(query))
-        object.__setattr__(view, "assignment", self.assignment)
-        object.__setattr__(view, "schema", self.schema)
-        return view
+        return self.schema.query_feature_dim
 
     @property
     def n_weights(self) -> int:
-        T = self.n_stages
-        return sum(len(s) for s in self.assignment.stages) + T * self.query_feature_dim
+        return self.weights.shape[0]
+
+    def flat_weights(self) -> np.ndarray:
+        """A copy of ``weights``."""
+        return self.weights.copy()
+
+    def with_flat_weights(self, w: np.ndarray) -> "CascadeModel":
+        """This model's cascade with a copy of ``w`` as its weights."""
+        return CascadeModel(np.array(w, dtype=np.float64), self.assignment, self.schema)
 
 
 def validate_dataset(packed: PackedDataset, schema: FeatureSchema) -> list[str]:

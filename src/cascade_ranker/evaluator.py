@@ -4,9 +4,13 @@ evaluation and serving replay share.
 Reports carry the per-query mean AUC (click and purchase both count as
 positive): ranking quality is a within-query notion here, since the
 query-only feature deliberately shifts whole queries' score magnitudes to
-control result size and cost. Costs are reported as ratios against a
-caller-supplied baseline, conventionally the single-stage all-features
-expected cost.
+control result size and cost. The expected cost is the sum that the loss
+charges, and costs are reported as ratios against a caller-supplied
+baseline, conventionally the single-stage all-features expected cost.
+
+There are two baselines: ``baseline_l1`` fits any stage assignment on the
+level-1 objective (one stage: logistic regression; the model's stages: the
+soft cascade), and ``baseline_two_stage`` is the deployed-style heuristic.
 
 ``EvalReport`` and the simulator's ``SimReport`` are both built by
 ``query_table`` from per-query counts and latencies, and print and write
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -161,14 +164,15 @@ def evaluate(model: CascadeModel, data, cfg: ObjectiveConfig,
     return _report(macro_auc(scores, packed), cost, baseline_cost, packed, counts, latencies, cfg)
 
 
-def baseline_single_stage(data, schema: FeatureSchema, feature_indices: Sequence[int],
-                          obj_cfg: ObjectiveConfig, train_cfg: TrainConfig,
-                          baseline_cost: float | None = None,
-                          ) -> tuple[CascadeModel, EvalReport]:
-    """Plain logistic regression over ``feature_indices`` (a 1-stage cascade)."""
-    assignment = StageAssignment((tuple(feature_indices),))
-    cfg = replace(train_cfg, objective="l1")
-    model, _ = train(data, schema, assignment, obj_cfg, cfg)
+def baseline_l1(data, schema: FeatureSchema, assignment: StageAssignment,
+                obj_cfg: ObjectiveConfig, train_cfg: TrainConfig,
+                baseline_cost: float | None = None) -> tuple[CascadeModel, EvalReport]:
+    """The cascade of ``assignment`` trained on the level-1 objective alone,
+    with no cost or result-size shaping, and its report. With a one-stage
+    assignment it is a plain logistic regression over that stage's features;
+    with the model's assignment it is the soft cascade, the noisy-AND cascade
+    of Raykar, Krishnapuram & Yu (KDD 2010)."""
+    model, _ = train(data, schema, assignment, obj_cfg, replace(train_cfg, objective="l1"))
     return model, evaluate(model, data, obj_cfg, baseline_cost)
 
 
@@ -210,13 +214,3 @@ def baseline_two_stage(data, schema: FeatureSchema, filter_feature: int, keep_k:
     cost = packed.n_instances * t_filter + int(keep.sum()) * t_rest
     return _report(macro_auc(scores, packed), cost, baseline_cost, packed, scaled_keep,
                    latencies, obj_cfg)
-
-
-def baseline_soft_cascade(data, schema: FeatureSchema, assignment: StageAssignment,
-                          obj_cfg: ObjectiveConfig, train_cfg: TrainConfig,
-                          baseline_cost: float | None = None) -> EvalReport:
-    """Jointly trained noisy-AND cascade with no cost or experience shaping
-    (level-1 objective only)."""
-    model, _ = train(data, schema, assignment, obj_cfg,
-                     replace(train_cfg, objective="l1"))
-    return evaluate(model, data, obj_cfg, baseline_cost)

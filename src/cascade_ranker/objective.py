@@ -115,10 +115,11 @@ def instance_weights(labels: np.ndarray, prices: np.ndarray, cfg: ObjectiveConfi
     purchase -> purchase_weight * price_weight * log(price)
     click    -> price_weight * log(price)
     none     -> 1
-    Positive for prices above 1 (natural log).
+    Positive for prices above 1 (natural log). Every price must be finite
+    and above 0.
     """
-    if np.any(prices <= 0):
-        raise ValueError("prices must be positive")
+    if not np.all((prices > 0) & (prices < np.inf)):
+        raise ValueError("prices must be finite and positive")
     w = np.ones_like(prices)
     logp = np.log(prices)
     w = np.where(labels == LABEL_CLICK, cfg.price_weight * logp, w)
@@ -154,21 +155,18 @@ def _weight_grads(model: CascadeModel, packed: PackedDataset, dZs) -> np.ndarray
     Each stage's feature columns are gathered once and every per-group sum is
     taken by one ``reduceat``; the products stay one matrix-vector product per
     column, which keeps every component's bits those of the per-column chain."""
-    T, dq = model.n_stages, packed.G.shape[1]
     if packed.n_instances == 0:    # pack_groups([]) has no feature columns to gather
         return np.zeros((len(dZs), model.n_weights))
+    T = model.n_stages
     per_group = np.ascontiguousarray(
         np.add.reduceat(np.concatenate(dZs, axis=1), packed.offsets[:-1], axis=0).T
     )
     grads = np.empty((len(dZs), model.n_weights))
-    pos = 0
-    for a, stage in enumerate(model.assignment.stages):
+    for a, (stage, (item, query)) in enumerate(zip(model.assignment.stages, model.stage_slices)):
         X_a = packed.X[:, list(stage)]
-        k = len(stage)
         for i, dZ in enumerate(dZs):
-            grads[i, pos : pos + k] = X_a.T @ dZ[:, a]
-            grads[i, pos + k : pos + k + dq] = packed.G.T @ per_group[i * T + a]
-        pos += k + dq
+            grads[i, item] = X_a.T @ dZ[:, a]
+            grads[i, query] = packed.G.T @ per_group[i * T + a]
     return grads
 
 
@@ -207,9 +205,10 @@ def _suffix_sums(M: np.ndarray) -> np.ndarray:
 
 
 def _query_expectations(packed: PackedDataset, t: np.ndarray, P: np.ndarray):
-    """(suffix, counts_final, latencies) from the cumulative pass
-    probabilities ``P`` (n, T): per-query expected final counts and
-    latencies, recall-scaled, and the per-item cost suffixes behind them."""
+    """(suffix, cost, counts_final, latencies) from the cumulative pass
+    probabilities ``P`` (n, T): the per-item cost suffixes, the total
+    expected cost (t_1 per instance plus each instance's suffix from stage
+    1), and per query the recall-scaled expected final count and latency."""
     T = P.shape[1]
     mratio = packed.mcounts / packed.sizes     # M_q / N_q
 
@@ -219,21 +218,12 @@ def _query_expectations(packed: PackedDataset, t: np.ndarray, P: np.ndarray):
     if T > 1:
         suffix[:, : T - 1] = _suffix_sums(P[:, : T - 1] * t[1:])
 
+    cost = float(t[0] * packed.n_instances + np.sum(suffix[:, 0]))
     counts_final = mratio * np.add.reduceat(P[:, -1], packed.offsets[:-1])
     latencies = t[0] * packed.mcounts + mratio * np.add.reduceat(
         suffix[:, 0], packed.offsets[:-1]
     )
-    return suffix, counts_final, latencies
-
-
-def _entrant_cost(t: np.ndarray, P: np.ndarray) -> float:
-    """Expected cost charged stage by stage: t_1 per instance, then t_j times
-    the expected number of instances entering stage j, added in stage order."""
-    total = t[0] * P.shape[0]
-    for j in range(1, len(t)):
-        # a contiguous copy sums exactly like np.exp(cum_log_p[:, j - 1])
-        total += t[j] * float(np.sum(np.ascontiguousarray(P[:, j - 1])))
-    return float(total)
+    return suffix, cost, counts_final, latencies
 
 
 def _as_packed(data) -> PackedDataset:
@@ -243,9 +233,7 @@ def _as_packed(data) -> PackedDataset:
 def expected_cost(model: CascadeModel, data) -> float:
     """Total expected CPU cost: every item entering stage j pays t_j, with all
     instances entering stage 1 and no cost beyond the final stage."""
-    packed = _as_packed(data)
-    P = np.exp(batch_log_pass(model, packed)[1])
-    return _entrant_cost(stage_costs(model.assignment, model.schema), P)
+    return forward_expectations(model, _as_packed(data))[1]
 
 
 def _masked_coeffs(cfg: ObjectiveConfig, objective: str) -> tuple[float, float, float]:
@@ -285,13 +273,12 @@ def loss(model: CascadeModel, data, cfg: ObjectiveConfig, objective: str = "l3",
     nll = -float(np.sum(wgt * (y * log_p_final + (1.0 - y) * log_1mp)))
 
     P = np.exp(cum_log_p)                      # cumulative pass probabilities
-    suffix, counts_final, latencies = _query_expectations(packed, t, P)
-    cost = float(t[0] * packed.n_instances + np.sum(suffix[:, 0]))
+    suffix, cost, counts_final, latencies = _query_expectations(packed, t, P)
     size_penalty = float(np.sum(_scaled_softplus_gap(cfg.result_floor - counts_final, cfg.gamma)))
     latency_penalty = float(np.sum(
         _scaled_softplus_gap(latencies - cfg.latency_ceiling, cfg.gamma)))
 
-    w = model.flat_weights()
+    w = model.weights
     l2 = float(w @ w)
     total = (nll + cfg.alpha * l2 + beta * cost
              + delta * size_penalty + lat_w * latency_penalty)
@@ -329,10 +316,9 @@ def per_query_expectations(model: CascadeModel, data):
 
 def forward_expectations(model: CascadeModel, packed: PackedDataset):
     """Everything a report needs from one forward pass over ``packed``:
-    (final pass probability per instance, ``expected_cost``, and the per-query
-    expected final counts and latencies of ``per_query_expectations``), each
-    summed in the same order as those functions."""
+    (final pass probability per instance, the expected cost, and per query
+    the expected final count and latency), each summed as ``loss`` sums it."""
     t = stage_costs(model.assignment, model.schema)
     P = np.exp(batch_log_pass(model, packed)[1])
-    _, counts_final, latencies = _query_expectations(packed, t, P)
-    return P[:, -1], _entrant_cost(t, P), counts_final, latencies
+    _, cost, counts_final, latencies = _query_expectations(packed, t, P)
+    return P[:, -1], cost, counts_final, latencies

@@ -6,7 +6,9 @@ cumulative pass probability at every stage (deterministic; a stochastic
 Bernoulli-pass mode exists for oracle comparisons). Raw replay accounting is
 in sample units; the report scales each query by M_q / N_q to the equivalent
 figures over the full recalled set, which is what the result floor and the
-latency ceiling are expressed against.
+latency ceiling are expressed against. A query's realized cost is its
+latency, and the report's total cost is their sum; there is no model of
+traffic or utilization.
 
 ``plan`` and ``serve_query`` replay one query at a time and are the reference
 that ``simulate`` matches record for record. ``simulate`` replays a whole
@@ -104,7 +106,6 @@ class SimQueryRecord:
     size: int
     final_count: float                # recall-scaled
     realized_cost: float              # recall-scaled cost units
-    realized_latency_units: float     # == realized_cost (single shard)
     realized_latency_ms: float
     below_floor: bool
     above_latency_ceiling: bool
@@ -112,9 +113,7 @@ class SimQueryRecord:
 
 @dataclass(frozen=True)
 class SimReport(QueryReport):
-    traffic_multiplier: float
     total_cost: float
-    utilization_proxy: float          # traffic_multiplier * total_cost
     mean_latency_units: float
     p95_latency_units: float
     mean_latency_ms: float
@@ -164,19 +163,14 @@ def _stochastic_funnel(model: CascadeModel, packed: PackedDataset, seed: int):
     return entrants, final
 
 
-def simulate(model: CascadeModel, data, cfg: ObjectiveConfig,
-             traffic_multiplier: float = 1.0, stochastic: bool = False,
+def simulate(model: CascadeModel, data, cfg: ObjectiveConfig, *, stochastic: bool = False,
              seed: int = 0) -> SimReport:
     """Replay every query of ``data`` (QueryGroups or a PackedDataset) and
     aggregate; each record equals what ``plan`` then ``serve_query`` give
     for that query.
 
-    Every entrant of stage j pays t_j, accumulated stage by stage. The
-    utilization proxy is traffic_multiplier times total cost (open loop);
-    per-query latency does not depend on the multiplier.
+    Every entrant of stage j pays t_j, accumulated stage by stage.
     """
-    if traffic_multiplier <= 0:
-        raise ValueError("traffic_multiplier must be > 0")
     packed = data if isinstance(data, PackedDataset) else pack_groups(data)
     if stochastic:
         entrants, final = _stochastic_funnel(model, packed, seed)
@@ -194,8 +188,6 @@ def simulate(model: CascadeModel, data, cfg: ObjectiveConfig,
     # builtin sum adds left to right over the records; np.sum would add pairwise
     total = float(sum(lat))
     return SimReport(
-        traffic_multiplier=float(traffic_multiplier), total_cost=total,
-        utilization_proxy=float(traffic_multiplier * total), **summary,
-        per_query=tuple(map(SimQueryRecord, qid, m, n, final_count, lat, lat, lat_ms,
-                            below, above)),
+        total_cost=total, **summary,
+        per_query=tuple(map(SimQueryRecord, qid, m, n, final_count, lat, lat_ms, below, above)),
     )

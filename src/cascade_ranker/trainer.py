@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import CascadeModel, FeatureSchema, PackedDataset, QueryGroup, StageAssignment, pack_groups
-from .objective import OBJECTIVE_LEVELS, LossBreakdown, ObjectiveConfig, loss
+from .objective import OBJECTIVE_LEVELS, ObjectiveConfig, loss
 
 MODEL_FORMAT_VERSION = 1
 
@@ -100,7 +100,7 @@ def init_weights(schema: FeatureSchema, assignment: StageAssignment, seed: int,
     for stage in assignment.stages:
         item.append(rng.uniform(-init_scale, init_scale, size=len(stage)))
         query.append(rng.uniform(-init_scale, init_scale, size=dq))
-    return CascadeModel(tuple(item), tuple(query), assignment, schema)
+    return CascadeModel.from_stages(item, query, assignment, schema)
 
 
 def _packed(data: PackedDataset | Sequence[QueryGroup]) -> PackedDataset:
@@ -130,7 +130,6 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
         raise ValueError("training data needs at least one positive and one negative label")
 
     model = init_weights(schema, assignment, train_cfg.seed, train_cfg.init_scale)
-    w = model.flat_weights()
     shuffle_rng = np.random.default_rng([train_cfg.seed, 1])
     n_total = packed.n_instances
     eval_packed = _packed(eval_data) if eval_data is not None else packed
@@ -148,8 +147,7 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
             batch = packed._select(order[b0:b1], rows[offsets[b0] : offsets[b1]],
                                    sizes[b0:b1], offsets[b0 : b1 + 1] - offsets[b0])
             batch_cfg = replace(obj_cfg, alpha=obj_cfg.alpha * batch.n_instances / n_total)
-            # the checks below stand in for those of with_flat_weights
-            bd = loss(model._flat_view(w), batch, batch_cfg, train_cfg.objective)
+            bd = loss(model, batch, batch_cfg, train_cfg.objective)
             if not (np.isfinite(bd.total) and np.all(np.isfinite(bd.gradient))):
                 raise TrainingDiverged(
                     f"non-finite loss or gradient at epoch {epoch}, "
@@ -157,12 +155,13 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
                 )
             # an overflowing step is reported by the check below, not by numpy
             with np.errstate(over="ignore", invalid="ignore"):
-                w = w - lr * bd.gradient / batch.n_instances
+                w = model.weights - lr * bd.gradient / batch.n_instances
             if not np.all(np.isfinite(w)):
                 raise TrainingDiverged(
                     f"non-finite weights after update at epoch {epoch}, "
                     f"batch {b0 // train_cfg.batch_size}"
                 )
+            model = CascadeModel(w, assignment, schema)
             total += bd.total
             nll += bd.nll
             cost += bd.expected_cost
@@ -173,7 +172,6 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
             above += bd.queries_above_ceiling
             n_batches += 1
 
-        model = model.with_flat_weights(w)
         scores = batch_final_probs(model, eval_packed)
         try:
             auc_val = macro_auc(scores, eval_packed)
@@ -203,8 +201,7 @@ class GradCheckReport:
 
 def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
                    objective: str = "l3", h: float = 1e-5, tolerance: float = 1e-4,
-                   max_coords: int = 100, seed: int = 0,
-                   loss_fn: Callable[..., LossBreakdown] | None = None) -> GradCheckReport:
+                   max_coords: int = 100, seed: int = 0) -> GradCheckReport:
     """Compare the analytic gradient to central finite differences.
 
     Checks every weight, or a seeded random subset of ``max_coords`` when the
@@ -217,14 +214,12 @@ def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
     relative to itself. ``max_rel_error`` uses the same denominator. A
     coordinate whose analytic or numeric derivative is not finite fails with
     relative error ``inf``.
-    ``loss_fn`` exists as a test hook and defaults to the real loss.
     """
     if h <= 0:
         raise ValueError("h must be > 0")
-    fn = loss_fn if loss_fn is not None else loss
     packed = _packed(data)
-    w = model.flat_weights()
-    analytic = fn(model, packed, obj_cfg, objective).gradient
+    w = model.weights
+    analytic = loss(model, packed, obj_cfg, objective).gradient
 
     n = w.shape[0]
     if n <= max_coords:
@@ -238,8 +233,8 @@ def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
         wp, wm = w.copy(), w.copy()
         wp[k] += h
         wm[k] -= h
-        fp = fn(model.with_flat_weights(wp), packed, obj_cfg, objective, want_grad=False).total
-        fm = fn(model.with_flat_weights(wm), packed, obj_cfg, objective, want_grad=False).total
+        fp = loss(model.with_flat_weights(wp), packed, obj_cfg, objective, want_grad=False).total
+        fm = loss(model.with_flat_weights(wm), packed, obj_cfg, objective, want_grad=False).total
         numeric = (fp - fm) / (2.0 * h)
         if np.isfinite(analytic[k]) and np.isfinite(numeric):
             rounding = 16.0 * np.finfo(np.float64).eps * max(abs(fp), abs(fm)) / h
@@ -317,4 +312,4 @@ def load_model(path, schema: FeatureSchema) -> CascadeModel:
         item.append(np.array([float(x) for x in ip[2:]]))
         query.append(np.array([float(x) for x in qp[2:]]))
         pos += 2
-    return CascadeModel(tuple(item), tuple(query), assignment, schema)
+    return CascadeModel.from_stages(item, query, assignment, schema)

@@ -157,7 +157,7 @@ class TestQueryFeatureNeutrality:
         model = init_weights(schema, asg, 23, 1.0)
         base = _batch_probs(model, group)[0]
         for trial in range(5):
-            shifted = CascadeModel(
+            shifted = CascadeModel.from_stages(
                 model.stage_item_weights,
                 tuple(w + rng.standard_normal(w.shape[0]) * 3.0
                       for w in model.stage_query_weights),
@@ -178,7 +178,7 @@ class TestQueryFeatureNeutrality:
         model = init_weights(schema, asg, 2, 1.0)
         base = batch_final_probs(model, [group])
         for trial in range(5):
-            shifted = CascadeModel(
+            shifted = CascadeModel.from_stages(
                 model.stage_item_weights,
                 (model.stage_query_weights[0] + rng.standard_normal(schema.query_feature_dim) * 4.0,),
                 asg, schema,

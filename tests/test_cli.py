@@ -1,12 +1,13 @@
 import hashlib
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cascade_ranker.cli import default_config, main, rerun_from_manifest
+from cascade_ranker.objective import loss
 from cascade_ranker.trainer import EpochRecord
 
 
@@ -92,7 +93,7 @@ class TestDatagenCommand:
 
 # sha256 of json.dumps(default_config(), indent=2): the manifests embed the
 # resolved config, so a changed default changes every manifest
-DEFAULT_CONFIG_SHA256 = "46fcca1802f7ceac14d50f91d4b8303c31356df6b4444cc59dc5490049564419"
+DEFAULT_CONFIG_SHA256 = "e0f1236d3cec00fc706888529c6ab702c645c518d3d555084a414784b862583d"
 
 
 class TestConfigBoundary:
@@ -113,6 +114,8 @@ class TestConfigBoundary:
          "unknown key 'penalty_per_instance' in section 'objective'"),
         ('{"objective": {"latency_survivor_form": true}}',
          "unknown key 'latency_survivor_form' in section 'objective'"),
+        ('{"simulate": {"traffic_multiplier": 1.0}}',
+         "unknown key 'traffic_multiplier' in section 'simulate'"),
     ])
     def test_bad_config_exits_1(self, tmp_path, capsys, content, named):
         path = tmp_path / "bad.json"
@@ -321,6 +324,17 @@ class TestEvalCommand:
         assert rows["single-all"][1] == pytest.approx(1.0)
         assert (out / "eval_records.ndjson").exists()
 
+    def test_compare_text_pinned(self, tmp_path, small_config):
+        # l3 model, every baseline fit on the full set: the sha256 of eval.txt
+        # pins the model's report and each row of the compare table
+        data = _gen(tmp_path, small_config)
+        model = _train(tmp_path, small_config, data)
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(small_config), "--dataset", str(data),
+                     "--model", str(model), "--out", str(out), "--compare"]) == 0
+        assert hashlib.sha256((out / "eval.txt").read_bytes()).hexdigest() == (
+            "936257b4d246b318e83441df4a9120d2578a245ab3e702ef7a70cd1bc381aa62")
+
     def test_records_are_json_lines(self, tmp_path, small_config):
         data = _gen(tmp_path, small_config)
         run = tmp_path / "run"
@@ -352,38 +366,6 @@ class TestEvalCommand:
         assert "Traceback" not in err
 
 
-class TestSimulateCommand:
-    def _sim(self, tmp_path, small_config, data, model, traffic, name):
-        out = tmp_path / name
-        rc = main(["simulate", "--config", str(small_config), "--dataset", str(data),
-                   "--model", str(model), "--out", str(out), "--traffic", traffic])
-        assert rc == 0
-        return dict(line.split() for line in (out / "sim.txt").read_text().splitlines())
-
-    def test_traffic_multiplier_triples_utilization(self, tmp_path, small_config):
-        data = _gen(tmp_path, small_config)
-        run = tmp_path / "run"
-        main(["train", "--config", str(small_config), "--dataset", str(data),
-              "--out", str(run)])
-        s1 = self._sim(tmp_path, small_config, data, run / "model.txt", "1.0", "s1")
-        s3 = self._sim(tmp_path, small_config, data, run / "model.txt", "3.0", "s3")
-        # summary text carries 6 significant digits
-        assert float(s3["utilization_proxy"]) == pytest.approx(
-            3.0 * float(s1["utilization_proxy"]), rel=1e-4)
-        assert s1["mean_latency_units"] == s3["mean_latency_units"]
-        assert "fraction_above_latency_ceiling" in s1
-
-    def test_nonpositive_traffic_rejected(self, tmp_path, small_config):
-        data = _gen(tmp_path, small_config)
-        run = tmp_path / "run"
-        main(["train", "--config", str(small_config), "--dataset", str(data),
-              "--out", str(run)])
-        rc = main(["simulate", "--config", str(small_config), "--dataset", str(data),
-                   "--model", str(run / "model.txt"), "--out", str(tmp_path / "s"),
-                   "--traffic", "0"])
-        assert rc == 2
-
-
 class TestGradcheckCommand:
     def test_passes_by_default(self, tmp_path, small_config):
         out = tmp_path / "gc"
@@ -397,10 +379,29 @@ class TestGradcheckCommand:
                    "--objective", "l3"])
         assert rc == 0
 
-    def test_corrupted_gradient_fails(self, tmp_path, small_config, capsys):
+    @pytest.mark.parametrize("objective, digest", [
+        ("l1", "e366916d249b19699d257c718afd1b0e8ab36705644f9fe453cf7e8b3904ca51"),
+        ("l3", "3882ff3e0a49a9c14a33d9ae8c208946aa9e54d8d7072b30486f4e7e35700925"),
+    ])
+    def test_report_on_dataset_pinned(self, tmp_path, small_config, objective, digest):
+        data = _gen(tmp_path, small_config)
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--config", str(small_config), "--dataset", str(data),
+                     "--out", str(out), "--objective", objective]) == 0
+        assert hashlib.sha256((out / "gradcheck.txt").read_bytes()).hexdigest() == digest
+
+    def test_corrupted_gradient_fails(self, tmp_path, small_config, capsys, monkeypatch):
+        def corrupted(model_, data_, cfg_, objective_="l3", want_grad=True):
+            bd = loss(model_, data_, cfg_, objective_, want_grad)
+            if want_grad and bd.gradient.size:
+                g = bd.gradient.copy()
+                g[0] += 1.0 + abs(g[0])
+                bd = replace(bd, gradient=g)
+            return bd
+
+        monkeypatch.setattr("cascade_ranker.trainer.loss", corrupted)
         out = tmp_path / "gcbad"
-        rc = main(["gradcheck", "--config", str(small_config), "--out", str(out),
-                   "--corrupt-gradient"])
+        rc = main(["gradcheck", "--config", str(small_config), "--out", str(out)])
         assert rc == 1
         assert "FAILED" in capsys.readouterr().err
 

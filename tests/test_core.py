@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade_ranker.core import (
+    CascadeModel,
     Feature,
     FeatureSchema,
     QueryGroup,
@@ -266,19 +267,37 @@ class TestModelWeights:
             np.testing.assert_array_equal(back.stage_item_weights[j], model.stage_item_weights[j])
             np.testing.assert_array_equal(back.stage_query_weights[j], model.stage_query_weights[j])
 
-    def test_flat_view_is_the_checked_model_without_copies(self):
+    def test_stage_weights_are_views_of_the_flat_vector(self):
         schema = default_schema()
-        model = init_weights(schema, default_assignment(schema), seed=4, init_scale=0.7)
-        w = model.flat_weights()[::-1].copy()
-        view, checked = model._flat_view(w), model.with_flat_weights(w)
+        asg = default_assignment(schema)
+        w = init_weights(schema, asg, seed=4, init_scale=0.7).flat_weights()[::-1].copy()
+        model = CascadeModel(w, asg, schema)
+        assert model.weights is w                   # a float64 vector is not copied
+        parts = []
         for j in range(model.n_stages):
-            assert np.shares_memory(view.stage_item_weights[j], w)
-            assert not np.shares_memory(checked.stage_item_weights[j], w)
-            np.testing.assert_array_equal(view.stage_item_weights[j], checked.stage_item_weights[j])
-            np.testing.assert_array_equal(view.stage_query_weights[j],
-                                          checked.stage_query_weights[j])
-        assert view.flat_weights().tobytes() == w.tobytes()
-        assert view.n_weights == model.n_weights
+            assert np.shares_memory(model.stage_item_weights[j], w)
+            assert np.shares_memory(model.stage_query_weights[j], w)
+            parts += [model.stage_item_weights[j], model.stage_query_weights[j]]
+        # canonical order: stage 0 item, stage 0 query, stage 1 item, ...
+        assert np.concatenate(parts).tobytes() == w.tobytes()
+        assert not np.shares_memory(model.with_flat_weights(w).weights, w)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda item, query: (item[:-1], query),
+         "one item- and one query-weight vector required per stage"),
+        (lambda item, query: (item[:1] + (item[1][:-1],) + item[2:], query),
+         "stage 1: item weight length != stage feature count"),
+        (lambda item, query: (item, query[:2] + (np.append(query[2], 0.0),)),
+         "stage 2: query weight length mismatch"),
+        (lambda item, query: (item, (query[0] * np.nan,) + query[1:]), "weights must be finite"),
+    ], ids=["stage count", "item length", "query length", "not finite"])
+    def test_from_stages_names_the_wrong_stage(self, change, message):
+        schema = default_schema()
+        asg = default_assignment(schema)
+        model = init_weights(schema, asg, seed=4, init_scale=0.7)
+        item, query = change(model.stage_item_weights, model.stage_query_weights)
+        with pytest.raises(ValueError, match=message):
+            CascadeModel.from_stages(item, query, asg, schema)
 
     def test_wrong_flat_length(self):
         schema = default_schema()

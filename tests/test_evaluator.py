@@ -17,8 +17,7 @@ from cascade_ranker.core import (
 )
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
 from cascade_ranker.evaluator import (
-    baseline_single_stage,
-    baseline_soft_cascade,
+    baseline_l1,
     baseline_two_stage,
     evaluate,
     macro_auc,
@@ -149,7 +148,7 @@ class TestEvaluate:
         w = model.flat_weights()
         w[:2] = 0.0
         model = model.with_flat_weights(w)
-        sat = CascadeModel(
+        sat = CascadeModel.from_stages(
             (np.zeros(2), *model.stage_item_weights[1:]),
             (np.full(model.query_feature_dim, 60.0), *model.stage_query_weights[1:]),
             asg, schema)
@@ -225,7 +224,8 @@ class TestSingleStageBaseline:
     def test_empty_subset_rejected(self):
         schema, _, data = _benchmark(n=20)
         with pytest.raises(ValueError):
-            baseline_single_stage(data, schema, (), ObjectiveConfig(), TrainConfig(epochs=1))
+            baseline_l1(data, schema, StageAssignment(((),)), ObjectiveConfig(),
+                        TrainConfig(epochs=1))
 
     def test_all_vs_cheap_features(self):
         schema, _, data = _benchmark(seed=4, n=200)
@@ -233,10 +233,10 @@ class TestSingleStageBaseline:
         cfg = TrainConfig(epochs=10, seed=3)
         packed = pack_groups(data)
         base = packed.n_instances * schema.costs().sum()
-        model_all, rep_all = baseline_single_stage(
-            data, schema, tuple(range(5)), obj, cfg, base)
-        model_cheap, rep_cheap = baseline_single_stage(
-            data, schema, (0, 1), obj, cfg, base)
+        model_all, rep_all = baseline_l1(
+            data, schema, StageAssignment((tuple(range(5)),)), obj, cfg, base)
+        model_cheap, rep_cheap = baseline_l1(
+            data, schema, StageAssignment(((0, 1),)), obj, cfg, base)
         assert model_all.n_stages == 1 and model_cheap.n_stages == 1
         assert rep_all.expected_cost_ratio == pytest.approx(1.0)
         assert rep_cheap.expected_cost_ratio == pytest.approx(0.11 / 1.82)
@@ -250,7 +250,7 @@ class TestTwoStageBaseline:
         cfg = TrainConfig(epochs=8, seed=2)
         huge = 10 ** 9  # floor passes every sampled item
         rep_two = baseline_two_stage(data, schema, 0, huge, obj, cfg)
-        _, rep_rest = baseline_single_stage(data, schema, (1, 2, 3, 4), obj, cfg)
+        _, rep_rest = baseline_l1(data, schema, StageAssignment(((1, 2, 3, 4),)), obj, cfg)
         assert rep_two.auc == pytest.approx(rep_rest.auc, rel=1e-12)
 
     def test_keep_k_beyond_int64_keeps_all(self):
@@ -288,10 +288,11 @@ class TestTwoStageBaseline:
 
 
 @pytest.mark.parametrize("run", [
-    lambda data, schema, obj, cfg: baseline_single_stage(data, schema, (0, 1, 2), obj, cfg)[1],
+    lambda data, schema, obj, cfg: baseline_l1(
+        data, schema, StageAssignment(((0, 1, 2),)), obj, cfg)[1],
     lambda data, schema, obj, cfg: baseline_two_stage(data, schema, 0, 300, obj, cfg),
-    lambda data, schema, obj, cfg: baseline_soft_cascade(
-        data, schema, default_assignment(schema), obj, cfg),
+    lambda data, schema, obj, cfg: baseline_l1(
+        data, schema, default_assignment(schema), obj, cfg)[1],
 ], ids=["single_stage", "two_stage", "soft_cascade"])
 def test_baseline_report_same_from_packed_data(run):
     schema, _, data = _benchmark(seed=9, n=40)
@@ -304,7 +305,7 @@ class TestSoftCascadeBaseline:
         schema, asg, data = _benchmark(seed=8, n=50)
         obj = ObjectiveConfig(beta=0.0, delta=0.0, latency_penalty_weight=0.0)
         cfg = TrainConfig(objective="l3", epochs=5, seed=9)
-        rep_soft = baseline_soft_cascade(data, schema, asg, obj, cfg)
+        _, rep_soft = baseline_l1(data, schema, asg, obj, cfg)
         # zero coefficients make l3 coincide with l1
         model_l3, _ = train(data, schema, asg, obj, cfg)
         rep_l3 = evaluate(model_l3, data, obj)
@@ -316,8 +317,8 @@ class TestSoftCascadeBaseline:
         asg1 = StageAssignment((tuple(range(5)),))
         obj = ObjectiveConfig()
         cfg = TrainConfig(epochs=6, seed=4)
-        rep_soft = baseline_soft_cascade(data, schema, asg1, obj, cfg)
-        _, rep_single = baseline_single_stage(data, schema, tuple(range(5)), obj, cfg)
+        _, rep_soft = baseline_l1(data, schema, asg1, obj, cfg)
+        _, rep_single = baseline_l1(data, schema, StageAssignment((tuple(range(5)),)), obj, cfg)
         assert rep_soft.auc == pytest.approx(rep_single.auc, rel=1e-12)
 
     def test_beta_ordering_across_seeds(self):

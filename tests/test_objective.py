@@ -27,7 +27,7 @@ from cascade_ranker.objective import (
     _logsumexp_rows,
     _suffix_sums,
 )
-from cascade_ranker.trainer import init_weights
+from cascade_ranker.trainer import TrainConfig, init_weights, train
 from groups import make_group
 from oracle import expected_count, expected_latency, loss_gradient, stage_probabilities
 
@@ -60,7 +60,7 @@ def _unit_model(schema, stages):
     item = tuple(np.array([1.0] + [0.0] * (len(s) - 1)) for s in asg.stages)
     query = tuple(np.zeros(schema.query_feature_dim) for _ in asg.stages)
     from cascade_ranker.core import CascadeModel
-    return CascadeModel(item, query, asg, schema)
+    return CascadeModel.from_stages(item, query, asg, schema)
 
 
 class TestInstanceWeight:
@@ -82,6 +82,20 @@ class TestInstanceWeight:
         cfg = ObjectiveConfig()
         with pytest.raises(ValueError, match="positive"):
             instance_weights(np.array([0, 1]), np.array([2.0, 0.0]), cfg)
+
+    @pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf])
+    def test_non_finite_price_rejected(self, price):
+        with pytest.raises(ValueError, match="finite and positive"):
+            instance_weights(np.array([0, 1]), np.array([2.0, price]), ObjectiveConfig())
+
+    @pytest.mark.parametrize("price", [math.nan, math.inf])
+    def test_train_on_packed_rejects_non_finite_click_price(self, price):
+        schema = default_schema()
+        packed = pack_groups(generate(GenConfig(n_queries=6, seed=2), schema))
+        packed.prices[np.flatnonzero(packed.labels == 1)[0]] = price
+        with pytest.raises(ValueError, match="finite and positive"):
+            train(packed, schema, default_assignment(schema), ObjectiveConfig(),
+                  TrainConfig(epochs=1))
 
 
 class TestWeightedNll:

@@ -31,13 +31,13 @@ EVAL_TEXT = (
     "p95_latency_ms 55.63\n"
 )
 SIM_TEXT = (
-    "traffic_multiplier 1\ntotal_cost 652254\nutilization_proxy 652254\n"
-    "mean_latency_units 3261.27\np95_latency_units 9534.49\nmean_latency_ms 21.7418\n"
+    "total_cost 652254\nmean_latency_units 3261.27\n"
+    "p95_latency_units 9534.49\nmean_latency_ms 21.7418\n"
     "p95_latency_ms 63.5632\nfraction_below_floor 0.185\nfraction_above_latency_ceiling 0.305\n"
 )
 EVAL_RECORDS_SHA256 = "009c74b7d73ca09a2d610ebe5b468c6cb165ee9a84136333f76b13e827728543"
-SIM_RECORDS_SHA256 = "bc76f6499aa22ba6d9fcc20e7359a630b2fbf5eb8f7a3a27457191031a664381"
-STOCHASTIC_SIM_RECORDS_SHA256 = "4f5822388fdfaacb4938b0d55d095eb883f6e376b28e34fe9adc77aadc91306e"
+SIM_RECORDS_SHA256 = "543610065bbcb6469ff42bb1c711003eb3d0224a0e1b53aa47c3819dd9836489"
+STOCHASTIC_SIM_RECORDS_SHA256 = "42e8f1b51a7338c76ca6fd5b3c1ef4edfdd09122dc2090b590b0846b1f75f340"
 TWO_STAGE_RECORDS_SHA256 = "d45929e9f6e8f5255a3e85cb6183e7c4a8334565ee873e834349035c337a4d1d"
 TWO_STAGE_FIGURES = {
     "auc": "0.7132772236364802",
@@ -62,8 +62,8 @@ TRAINLOG_SHA256 = {
     "l3": "59863802e9fd45d270bb065d456eea8afc7a8d4197a2259bdf711cb5c4352e3a",
 }
 STOCHASTIC_SIM_TEXT = (
-    "traffic_multiplier 1\ntotal_cost 565265\nutilization_proxy 565265\n"
-    "mean_latency_units 2826.32\np95_latency_units 8496.61\nmean_latency_ms 18.8422\n"
+    "total_cost 565265\nmean_latency_units 2826.32\n"
+    "p95_latency_units 8496.61\nmean_latency_ms 18.8422\n"
     "p95_latency_ms 56.6441\nfraction_below_floor 0.56\nfraction_above_latency_ceiling 0.265\n"
 )
 

@@ -34,7 +34,7 @@ def _unit_model(schema, stages):
     asg = StageAssignment(stages)
     item = tuple(np.array([1.0] + [0.0] * (len(s) - 1)) for s in asg.stages)
     query = tuple(np.zeros(schema.query_feature_dim) for _ in asg.stages)
-    return CascadeModel(item, query, asg, schema)
+    return CascadeModel.from_stages(item, query, asg, schema)
 
 
 def _group_with_stage1_probs(schema, probs, mcount=None, second_feature=0.0):
@@ -54,7 +54,7 @@ def _serve_loop_records(model, data, cfg, stochastic=False, seed=0):
         final = len(served.ranking) * scale
         records.append(SimQueryRecord(
             query_id=g.query_id, recalled_count=g.recalled_count, size=g.size,
-            final_count=final, realized_cost=latency, realized_latency_units=latency,
+            final_count=final, realized_cost=latency,
             realized_latency_ms=latency / cfg.cost_units_per_ms,
             below_floor=final < cfg.result_floor,
             above_latency_ceiling=latency > cfg.latency_ceiling,
@@ -183,38 +183,20 @@ class TestServeQuery:
 
 
 class TestSimulate:
-    def test_traffic_multiplier_linear(self):
-        schema, asg = default_schema(), default_assignment(schema=None)
-        data = generate(GenConfig(n_queries=25, seed=3), schema)
-        model = init_weights(schema, asg, 3, 0.4)
-        cfg = ObjectiveConfig()
-        r1 = simulate(model, data, cfg, 1.0)
-        r3 = simulate(model, data, cfg, 3.0)
-        assert r3.utilization_proxy == pytest.approx(3.0 * r1.utilization_proxy)
-        for a, b in zip(r1.per_query, r3.per_query):
-            assert a.realized_latency_units == b.realized_latency_units
-
     def test_empty_data(self):
         schema, asg = default_schema(), default_assignment(schema=None)
         model = init_weights(schema, asg, 0, 0.1)
-        report = simulate(model, [], ObjectiveConfig(), 1.0)
+        report = simulate(model, [], ObjectiveConfig())
         assert report.total_cost == 0.0 and report.per_query == ()
-
-    def test_nonpositive_multiplier_rejected(self):
-        schema, asg = default_schema(), default_assignment(schema=None)
-        model = init_weights(schema, asg, 0, 0.1)
-        with pytest.raises(ValueError, match="traffic_multiplier"):
-            simulate(model, [], ObjectiveConfig(), 0.0)
 
     def test_aggregates_recomputable_from_records(self):
         schema, asg = default_schema(), default_assignment(schema=None)
         data = generate(GenConfig(n_queries=40, seed=9), schema)
         model = init_weights(schema, asg, 2, 0.5)
         cfg = ObjectiveConfig()
-        rep = simulate(model, data, cfg, 2.0)
-        lat = np.array([r.realized_latency_units for r in rep.per_query])
-        assert rep.total_cost == pytest.approx(sum(r.realized_cost for r in rep.per_query))
-        assert rep.utilization_proxy == pytest.approx(2.0 * rep.total_cost)
+        rep = simulate(model, data, cfg)
+        lat = np.array([r.realized_cost for r in rep.per_query])
+        assert rep.total_cost == pytest.approx(lat.sum())
         assert rep.mean_latency_units == pytest.approx(lat.mean())
         assert rep.p95_latency_units == pytest.approx(np.percentile(lat, 95))
         assert rep.fraction_below_floor == pytest.approx(
@@ -224,7 +206,7 @@ class TestSimulate:
         schema, asg = default_schema(), default_assignment(schema=None)
         data = generate(GenConfig(n_queries=30, seed=12), schema)
         model = init_weights(schema, asg, 4, 0.7)
-        rep = simulate(model, data, ObjectiveConfig(), 1.0)
+        rep = simulate(model, data, ObjectiveConfig())
         for r in rep.per_query:
             assert r.final_count <= r.recalled_count
 
@@ -234,7 +216,7 @@ class TestSimulate:
         model = init_weights(schema, asg, 1, 0.4)
         cfg = ObjectiveConfig()
         for stochastic in (False, True):
-            rep = simulate(model, data, cfg, 1.0, stochastic=stochastic, seed=4)
+            rep = simulate(model, data, cfg, stochastic=stochastic, seed=4)
             oracle = _serve_loop_records(model, data, cfg, stochastic, seed=4)
             for got, want in zip(rep.per_query, oracle, strict=True):
                 assert got == want

@@ -324,7 +324,7 @@ class TestGradientCheck:
         report = gradient_check(model, data, ObjectiveConfig(), max_coords=10, seed=5)
         assert report.checked_coords == 10
 
-    def test_corrupted_gradient_hook_fails(self):
+    def test_corrupted_gradient_hook_fails(self, monkeypatch):
         schema = default_schema()
         asg = default_assignment(schema)
         data = generate(GenConfig(n_queries=5, seed=1), schema)
@@ -338,7 +338,8 @@ class TestGradientCheck:
                 bd = replace(bd, gradient=g)
             return bd
 
-        report = gradient_check(model, data, ObjectiveConfig(), loss_fn=corrupted)
+        monkeypatch.setattr("cascade_ranker.trainer.loss", corrupted)
+        report = gradient_check(model, data, ObjectiveConfig())
         assert not report.passed
 
     # derandomized: the finite differences carry rounding error with a thin
@@ -370,7 +371,7 @@ class TestGradientCheck:
             report = gradient_check(model, data, ObjectiveConfig(), objective=objective)
             assert report.passed, (objective, report.max_rel_error, report.failures)
 
-    def test_large_component_off_by_a_thousandth_fails(self):
+    def test_large_component_off_by_a_thousandth_fails(self, monkeypatch):
         schema = default_schema()
         data = generate(GenConfig(n_queries=6, seed=1), schema)
         model = init_weights(schema, default_assignment(schema), 7, TrainConfig().init_scale)
@@ -385,12 +386,13 @@ class TestGradientCheck:
                 bd = replace(bd, gradient=g)
             return bd
 
-        report = gradient_check(model, data, ObjectiveConfig(), loss_fn=off)
+        monkeypatch.setattr("cascade_ranker.trainer.loss", off)
+        report = gradient_check(model, data, ObjectiveConfig())
         assert not report.passed and [c for c, _ in report.failures] == [k]
         assert report.max_rel_error == pytest.approx(1e-3, rel=0.01)
 
     @pytest.mark.parametrize("where", ["total and gradient", "gradient", "total"])
-    def test_non_finite_derivative_fails(self, where):
+    def test_non_finite_derivative_fails(self, where, monkeypatch):
         # max(0.0, nan) is 0.0 and nan >= tol is False: a NaN must not pass
         schema = default_schema()
         data = generate(GenConfig(n_queries=4, seed=1), schema)
@@ -404,7 +406,8 @@ class TestGradientCheck:
                 bd = replace(bd, gradient=np.full_like(bd.gradient, np.nan))
             return bd
 
-        report = gradient_check(model, data, ObjectiveConfig(), loss_fn=nan_loss)
+        monkeypatch.setattr("cascade_ranker.trainer.loss", nan_loss)
+        report = gradient_check(model, data, ObjectiveConfig())
         assert not report.passed and report.max_rel_error == math.inf
         assert len(report.failures) == report.checked_coords
 
