@@ -22,7 +22,6 @@ from .objective import (
     expected_cost,
     instance_weights,
     loss,
-    softplus_penalty,
 )
 from .trainer import (
     GradCheckReport,

@@ -57,7 +57,5 @@ def _cumsum_columns(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 def batch_final_probs(model: CascadeModel, groups) -> np.ndarray:
     """Final positive probability for every instance across ``groups``."""
     packed = groups if isinstance(groups, PackedDataset) else pack_groups(groups)
-    if packed.n_instances == 0:
-        return np.zeros(0)
     _, cum = batch_log_pass(model, packed)
     return np.exp(cum[:, -1])

@@ -71,7 +71,10 @@ def load_config(path: str | None) -> dict:
     cfg = default_config()
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            override = json.load(fh)
+            try:
+                override = json.load(fh)
+            except ValueError as exc:     # bad JSON, or bytes that are not UTF-8
+                raise ValueError(f"config {path}: {exc}") from None
         if not isinstance(override, dict):
             raise ValueError(
                 f"config {path}: expected a JSON object, got {type(override).__name__}"
@@ -130,8 +133,7 @@ def _check_value(where: str, value, default) -> None:
 def schema_from_config(cfg: dict) -> FeatureSchema:
     sc = cfg["schema"]
     return FeatureSchema(
-        features=tuple(Feature(f["name"], float(f["cost"]), f.get("kind", "statistical"))
-                       for f in sc["features"]),
+        features=tuple(Feature(**f) for f in sc["features"]),
         query_bin_edges=tuple(sc["query_bins"]),
     )
 
@@ -148,16 +150,16 @@ def objective_from_config(cfg: dict) -> ObjectiveConfig:
 
 
 def train_from_config(cfg: dict) -> TrainConfig:
-    tc = {k: v for k, v in cfg["train"].items() if k != "holdout_fraction"}
+    tc = dict(cfg["train"])
+    if not 0 <= tc.pop("holdout_fraction") < 1:
+        raise ValueError("config section 'train', key 'holdout_fraction': must be in [0, 1), "
+                         f"got {cfg['train']['holdout_fraction']}")
     return TrainConfig(**tc)
 
 
 def gen_from_config(cfg: dict) -> GenConfig:
     dg = dict(cfg["datagen"])
-    dg["feature_quality"] = tuple(
-        FeatureQuality(q["signal_strength"], q.get("noise", 1.0), q.get("price_strength", 0.0))
-        for q in dg["feature_quality"]
-    )
+    dg["feature_quality"] = tuple(FeatureQuality(**q) for q in dg["feature_quality"])
     dg["head_mcount_range"] = tuple(dg["head_mcount_range"])
     dg["tail_mcount_range"] = tuple(dg["tail_mcount_range"])
     return GenConfig(**dg)
@@ -308,8 +310,6 @@ def cmd_eval(args) -> int:
     base = _baseline_cost(schema, packed.n_instances)
     report = evaluate(model, packed, obj_cfg, baseline_cost=base)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     text = report.to_text()
     if args.compare:
         train_cfg = train_from_config(cfg)
@@ -333,6 +333,8 @@ def cmd_eval(args) -> int:
         for name, rep in rows:
             lines.append(f"compare {name} {rep.auc:.4f} {rep.expected_cost_ratio:.4f}")
         text += "\n".join(lines) + "\n"
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "eval.txt", "w", encoding="utf-8") as fh:
         fh.write(text)
     report.write_records(out_dir / "eval_records.ndjson")

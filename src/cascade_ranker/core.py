@@ -8,8 +8,9 @@ and is the one place that rejects groups that cannot form one block.
 Everything after that runs on the ``PackedDataset``: the vectorized math,
 and ``validate_dataset``, which checks its columns against the schema.
 
-A ``CascadeModel`` is its flat weight vector; its per-stage weights are
-views into that vector, so the weight layout is defined here alone.
+A ``CascadeModel`` is its flat weight vector, built by its constructor; its
+per-stage weights are views into that vector, so the weight layout is
+defined here alone, as is the row arithmetic of ``PackedDataset.take``.
 
 All types here are immutable after construction and safe to share across
 threads; a ``CascadeModel`` keeps the float64 vector it is given, which its
@@ -87,10 +88,6 @@ class FeatureSchema:
 
     def costs(self) -> np.ndarray:
         return np.array([f.cost for f in self.features], dtype=np.float64)
-
-    def query_onehot(self, recalled_count: int) -> np.ndarray:
-        """One-hot vector for the bin containing ``recalled_count``."""
-        return self.query_onehots([recalled_count])[0]
 
     def query_onehots(self, recalled_counts: Sequence[int]) -> np.ndarray:
         """One one-hot row per count, shape (len(recalled_counts),
@@ -212,7 +209,8 @@ class CascadeModel:
     ``stage_slices[j]`` is the (item, query) pair of slices of stage j in
     ``weights``, and ``stage_item_weights[j]`` / ``stage_query_weights[j]``
     are views through them. The constructor keeps a float64 vector as it
-    is, without a copy; ``from_stages`` builds a model from per-stage
+    is, without a copy, and rejects one of the wrong length or with a
+    non-finite weight; ``from_stages`` builds a model from per-stage
     vectors.
     """
 
@@ -260,22 +258,6 @@ class CascadeModel:
     @property
     def n_stages(self) -> int:
         return self.assignment.n_stages
-
-    @property
-    def query_feature_dim(self) -> int:
-        return self.schema.query_feature_dim
-
-    @property
-    def n_weights(self) -> int:
-        return self.weights.shape[0]
-
-    def flat_weights(self) -> np.ndarray:
-        """A copy of ``weights``."""
-        return self.weights.copy()
-
-    def with_flat_weights(self, w: np.ndarray) -> "CascadeModel":
-        """This model's cascade with a copy of ``w`` as its weights."""
-        return CascadeModel(np.array(w, dtype=np.float64), self.assignment, self.schema)
 
 
 def validate_dataset(packed: PackedDataset, schema: FeatureSchema) -> list[str]:
@@ -333,7 +315,8 @@ class PackedDataset:
 
     Row order preserves group order and in-group instance order. ``offsets``
     has length n_groups + 1; group q owns rows offsets[q]:offsets[q+1].
-    ``pack_groups`` builds one from QueryGroups; ``take`` selects groups.
+    ``pack_groups`` builds one from QueryGroups; ``take`` selects groups, for
+    a holdout split and for every SGD batch.
     """
 
     X: np.ndarray          # (n, item_dim)
@@ -357,22 +340,10 @@ class PackedDataset:
     def take(self, group_idx) -> "PackedDataset":
         """The groups ``group_idx`` in that order, each with its rows in order."""
         group_idx = np.asarray(group_idx, dtype=np.int64)
-        sizes, offsets, rows = self._group_rows(group_idx)
-        return self._select(group_idx, rows, sizes, offsets)
-
-    def _group_rows(self, group_idx: np.ndarray):
-        """(sizes, offsets, rows) of the groups ``group_idx`` laid end to end:
-        ``rows`` lists the source row of every result row."""
         sizes = self.sizes[group_idx]
         offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         # row r of the result is source row offsets[q] + (r - new offset of q)
         rows = np.repeat(self.offsets[group_idx] - offsets[:-1], sizes) + np.arange(offsets[-1])
-        return sizes, offsets, rows
-
-    def _select(self, group_idx: np.ndarray, rows: np.ndarray, sizes: np.ndarray,
-                offsets: np.ndarray) -> "PackedDataset":
-        """The groups ``group_idx`` given their rows, sizes and offsets from
-        ``_group_rows``."""
         return PackedDataset(
             X=self.X[rows], labels=self.labels[rows], y=self.y[rows],
             prices=self.prices[rows], G=self.G[group_idx], sizes=sizes,

@@ -106,7 +106,6 @@ class LossBreakdown:
     queries_below_floor: int
     queries_above_ceiling: int
     gradient: np.ndarray
-    objective: str = "l3"
 
 
 def instance_weights(labels: np.ndarray, prices: np.ndarray, cfg: ObjectiveConfig) -> np.ndarray:
@@ -128,24 +127,15 @@ def instance_weights(labels: np.ndarray, prices: np.ndarray, cfg: ObjectiveConfi
 
 
 def _scaled_softplus_gap(diff, gamma):
-    """(1/gamma) * ln(1 + exp(gamma * diff)) as hinge plus residual.
+    """(1/gamma) * ln(1 + exp(gamma * diff)) as hinge plus residual: a smooth
+    upper bound of the hinge max(diff, 0), at most ln(2)/gamma above it, with
+    that gap at diff = 0.
 
     Writing it as max(diff, 0) + log1p(exp(-gamma*|diff|))/gamma adds a
     nonnegative residual to the hinge, so the smooth penalty never dips below
     the hinge it bounds, even in floating point.
     """
     return np.maximum(diff, 0.0) + np.log1p(np.exp(-gamma * np.abs(diff))) / gamma
-
-
-def softplus_penalty(z: float, threshold: float, gamma: float) -> float:
-    """(1/gamma) * ln(1 + exp(gamma * (threshold - z))).
-
-    Smooth upper bound of the hinge max(threshold - z, 0); the gap is at most
-    ln(2)/gamma, attained at z = threshold.
-    """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    return float(_scaled_softplus_gap(threshold - z, gamma))
 
 
 def _weight_grads(model: CascadeModel, packed: PackedDataset, dZs) -> np.ndarray:
@@ -156,12 +146,12 @@ def _weight_grads(model: CascadeModel, packed: PackedDataset, dZs) -> np.ndarray
     taken by one ``reduceat``; the products stay one matrix-vector product per
     column, which keeps every component's bits those of the per-column chain."""
     if packed.n_instances == 0:    # pack_groups([]) has no feature columns to gather
-        return np.zeros((len(dZs), model.n_weights))
+        return np.zeros((len(dZs), model.weights.size))
     T = model.n_stages
     per_group = np.ascontiguousarray(
         np.add.reduceat(np.concatenate(dZs, axis=1), packed.offsets[:-1], axis=0).T
     )
-    grads = np.empty((len(dZs), model.n_weights))
+    grads = np.empty((len(dZs), model.weights.size))
     for a, (stage, (item, query)) in enumerate(zip(model.assignment.stages, model.stage_slices)):
         X_a = packed.X[:, list(stage)]
         for i, dZ in enumerate(dZs):
@@ -305,7 +295,7 @@ def loss(model: CascadeModel, data, cfg: ObjectiveConfig, objective: str = "l3",
         size_penalty=size_penalty, latency_penalty=latency_penalty,
         queries_below_floor=int(np.count_nonzero(counts_final < cfg.result_floor)),
         queries_above_ceiling=int(np.count_nonzero(latencies > cfg.latency_ceiling)),
-        gradient=gradient, objective=objective,
+        gradient=gradient,
     )
 
 

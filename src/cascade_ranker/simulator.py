@@ -10,16 +10,16 @@ latency ceiling are expressed against. A query's realized cost is its
 latency, and the report's total cost is their sum; there is no model of
 traffic or utilization.
 
-``plan`` and ``serve_query`` replay one query at a time and are the reference
-that ``simulate`` matches record for record. ``simulate`` replays a whole
-dataset with one forward pass and stage-by-stage accounting vectorised over
-queries; its ``SimReport`` shares the per-query table, the text and the
-record output of the evaluator's ``EvalReport``.
+``_keep_counts`` is the one rule for the keep counts. ``simulate`` replays a
+whole dataset under them, vectorised over queries, and its ``SimReport``
+shares the per-query table, text and records of the evaluator's
+``EvalReport``. ``plan`` is one query's row of those counts; ``plan`` then
+``serve_query`` is the reference that ``simulate`` matches record for record.
+The per-query loop the counts are checked against is ``tests/oracle.plan``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,20 +33,9 @@ from .objective import ObjectiveConfig
 
 
 def plan(model: CascadeModel, group: QueryGroup) -> list[int]:
-    """Integer keep counts per stage: ceil of the expected pass count over the
-    group's sampled instances (the recall-scaled expectation times N_q / M_q,
-    the threshold that applies when replaying a sample), clamped to
-    [1, items remaining]; non-increasing across stages."""
-    packed = pack_groups([group])
-    _, cum_log_p = batch_log_pass(model, packed)
-    pass_sums = np.exp(cum_log_p).sum(axis=0)
-    remaining = group.size
-    counts = []
-    for j in range(model.n_stages):
-        k = min(remaining, max(1, math.ceil(pass_sums[j])))
-        counts.append(int(k))
-        remaining = k
-    return counts
+    """The keep counts per stage of ``group``, as ``simulate`` replays them
+    (see ``_keep_counts``)."""
+    return _keep_counts(model, pack_groups([group]))[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -123,13 +112,15 @@ class SimReport(QueryReport):
     per_query: tuple[SimQueryRecord, ...]
 
 
-def _deterministic_funnel(model: CascadeModel, packed: PackedDataset):
-    """(entrants (n_groups, T), final counts) of the top-k replay under
-    ``plan``'s keep counts, computed for every query at once.
+def _keep_counts(model: CascadeModel, packed: PackedDataset) -> np.ndarray:
+    """Integer keep counts per query and stage, shape (n_groups, T): ceil of
+    the expected pass count over the query's sampled instances (the
+    recall-scaled expectation times N_q / M_q, the threshold that applies
+    when replaying a sample), clamped to [1, items remaining]; non-increasing
+    across stages.
 
-    The keep counts are ceil-clamped and non-increasing, so top-k keeps
-    exactly k: the entrants of stage j are the keep count of stage j - 1 and
-    no per-query ranking is needed for the accounting.
+    Top-k keeps exactly k under these counts, so stage j's entrants are
+    stage j - 1's keep count, with no per-query ranking.
     """
     cum_log_p = batch_log_pass(model, packed)[1]    # Z is released at once
     pass_prob = np.exp(cum_log_p, out=cum_log_p)
@@ -137,13 +128,12 @@ def _deterministic_funnel(model: CascadeModel, packed: PackedDataset):
     keep = np.empty((packed.n_groups, model.n_stages), dtype=np.int64)
     remaining = packed.sizes
     for j in range(model.n_stages):
-        # bincount adds each query's rows in row order, as plan's sum(axis=0)
-        # does, so the sums match plan bit for bit (reduceat adds pairwise).
+        # bincount adds each query's rows in row order (reduceat adds
+        # pairwise), so a query's sum is the same packed alone or with others.
         pass_sum = np.bincount(group_of_row, weights=pass_prob[:, j], minlength=packed.n_groups)
         remaining = np.minimum(remaining, np.maximum(1, np.ceil(pass_sum).astype(np.int64)))
         keep[:, j] = remaining
-    entrants = np.concatenate([packed.sizes[:, None], keep[:, :-1]], axis=1)
-    return entrants, keep[:, -1]
+    return keep
 
 
 def _stochastic_funnel(model: CascadeModel, packed: PackedDataset, seed: int):
@@ -175,7 +165,9 @@ def simulate(model: CascadeModel, data, cfg: ObjectiveConfig, *, stochastic: boo
     if stochastic:
         entrants, final = _stochastic_funnel(model, packed, seed)
     else:
-        entrants, final = _deterministic_funnel(model, packed)
+        keep = _keep_counts(model, packed)
+        entrants = np.concatenate([packed.sizes[:, None], keep[:, :-1]], axis=1)
+        final = keep[:, -1]
 
     t = stage_costs(model.assignment, model.schema)
     cost = np.zeros(packed.n_groups)

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cascade import batch_final_probs
 from .core import CascadeModel, FeatureSchema, PackedDataset, QueryGroup, StageAssignment, pack_groups
 from .objective import OBJECTIVE_LEVELS, ObjectiveConfig, loss
 
@@ -94,13 +95,10 @@ def init_weights(schema: FeatureSchema, assignment: StageAssignment, seed: int,
     """
     if init_scale < 0:
         raise ValueError("init_scale must be >= 0")
-    rng = np.random.default_rng(seed)
-    dq = schema.query_feature_dim
-    item, query = [], []
-    for stage in assignment.stages:
-        item.append(rng.uniform(-init_scale, init_scale, size=len(stage)))
-        query.append(rng.uniform(-init_scale, init_scale, size=dq))
-    return CascadeModel.from_stages(item, query, assignment, schema)
+    # one weight per stage feature and per stage query bin
+    n = sum(len(stage) + schema.query_feature_dim for stage in assignment.stages)
+    w = np.random.default_rng(seed).uniform(-init_scale, init_scale, size=n)
+    return CascadeModel(w, assignment, schema)
 
 
 def _packed(data: PackedDataset | Sequence[QueryGroup]) -> PackedDataset:
@@ -120,8 +118,7 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
     AUC is measured on ``eval_data`` (or the training split when no held-out
     data is given) at the end of the epoch.
     """
-    from .evaluator import macro_auc  # local import: evaluator depends on objective
-    from .cascade import batch_final_probs
+    from .evaluator import macro_auc  # local import: evaluator imports this module
 
     packed = _packed(data)
     if packed.n_instances == 0:
@@ -139,13 +136,10 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
     lr = train_cfg.learning_rate
     for epoch in range(1, train_cfg.epochs + 1):
         order = shuffle_rng.permutation(packed.n_groups)
-        sizes, offsets, rows = packed._group_rows(order)
         total = nll = cost = size_pen = lat_pen = grad_norms = 0.0
         below = above = n_batches = 0
         for b0 in range(0, len(order), train_cfg.batch_size):
-            b1 = min(b0 + train_cfg.batch_size, len(order))
-            batch = packed._select(order[b0:b1], rows[offsets[b0] : offsets[b1]],
-                                   sizes[b0:b1], offsets[b0 : b1 + 1] - offsets[b0])
+            batch = packed.take(order[b0 : b0 + train_cfg.batch_size])
             batch_cfg = replace(obj_cfg, alpha=obj_cfg.alpha * batch.n_instances / n_total)
             bd = loss(model, batch, batch_cfg, train_cfg.objective)
             if not (np.isfinite(bd.total) and np.all(np.isfinite(bd.gradient))):
@@ -153,15 +147,14 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
                     f"non-finite loss or gradient at epoch {epoch}, "
                     f"batch {b0 // train_cfg.batch_size}"
                 )
-            # an overflowing step is reported by the check below, not by numpy
+            # an overflowing step is reported by the model's finiteness check
             with np.errstate(over="ignore", invalid="ignore"):
                 w = model.weights - lr * bd.gradient / batch.n_instances
-            if not np.all(np.isfinite(w)):
-                raise TrainingDiverged(
-                    f"non-finite weights after update at epoch {epoch}, "
-                    f"batch {b0 // train_cfg.batch_size}"
-                )
-            model = CascadeModel(w, assignment, schema)
+            try:
+                model = CascadeModel(w, assignment, schema)
+            except ValueError:
+                raise TrainingDiverged(f"non-finite weights after update at epoch {epoch}, "
+                                       f"batch {b0 // train_cfg.batch_size}") from None
             total += bd.total
             nll += bd.nll
             cost += bd.expected_cost
@@ -233,8 +226,8 @@ def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
         wp, wm = w.copy(), w.copy()
         wp[k] += h
         wm[k] -= h
-        fp = loss(model.with_flat_weights(wp), packed, obj_cfg, objective, want_grad=False).total
-        fm = loss(model.with_flat_weights(wm), packed, obj_cfg, objective, want_grad=False).total
+        fp, fm = (loss(CascadeModel(v, model.assignment, model.schema), packed, obj_cfg,
+                       objective, want_grad=False).total for v in (wp, wm))
         numeric = (fp - fm) / (2.0 * h)
         if np.isfinite(analytic[k]) and np.isfinite(numeric):
             rounding = 16.0 * np.finfo(np.float64).eps * max(abs(fp), abs(fm)) / h
@@ -256,7 +249,7 @@ def save_model(model: CascadeModel, path) -> None:
     round trip is bit-exact."""
     lines = [
         f"cascade-model v{MODEL_FORMAT_VERSION} stages {model.n_stages} "
-        f"item_dim {model.schema.item_dim} query_dim {model.query_feature_dim}"
+        f"item_dim {model.schema.item_dim} query_dim {model.schema.query_feature_dim}"
     ]
     for j, stage in enumerate(model.assignment.stages):
         lines.append(f"stage {j} features " + " ".join(str(i) for i in stage))
@@ -271,45 +264,49 @@ def save_model(model: CascadeModel, path) -> None:
 
 def load_model(path, schema: FeatureSchema) -> CascadeModel:
     """Read a model written by ``save_model``. A malformed, empty or truncated
-    file raises ValueError naming the line that is wrong or missing."""
+    file raises ValueError naming the file and the line that is wrong or
+    missing."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines:
+        raise ValueError(f"model file {path} ends before its header line")
 
-    def line(k: int, what: str) -> str:
+    def values(k: int, key: str, convert=float) -> list:
+        """The values after ``key`` on the k-th nonblank line, converted."""
         if k >= len(lines):
-            raise ValueError(f"model file {path} ends before its {what} line")
-        return lines[k]
+            raise ValueError(f"model file {path} ends before its '{key}' line")
+        n, text = lines[k]
+        head, fields = key.split(), text.split()
+        try:
+            if fields[: len(head)] != head:
+                raise ValueError(f"expected the '{key}' line, got {text!r}")
+            out = [convert(x) for x in fields[len(head):]]
+            if convert is float and not np.isfinite(out).all():
+                raise ValueError("weights must be finite")
+        except ValueError as exc:
+            raise ValueError(f"model file {path} line {n}: {exc}") from None
+        return out
 
-    head = line(0, "header").split()
+    where, head = f"model file {path} line {lines[0][0]}", lines[0][1].split()
     if head[:2] != ["cascade-model", f"v{MODEL_FORMAT_VERSION}"]:
-        raise ValueError(f"unsupported model header: {lines[0]!r}")
+        raise ValueError(f"{where}: unsupported model header: {lines[0][1]!r}")
     try:
         T, item_dim, query_dim = (
             int(head[head.index(key) + 1]) for key in ("stages", "item_dim", "query_dim")
         )
     except (ValueError, IndexError):
-        raise ValueError(f"malformed model header: {lines[0]!r}") from None
+        raise ValueError(f"{where}: malformed model header: {lines[0][1]!r}") from None
     if item_dim != schema.item_dim or query_dim != schema.query_feature_dim:
         raise ValueError(
-            f"model dims (item {item_dim}, query {query_dim}) do not match schema "
+            f"{where}: model dims (item {item_dim}, query {query_dim}) do not match schema "
             f"(item {schema.item_dim}, query {schema.query_feature_dim})"
         )
-    stages = []
-    for j in range(T):
-        text = line(1 + j, f"'stage {j} features'")
-        parts = text.split()
-        if parts[:2] != ["stage", str(j)]:
-            raise ValueError(f"expected stage {j} line, got {text!r}")
-        stages.append(tuple(int(x) for x in parts[3:]))
-    assignment = StageAssignment(tuple(stages))
+    stages = tuple(tuple(values(1 + j, f"stage {j} features", int)) for j in range(T))
     item, query = [], []
-    pos = 1 + T
     for j in range(T):
-        ip = line(pos, f"'item_weights {j}'").split()
-        qp = line(pos + 1, f"'query_weights {j}'").split()
-        if ip[:2] != ["item_weights", str(j)] or qp[:2] != ["query_weights", str(j)]:
-            raise ValueError(f"malformed weight lines for stage {j}")
-        item.append(np.array([float(x) for x in ip[2:]]))
-        query.append(np.array([float(x) for x in qp[2:]]))
-        pos += 2
-    return CascadeModel.from_stages(item, query, assignment, schema)
+        item.append(values(1 + T + 2 * j, f"item_weights {j}"))
+        query.append(values(2 + T + 2 * j, f"query_weights {j}"))
+    try:
+        return CascadeModel.from_stages(item, query, StageAssignment(stages), schema)
+    except ValueError as exc:
+        raise ValueError(f"model file {path}: {exc}") from None

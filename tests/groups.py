@@ -1,8 +1,9 @@
-"""Query groups for tests, each built from one column block."""
+"""Query groups for tests, each built from one column block, and models
+rebuilt on another weight vector."""
 
 import numpy as np
 
-from cascade_ranker.core import QueryGroup
+from cascade_ranker.core import CascadeModel, QueryGroup
 
 
 def make_group(schema, mcount, X, labels=0, prices=2.0, qid="q0") -> QueryGroup:
@@ -11,5 +12,10 @@ def make_group(schema, mcount, X, labels=0, prices=2.0, qid="q0") -> QueryGroup:
     holds for every row."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    return QueryGroup(qid, schema.query_onehot(mcount), mcount, X,
+    return QueryGroup(qid, schema.query_onehots([mcount])[0], mcount, X,
                       np.broadcast_to(labels, (n,)), np.broadcast_to(prices, (n,)))
+
+
+def with_weights(model, w) -> CascadeModel:
+    """``model``'s cascade with the flat weight vector ``w``."""
+    return CascadeModel(w, model.assignment, model.schema)

@@ -1,13 +1,16 @@
 """Reference implementations the tests check the fast paths against: per-item
 and per-query math written stage by stage, the loss gradient chained one
-term and one stage column at a time, dataset validation group by group, and
-the flat rank-sum AUC that ``evaluator.macro_auc`` computes per query."""
+term and one stage column at a time, dataset validation group by group, the
+flat rank-sum AUC that ``evaluator.macro_auc`` computes per query, and the
+per-query keep counts of the replay's funnel."""
+
+import math
 
 import numpy as np
 from scipy.special import expit, log_expit, logsumexp
 
-from cascade_ranker.cascade import batch_logits
-from cascade_ranker.core import LABEL_NONE, stage_costs
+from cascade_ranker.cascade import batch_log_pass, batch_logits
+from cascade_ranker.core import LABEL_NONE, pack_groups, stage_costs
 from cascade_ranker.objective import _masked_coeffs, instance_weights
 
 
@@ -89,7 +92,7 @@ def loss_gradient(model, packed, cfg, objective: str) -> np.ndarray:
     grad_latency = accumulate_weight_grad(model, packed, dZ_lat)
 
     beta, delta, lat_w = _masked_coeffs(cfg, objective)
-    return (grad_nll + cfg.alpha * (2.0 * model.flat_weights()) + beta * grad_cost
+    return (grad_nll + cfg.alpha * (2.0 * model.weights) + beta * grad_cost
             + delta * grad_size + lat_w * grad_latency)
 
 
@@ -155,3 +158,22 @@ def auc(scores) -> float:
     ranks = _tied_ranks(vals)
     rank_sum = float(np.sum(ranks[y == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def plan(model, group) -> list[int]:
+    """Integer keep counts per stage: ceil of the expected pass count over the
+    group's sampled instances (the recall-scaled expectation times N_q / M_q,
+    the threshold that applies when replaying a sample), clamped to
+    [1, items remaining]; non-increasing across stages."""
+    packed = pack_groups([group])
+    _, cum_log_p = batch_log_pass(model, packed)
+    # rows in row order: sum(axis=0) adds a one-stage column pairwise, which
+    # can move a sum within an ulp of a whole number across it
+    pass_sums = np.cumsum(np.exp(cum_log_p), axis=0)[-1]
+    remaining = group.size
+    counts = []
+    for j in range(model.n_stages):
+        k = min(remaining, max(1, math.ceil(pass_sums[j])))
+        counts.append(int(k))
+        remaining = k
+    return counts

@@ -18,7 +18,7 @@ from cascade_ranker.core import (
 )
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
 from cascade_ranker.trainer import init_weights
-from groups import make_group
+from groups import make_group, with_weights
 from oracle import cumulative_probabilities, stage_probabilities
 
 
@@ -60,12 +60,12 @@ class TestStageProbability:
     def test_saturation_without_overflow(self):
         schema, asg, model, group = _tiny_setup(T=1)
         group = _item(group, np.ones(1))
-        m = model.with_flat_weights(np.array([100.0, 0.0, 0.0]))
+        m = with_weights(model, np.array([100.0, 0.0, 0.0]))
         assert _batch_probs(m, group)[0][0, 0] == pytest.approx(1.0, abs=1e-10)
-        m = m.with_flat_weights(np.array([1000.0, 0.0, 0.0]))
+        m = with_weights(m, np.array([1000.0, 0.0, 0.0]))
         assert np.all(np.isfinite(batch_log_pass(m, pack_groups([group]))[1]))
         assert _batch_probs(m, group)[0][0, 0] == 1.0
-        m = m.with_flat_weights(np.array([-1000.0, 0.0, 0.0]))
+        m = with_weights(m, np.array([-1000.0, 0.0, 0.0]))
         _, cum_log_p = batch_log_pass(m, pack_groups([group]))
         assert cum_log_p[0, 0] == pytest.approx(-1000.0)
         assert _batch_probs(m, group)[0][0, 0] >= 0.0
@@ -77,7 +77,7 @@ class TestStageProbability:
         w = np.zeros(3)
         w[0] = 1.0
         w[1 + hot] = -2.0
-        m = model.with_flat_weights(w)
+        m = with_weights(model, w)
         assert batch_logits(m, pack_groups([_item(group, np.array([2.0]))]))[0, 0] == 0.0
 
     def test_dimension_mismatch(self):
@@ -107,10 +107,10 @@ class TestCascadeProbabilities:
         # per-stage (0.9, 0.8) -> cumulative (0.9, 0.72)
         schema, asg, model, group = _tiny_setup(T=2)
         hot = int(np.flatnonzero(group.query_features)[0])
-        w = model.flat_weights()
+        w = model.weights.copy()
         w[1 + hot] = _logit(0.9)           # stage 0 query weight
         w[3 + 1 + hot] = _logit(0.8)       # stage 1 query weight
-        m = model.with_flat_weights(w)
+        m = with_weights(model, w)
         per_stage, cumulative = _batch_probs(m, _item(group, np.zeros(2)))
         np.testing.assert_allclose(per_stage[0], [0.9, 0.8], rtol=1e-12)
         np.testing.assert_allclose(cumulative[0], [0.9, 0.72], rtol=1e-12)

@@ -141,6 +141,28 @@ class TestConfigBoundary:
             argv += ["--dataset", str(tmp_path / "dataset.txt")]
         _fails_cleanly(argv, capsys, named)
 
+    def test_unparsable_config_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"train": {"epochs": 2,}}')
+        _fails_cleanly(["gradcheck", "--config", str(path), "--out", str(tmp_path / "x")],
+                       capsys, f"error: config {path}: Expecting property name enclosed in "
+                       "double quotes: line 1 column 24 (char 23)")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5])
+    def test_holdout_fraction_outside_unit_interval(self, tmp_path, small_config, capsys,
+                                                    fraction):
+        cfg = json.loads(small_config.read_text())
+        cfg["train"]["holdout_fraction"] = fraction
+        path = tmp_path / "holdout.json"
+        path.write_text(json.dumps(cfg))
+        data = _gen(tmp_path, small_config)
+        _fails_cleanly(["train", "--config", str(path), "--dataset", str(data),
+                        "--out", str(tmp_path / "run")],
+                       capsys, "section 'train', key 'holdout_fraction': must be in [0, 1), "
+                       f"got {fraction}")
+        assert not (tmp_path / "run").exists()
+
     def test_unsquared_l2_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["gradcheck", "--unsquared-l2", "--out", str(tmp_path / "x")])
@@ -364,6 +386,35 @@ class TestEvalCommand:
         assert rc == 1
         assert "ends before its 'query_weights 0' line" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("number, text, named", [
+        (7, "item_weights 1 abc", "could not convert string to float: 'abc'"),
+        (3, "stage 1 features two", "invalid literal for int() with base 10: 'two'"),
+        (6, "query_weights 0 0.5 nan 0 0 0 0", "weights must be finite"),
+    ], ids=["float", "int", "nan"])
+    def test_bad_model_line_names_file_and_line(self, tmp_path, small_config, capsys, number,
+                                                text, named):
+        data = _gen(tmp_path, small_config)
+        model = _train(tmp_path, small_config, data)
+        lines = model.read_text().splitlines(keepends=True)
+        lines[number - 1] = text + "\n"
+        model.write_text("".join(lines))
+        _fails_cleanly(["eval", "--config", str(small_config), "--dataset", str(data),
+                        "--model", str(model), "--out", str(tmp_path / "eval")],
+                       capsys, f"error: model file {model} line {number}: {named}")
+        assert not (tmp_path / "eval").exists()
+
+    def test_compare_failure_leaves_no_output(self, tmp_path, small_config, capsys):
+        data = _gen(tmp_path, small_config)
+        model = _train(tmp_path, small_config, data)
+        cfg = json.loads(small_config.read_text())
+        cfg["eval"]["two_stage_keep_k"] = 0
+        path = tmp_path / "keep0.json"
+        path.write_text(json.dumps(cfg))
+        _fails_cleanly(["eval", "--config", str(path), "--dataset", str(data),
+                        "--model", str(model), "--out", str(tmp_path / "eval"), "--compare"],
+                       capsys, "keep_k must be >= 1")
+        assert not (tmp_path / "eval").exists()
 
 
 class TestGradcheckCommand:

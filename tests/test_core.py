@@ -19,7 +19,7 @@ from cascade_ranker.core import (
 )
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
 from cascade_ranker.trainer import init_weights
-from groups import make_group
+from groups import make_group, with_weights
 import oracle
 
 
@@ -44,12 +44,12 @@ class TestFeatureSchema:
         assert schema.query_feature_dim == 6
         for count, want in [(1, 0), (9, 0), (10, 1), (99, 1), (100, 2),
                             (9_999, 3), (10_000, 4), (99_999, 4), (100_000, 5)]:
-            g = schema.query_onehot(count)
+            g = schema.query_onehots([count])[0]
             assert g.sum() == 1.0 and g[want] == 1.0
 
     def test_query_onehot_rejects_zero(self):
         with pytest.raises(ValueError, match=r"^recalled_count must be >= 1, got 0$"):
-            default_schema().query_onehot(0)
+            default_schema().query_onehots([0])
 
     def test_query_onehots_one_row_per_count(self):
         schema = default_schema()
@@ -138,7 +138,7 @@ class TestValidateDataset:
     def test_mcount_below_size(self):
         schema = default_schema()
         g = _group(schema, n=3)
-        bad = replace(g, query_features=schema.query_onehot(2), recalled_count=2)
+        bad = replace(g, query_features=schema.query_onehots([2])[0], recalled_count=2)
         report = validate_dataset(pack_groups([bad]), schema)
         assert any("recalled_count" in v for v in report)
 
@@ -257,20 +257,18 @@ class TestValidateAgainstOracle:
 
 
 class TestModelWeights:
-    def test_flat_roundtrip(self):
+    def test_stage_roundtrip(self):
         schema = default_schema()
         asg = default_assignment(schema)
         model = init_weights(schema, asg, seed=3, init_scale=0.7)
-        w = model.flat_weights()
-        back = model.with_flat_weights(w)
-        for j in range(model.n_stages):
-            np.testing.assert_array_equal(back.stage_item_weights[j], model.stage_item_weights[j])
-            np.testing.assert_array_equal(back.stage_query_weights[j], model.stage_query_weights[j])
+        back = CascadeModel.from_stages(model.stage_item_weights, model.stage_query_weights,
+                                        asg, schema)
+        assert back.weights.tobytes() == model.weights.tobytes()
 
     def test_stage_weights_are_views_of_the_flat_vector(self):
         schema = default_schema()
         asg = default_assignment(schema)
-        w = init_weights(schema, asg, seed=4, init_scale=0.7).flat_weights()[::-1].copy()
+        w = init_weights(schema, asg, seed=4, init_scale=0.7).weights[::-1].copy()
         model = CascadeModel(w, asg, schema)
         assert model.weights is w                   # a float64 vector is not copied
         parts = []
@@ -280,7 +278,6 @@ class TestModelWeights:
             parts += [model.stage_item_weights[j], model.stage_query_weights[j]]
         # canonical order: stage 0 item, stage 0 query, stage 1 item, ...
         assert np.concatenate(parts).tobytes() == w.tobytes()
-        assert not np.shares_memory(model.with_flat_weights(w).weights, w)
 
     @pytest.mark.parametrize("change, message", [
         (lambda item, query: (item[:-1], query),
@@ -303,15 +300,15 @@ class TestModelWeights:
         schema = default_schema()
         model = init_weights(schema, default_assignment(schema), 0, 0.1)
         with pytest.raises(ValueError, match="length"):
-            model.with_flat_weights(np.zeros(model.n_weights + 1))
+            CascadeModel(np.zeros(model.weights.size + 1), model.assignment, schema)
 
     def test_non_finite_weights_rejected(self):
         schema = default_schema()
         model = init_weights(schema, default_assignment(schema), 0, 0.1)
-        w = model.flat_weights()
+        w = model.weights.copy()
         w[0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            model.with_flat_weights(w)
+            CascadeModel(w, model.assignment, schema)
 
 
 class TestIdentityEquality:
@@ -335,7 +332,7 @@ class TestIdentityEquality:
     def test_cascade_model(self):
         schema = default_schema()
         model = init_weights(schema, default_assignment(schema), seed=2, init_scale=0.5)
-        self._check(model, model.with_flat_weights(model.flat_weights()))
+        self._check(model, with_weights(model, model.weights.copy()))
 
 
 class TestPacking:
@@ -395,7 +392,7 @@ class TestQueryGroupColumns:
         schema = default_schema()
         X = np.ones((2, schema.item_dim))
         prices = np.array([2.0, 3.0])
-        g = QueryGroup("q", schema.query_onehot(5), 5, X, [0, 2], prices)
+        g = QueryGroup("q", schema.query_onehots([5])[0], 5, X, [0, 2], prices)
         assert g.X is X and g.prices is prices
         assert g.labels.dtype == np.int8 and list(g.labels) == [0, 2] and g.size == 2
 
@@ -403,19 +400,19 @@ class TestQueryGroupColumns:
     def test_from_columns_rejects_bad_labels(self, labels):
         schema = default_schema()
         with pytest.raises(ValueError, match="group q: labels"):
-            QueryGroup("q", schema.query_onehot(5), 5,
+            QueryGroup("q", schema.query_onehots([5])[0], 5,
                        np.zeros((2, schema.item_dim)), labels, [2.0, 2.0])
 
     def test_from_columns_rejects_ragged_block(self):
         schema = default_schema()
         with pytest.raises(ValueError, match="group q: .*one block"):
-            QueryGroup("q", schema.query_onehot(5), 5,
+            QueryGroup("q", schema.query_onehots([5])[0], 5,
                        np.zeros((3, schema.item_dim)), [0, 1], [2.0, 2.0])
 
     def test_recalled_count_below_one_rejected(self):
         schema = default_schema()
         with pytest.raises(ValueError, match="group q: recalled_count must be >= 1"):
-            QueryGroup("q", schema.query_onehot(5), 0,
+            QueryGroup("q", schema.query_onehots([5])[0], 0,
                        np.zeros((1, schema.item_dim)), [0], [2.0])
 
     def test_replace_converts_and_checks_like_the_constructor(self):

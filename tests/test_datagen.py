@@ -446,7 +446,7 @@ def _groups(draw):
             st.floats(min_value=1e-3, max_value=1e6, allow_subnormal=False),
             min_size=n, max_size=n,
         ))
-        groups.append(QueryGroup(qid, schema.query_onehot(mcount), mcount, X, labels, prices))
+        groups.append(QueryGroup(qid, schema.query_onehots([mcount])[0], mcount, X, labels, prices))
     return groups
 
 
@@ -479,7 +479,7 @@ class TestRoundTripProperty:
     def test_negative_zero_reads_back_as_positive_zero(self, tmp_path):
         schema = default_schema()
         X = np.array([[-0.0, 1.0, 0.0, -2.5, -0.0]])
-        g = QueryGroup("q", schema.query_onehot(3), 3, X, [1], [2.0])
+        g = QueryGroup("q", schema.query_onehots([3])[0], 3, X, [1], [2.0])
         path = tmp_path / "data.txt"
         write_dataset(path, [g])
         assert path.read_text() == "qid:q mcount:3 label:1 price:2 1:1 3:-2.5\n"

@@ -24,7 +24,7 @@ from cascade_ranker.evaluator import (
 )
 from cascade_ranker.objective import ObjectiveConfig, expected_cost
 from cascade_ranker.trainer import TrainConfig, init_weights, train
-from groups import make_group
+from groups import make_group, with_weights
 from oracle import auc, expected_count, expected_latency, stage_probabilities
 
 
@@ -145,12 +145,12 @@ class TestEvaluate:
         schema = default_schema()
         asg = default_assignment(schema)
         model = init_weights(schema, asg, 8, 0.4)
-        w = model.flat_weights()
+        w = model.weights.copy()
         w[:2] = 0.0
-        model = model.with_flat_weights(w)
+        model = with_weights(model, w)
         sat = CascadeModel.from_stages(
             (np.zeros(2), *model.stage_item_weights[1:]),
-            (np.full(model.query_feature_dim, 60.0), *model.stage_query_weights[1:]),
+            (np.full(schema.query_feature_dim, 60.0), *model.stage_query_weights[1:]),
             asg, schema)
         rng = np.random.default_rng(5)
         group = make_group(schema, 40, rng.standard_normal((10, 5)),

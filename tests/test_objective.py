@@ -23,12 +23,12 @@ from cascade_ranker.objective import (
     instance_weights,
     loss,
     per_query_expectations,
-    softplus_penalty,
     _logsumexp_rows,
+    _scaled_softplus_gap,
     _suffix_sums,
 )
 from cascade_ranker.trainer import TrainConfig, init_weights, train
-from groups import make_group
+from groups import make_group, with_weights
 from oracle import expected_count, expected_latency, loss_gradient, stage_probabilities
 
 
@@ -248,29 +248,32 @@ class TestExpectedLatency:
 
 
 class TestSoftplusPenalty:
+    """The penalty of a value z below a threshold is
+    ``_scaled_softplus_gap(threshold - z, gamma)``, as ``loss`` runs it."""
+
     def test_at_threshold(self):
         for gamma in (1.0, 10.0, 100.0):
-            assert softplus_penalty(200.0, 200.0, gamma) == pytest.approx(
+            assert _scaled_softplus_gap(200.0 - 200.0, gamma) == pytest.approx(
                 math.log(2) / gamma, rel=1e-12)
 
     def test_deep_hinge_region(self):
-        val = softplus_penalty(190.0, 200.0, 10.0)
+        val = _scaled_softplus_gap(200.0 - 190.0, 10.0)
         assert val == pytest.approx(10.0, abs=1e-9)
 
     def test_satisfied_region_vanishes(self):
-        val = softplus_penalty(210.0, 200.0, 10.0)
+        val = _scaled_softplus_gap(200.0 - 210.0, 10.0)
         assert 0.0 <= val <= math.exp(-100) / 10 * (1 + 1e-9)
 
     def test_invalid_gamma(self):
-        with pytest.raises(ValueError, match="gamma"):
-            softplus_penalty(1.0, 2.0, 0.0)
+        with pytest.raises(ValueError, match="gamma must be > 0, got 0.0"):
+            ObjectiveConfig(gamma=0.0)
 
     def test_hinge_bound_on_grid(self):
         # 0 <= softplus - hinge <= ln(2)/gamma, equality at z = threshold
         theta = 200.0
         z = np.linspace(theta - 50, theta + 50, 10_000)
         for gamma in (1.0, 10.0, 100.0):
-            sp = np.array([softplus_penalty(zi, theta, gamma) for zi in z])
+            sp = _scaled_softplus_gap(theta - z, gamma)
             hinge = np.maximum(theta - z, 0.0)
             gap = sp - hinge
             assert gap.min() >= 0.0
@@ -362,25 +365,25 @@ class TestLossComposition:
         cost = sum(expected_cost(model, [g]) for g in groups)
         assert cost == pytest.approx(whole.expected_cost, rel=1e-10)
         size_pen = sum(
-            softplus_penalty(expected_count(model, g, model.n_stages),
-                             cfg.result_floor, cfg.gamma) for g in groups)
+            float(_scaled_softplus_gap(cfg.result_floor - expected_count(model, g, model.n_stages),
+                                       cfg.gamma)) for g in groups)
         assert size_pen == pytest.approx(whole.size_penalty, rel=1e-10)
         # penalty grows when latency exceeds the ceiling: threshold-from-below
         lat_pen = sum(
-            softplus_penalty(cfg.latency_ceiling, expected_latency(model, g), cfg.gamma)
+            float(_scaled_softplus_gap(expected_latency(model, g) - cfg.latency_ceiling, cfg.gamma))
             for g in groups)
         assert lat_pen == pytest.approx(whole.latency_penalty, rel=1e-10)
 
 
 def _fd_gradient(model, groups, cfg, objective, h=1e-5):
-    w = model.flat_weights()
+    w = model.weights
     grad = np.zeros_like(w)
     for k in range(w.shape[0]):
         wp, wm = w.copy(), w.copy()
         wp[k] += h
         wm[k] -= h
-        fp = loss(model.with_flat_weights(wp), groups, cfg, objective, want_grad=False).total
-        fm = loss(model.with_flat_weights(wm), groups, cfg, objective, want_grad=False).total
+        fp = loss(with_weights(model, wp), groups, cfg, objective, want_grad=False).total
+        fm = loss(with_weights(model, wm), groups, cfg, objective, want_grad=False).total
         grad[k] = (fp - fm) / (2 * h)
     return grad
 

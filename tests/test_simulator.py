@@ -19,6 +19,7 @@ from cascade_ranker.simulator import SimQueryRecord, plan, serve_query, simulate
 from cascade_ranker.trainer import init_weights
 from groups import make_group
 from oracle import expected_count
+from oracle import plan as oracle_plan
 
 
 def _logit(p):
@@ -43,12 +44,12 @@ def _group_with_stage1_probs(schema, probs, mcount=None, second_feature=0.0):
 
 
 def _serve_loop_records(model, data, cfg, stochastic=False, seed=0):
-    """Per-query reference for ``simulate``: plan, then serve_query, then
-    scale by M_q / N_q, one query at a time."""
+    """Per-query reference for ``simulate``: the per-query loop's keep
+    counts, then serve_query, then scale by M_q / N_q, one query at a time."""
     records = []
     for idx, g in enumerate(data):
         rng = np.random.default_rng([seed, idx]) if stochastic else None
-        served = serve_query(plan(model, g), model, g, stochastic=stochastic, rng=rng)
+        served = serve_query(oracle_plan(model, g), model, g, stochastic=stochastic, rng=rng)
         scale = g.recalled_count / g.size
         latency = served.realized_cost * scale
         final = len(served.ranking) * scale
@@ -84,8 +85,21 @@ class TestPlan:
             data = generate(GenConfig(n_queries=6, seed=seed), schema)
             for g in data:
                 counts = plan(model, g)
+                assert counts == oracle_plan(model, g)
                 assert all(a >= b for a, b in zip(counts, counts[1:]))
                 assert all(c >= 1 for c in counts)
+
+    def test_counts_simulate_replays(self):
+        # one stage of identical rows: the pass sum lands within an ulp of a
+        # whole number, where the order of the additions decides the ceil
+        schema = _schema2()
+        model = _unit_model(schema, ((0, 1),))
+        for n in range(8, 24):
+            for k in range(1, n):
+                g = _group_with_stage1_probs(schema, [k / n] * n)
+                counts = plan(model, g)
+                assert counts == oracle_plan(model, g)
+                assert simulate(model, [g], ObjectiveConfig()).per_query[0].final_count == counts[0]
 
     def test_sample_scaling_matches_recall_scaled_expectation(self):
         # the keep count is the recall-scaled expectation times N_q / M_q:
@@ -262,3 +276,17 @@ class TestReplayProperties:
         assert len(counts) == asg.n_stages
         assert 1 <= counts[0] <= size
         assert all(b <= a for a, b in zip(counts, counts[1:]))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=_SEEDS, size=st.integers(1, 40), extra=st.integers(0, 5000),
+           scale=st.sampled_from([0.0, 0.05, 1.0, 5.0, 1e3]),
+           stages=st.sampled_from([((0, 1, 2, 3, 4),), ((0, 1), (2,), (3, 4)),
+                                   ((0,), (1,), (2,), (3,), (4,))]))
+    def test_plan_equals_per_query_loop(self, seed, size, extra, scale, stages):
+        # the funnel's bincount sums go through ceil exactly as the per-query
+        # row sums do, also when saturated weights make pass sums whole numbers
+        schema = default_schema()
+        model = init_weights(schema, StageAssignment(stages), seed, scale)
+        rng = np.random.default_rng(seed)
+        g = make_group(schema, size + extra, 3.0 * rng.standard_normal((size, schema.item_dim)))
+        assert plan(model, g) == oracle_plan(model, g)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -23,33 +24,41 @@ from cascade_ranker.trainer import (
     save_model,
     train,
 )
-from groups import make_group
+from groups import make_group, with_weights
 
 
 class TestInitWeights:
     def test_zero_scale_gives_zero_model(self):
         schema = default_schema()
         model = init_weights(schema, default_assignment(schema), 42, 0.0)
-        assert np.all(model.flat_weights() == 0.0)
+        assert np.all(model.weights == 0.0)
 
     def test_same_seed_identical(self):
         schema = default_schema()
         asg = default_assignment(schema)
-        a = init_weights(schema, asg, 7, 0.3).flat_weights()
-        b = init_weights(schema, asg, 7, 0.3).flat_weights()
+        a = init_weights(schema, asg, 7, 0.3).weights
+        b = init_weights(schema, asg, 7, 0.3).weights
         np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
         schema = default_schema()
         asg = default_assignment(schema)
-        a = init_weights(schema, asg, 1, 0.3).flat_weights()
-        b = init_weights(schema, asg, 2, 0.3).flat_weights()
+        a = init_weights(schema, asg, 1, 0.3).weights
+        b = init_weights(schema, asg, 2, 0.3).weights
         assert np.any(a != b)
 
     def test_bounded_by_scale(self):
         schema = default_schema()
-        w = init_weights(schema, default_assignment(schema), 5, 0.01).flat_weights()
+        w = init_weights(schema, default_assignment(schema), 5, 0.01).weights
         assert np.all(np.abs(w) <= 0.01)
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize("scale", [0.01, 0.5, 3.0])
+    def test_one_uniform_draw(self, seed, scale):
+        schema = default_schema()
+        w = init_weights(schema, default_assignment(schema), seed, scale).weights
+        want = np.random.default_rng(seed).uniform(-scale, scale, size=w.size)
+        assert w.tobytes() == want.tobytes()
 
 
 class TestTrainConfigValidation:
@@ -101,7 +110,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=3, seed=11)
         a, _ = train(data, schema, asg, obj, cfg)
         b, _ = train(data, schema, asg, obj, cfg)
-        np.testing.assert_array_equal(a.flat_weights(), b.flat_weights())
+        np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_loss_decreases_over_training(self):
         schema = default_schema()
@@ -157,7 +166,7 @@ def _replay(data, schema, asg, obj, cfg):
     final flat weights."""
     packed = pack_groups(data)
     model = init_weights(schema, asg, cfg.seed, cfg.init_scale)
-    w = model.flat_weights()
+    w = model.weights
     rng = np.random.default_rng([cfg.seed, 1])
     lr, epochs = cfg.learning_rate, []
     for _ in range(cfg.epochs):
@@ -166,7 +175,7 @@ def _replay(data, schema, asg, obj, cfg):
         for b0 in range(0, len(order), cfg.batch_size):
             batch = packed.take(order[b0 : b0 + cfg.batch_size])
             bcfg = replace(obj, alpha=obj.alpha * batch.n_instances / packed.n_instances)
-            bd = loss(model.with_flat_weights(w), batch, bcfg, cfg.objective)
+            bd = loss(with_weights(model, w), batch, bcfg, cfg.objective)
             w = w - lr * bd.gradient / batch.n_instances
             bds.append(bd)
         epochs.append((lr, bds))
@@ -209,7 +218,7 @@ class TestEpochRecord:
                           learning_rate=0.3, lr_decay=0.5)
         model, log = train(data, schema, asg, obj, cfg)
         epochs, w = _replay(data, schema, asg, obj, cfg)
-        assert model.flat_weights().tobytes() == w.tobytes()
+        assert model.weights.tobytes() == w.tobytes()
 
         assert [r.epoch for r in log.records] == [1, 2, 3]
         for record, (lr, bds) in zip(log.records, epochs):
@@ -312,7 +321,7 @@ class TestGradientCheck:
         model = init_weights(schema, default_assignment(schema), 4, 0.8)
         cfg = ObjectiveConfig(alpha=0.7)
         bd = loss(model, [], cfg, "l3")
-        np.testing.assert_array_equal(bd.gradient, cfg.alpha * (2.0 * model.flat_weights()))
+        np.testing.assert_array_equal(bd.gradient, cfg.alpha * (2.0 * model.weights))
         report = gradient_check(model, [], cfg, objective="l3")
         assert report.passed
 
@@ -426,7 +435,7 @@ class TestModelSerialization:
         path = tmp_path / "model.txt"
         save_model(model, path)
         back = load_model(path, schema)
-        np.testing.assert_array_equal(back.flat_weights(), model.flat_weights())
+        np.testing.assert_array_equal(back.weights, model.weights)
         assert back.assignment.stages == model.assignment.stages
 
     def test_schema_mismatch_rejected(self, tmp_path):
@@ -457,6 +466,17 @@ class TestModelSerialization:
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:keep]))
         with pytest.raises(ValueError, match=f"ends before its {missing} line"):
+            load_model(path, schema)
+
+    def test_stage_index_out_of_range_names_the_file(self, tmp_path):
+        schema = default_schema()
+        path = tmp_path / "model.txt"
+        save_model(init_weights(schema, default_assignment(schema), 0, 0.1), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = "stage 1 features 99999999999999999999\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(
+                f"model file {path}: stage 1: feature index 99999999999999999999 not in schema")):
             load_model(path, schema)
 
     def test_header_without_counts_rejected(self, tmp_path):
