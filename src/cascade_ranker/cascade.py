@@ -38,20 +38,17 @@ def batch_log_pass(model: CascadeModel, packed: PackedDataset) -> tuple[np.ndarr
     ``cum_log_p[:, k]`` is log of the probability of passing stages 0..k.
     """
     Z = batch_logits(model, packed)
-    log_p = log_expit(Z)
-    return Z, _cumsum_columns(log_p, out=log_p)
+    return Z, _cumsum_columns(log_expit(Z))
 
 
-def _cumsum_columns(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.cumsum(a, axis=1)`` written to ``out``, which may be ``a`` itself.
+def _cumsum_columns(a: np.ndarray) -> np.ndarray:
+    """``np.cumsum(a, axis=1)``, in place in ``a``, which it returns.
 
     One column at a time: the same additions in the same order, without
     numpy's per-row loop over a handful of stages."""
-    if out is not a:
-        out[:, 0] = a[:, 0]
     for k in range(1, a.shape[1]):
-        np.add(a[:, k], out[:, k - 1], out=out[:, k])
-    return out
+        np.add(a[:, k], a[:, k - 1], out=a[:, k])
+    return a
 
 
 def batch_final_probs(model: CascadeModel, groups) -> np.ndarray:

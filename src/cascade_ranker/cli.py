@@ -221,11 +221,15 @@ def write_manifest(out_dir: Path, command: str, args: argparse.Namespace, cfg: d
 
 def _split_holdout(packed, fraction: float, seed: int):
     """(training, holdout) groups of ``packed``, each in file order; no
-    holdout when ``fraction`` is 0 or there is only one group."""
+    holdout when ``fraction`` is 0 or there is only one group. Raises when
+    the holdout would take every group."""
     if fraction <= 0 or packed.n_groups < 2:
         return packed, None
     order = np.random.default_rng([seed, 2]).permutation(packed.n_groups)
     n_hold = max(1, int(round(fraction * packed.n_groups)))
+    if n_hold == packed.n_groups:
+        raise ValueError(f"config section 'train', key 'holdout_fraction': {fraction} holds out "
+                         f"{n_hold} of {packed.n_groups} queries and leaves none to train on")
     return packed.take(np.sort(order[n_hold:])), packed.take(np.sort(order[:n_hold]))
 
 
@@ -305,6 +309,10 @@ def cmd_eval(args) -> int:
     cfg = apply_overrides(load_config(args.config), args)
     schema = schema_from_config(cfg)
     obj_cfg = objective_from_config(cfg)
+    keep_k = int(cfg["eval"]["two_stage_keep_k"])
+    if keep_k < 1:
+        raise ValueError("config section 'eval', key 'two_stage_keep_k': keep_k must be >= 1, "
+                         f"got {keep_k}")
     model = _load_matching_model(args.model, cfg, schema)
     packed = _read_valid_dataset(args.dataset, schema)
     base = _baseline_cost(schema, packed.n_instances)
@@ -315,7 +323,6 @@ def cmd_eval(args) -> int:
         train_cfg = train_from_config(cfg)
         all_feats = tuple(range(schema.item_dim))
         cheap = tuple(i for i, f in enumerate(schema.features) if f.kind == "statistical")
-        keep_k = int(cfg["eval"]["two_stage_keep_k"])
         filt = min(cheap or all_feats, key=lambda i: schema.features[i].cost)
 
         def l1(assignment):

@@ -160,7 +160,7 @@ def evaluate(model: CascadeModel, data, cfg: ObjectiveConfig,
     to ``baseline_cost``; to itself when omitted), and per-query expected
     result counts and latencies, all from one forward pass."""
     packed = data if isinstance(data, PackedDataset) else pack_groups(data)
-    scores, cost, counts, latencies = forward_expectations(model, packed)
+    scores, _, cost, counts, latencies = forward_expectations(model, packed)
     return _report(macro_auc(scores, packed), cost, baseline_cost, packed, counts, latencies, cfg)
 
 

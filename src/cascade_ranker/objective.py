@@ -17,6 +17,9 @@ is the telescoping expansion
     1 - p_1...p_T = sum_j (1 - p_j) * prod_{k<j} p_k
 
 whose terms are products of sigmoids, each stable as a sum of log-sigmoids.
+Cost, size and latency are functions of the expected pass counts S (see
+``_query_expectations``), which eval and the replay's keep counts read too.
+The gradient chains one summed dLoss/dZ back to the weights.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import reduce
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .cascade import _cumsum_columns, batch_log_pass, batch_logits
+from .cascade import batch_log_pass
 from .core import (
     LABEL_CLICK,
     LABEL_PURCHASE,
@@ -80,8 +83,8 @@ class ObjectiveConfig:
             raise ValueError("result_floor and latency_ceiling must be > 0")
         if self.purchase_weight < 1:
             raise ValueError("purchase_weight must be >= 1 (purchases never matter less than clicks)")
-        if self.price_weight < 0:
-            raise ValueError("price_weight must be >= 0")
+        if self.price_weight <= 0:
+            raise ValueError("price_weight must be > 0 (at 0 clicks and purchases weigh 0)")
 
 
 @dataclass(frozen=True)
@@ -138,26 +141,18 @@ def _scaled_softplus_gap(diff, gamma):
     return np.maximum(diff, 0.0) + np.log1p(np.exp(-gamma * np.abs(diff))) / gamma
 
 
-def _weight_grads(model: CascadeModel, packed: PackedDataset, dZs) -> np.ndarray:
-    """Chain each dLoss/dZ (n, T) of ``dZs`` back to the flat weight vector:
-    row k of the result is the gradient of ``dZs[k]``.
-
-    Each stage's feature columns are gathered once and every per-group sum is
-    taken by one ``reduceat``; the products stay one matrix-vector product per
-    column, which keeps every component's bits those of the per-column chain."""
+def _weight_grad(model: CascadeModel, packed: PackedDataset, dZ: np.ndarray) -> np.ndarray:
+    """Chain dLoss/dZ (n, T) back to the flat weight vector, one matrix-vector
+    product per stage column. The per-group sums are copied to contiguous rows,
+    since BLAS adds a strided vector in another order."""
     if packed.n_instances == 0:    # pack_groups([]) has no feature columns to gather
-        return np.zeros((len(dZs), model.weights.size))
-    T = model.n_stages
-    per_group = np.ascontiguousarray(
-        np.add.reduceat(np.concatenate(dZs, axis=1), packed.offsets[:-1], axis=0).T
-    )
-    grads = np.empty((len(dZs), model.weights.size))
+        return np.zeros(model.weights.size)
+    per_group = np.ascontiguousarray(np.add.reduceat(dZ, packed.offsets[:-1], axis=0).T)
+    grad = np.empty(model.weights.size)
     for a, (stage, (item, query)) in enumerate(zip(model.assignment.stages, model.stage_slices)):
-        X_a = packed.X[:, list(stage)]
-        for i, dZ in enumerate(dZs):
-            grads[i, item] = X_a.T @ dZ[:, a]
-            grads[i, query] = packed.G.T @ per_group[i * T + a]
-    return grads
+        grad[item] = packed.X[:, list(stage)].T @ dZ[:, a]
+        grad[query] = packed.G.T @ per_group[a]
+    return grad
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -195,25 +190,21 @@ def _suffix_sums(M: np.ndarray) -> np.ndarray:
 
 
 def _query_expectations(packed: PackedDataset, t: np.ndarray, P: np.ndarray):
-    """(suffix, cost, counts_final, latencies) from the cumulative pass
-    probabilities ``P`` (n, T): the per-item cost suffixes, the total
-    expected cost (t_1 per instance plus each instance's suffix from stage
-    1), and per query the recall-scaled expected final count and latency."""
-    T = P.shape[1]
+    """(S, cost, counts_final, latencies) from the cumulative pass probabilities
+    ``P`` (n, T). S[q, j], query q's expected number of sampled items that pass
+    stages 0..j, derives the rest: the expected cost, and per query the
+    recall-scaled expected final count and latency."""
+    group_of_row = np.repeat(np.arange(packed.n_groups), packed.sizes)
+    # bincount adds each query's rows in row order, the same packed alone or not
+    S = np.column_stack([np.bincount(group_of_row, weights=P[:, j], minlength=packed.n_groups)
+                         for j in range(P.shape[1])])
     mratio = packed.mcounts / packed.sizes     # M_q / N_q
-
-    # suffix[i, b] = sum_{k=b}^{T-2} t[k+1] * P[i, k]: the cost the item is
-    # expected to incur in stages after b, given it passes stage b.
-    suffix = np.zeros_like(P)
-    if T > 1:
-        suffix[:, : T - 1] = _suffix_sums(P[:, : T - 1] * t[1:])
-
-    cost = float(t[0] * packed.n_instances + np.sum(suffix[:, 0]))
-    counts_final = mratio * np.add.reduceat(P[:, -1], packed.offsets[:-1])
-    latencies = t[0] * packed.mcounts + mratio * np.add.reduceat(
-        suffix[:, 0], packed.offsets[:-1]
-    )
-    return suffix, cost, counts_final, latencies
+    # sum_j t_{j+1} S[:, j] column by column: BLAS would round a query by its row
+    after_first = reduce(np.add, (S[:, :-1] * t[1:]).T, np.zeros(packed.n_groups))
+    cost = float(t[0] * packed.n_instances + np.sum(after_first))
+    counts_final = mratio * S[:, -1]
+    latencies = t[0] * packed.mcounts + mratio * after_first
+    return S, cost, counts_final, latencies
 
 
 def _as_packed(data) -> PackedDataset:
@@ -223,7 +214,7 @@ def _as_packed(data) -> PackedDataset:
 def expected_cost(model: CascadeModel, data) -> float:
     """Total expected CPU cost: every item entering stage j pays t_j, with all
     instances entering stage 1 and no cost beyond the final stage."""
-    return forward_expectations(model, _as_packed(data))[1]
+    return forward_expectations(model, _as_packed(data))[2]
 
 
 def _masked_coeffs(cfg: ObjectiveConfig, objective: str) -> tuple[float, float, float]:
@@ -248,12 +239,10 @@ def loss(model: CascadeModel, data, cfg: ObjectiveConfig, objective: str = "l3",
     packed = _as_packed(data)
     beta, delta, lat_w = _masked_coeffs(cfg, objective)
     t = stage_costs(model.assignment, model.schema)
-    Z = batch_logits(model, packed)
-    log_p = log_expit(Z)                       # log p per stage
-    # batch_log_pass's cumulative sum, into a second array so that log p stays
-    cum_log_p = _cumsum_columns(log_p, out=np.empty_like(log_p))
+    Z, cum_log_p = batch_log_pass(model, packed)
     log_q = log_expit(-Z)                      # log(1 - p) per stage
-    prefix = cum_log_p - log_p                 # sum of log p over stages < j
+    prefix = np.zeros_like(cum_log_p)          # sum of log p over stages < j
+    prefix[:, 1:] = cum_log_p[:, :-1]
     log_p_final = cum_log_p[:, -1]
     # telescoping: log(1 - prod p) = logsumexp_j [log(1-p_j) + sum_{k<j} log p_k]
     log_1mp = _logsumexp_rows(log_q + prefix)
@@ -263,7 +252,7 @@ def loss(model: CascadeModel, data, cfg: ObjectiveConfig, objective: str = "l3",
     nll = -float(np.sum(wgt * (y * log_p_final + (1.0 - y) * log_1mp)))
 
     P = np.exp(cum_log_p)                      # cumulative pass probabilities
-    suffix, cost, counts_final, latencies = _query_expectations(packed, t, P)
+    _, cost, counts_final, latencies = _query_expectations(packed, t, P)
     size_penalty = float(np.sum(_scaled_softplus_gap(cfg.result_floor - counts_final, cfg.gamma)))
     latency_penalty = float(np.sum(
         _scaled_softplus_gap(latencies - cfg.latency_ceiling, cfg.gamma)))
@@ -280,16 +269,17 @@ def loss(model: CascadeModel, data, cfg: ObjectiveConfig, objective: str = "l3",
         # y=0 term is p * (1 - p_j) / (1 - p): <= 1 analytically, so summing the
         # exponents before exponentiating cannot overflow.
         neg_term = np.exp((log_p_final - log_1mp)[:, None] + log_q)
-        dZ_nll = wgt[:, None] * np.where(y[:, None] > 0, -sig_neg, neg_term)
-        dZ_cost = sig_neg * suffix
+        # suffix[i, b] = sum_{k=b}^{T-2} t[k+1] * P[i, k]: the cost the item is
+        # expected to incur in stages after b, given it passes stage b.
+        suffix = np.zeros_like(P)
+        suffix[:, :-1] = _suffix_sums(P[:, :-1] * t[1:])
         size_coef = -expit(cfg.gamma * (cfg.result_floor - counts_final)) * mratio
-        dZ_size = np.repeat(size_coef, sizes)[:, None] * P[:, -1][:, None] * sig_neg
         lat_coef = expit(cfg.gamma * (latencies - cfg.latency_ceiling)) * mratio
-        dZ_lat = np.repeat(lat_coef, sizes)[:, None] * sig_neg * suffix
-        grad_nll, grad_cost, grad_size, grad_latency = _weight_grads(
-            model, packed, (dZ_nll, dZ_cost, dZ_size, dZ_lat))
-        gradient = (grad_nll + cfg.alpha * (2.0 * w) + beta * grad_cost
-                    + delta * grad_size + lat_w * grad_latency)
+        suffix_coef = beta + lat_w * np.repeat(lat_coef, sizes)
+        final_coef = delta * np.repeat(size_coef, sizes) * P[:, -1]
+        dZ = (wgt[:, None] * np.where(y[:, None] > 0, -sig_neg, neg_term)
+              + sig_neg * (suffix_coef[:, None] * suffix + final_coef[:, None]))
+        gradient = _weight_grad(model, packed, dZ) + cfg.alpha * (2.0 * w)
     return LossBreakdown(
         total=float(total), nll=nll, l2=l2, expected_cost=cost,
         size_penalty=size_penalty, latency_penalty=latency_penalty,
@@ -301,14 +291,13 @@ def loss(model: CascadeModel, data, cfg: ObjectiveConfig, objective: str = "l3",
 
 def per_query_expectations(model: CascadeModel, data):
     """(expected final counts, expected latencies) per query, recall-scaled."""
-    return forward_expectations(model, _as_packed(data))[2:]
+    return forward_expectations(model, _as_packed(data))[3:]
 
 
 def forward_expectations(model: CascadeModel, packed: PackedDataset):
-    """Everything a report needs from one forward pass over ``packed``:
-    (final pass probability per instance, the expected cost, and per query
-    the expected final count and latency), each summed as ``loss`` sums it."""
+    """From one forward pass over ``packed``: the final pass probability per
+    instance, then S, the expected cost, and per query the expected final count
+    and latency, as ``_query_expectations`` gives them to ``loss``."""
     t = stage_costs(model.assignment, model.schema)
     P = np.exp(batch_log_pass(model, packed)[1])
-    _, cost, counts_final, latencies = _query_expectations(packed, t, P)
-    return P[:, -1], cost, counts_final, latencies
+    return (P[:, -1], *_query_expectations(packed, t, P))

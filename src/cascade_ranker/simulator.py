@@ -10,12 +10,13 @@ latency ceiling are expressed against. A query's realized cost is its
 latency, and the report's total cost is their sum; there is no model of
 traffic or utilization.
 
-``_keep_counts`` is the one rule for the keep counts. ``simulate`` replays a
-whole dataset under them, vectorised over queries, and its ``SimReport``
-shares the per-query table, text and records of the evaluator's
-``EvalReport``. ``plan`` is one query's row of those counts; ``plan`` then
-``serve_query`` is the reference that ``simulate`` matches record for record.
-The per-query loop the counts are checked against is ``tests/oracle.plan``.
+``_keep_counts`` is the one rule for the keep counts: it rounds up the
+expected pass counts S of ``forward_expectations``, whose last column eval
+reports. ``simulate`` replays a dataset under them, vectorised over queries;
+its ``SimReport`` shares the per-query table, text and records of the
+evaluator's ``EvalReport``. ``plan`` (one query's row of the counts) then
+``serve_query`` is the reference ``simulate`` matches record for record, and
+``tests/oracle.plan`` the per-query loop the counts are checked against.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ from scipy.special import expit
 from .cascade import batch_log_pass
 from .core import CascadeModel, PackedDataset, QueryGroup, pack_groups, stage_costs
 from .evaluator import QueryReport, query_table
-from .objective import ObjectiveConfig
+from .objective import ObjectiveConfig, forward_expectations
 
 
 def plan(model: CascadeModel, group: QueryGroup) -> list[int]:
     """The keep counts per stage of ``group``, as ``simulate`` replays them
     (see ``_keep_counts``)."""
-    return _keep_counts(model, pack_groups([group]))[0].tolist()
+    packed = pack_groups([group])
+    return _keep_counts(packed.sizes, forward_expectations(model, packed)[1])[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -112,28 +114,14 @@ class SimReport(QueryReport):
     per_query: tuple[SimQueryRecord, ...]
 
 
-def _keep_counts(model: CascadeModel, packed: PackedDataset) -> np.ndarray:
-    """Integer keep counts per query and stage, shape (n_groups, T): ceil of
-    the expected pass count over the query's sampled instances (the
-    recall-scaled expectation times N_q / M_q, the threshold that applies
-    when replaying a sample), clamped to [1, items remaining]; non-increasing
-    across stages.
-
-    Top-k keeps exactly k under these counts, so stage j's entrants are
-    stage j - 1's keep count, with no per-query ranking.
-    """
-    cum_log_p = batch_log_pass(model, packed)[1]    # Z is released at once
-    pass_prob = np.exp(cum_log_p, out=cum_log_p)
-    group_of_row = np.repeat(np.arange(packed.n_groups), packed.sizes)
-    keep = np.empty((packed.n_groups, model.n_stages), dtype=np.int64)
-    remaining = packed.sizes
-    for j in range(model.n_stages):
-        # bincount adds each query's rows in row order (reduceat adds
-        # pairwise), so a query's sum is the same packed alone or with others.
-        pass_sum = np.bincount(group_of_row, weights=pass_prob[:, j], minlength=packed.n_groups)
-        remaining = np.minimum(remaining, np.maximum(1, np.ceil(pass_sum).astype(np.int64)))
-        keep[:, j] = remaining
-    return keep
+def _keep_counts(sizes: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Integer keep counts per query and stage, shape (n_groups, T): the
+    expected pass counts ``S`` of each query's sample (the threshold that
+    applies when replaying a sample) rounded up, clamped to [1, items
+    remaining], so non-increasing across stages. Top-k keeps exactly k under
+    these counts, so stage j's entrants are stage j - 1's keep count."""
+    at_least_one = np.maximum(1, np.ceil(S).astype(np.int64))
+    return np.minimum(sizes[:, None], np.minimum.accumulate(at_least_one, axis=1))
 
 
 def _stochastic_funnel(model: CascadeModel, packed: PackedDataset, seed: int):
@@ -165,7 +153,7 @@ def simulate(model: CascadeModel, data, cfg: ObjectiveConfig, *, stochastic: boo
     if stochastic:
         entrants, final = _stochastic_funnel(model, packed, seed)
     else:
-        keep = _keep_counts(model, packed)
+        keep = _keep_counts(packed.sizes, forward_expectations(model, packed)[1])
         entrants = np.concatenate([packed.sizes[:, None], keep[:, :-1]], axis=1)
         final = keep[:, -1]
 

@@ -1,6 +1,6 @@
 """Reference implementations the tests check the fast paths against: per-item
 and per-query math written stage by stage, the loss gradient chained one
-term and one stage column at a time, dataset validation group by group, the
+stage column at a time, dataset validation group by group, the
 flat rank-sum AUC that ``evaluator.macro_auc`` computes per query, and the
 per-query keep counts of the replay's funnel."""
 
@@ -60,40 +60,41 @@ def _suffix_sums(M) -> np.ndarray:
 
 def loss_gradient(model, packed, cfg, objective: str) -> np.ndarray:
     """``loss(model, packed, cfg, objective).gradient`` through numpy's
-    row-wise cumulative sums, scipy's logsumexp and one
-    ``accumulate_weight_grad`` call per loss term."""
+    row-wise cumulative sums, scipy's logsumexp, the expected pass counts S
+    added by one ``bincount`` per stage, and one ``accumulate_weight_grad``
+    call on the summed dLoss/dZ of all four data terms."""
     t = stage_costs(model.assignment, model.schema)
     Z = batch_logits(model, packed)
     cum_log_p = np.cumsum(log_expit(Z), axis=1)
     log_q = log_expit(-Z)
-    prefix = cum_log_p - log_expit(Z)
+    prefix = np.hstack([np.zeros((len(Z), 1)), cum_log_p[:, :-1]])
     log_p_final = cum_log_p[:, -1]
     log_1mp = logsumexp(log_q + prefix, axis=1)
     wgt = instance_weights(packed.labels, packed.prices, cfg)
     P = np.exp(cum_log_p)
     sizes = packed.sizes
     mratio = packed.mcounts / sizes
-    starts = packed.offsets[:-1]
+    group = np.repeat(np.arange(packed.n_groups), sizes)
+    S = np.column_stack([np.bincount(group, weights=P[:, j], minlength=packed.n_groups)
+                         for j in range(model.n_stages)])
+    after_first = np.zeros(packed.n_groups)
+    for j in range(1, model.n_stages):
+        after_first = after_first + S[:, j - 1] * t[j]
+    counts_final = mratio * S[:, -1]
+    latencies = t[0] * packed.mcounts + mratio * after_first
     suffix = np.zeros_like(P)
     suffix[:, :-1] = _suffix_sums(P[:, :-1] * t[1:])
-    counts_final = mratio * np.add.reduceat(P[:, -1], starts)
-    latencies = t[0] * packed.mcounts + mratio * np.add.reduceat(suffix[:, 0], starts)
-
-    sig_neg = np.exp(log_q)
-    neg_term = np.exp((log_p_final - log_1mp)[:, None] + log_q)
-    dZ_nll = wgt[:, None] * np.where(packed.y[:, None] > 0, -sig_neg, neg_term)
-    grad_nll = accumulate_weight_grad(model, packed, dZ_nll)
-    grad_cost = accumulate_weight_grad(model, packed, sig_neg * suffix)
-    size_coef = -expit(cfg.gamma * (cfg.result_floor - counts_final)) * mratio
-    dZ_size = np.repeat(size_coef, sizes)[:, None] * P[:, -1][:, None] * sig_neg
-    grad_size = accumulate_weight_grad(model, packed, dZ_size)
-    lat_coef = expit(cfg.gamma * (latencies - cfg.latency_ceiling)) * mratio
-    dZ_lat = np.repeat(lat_coef, sizes)[:, None] * sig_neg * suffix
-    grad_latency = accumulate_weight_grad(model, packed, dZ_lat)
 
     beta, delta, lat_w = _masked_coeffs(cfg, objective)
-    return (grad_nll + cfg.alpha * (2.0 * model.weights) + beta * grad_cost
-            + delta * grad_size + lat_w * grad_latency)
+    sig_neg = np.exp(log_q)
+    neg_term = np.exp((log_p_final - log_1mp)[:, None] + log_q)
+    size_coef = -expit(cfg.gamma * (cfg.result_floor - counts_final)) * mratio
+    lat_coef = expit(cfg.gamma * (latencies - cfg.latency_ceiling)) * mratio
+    suffix_coef = beta + lat_w * np.repeat(lat_coef, sizes)
+    final_coef = delta * np.repeat(size_coef, sizes) * P[:, -1]
+    dZ = (wgt[:, None] * np.where(packed.y[:, None] > 0, -sig_neg, neg_term)
+          + sig_neg * (suffix_coef[:, None] * suffix + final_coef[:, None]))
+    return accumulate_weight_grad(model, packed, dZ) + cfg.alpha * (2.0 * model.weights)
 
 
 def validate_dataset(groups, schema) -> list[str]:

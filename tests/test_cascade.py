@@ -15,8 +15,10 @@ from cascade_ranker.core import (
     FeatureSchema,
     StageAssignment,
     pack_groups,
+    stage_costs,
 )
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
+from cascade_ranker.objective import _query_expectations, forward_expectations
 from cascade_ranker.trainer import init_weights
 from groups import make_group, with_weights
 from oracle import cumulative_probabilities, stage_probabilities
@@ -232,10 +234,8 @@ class TestCumulativeLogPass:
                   for i, n in enumerate((1, 9, 30))]
         Z, cum_log_p = batch_log_pass(model, pack_groups(groups))
         assert cum_log_p.tobytes() == np.cumsum(log_expit(Z), axis=1).tobytes()
-        # the objective keeps log p and sums into a second array
         log_p = log_expit(Z)
-        assert _cumsum_columns(log_p, out=np.empty_like(log_p)).tobytes() == cum_log_p.tobytes()
-        assert log_p.tobytes() == log_expit(Z).tobytes()
+        assert _cumsum_columns(log_p.copy()).tobytes() == cum_log_p.tobytes()
 
 
 @st.composite
@@ -277,3 +277,36 @@ class TestAgainstScalarOracle:
         np.testing.assert_allclose(np.exp(cum_log_p), cumulative, rtol=1e-12, atol=1e-300)
         assert final.tobytes() == np.exp(cum_log_p[:, -1]).tobytes()
         np.testing.assert_allclose(final, cumulative[:, -1], rtol=1e-12, atol=1e-300)
+
+
+def _check_pass_counts(model, packed):
+    """S of ``packed``, after checking that S[q, j] adds query q's rows of P
+    in row order and that a query's S, count and latency are the same packed
+    alone as with the others."""
+    t = stage_costs(model.assignment, model.schema)
+    P = np.exp(batch_log_pass(model, packed)[1])
+    S, _, counts, latencies = _query_expectations(packed, t, P)
+    for q in range(packed.n_groups):
+        rows = P[packed.offsets[q]:packed.offsets[q + 1]]
+        assert S[q].tobytes() == np.cumsum(rows, axis=0)[-1].tobytes()
+        alone = _query_expectations(packed.take([q]), t, rows)
+        assert alone[0].tobytes() == S[q:q + 1].tobytes()
+        assert (alone[2][0], alone[3][0]) == (counts[q], latencies[q])
+    return S
+
+
+class TestExpectedPassCounts:
+    @given(_cascades())
+    @settings(max_examples=100, deadline=None)
+    def test_random_cascades(self, problem):
+        model, groups = problem
+        packed = pack_groups(groups)
+        S = _check_pass_counts(model, packed)
+        assert S.tobytes() == forward_expectations(model, packed)[1].tobytes()
+
+    def test_large_batch(self):
+        # hundreds of queries: a BLAS matrix-vector product over S would round
+        # a query's latency by its row in the batch
+        schema = default_schema()
+        model = init_weights(schema, default_assignment(schema), 3, 0.5)
+        _check_pass_counts(model, pack_groups(generate(GenConfig(n_queries=300, seed=3), schema)))

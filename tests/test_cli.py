@@ -163,6 +163,19 @@ class TestConfigBoundary:
                        f"got {fraction}")
         assert not (tmp_path / "run").exists()
 
+    def test_holdout_of_every_query(self, tmp_path, small_config, capsys):
+        # 0.99 of 40 queries rounds to all 40
+        cfg = json.loads(small_config.read_text())
+        cfg["train"]["holdout_fraction"] = 0.99
+        path = tmp_path / "holdout.json"
+        path.write_text(json.dumps(cfg))
+        data = _gen(tmp_path, small_config)
+        _fails_cleanly(["train", "--config", str(path), "--dataset", str(data),
+                        "--out", str(tmp_path / "run")],
+                       capsys, "section 'train', key 'holdout_fraction': 0.99 holds out "
+                       "40 of 40 queries")
+        assert not (tmp_path / "run").exists()
+
     def test_unsquared_l2_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["gradcheck", "--unsquared-l2", "--out", str(tmp_path / "x")])
@@ -305,13 +318,13 @@ class TestTrainCommand:
         assert json.loads((run / "manifest.json").read_text())["config"]["train"][
             "holdout_fraction"] == 0.2
         assert hashlib.sha256((run / "model.txt").read_bytes()).hexdigest() == (
-            "89cece1e1bd39f45c1173820ad7ee59377417238fc5188a20df6a705adf6c06b")
+            "bdab4991725b60ba6246e25a749c211b07624693866c48c0509f9ee8ad02e22c")
         lines = "".join(
             json.dumps({k: v for k, v in json.loads(l).items() if k != "wall_time_s"}) + "\n"
             for l in (run / "trainlog.ndjson").read_text().splitlines()
         )
         assert hashlib.sha256(lines.encode()).hexdigest() == (
-            "27bea74e7a17c72c486c6e449a21151cf9590161262f08d506c57deca36acb96")
+            "30b9cb0ecb1220c3067cb7d582f524a6e0ad431591d2765f5de165c659697f15")
 
     def test_objective_flag_recorded_in_manifest(self, tmp_path, small_config):
         data = _gen(tmp_path, small_config)
@@ -415,6 +428,20 @@ class TestEvalCommand:
                         "--model", str(model), "--out", str(tmp_path / "eval"), "--compare"],
                        capsys, "keep_k must be >= 1")
         assert not (tmp_path / "eval").exists()
+
+    def test_bad_keep_k_fits_no_baseline(self, tmp_path, small_config, capsys, monkeypatch):
+        data = _gen(tmp_path, small_config)
+        model = _train(tmp_path, small_config, data)
+        cfg = json.loads(small_config.read_text())
+        cfg["eval"]["two_stage_keep_k"] = 0
+        path = tmp_path / "keep0.json"
+        path.write_text(json.dumps(cfg))
+        fits = []
+        monkeypatch.setattr("cascade_ranker.evaluator.train", lambda *a, **k: fits.append(a))
+        _fails_cleanly(["eval", "--config", str(path), "--dataset", str(data),
+                        "--model", str(model), "--out", str(tmp_path / "eval"), "--compare"],
+                       capsys, "section 'eval', key 'two_stage_keep_k': keep_k must be >= 1")
+        assert fits == []
 
 
 class TestGradcheckCommand:

@@ -211,6 +211,17 @@ class TestEvaluate:
         assert (below, above) == (bd.queries_below_floor, bd.queries_above_ceiling)
         assert 0 < above < len(data)
 
+    def test_expected_final_count_is_scaled_final_pass_count(self):
+        # each record's count is M_q / N_q times the last column of the
+        # expected pass counts S that the replay's keep counts round up
+        schema, asg, data = _benchmark(seed=4, n=60)
+        model = init_weights(schema, asg, 2, 0.4)
+        packed = pack_groups(data)
+        S = objective.forward_expectations(model, packed)[1]
+        report = evaluate(model, packed, ObjectiveConfig())
+        assert [r.expected_final_count for r in report.per_query] == (
+            packed.mcounts / packed.sizes * S[:, -1]).tolist()
+
     def test_zero_baseline_cost_rejected(self):
         schema = FeatureSchema(tuple(replace(f, cost=0.0) for f in default_schema().features))
         data = generate(GenConfig(n_queries=10, seed=1), schema)

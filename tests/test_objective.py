@@ -83,6 +83,12 @@ class TestInstanceWeight:
         with pytest.raises(ValueError, match="positive"):
             instance_weights(np.array([0, 1]), np.array([2.0, 0.0]), cfg)
 
+    @pytest.mark.parametrize("price_weight", [0.0, -1.0])
+    def test_non_positive_price_weight_rejected(self, price_weight):
+        # at 0 every click and purchase would weigh 0 and only non-clicks train
+        with pytest.raises(ValueError, match="price_weight must be > 0"):
+            ObjectiveConfig(price_weight=price_weight)
+
     @pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf])
     def test_non_finite_price_rejected(self, price):
         with pytest.raises(ValueError, match="finite and positive"):
@@ -314,6 +320,20 @@ class TestLossComposition:
         g = make_group(schema, 5, np.zeros((1, 2)), 1, math.e)
         assert loss(model, [g], cfg, "l1").total == pytest.approx(math.log(2), rel=1e-12)
 
+    @pytest.mark.parametrize("want_grad", [True, False])
+    def test_one_forward_pass(self, monkeypatch, want_grad):
+        model, groups, cfg = _random_problem(2)
+        packed = pack_groups(groups)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return batch_log_pass(*args, **kwargs)
+
+        monkeypatch.setattr("cascade_ranker.objective.batch_log_pass", counting)
+        loss(model, packed, cfg, "l3", want_grad=want_grad)
+        assert len(calls) == 1
+
     def test_bitwise_recomposition(self):
         model, groups, cfg = _random_problem(2)
         for objective, (beta, delta, latw) in {
@@ -456,8 +476,8 @@ class TestGradientChain:
         {"gamma": 0.05},
         # every query below its floor and above its ceiling: coefficients at 1
         {"result_floor": 1e9, "latency_ceiling": 1e-3},
-        # zero NLL weight on every click and purchase row
-        {"purchase_weight": 1.0, "price_weight": 0.0},
+        # near-zero NLL weight on every click and purchase row
+        {"purchase_weight": 1.0, "price_weight": 1e-300},
     ])
     def test_bit_identical_to_per_column_chain(self, objective, problem, kwargs):
         import dataclasses

@@ -35,7 +35,7 @@ SIM_TEXT = (
     "p95_latency_units 9534.49\nmean_latency_ms 21.7418\n"
     "p95_latency_ms 63.5632\nfraction_below_floor 0.185\nfraction_above_latency_ceiling 0.305\n"
 )
-EVAL_RECORDS_SHA256 = "009c74b7d73ca09a2d610ebe5b468c6cb165ee9a84136333f76b13e827728543"
+EVAL_RECORDS_SHA256 = "367217ac13c58a14bd6497146fbc1179be63ab49b7df4faa478d0c366236d89c"
 SIM_RECORDS_SHA256 = "543610065bbcb6469ff42bb1c711003eb3d0224a0e1b53aa47c3819dd9836489"
 STOCHASTIC_SIM_RECORDS_SHA256 = "42e8f1b51a7338c76ca6fd5b3c1ef4edfdd09122dc2090b590b0846b1f75f340"
 TWO_STAGE_RECORDS_SHA256 = "d45929e9f6e8f5255a3e85cb6183e7c4a8334565ee873e834349035c337a4d1d"
@@ -53,13 +53,13 @@ TWO_STAGE_FIGURES = {
 }
 MODEL_SHA256 = {
     "l1": "0625e4b5d19f764d045fa0002109855c401a0e6dc095081cbf22692945199bac",
-    "l2": "583b2d884cfb165bd946b28ebc1f8832f29797354da03a54f69201b07e53aba9",
-    "l3": "f4901dee4b196f498de12f36ba8729c4125c3289494891c9a7f1e791444e323e",
+    "l2": "fd66882cd6f8e414d8742f8d70cc787a0d8a0a27ffd1394dda025f3a082e5670",
+    "l3": "30ca7909e356b218375fdf15de298887861fc5f374e4f8a7e1cf05dbc70aabd3",
 }
 TRAINLOG_SHA256 = {
-    "l1": "2f248c1cf8b136501ed6ea514c83ce4bfcc1943633984d80934daff97642c40b",
-    "l2": "e98dded8ff6e3e876a762bae619ae03e1efabfc505d915e43a1c53cc5f69ea64",
-    "l3": "59863802e9fd45d270bb065d456eea8afc7a8d4197a2259bdf711cb5c4352e3a",
+    "l1": "7ac8722b6302822e68e51448e927d0cc9365a23d31577de204fa77e615e521d3",
+    "l2": "db9ca18c9d42cbd59ecb1251790bd0dda020e95fc412d12f41755d116694c4b6",
+    "l3": "c1739afbcbadd4551d9229d78bd98efc4626f8a5e8d3b61081b84b8f9ac7609a",
 }
 STOCHASTIC_SIM_TEXT = (
     "total_cost 565265\nmean_latency_units 2826.32\n"

@@ -14,8 +14,8 @@ from cascade_ranker.core import (
     stage_costs,
 )
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
-from cascade_ranker.objective import ObjectiveConfig
-from cascade_ranker.simulator import SimQueryRecord, plan, serve_query, simulate
+from cascade_ranker.objective import ObjectiveConfig, forward_expectations
+from cascade_ranker.simulator import SimQueryRecord, _keep_counts, plan, serve_query, simulate
 from cascade_ranker.trainer import init_weights
 from groups import make_group
 from oracle import expected_count
@@ -100,6 +100,23 @@ class TestPlan:
                 counts = plan(model, g)
                 assert counts == oracle_plan(model, g)
                 assert simulate(model, [g], ObjectiveConfig()).per_query[0].final_count == counts[0]
+
+    @pytest.mark.parametrize("scale", [0.0, 0.9, 40.0])
+    def test_keep_counts_clamp_running_minimum_of_ceil_S(self, scale):
+        # the expected pass counts S that eval reports, rounded up, at least
+        # 1, never above the group size or the previous stage's count
+        schema, asg = default_schema(), default_assignment(schema=None)
+        for seed in range(3):
+            model = init_weights(schema, asg, seed, scale)
+            packed = pack_groups(generate(GenConfig(n_queries=8, seed=seed), schema))
+            S = forward_expectations(model, packed)[1]
+            expected = []
+            for size, row in zip(packed.sizes.tolist(), S.tolist()):
+                expected.append([])
+                for s in row:
+                    size = min(size, max(1, math.ceil(s)))
+                    expected[-1].append(size)
+            assert _keep_counts(packed.sizes, S).tolist() == expected
 
     def test_sample_scaling_matches_recall_scaled_expectation(self):
         # the keep count is the recall-scaled expectation times N_q / M_q:
