@@ -267,13 +267,13 @@ def cmd_datagen(args) -> int:
     cfg = apply_overrides(load_config(args.config), args)
     schema = schema_from_config(cfg)
     gen_cfg = gen_from_config(cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     groups = generate(gen_cfg, schema)
     violations = validate_dataset(pack_groups(groups), schema)
     if violations:
         print(f"generated data failed validation: {violations[:3]}", file=sys.stderr)
         return 1
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_dataset(out_dir / "dataset.txt", groups)
     write_manifest(out_dir, "datagen", args, cfg, ["dataset.txt"], started)
     return 0

@@ -9,9 +9,15 @@ selection among positives and leaks into some features so that price-sensitive
 training has signal to exploit.
 
 Both ``generate`` and ``read_dataset`` return one ``QueryGroup`` per query,
-each built by the one constructor from the column block the generator drew
-or the reader parsed; the query one-hot vectors of all groups come from one
-``FeatureSchema.query_onehots`` block.
+each a slice of a column block: the rows of a block of GEN_BLOCK_QUERIES
+generated queries, or the matrix the reader joined. The query one-hot
+vectors of all groups come from one ``FeatureSchema.query_onehots`` block.
+The generator draws query by query in one fixed stream order, so that a
+seed gives the data it always gave, and computes on the draws a block at a
+time.
+
+``write_dataset`` writes all lines of a group that has no zero feature with
+one ``%`` format call, and the lines of any other group one at a time.
 
 The reader has two parsers over one shared position in the file. A chunk of
 lines that all have the dense layout ``write_dataset`` writes when no feature
@@ -120,6 +126,8 @@ class GenConfig:
             raise ValueError("group_size_cap must be >= 1")
         if self.price_floor <= 1.0:
             raise ValueError("price_floor must exceed 1 so log(price) stays positive")
+        if not self.price_sigma_log > 0:
+            raise ValueError("price_sigma_log must be > 0")
 
 
 def _log_uniform_int(rng: np.random.Generator, lo: int, hi: int) -> int:
@@ -128,14 +136,31 @@ def _log_uniform_int(rng: np.random.Generator, lo: int, hi: int) -> int:
     return int(math.floor(math.exp(rng.uniform(math.log(lo), math.log(hi + 1)))))
 
 
+# Queries whose draws are held at a time before their rows are computed as
+# one block; it bounds the memory held in per-query draws while generating.
+GEN_BLOCK_QUERIES = 256
+
+
 def generate(cfg: GenConfig, schema: FeatureSchema) -> list[QueryGroup]:
-    """Deterministic synthetic dataset for ``schema`` under ``cfg``."""
+    """Deterministic synthetic dataset for ``schema`` under ``cfg``.
+
+    The random draws are made query by query, in one stream order that
+    keeps the data of every seed: the head/tail choice, the recalled count
+    (nothing drawn when its range has equal ends), the relevance normals,
+    the log-normal prices, the d feature normals and the label-noise
+    normals (one ``(d + 1, n_q)`` call, which consumes the stream as d + 1
+    calls of ``n_q`` do), then the purchase uniforms if the purchase
+    fraction lies strictly between 0 and 1. The arithmetic on the draws runs
+    once per block of GEN_BLOCK_QUERIES queries over all of the block's
+    rows, element by element as it would per query, and each query's group
+    is a slice of its block's ``X``, ``labels`` and ``prices``."""
     if len(cfg.feature_quality) != schema.item_dim:
         raise ValueError(
             f"feature_quality has {len(cfg.feature_quality)} entries for "
             f"{schema.item_dim} schema features"
         )
     rng = np.random.default_rng(cfg.seed)
+    d = schema.item_dim
     # label = 1 iff relevance + label_noise * eps exceeds the (1 - ratio)
     # quantile of that mixture, which targets the positive ratio exactly.
     mix_sd = math.sqrt(1.0 + cfg.label_noise ** 2)
@@ -144,42 +169,49 @@ def generate(cfg: GenConfig, schema: FeatureSchema) -> list[QueryGroup]:
         cfg.purchase_fraction_of_positives / (1.0 - cfg.purchase_fraction_of_positives)
     ) if 0 < cfg.purchase_fraction_of_positives < 1 else None
 
-    blocks = []
-    for qi in range(cfg.n_queries):
-        if rng.random() < cfg.head_fraction:
-            m_q = _log_uniform_int(rng, *cfg.head_mcount_range)
-        else:
-            m_q = _log_uniform_int(rng, *cfg.tail_mcount_range)
-        n_q = min(m_q, cfg.group_size_cap)
+    mcounts, blocks = [], []
+    for start in range(0, cfg.n_queries, GEN_BLOCK_QUERIES):
+        sizes, relevance, raw_prices, normals, uniforms = [], [], [], [], []
+        for _ in range(min(GEN_BLOCK_QUERIES, cfg.n_queries - start)):
+            if rng.random() < cfg.head_fraction:
+                m_q = _log_uniform_int(rng, *cfg.head_mcount_range)
+            else:
+                m_q = _log_uniform_int(rng, *cfg.tail_mcount_range)
+            n_q = min(m_q, cfg.group_size_cap)
+            mcounts.append(m_q)
+            sizes.append(n_q)
+            relevance.append(rng.standard_normal(n_q))
+            # its own call: the generator takes the exp of each draw
+            raw_prices.append(rng.lognormal(cfg.price_mean_log, cfg.price_sigma_log, size=n_q))
+            normals.append(rng.standard_normal((d + 1, n_q)))
+            if purchase_base is not None:
+                uniforms.append(rng.random(n_q))
 
-        relevance = rng.standard_normal(n_q)
-        prices = np.maximum(
-            rng.lognormal(cfg.price_mean_log, cfg.price_sigma_log, size=n_q),
-            cfg.price_floor,
-        )
+        relevance = np.concatenate(relevance)
+        prices = np.maximum(np.concatenate(raw_prices), cfg.price_floor)
         price_factor = (np.log(prices) - cfg.price_mean_log) / cfg.price_sigma_log
-
-        X = np.empty((n_q, schema.item_dim))
+        normals = np.concatenate(normals, axis=1)
+        X = np.empty((len(relevance), d))
         for k, fq in enumerate(cfg.feature_quality):
             X[:, k] = (fq.signal_strength * relevance
                        + fq.price_strength * price_factor
-                       + fq.noise * rng.standard_normal(n_q))
+                       + fq.noise * normals[k])
 
-        positive = (relevance + cfg.label_noise * rng.standard_normal(n_q)) > label_threshold
+        positive = (relevance + cfg.label_noise * normals[d]) > label_threshold
         labels = np.where(positive, LABEL_CLICK, LABEL_NONE)
         if purchase_base is None:
             purchased = positive & (cfg.purchase_fraction_of_positives >= 1.0)
         else:
             p_purchase = 1.0 / (1.0 + np.exp(-(purchase_base + cfg.purchase_price_tilt * price_factor)))
-            purchased = positive & (rng.random(n_q) < p_purchase)
-        # int8 as QueryGroup keeps it, so that the block held until every
-        # count is drawn is the one the group keeps
+            purchased = positive & (np.concatenate(uniforms) < p_purchase)
+        # int8 as QueryGroup keeps it, so that its slices are the groups' own
         labels = np.where(purchased, LABEL_PURCHASE, labels).astype(np.int8)
-
-        blocks.append((m_q, X, labels, prices))
-    G = schema.query_onehots([m_q for m_q, _, _, _ in blocks])
+        ends = np.cumsum(sizes).tolist()
+        blocks += [(X[end - n:end], labels[end - n:end], prices[end - n:end])
+                   for n, end in zip(sizes, ends)]
+    G = schema.query_onehots(mcounts)
     return [QueryGroup(f"q{qi:05d}", g, m_q, X, labels, prices)
-            for qi, (g, (m_q, X, labels, prices)) in enumerate(zip(G, blocks))]
+            for qi, (g, m_q, (X, labels, prices)) in enumerate(zip(G, mcounts, blocks))]
 
 
 class DatasetFormatError(ValueError):
@@ -190,15 +222,26 @@ def write_dataset(path, groups: Sequence[QueryGroup]) -> None:
     """One instance per line:
     ``qid:<id> mcount:<int> label:<0|1|2> price:<float> <idx>:<float> ...``
     Zero-valued features are omitted (so -0.0 reads back as 0.0); floats use
-    17 significant digits so the round trip is otherwise exact."""
+    17 significant digits so the round trip is otherwise exact.
+
+    A group with no zero feature has every index on every line, so all of
+    its lines are written by one ``%`` format over its values; ``"%.17g" % v``
+    formats ``v`` as ``f"{v:.17g}"`` does, and ``"%d"`` of a label held as a
+    float writes the integer."""
     with open(path, "w", encoding="utf-8") as fh:
         for group in groups:
             head = f"qid:{group.query_id} mcount:{group.recalled_count} "
-            for x, label, price in zip(group.X.tolist(), group.labels.tolist(),
-                                       group.prices.tolist()):
-                feats = " ".join(f"{k}:{v:.17g}" for k, v in enumerate(x) if v != 0.0)
-                line = f"{head}label:{label} price:{price:.17g}"
-                fh.write(line + (" " + feats if feats else "") + "\n")
+            if group.X.all():
+                line = " ".join([head.replace("%", "%%") + "label:%d price:%.17g"]
+                                + [f"{k}:%.17g" for k in range(group.X.shape[1])]) + "\n"
+                values = np.column_stack([group.labels, group.prices, group.X])
+                fh.write(line * group.size % tuple(values.ravel().tolist()))
+            else:
+                for x, label, price in zip(group.X.tolist(), group.labels.tolist(),
+                                           group.prices.tolist()):
+                    feats = " ".join(f"{k}:{v:.17g}" for k, v in enumerate(x) if v != 0.0)
+                    line = f"{head}label:{label} price:{price:.17g}"
+                    fh.write(line + (" " + feats if feats else "") + "\n")
 
 
 # Lines read from the file at a time; each chunk becomes one column block,

@@ -1,16 +1,25 @@
 """Reference implementations the tests check the fast paths against: per-item
 and per-query math written stage by stage, the loss gradient chained one
 stage column at a time, dataset validation group by group, the
-flat rank-sum AUC that ``evaluator.macro_auc`` computes per query, and the
-per-query keep counts of the replay's funnel."""
+flat rank-sum AUC that ``evaluator.macro_auc`` computes per query, the
+per-query keep counts of the replay's funnel, the synthetic generator one
+query at a time and the dataset writer one line at a time."""
 
 import math
 
 import numpy as np
-from scipy.special import expit, log_expit, logsumexp
+from scipy.special import expit, log_expit, logsumexp, ndtri
 
 from cascade_ranker.cascade import batch_log_pass, batch_logits
-from cascade_ranker.core import LABEL_NONE, pack_groups, stage_costs
+from cascade_ranker.core import (
+    LABEL_CLICK,
+    LABEL_NONE,
+    LABEL_PURCHASE,
+    QueryGroup,
+    pack_groups,
+    stage_costs,
+)
+from cascade_ranker.datagen import _log_uniform_int
 from cascade_ranker.objective import _masked_coeffs, instance_weights
 
 
@@ -178,3 +187,63 @@ def plan(model, group) -> list[int]:
         counts.append(int(k))
         remaining = k
     return counts
+
+
+def generate(cfg, schema) -> list[QueryGroup]:
+    """``cascade_ranker.datagen.generate``, drawing and computing one query at
+    a time: d + 1 separate ``standard_normal(n_q)`` calls for the features and
+    the label noise, and every expression over the query's rows alone."""
+    rng = np.random.default_rng(cfg.seed)
+    mix_sd = math.sqrt(1.0 + cfg.label_noise ** 2)
+    label_threshold = ndtri(1.0 - cfg.positives_ratio) * mix_sd
+    purchase_base = math.log(
+        cfg.purchase_fraction_of_positives / (1.0 - cfg.purchase_fraction_of_positives)
+    ) if 0 < cfg.purchase_fraction_of_positives < 1 else None
+
+    blocks = []
+    for qi in range(cfg.n_queries):
+        if rng.random() < cfg.head_fraction:
+            m_q = _log_uniform_int(rng, *cfg.head_mcount_range)
+        else:
+            m_q = _log_uniform_int(rng, *cfg.tail_mcount_range)
+        n_q = min(m_q, cfg.group_size_cap)
+
+        relevance = rng.standard_normal(n_q)
+        prices = np.maximum(
+            rng.lognormal(cfg.price_mean_log, cfg.price_sigma_log, size=n_q),
+            cfg.price_floor,
+        )
+        price_factor = (np.log(prices) - cfg.price_mean_log) / cfg.price_sigma_log
+
+        X = np.empty((n_q, schema.item_dim))
+        for k, fq in enumerate(cfg.feature_quality):
+            X[:, k] = (fq.signal_strength * relevance
+                       + fq.price_strength * price_factor
+                       + fq.noise * rng.standard_normal(n_q))
+
+        positive = (relevance + cfg.label_noise * rng.standard_normal(n_q)) > label_threshold
+        labels = np.where(positive, LABEL_CLICK, LABEL_NONE)
+        if purchase_base is None:
+            purchased = positive & (cfg.purchase_fraction_of_positives >= 1.0)
+        else:
+            p_purchase = 1.0 / (1.0 + np.exp(-(purchase_base + cfg.purchase_price_tilt * price_factor)))
+            purchased = positive & (rng.random(n_q) < p_purchase)
+        labels = np.where(purchased, LABEL_PURCHASE, labels).astype(np.int8)
+
+        blocks.append((m_q, X, labels, prices))
+    G = schema.query_onehots([m_q for m_q, _, _, _ in blocks])
+    return [QueryGroup(f"q{qi:05d}", g, m_q, X, labels, prices)
+            for qi, (g, (m_q, X, labels, prices)) in enumerate(zip(G, blocks))]
+
+
+def write_dataset(path, groups) -> None:
+    """``cascade_ranker.datagen.write_dataset``, one line and one feature at a
+    time, every zero feature omitted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for group in groups:
+            head = f"qid:{group.query_id} mcount:{group.recalled_count} "
+            for x, label, price in zip(group.X.tolist(), group.labels.tolist(),
+                                       group.prices.tolist()):
+                feats = " ".join(f"{k}:{v:.17g}" for k, v in enumerate(x) if v != 0.0)
+                line = f"{head}label:{label} price:{price:.17g}"
+                fh.write(line + (" " + feats if feats else "") + "\n")

@@ -90,6 +90,32 @@ class TestDatagenCommand:
         assert rc != 0
         assert "positives_ratio" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", [0, -1])
+    def test_non_positive_price_sigma_exits_1(self, tmp_path, capsys, sigma):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"datagen": {"price_sigma_log": sigma}}))
+        err = _fails_cleanly(["datagen", "--config", str(path), "--out", str(tmp_path / "x")],
+                             capsys, "error: price_sigma_log must be > 0")
+        assert "Warning" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("quality, named", [
+        # generate rejects the config
+        ([{"signal_strength": 1.0}], "error: feature_quality has 1 entries for 5 schema features"),
+        # every feature is infinite, which the generated data's validation rejects
+        ([{"signal_strength": 1.0, "noise": float("inf")}] * 5,
+         "generated data failed validation: ['group q00000 instance 0: non-finite feature value'"),
+    ], ids=["generate-raises", "validation-fails"])
+    def test_failure_leaves_no_output(self, tmp_path, capsys, quality, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"datagen": {"n_queries": 5, "feature_quality": quality}}))
+        capsys.readouterr()
+        rc = main(["datagen", "--config", str(path), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert named in err and "Traceback" not in err and "Warning" not in err
+        assert not (tmp_path / "x").exists()
+
 
 # sha256 of json.dumps(default_config(), indent=2): the manifests embed the
 # resolved config, so a changed default changes every manifest

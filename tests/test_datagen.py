@@ -19,6 +19,8 @@ from cascade_ranker.datagen import (
 )
 from cascade_ranker.objective import ObjectiveConfig
 from cascade_ranker.trainer import TrainConfig, train
+from groups import edge_groups
+import oracle
 from oracle import auc
 
 
@@ -34,6 +36,11 @@ class TestGenConfigValidation:
     def test_price_floor_must_exceed_one(self):
         with pytest.raises(ValueError, match="price_floor"):
             GenConfig(price_floor=0.9)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_price_sigma_log_must_be_positive(self, sigma):
+        with pytest.raises(ValueError, match="price_sigma_log must be > 0"):
+            GenConfig(price_sigma_log=sigma)
 
     def test_quality_length_must_match_schema(self):
         cfg = GenConfig(feature_quality=(FeatureQuality(1.0),))
@@ -96,6 +103,45 @@ class TestGenerate:
         assert ms.min() >= cfg.tail_mcount_range[0]
         assert ms.max() <= cfg.head_mcount_range[1]
         assert np.any(ms >= cfg.head_mcount_range[0])  # some head queries exist
+
+
+@st.composite
+def _gen_configs(draw):
+    """Configs that reach every branch of the generator's draws: head
+    fractions 0, 0.5 and 1, purchase fractions 0, 0.1 and 1, ranges with
+    equal ends, caps from 1 up, and features without noise."""
+    def mcount_range():
+        lo = draw(st.integers(1, 3000))
+        return (lo, lo) if draw(st.booleans()) else (lo, lo + draw(st.integers(1, 50_000)))
+
+    quality = tuple(
+        FeatureQuality(draw(st.sampled_from([0.0, 0.4, 1.2])), draw(st.sampled_from([0.0, 1.0])),
+                       draw(st.sampled_from([0.0, -0.1, 0.3])))
+        for _ in range(default_schema().item_dim)
+    )
+    return GenConfig(
+        n_queries=draw(st.integers(1, 600)),
+        head_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        head_mcount_range=mcount_range(),
+        tail_mcount_range=mcount_range(),
+        group_size_cap=draw(st.integers(1, 30)),
+        purchase_fraction_of_positives=draw(st.sampled_from([0.0, 0.1, 1.0])),
+        feature_quality=quality,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestGenerateMatchesReference:
+    @pytest.mark.parametrize("block", [1, 3, datagen.GEN_BLOCK_QUERIES])
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=_gen_configs())
+    def test_same_packed_fields_bit_for_bit(self, monkeypatch, block, cfg):
+        # the reference draws and computes one query at a time
+        monkeypatch.setattr(datagen, "GEN_BLOCK_QUERIES", block)
+        schema = default_schema()
+        _assert_packed_identical(pack_groups(generate(cfg, schema)),
+                                 pack_groups(oracle.generate(cfg, schema)))
 
 
 class TestDatasetFileFormat:
@@ -431,7 +477,7 @@ def _groups(draw):
     schema = default_schema()
     d = schema.item_dim
     qids = draw(st.lists(
-        st.text(alphabet="abcxyz0123456789_-.:", min_size=1, max_size=6),
+        st.text(alphabet="abcxyz0123456789_-.:%", min_size=1, max_size=6),
         min_size=1, max_size=6, unique=True,
     ))
     groups = []
@@ -486,3 +532,27 @@ class TestRoundTripProperty:
         (back,) = read_dataset(path, schema)
         assert back.X.tobytes() == np.array([[0.0, 1.0, 0.0, -2.5, 0.0]]).tobytes()
 
+
+class TestDenseWriteMatchesLineWriter:
+    """``write_dataset`` writes a group without zero features in one format
+    call; the reference writes every group line by line."""
+
+    @staticmethod
+    def _same_bytes(tmp_path, groups):
+        fast, slow = tmp_path / "fast.txt", tmp_path / "slow.txt"
+        write_dataset(fast, groups)
+        oracle.write_dataset(slow, groups)
+        assert fast.read_bytes() == slow.read_bytes()
+
+    def test_edge_groups(self, tmp_path):
+        groups = edge_groups(default_schema())
+        assert [bool(g.X.all()) for g in groups] == [True, False, False, True]
+        self._same_bytes(tmp_path, groups)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(groups=_groups())
+    def test_drawn_groups(self, tmp_path, groups):
+        # as drawn (zeros in most groups), then with every zero made 1
+        self._same_bytes(tmp_path, groups)
+        self._same_bytes(tmp_path, [replace(g, X=np.where(g.X == 0, 1.0, g.X)) for g in groups])

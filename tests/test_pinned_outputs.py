@@ -10,6 +10,9 @@ objective level are pinned by sha256 too: their 17-digit weights carry the
 last bit of every loss gradient and update of the training run. The
 records of those runs' training logs are pinned by sha256 of their JSON
 lines without the wall time, which carry every batch loss sum in full.
+The ``dataset.txt`` that ``generate`` and ``write_dataset`` give is pinned by
+sha256 for configs that reach each branch of the generator's draws, and for
+hand-made groups that reach each branch of the writer.
 """
 
 import hashlib
@@ -18,11 +21,18 @@ from dataclasses import asdict
 
 import pytest
 
-from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
+from cascade_ranker.datagen import (
+    GenConfig,
+    default_assignment,
+    default_schema,
+    generate,
+    write_dataset,
+)
 from cascade_ranker.evaluator import baseline_two_stage, evaluate
 from cascade_ranker.objective import ObjectiveConfig
 from cascade_ranker.simulator import simulate
 from cascade_ranker.trainer import TrainConfig, save_model, train
+from groups import edge_groups
 
 EVAL_TEXT = (
     "auc 0.824287\nexpected_cost 1923.46\nexpected_cost_ratio 1\nmean_final_count 423.411\n"
@@ -61,6 +71,30 @@ TRAINLOG_SHA256 = {
     "l2": "db9ca18c9d42cbd59ecb1251790bd0dda020e95fc412d12f41755d116694c4b6",
     "l3": "c1739afbcbadd4551d9229d78bd98efc4626f8a5e8d3b61081b84b8f9ac7609a",
 }
+# GenConfig fields of each pinned dataset; a purchase fraction of 0 or 1
+# draws no purchase uniforms, and a range (k, k) draws no log-uniform count
+DATASET_CONFIGS = {
+    "default": {"seed": 7},
+    "cap200": {"n_queries": 100, "group_size_cap": 200, "seed": 7},
+    "cap1": {"n_queries": 300, "group_size_cap": 1, "seed": 7},
+    "no_purchases": {"n_queries": 300, "purchase_fraction_of_positives": 0.0, "seed": 7},
+    "all_purchases": {"n_queries": 300, "purchase_fraction_of_positives": 1.0, "seed": 7},
+    "equal_range_ends": {"n_queries": 300, "head_mcount_range": (5000, 5000),
+                         "tail_mcount_range": (7, 7), "seed": 7},
+    "odd_count": {"n_queries": 513, "seed": 3},
+    "one_query": {"n_queries": 1, "seed": 3},
+}
+DATASET_SHA256 = {
+    "default": "294fbaaa3310bca2a357ff5672257a321511d4981f3ecd2bb6ab15b1904b9634",
+    "cap200": "0b9525ad8f2fdc6dcae5ad41c05756eaeacd60f00ba0d3d55af1cb4589a8ae4b",
+    "cap1": "ee69e54bb3919b0d05469aadb12e45f10e03e542ee64bf475267ca7da8454deb",
+    "no_purchases": "4e9cd7f351e724a1647c3db01f8712702b0948af21e298b92817637b3fe8e2c8",
+    "all_purchases": "936aafb7f59dd197de2d25a9084fb8e8da132c968f47ce0249f6fe778a798a71",
+    "equal_range_ends": "c36fc5d47c1d4e71efda46464e790d1ed85c4ff834f1ca9021ac33b647a4f34f",
+    "odd_count": "f7b1bc63c9503faa0863f0df67b8492384ca36e311416c6ed01fdee0780a5c4b",
+    "one_query": "cfe08d824d4dfc281acc17c26adbc60d9c120bcd3d8523fafe2c979f935f026e",
+}
+EDGE_DATASET_SHA256 = "4f0bd4e348cde0ef27954edb16f28f7ee76dc6a2eab5397fa4173733b69a7b90"
 STOCHASTIC_SIM_TEXT = (
     "total_cost 565265\nmean_latency_units 2826.32\n"
     "p95_latency_units 8496.61\nmean_latency_ms 18.8422\n"
@@ -146,3 +180,20 @@ def test_training_log_records(fixture, objective):
         for r in log.records
     )
     assert hashlib.sha256(lines.encode()).hexdigest() == TRAINLOG_SHA256[objective]
+
+
+def _file_sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DATASET_SHA256))
+def test_generated_dataset_file(tmp_path, name):
+    path = tmp_path / "dataset.txt"
+    write_dataset(path, generate(GenConfig(**DATASET_CONFIGS[name]), default_schema()))
+    assert _file_sha256(path) == DATASET_SHA256[name]
+
+
+def test_edge_groups_dataset_file(tmp_path):
+    path = tmp_path / "dataset.txt"
+    write_dataset(path, edge_groups(default_schema()))
+    assert _file_sha256(path) == EDGE_DATASET_SHA256
