@@ -53,6 +53,5 @@ def _cumsum_columns(a: np.ndarray) -> np.ndarray:
 
 def batch_final_probs(model: CascadeModel, groups) -> np.ndarray:
     """Final positive probability for every instance across ``groups``."""
-    packed = groups if isinstance(groups, PackedDataset) else pack_groups(groups)
-    _, cum = batch_log_pass(model, packed)
+    _, cum = batch_log_pass(model, pack_groups(groups))
     return np.exp(cum[:, -1])

@@ -2,9 +2,11 @@
 baseline comparison, gradient checking, and serving simulation.
 
 Every hyperparameter lives in a JSON config file and can be overridden by a
-flag (flags win). Every run writes a manifest next to its outputs with the
-fully resolved config, enough to reproduce the run exactly. Diagnostics go to
-stderr; data goes to files only.
+flag (flags win). A command's outputs are written by one function,
+``_write_outputs``, only after the command's work has succeeded: it makes
+``--out``, writes each output, then a manifest with the fully resolved
+config, enough to reproduce the run exactly. Diagnostics go to stderr; data
+goes to files only.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .datagen import (
     write_dataset,
 )
 from .evaluator import baseline_l1, baseline_two_stage, evaluate
-from .objective import ObjectiveConfig
+from .objective import OBJECTIVE_LEVELS, ObjectiveConfig
 from .simulator import simulate
 from .trainer import (
     TrainConfig,
@@ -196,23 +198,40 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def write_manifest(out_dir: Path, command: str, args: argparse.Namespace, cfg: dict,
-                   outputs: list[str], started: float) -> None:
+def _begin(args: argparse.Namespace) -> tuple[float, dict, FeatureSchema]:
+    """A command's start time, its resolved config and the config's schema."""
+    started = time.monotonic()
+    cfg = apply_overrides(load_config(args.config), args)
+    return started, cfg, schema_from_config(cfg)
+
+
+def _write_outputs(args: argparse.Namespace, cfg: dict, started: float, outputs: dict) -> None:
+    """Make ``--out`` and write in it each of ``outputs``, a map from file
+    name to the file's text or to a function that writes the path it is
+    given, then the manifest of the command ``args.command``."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, output in outputs.items():
+        if isinstance(output, str):
+            with open(out_dir / name, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        else:
+            output(out_dir / name)
     manifest = {
-        "command": command,
+        "command": args.command,
         "config_path": getattr(args, "config", None),
         "config": cfg,
-        "seed": cfg["train"]["seed"] if command != "datagen" else cfg["datagen"]["seed"],
+        "seed": cfg["datagen" if args.command == "datagen" else "train"]["seed"],
         "inputs": {
             "dataset": getattr(args, "dataset", None),
             "model": getattr(args, "model", None),
         },
-        "outputs": outputs,
+        "outputs": list(outputs),
         "out_dir": str(out_dir),
         "tool_version": __version__,
         "wall_time_s": time.monotonic() - started,
     }
-    if command == "eval":
+    if args.command == "eval":
         manifest["compare"] = args.compare
     with open(out_dir / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
@@ -263,51 +282,34 @@ def _load_matching_model(path, cfg: dict, schema: FeatureSchema):
 
 
 def cmd_datagen(args) -> int:
-    started = time.monotonic()
-    cfg = apply_overrides(load_config(args.config), args)
-    schema = schema_from_config(cfg)
-    gen_cfg = gen_from_config(cfg)
-    groups = generate(gen_cfg, schema)
+    started, cfg, schema = _begin(args)
+    groups = generate(gen_from_config(cfg), schema)
     violations = validate_dataset(pack_groups(groups), schema)
     if violations:
         print(f"generated data failed validation: {violations[:3]}", file=sys.stderr)
         return 1
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_dataset(out_dir / "dataset.txt", groups)
-    write_manifest(out_dir, "datagen", args, cfg, ["dataset.txt"], started)
+    _write_outputs(args, cfg, started,
+                   {"dataset.txt": lambda path: write_dataset(path, groups)})
     return 0
 
 
 def cmd_train(args) -> int:
-    started = time.monotonic()
-    cfg = apply_overrides(load_config(args.config), args)
-    schema = schema_from_config(cfg)
+    started, cfg, schema = _begin(args)
     assignment = assignment_from_config(cfg, schema)
     obj_cfg = objective_from_config(cfg)
     train_cfg = train_from_config(cfg)
     train_data, holdout = _split_holdout(_read_valid_dataset(args.dataset, schema),
                                          cfg["train"]["holdout_fraction"], train_cfg.seed)
-    model, log = train(train_data, schema, assignment, obj_cfg, train_cfg,
-                       eval_data=holdout)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_model(model, out_dir / "model.txt")
-    with open(out_dir / "trainlog.ndjson", "w", encoding="utf-8") as fh:
-        for r in log.records:
-            fh.write(json.dumps(asdict(r)) + "\n")
-    write_manifest(out_dir, "train", args, cfg, ["model.txt", "trainlog.ndjson"], started)
+    model, log = train(train_data, schema, assignment, obj_cfg, train_cfg, eval_data=holdout)
+    _write_outputs(args, cfg, started, {
+        "model.txt": lambda path: save_model(model, path),
+        "trainlog.ndjson": "".join(json.dumps(asdict(r)) + "\n" for r in log.records),
+    })
     return 0
 
 
-def _baseline_cost(schema: FeatureSchema, n_instances: int) -> float:
-    return float(n_instances * schema.costs().sum())
-
-
 def cmd_eval(args) -> int:
-    started = time.monotonic()
-    cfg = apply_overrides(load_config(args.config), args)
-    schema = schema_from_config(cfg)
+    started, cfg, schema = _begin(args)
     obj_cfg = objective_from_config(cfg)
     keep_k = int(cfg["eval"]["two_stage_keep_k"])
     if keep_k < 1:
@@ -315,7 +317,7 @@ def cmd_eval(args) -> int:
                          f"got {keep_k}")
     model = _load_matching_model(args.model, cfg, schema)
     packed = _read_valid_dataset(args.dataset, schema)
-    base = _baseline_cost(schema, packed.n_instances)
+    base = float(packed.n_instances * schema.costs().sum())
     report = evaluate(model, packed, obj_cfg, baseline_cost=base)
 
     text = report.to_text()
@@ -340,57 +342,42 @@ def cmd_eval(args) -> int:
         for name, rep in rows:
             lines.append(f"compare {name} {rep.auc:.4f} {rep.expected_cost_ratio:.4f}")
         text += "\n".join(lines) + "\n"
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "eval.txt", "w", encoding="utf-8") as fh:
-        fh.write(text)
-    report.write_records(out_dir / "eval_records.ndjson")
-    write_manifest(out_dir, "eval", args, cfg, ["eval.txt", "eval_records.ndjson"], started)
+    _write_outputs(args, cfg, started,
+                   {"eval.txt": text, "eval_records.ndjson": report.write_records})
     return 0
 
 
 def cmd_simulate(args) -> int:
-    started = time.monotonic()
-    cfg = apply_overrides(load_config(args.config), args)
-    schema = schema_from_config(cfg)
+    started, cfg, schema = _begin(args)
     obj_cfg = objective_from_config(cfg)
+    seed = train_from_config(cfg).seed
     model = _load_matching_model(args.model, cfg, schema)
     packed = _read_valid_dataset(args.dataset, schema)
     report = simulate(model, packed, obj_cfg, stochastic=bool(cfg["simulate"]["stochastic"]),
-                      seed=int(cfg["train"]["seed"]))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "sim.txt", "w", encoding="utf-8") as fh:
-        fh.write(report.to_text())
-    report.write_records(out_dir / "sim_records.ndjson")
-    write_manifest(out_dir, "simulate", args, cfg, ["sim.txt", "sim_records.ndjson"], started)
+                      seed=seed)
+    _write_outputs(args, cfg, started,
+                   {"sim.txt": report.to_text(), "sim_records.ndjson": report.write_records})
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    started = time.monotonic()
-    cfg = apply_overrides(load_config(args.config), args)
-    schema = schema_from_config(cfg)
+    started, cfg, schema = _begin(args)
     assignment = assignment_from_config(cfg, schema)
     obj_cfg = objective_from_config(cfg)
-    seed = int(cfg["train"]["seed"])
+    train_cfg = train_from_config(cfg)
     if args.dataset:
         packed = _read_valid_dataset(args.dataset, schema)
     else:
         gen_cfg = gen_from_config(cfg)
         packed = pack_groups(generate(
-            replace(gen_cfg, n_queries=min(gen_cfg.n_queries, 10), seed=seed), schema))
-    model = init_weights(schema, assignment, seed, 0.5)
-    objective = cfg["train"]["objective"]
-    report = gradient_check(model, packed, obj_cfg, objective=objective,
-                            h=args.h, tolerance=args.tolerance, seed=seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "gradcheck.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"objective {objective}\nchecked_coords {report.checked_coords}\n"
-                 f"max_rel_error {report.max_rel_error:.3e}\n"
-                 f"tolerance {report.tolerance:.3e}\npassed {report.passed}\n")
-    write_manifest(out_dir, "gradcheck", args, cfg, ["gradcheck.txt"], started)
+            replace(gen_cfg, n_queries=min(gen_cfg.n_queries, 10), seed=train_cfg.seed), schema))
+    model = init_weights(schema, assignment, train_cfg.seed, 0.5)
+    report = gradient_check(model, packed, obj_cfg, objective=train_cfg.objective,
+                            h=args.h, tolerance=args.tolerance, seed=train_cfg.seed)
+    _write_outputs(args, cfg, started, {"gradcheck.txt": (
+        f"objective {train_cfg.objective}\nchecked_coords {report.checked_coords}\n"
+        f"max_rel_error {report.max_rel_error:.3e}\n"
+        f"tolerance {report.tolerance:.3e}\npassed {report.passed}\n")})
     if not report.passed:
         print(f"gradient check FAILED: max relative error {report.max_rel_error:.3e} "
               f"exceeds {report.tolerance:.3e} at coords "
@@ -404,13 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", type=str, default=None)
     shared.add_argument("--out", type=str, required=True)
     shared.add_argument("--seed", type=int, default=None)
-    shared.add_argument("--objective", choices=["l1", "l2", "l3"], default=None)
-    for flag in ("--alpha", "--beta", "--gamma", "--delta", "--latency-penalty",
-                 "--purchase-weight", "--price-weight", "--result-floor",
-                 "--latency-ceiling", "--lr"):
-        shared.add_argument(flag, type=float, default=None)
-    shared.add_argument("--epochs", type=int, default=None)
-    shared.add_argument("--batch-size", type=int, default=None)
+    defaults = default_config()
+    for flag, (section, key) in _FLAG_TO_KEY.items():
+        # each flag parses to the type of its key's default
+        shared.add_argument("--" + flag.replace("_", "-"), type=type(defaults[section][key]),
+                            choices=OBJECTIVE_LEVELS if key == "objective" else None)
 
     parser = argparse.ArgumentParser(prog="cascade-ranker",
                                      description="Cost-aware cascade ranking toolkit")

@@ -4,9 +4,11 @@ query-grouped datasets, and the cascade model itself.
 A query group is built one way, from its column block:
 ``QueryGroup(query_id, query_features, recalled_count, X, labels, prices)``.
 ``pack_groups`` joins the blocks of many groups into one ``PackedDataset``
-and is the one place that rejects groups that cannot form one block.
-Everything after that runs on the ``PackedDataset``: the vectorized math,
-and ``validate_dataset``, which checks its columns against the schema.
+and is the one place that rejects groups that cannot form one block; a
+``PackedDataset`` passes through it unchanged, so every public function
+that takes data calls it and accepts either. Everything after that runs on
+the ``PackedDataset``: the vectorized math, and ``validate_dataset``, which
+checks its columns against the schema.
 
 A ``CascadeModel`` is its flat weight vector, built by its constructor; its
 per-stage weights are views into that vector, so the weight layout is
@@ -21,7 +23,8 @@ compare and hash by identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -139,6 +142,15 @@ class StageAssignment:
     @classmethod
     def from_names(cls, schema: FeatureSchema, stages: Sequence[Sequence[str]]) -> "StageAssignment":
         return cls(tuple(tuple(schema.feature_index(n) for n in stage) for stage in stages))
+
+
+def require_finite(config) -> None:
+    """Raise ValueError naming the first field of the dataclass ``config``
+    whose value is a number that is NaN or infinite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, Real) and not -np.inf < value < np.inf:
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def stage_costs(assignment: StageAssignment, schema: FeatureSchema) -> np.ndarray:
@@ -352,11 +364,14 @@ class PackedDataset:
         )
 
 
-def pack_groups(groups: Sequence[QueryGroup]) -> PackedDataset:
-    """Concatenate the column blocks of ``groups`` into one PackedDataset.
+def pack_groups(groups: PackedDataset | Sequence[QueryGroup]) -> PackedDataset:
+    """Concatenate the column blocks of ``groups`` into one PackedDataset;
+    a PackedDataset is returned unchanged.
     Every group needs at least one instance, since the segmented kernels over
     ``offsets`` cannot represent an empty segment, and the feature width and
     1-D query vector shape of the first group, so that the blocks join."""
+    if isinstance(groups, PackedDataset):
+        return groups
     groups = list(groups)
     if not groups:
         return PackedDataset(

@@ -47,6 +47,7 @@ from .core import (
     FeatureSchema,
     QueryGroup,
     StageAssignment,
+    require_finite,
 )
 
 
@@ -83,6 +84,9 @@ class FeatureQuality:
     noise: float = 1.0
     price_strength: float = 0.0
 
+    def __post_init__(self):
+        require_finite(self)
+
 
 DEFAULT_FEATURE_QUALITY = (
     FeatureQuality(0.15, 1.0, -0.10),   # sales_volume: weak, cheap items sell more
@@ -111,6 +115,7 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if self.n_queries < 1:
             raise ValueError("n_queries must be >= 1")
         if not 0.0 <= self.head_fraction <= 1.0:
@@ -128,6 +133,8 @@ class GenConfig:
             raise ValueError("price_floor must exceed 1 so log(price) stays positive")
         if not self.price_sigma_log > 0:
             raise ValueError("price_sigma_log must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _log_uniform_int(rng: np.random.Generator, lo: int, hi: int) -> int:
@@ -189,6 +196,9 @@ def generate(cfg: GenConfig, schema: FeatureSchema) -> list[QueryGroup]:
 
         relevance = np.concatenate(relevance)
         prices = np.maximum(np.concatenate(raw_prices), cfg.price_floor)
+        if not np.isfinite(prices).all():
+            raise ValueError(f"price_mean_log {cfg.price_mean_log} and price_sigma_log "
+                             f"{cfg.price_sigma_log} draw a price that overflows to inf")
         price_factor = (np.log(prices) - cfg.price_mean_log) / cfg.price_sigma_log
         normals = np.concatenate(normals, axis=1)
         X = np.empty((len(relevance), d))
@@ -264,22 +274,10 @@ class _Position:
     rows: int = 0
 
 
-def _parse_prefix(fields: list[str]) -> tuple[str, int, int, float]:
-    """(qid, mcount, label, price) from a line's first four fields, in any
-    order; raises KeyError or ValueError."""
-    if (len(fields) >= 4 and fields[0][:4] == "qid:" and fields[1][:7] == "mcount:"
-            and fields[2][:6] == "label:" and fields[3][:6] == "price:"):
-        # the order write_dataset uses, without building a dict
-        return fields[0][4:], int(fields[1][7:]), int(fields[2][6:]), float(fields[3][6:])
-    tags = dict(f.split(":", 1) for f in fields[:4])
-    return tags["qid"], int(tags["mcount"]), int(tags["label"]), float(tags["price"])
-
-
 def _parse_lines(chunk: list[str], d: int, pos: _Position):
     """The column block of ``chunk``, parsed line by line with Python's
     ``int`` and ``float``; reads any valid layout. Raises DatasetFormatError
     at the first bad line."""
-    index_of = {str(i): i for i in range(d)}    # spares int() on canonical indices
     seen, cur_qid, cur_mcount, lineno = pos.seen, pos.qid, pos.mcount, pos.lineno
     labels, prices, n_feats, cols, vals = [], [], [], [], []
     starts = []
@@ -289,7 +287,10 @@ def _parse_lines(chunk: list[str], d: int, pos: _Position):
         if not fields:
             continue
         try:
-            qid, mcount, label, price = _parse_prefix(fields)
+            # the first four fields, in any order
+            tags = dict(f.split(":", 1) for f in fields[:4])
+            qid, mcount = tags["qid"], int(tags["mcount"])
+            label, price = int(tags["label"]), float(tags["price"])
         except (KeyError, ValueError) as exc:
             raise DatasetFormatError(
                 f"line {lineno}: expected 'qid: mcount: label: price:' prefix ({exc})"
@@ -304,8 +305,7 @@ def _parse_lines(chunk: list[str], d: int, pos: _Position):
         for f in fields[4:]:
             try:
                 idx_s, val_s = f.split(":", 1)
-                idx = index_of.get(idx_s)
-                idx, val = int(idx_s) if idx is None else idx, float(val_s)
+                idx, val = int(idx_s), float(val_s)
             except ValueError:
                 raise DatasetFormatError(
                     f"line {lineno}: malformed feature entry {f!r}"

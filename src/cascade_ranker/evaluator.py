@@ -159,7 +159,7 @@ def evaluate(model: CascadeModel, data, cfg: ObjectiveConfig,
     """Full model-based report: per-query mean AUC, expected cost (normalized
     to ``baseline_cost``; to itself when omitted), and per-query expected
     result counts and latencies, all from one forward pass."""
-    packed = data if isinstance(data, PackedDataset) else pack_groups(data)
+    packed = pack_groups(data)
     scores, _, cost, counts, latencies = forward_expectations(model, packed)
     return _report(macro_auc(scores, packed), cost, baseline_cost, packed, counts, latencies, cfg)
 
@@ -192,7 +192,7 @@ def baseline_two_stage(data, schema: FeatureSchema, filter_feature: int, keep_k:
     rest = tuple(i for i in range(schema.item_dim) if i != filter_feature)
     lr_model, _ = train(data, schema, StageAssignment((rest,)), obj_cfg,
                         replace(train_cfg, objective="l1"))
-    packed = data if isinstance(data, PackedDataset) else pack_groups(data)
+    packed = pack_groups(data)
     costs = schema.costs()
     t_filter = float(costs[filter_feature])
     t_rest = float(costs.sum() - t_filter)

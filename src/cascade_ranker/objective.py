@@ -37,6 +37,7 @@ from .core import (
     CascadeModel,
     PackedDataset,
     pack_groups,
+    require_finite,
     stage_costs,
 )
 
@@ -75,6 +76,7 @@ class ObjectiveConfig:
     cost_units_per_ms: float = 150.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.alpha < 0 or self.beta < 0 or self.delta < 0 or self.latency_penalty_weight < 0:
             raise ValueError("alpha, beta, delta and latency_penalty_weight must be >= 0")
         if self.gamma <= 0:
@@ -207,14 +209,10 @@ def _query_expectations(packed: PackedDataset, t: np.ndarray, P: np.ndarray):
     return S, cost, counts_final, latencies
 
 
-def _as_packed(data) -> PackedDataset:
-    return data if isinstance(data, PackedDataset) else pack_groups(data)
-
-
 def expected_cost(model: CascadeModel, data) -> float:
     """Total expected CPU cost: every item entering stage j pays t_j, with all
     instances entering stage 1 and no cost beyond the final stage."""
-    return forward_expectations(model, _as_packed(data))[2]
+    return forward_expectations(model, pack_groups(data))[2]
 
 
 def _masked_coeffs(cfg: ObjectiveConfig, objective: str) -> tuple[float, float, float]:
@@ -236,7 +234,7 @@ def loss(model: CascadeModel, data, cfg: ObjectiveConfig, objective: str = "l3",
     term is alpha * |w|^2. With ``want_grad`` one backward sweep chains the
     four data terms to the weights together; otherwise ``gradient`` is empty.
     """
-    packed = _as_packed(data)
+    packed = pack_groups(data)
     beta, delta, lat_w = _masked_coeffs(cfg, objective)
     t = stage_costs(model.assignment, model.schema)
     Z, cum_log_p = batch_log_pass(model, packed)
@@ -291,7 +289,7 @@ def loss(model: CascadeModel, data, cfg: ObjectiveConfig, objective: str = "l3",
 
 def per_query_expectations(model: CascadeModel, data):
     """(expected final counts, expected latencies) per query, recall-scaled."""
-    return forward_expectations(model, _as_packed(data))[3:]
+    return forward_expectations(model, pack_groups(data))[3:]
 
 
 def forward_expectations(model: CascadeModel, packed: PackedDataset):

@@ -143,13 +143,12 @@ def _stochastic_funnel(model: CascadeModel, packed: PackedDataset, seed: int):
 
 def simulate(model: CascadeModel, data, cfg: ObjectiveConfig, *, stochastic: bool = False,
              seed: int = 0) -> SimReport:
-    """Replay every query of ``data`` (QueryGroups or a PackedDataset) and
-    aggregate; each record equals what ``plan`` then ``serve_query`` give
-    for that query.
+    """Replay every query of ``data`` and aggregate; each record equals what
+    ``plan`` then ``serve_query`` give for that query.
 
     Every entrant of stage j pays t_j, accumulated stage by stage.
     """
-    packed = data if isinstance(data, PackedDataset) else pack_groups(data)
+    packed = pack_groups(data)
     if stochastic:
         entrants, final = _stochastic_funnel(model, packed, seed)
     else:

@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .cascade import batch_final_probs
-from .core import CascadeModel, FeatureSchema, PackedDataset, QueryGroup, StageAssignment, pack_groups
+from .core import (CascadeModel, FeatureSchema, PackedDataset, QueryGroup, StageAssignment,
+                   pack_groups, require_finite)
 from .objective import OBJECTIVE_LEVELS, ObjectiveConfig, loss
 
 MODEL_FORMAT_VERSION = 1
@@ -39,6 +40,7 @@ class TrainConfig:
     init_scale: float = 0.01
 
     def __post_init__(self):
+        require_finite(self)
         if self.objective not in OBJECTIVE_LEVELS:
             raise ValueError(f"objective must be one of {OBJECTIVE_LEVELS}")
         if self.learning_rate <= 0:
@@ -51,6 +53,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.init_scale < 0:
             raise ValueError("init_scale must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -101,16 +105,11 @@ def init_weights(schema: FeatureSchema, assignment: StageAssignment, seed: int,
     return CascadeModel(w, assignment, schema)
 
 
-def _packed(data: PackedDataset | Sequence[QueryGroup]) -> PackedDataset:
-    return data if isinstance(data, PackedDataset) else pack_groups(data)
-
-
 def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
           assignment: StageAssignment, obj_cfg: ObjectiveConfig, train_cfg: TrainConfig,
           eval_data: PackedDataset | Sequence[QueryGroup] | None = None,
           ) -> tuple[CascadeModel, TrainLog]:
-    """SGD over shuffled mini-batches of query groups, given as a
-    ``PackedDataset`` or a sequence of ``QueryGroup``s.
+    """SGD over shuffled mini-batches of the query groups of ``data``.
 
     Each epoch appends an ``EpochRecord``. Its loss fields add up the loss
     breakdowns of the epoch's batches, each taken at the weights before that
@@ -120,7 +119,7 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
     """
     from .evaluator import macro_auc  # local import: evaluator imports this module
 
-    packed = _packed(data)
+    packed = pack_groups(data)
     if packed.n_instances == 0:
         raise ValueError("training data is empty")
     if packed.y.min() == packed.y.max():
@@ -129,7 +128,7 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
     model = init_weights(schema, assignment, train_cfg.seed, train_cfg.init_scale)
     shuffle_rng = np.random.default_rng([train_cfg.seed, 1])
     n_total = packed.n_instances
-    eval_packed = _packed(eval_data) if eval_data is not None else packed
+    eval_packed = pack_groups(eval_data) if eval_data is not None else packed
 
     log = TrainLog()
     start = time.monotonic()
@@ -206,11 +205,15 @@ def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
     than that rounding noise, and a large one when it is off by ``tolerance``
     relative to itself. ``max_rel_error`` uses the same denominator. A
     coordinate whose analytic or numeric derivative is not finite fails with
-    relative error ``inf``.
+    relative error ``inf``. ``h`` and ``tolerance`` must be finite and > 0,
+    and ``max_coords`` at least 1.
     """
-    if h <= 0:
-        raise ValueError("h must be > 0")
-    packed = _packed(data)
+    for name, value in (("h", h), ("tolerance", tolerance)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if max_coords < 1:
+        raise ValueError(f"max_coords must be >= 1, got {max_coords}")
+    packed = pack_groups(data)
     w = model.weights
     analytic = loss(model, packed, obj_cfg, objective).gradient
 

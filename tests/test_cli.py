@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cascade_ranker.cli import default_config, main, rerun_from_manifest
+from cascade_ranker import datagen
+from cascade_ranker.cli import _FLAG_TO_KEY, default_config, main, rerun_from_manifest
 from cascade_ranker.objective import loss
 from cascade_ranker.trainer import EpochRecord
 
@@ -102,13 +103,26 @@ class TestDatagenCommand:
     @pytest.mark.parametrize("quality, named", [
         # generate rejects the config
         ([{"signal_strength": 1.0}], "error: feature_quality has 1 entries for 5 schema features"),
-        # every feature is infinite, which the generated data's validation rejects
+        # the config rejects an infinite noise
         ([{"signal_strength": 1.0, "noise": float("inf")}] * 5,
+         "error: noise must be finite, got inf"),
+        # generated data with a NaN feature, which its validation rejects
+        (None,
          "generated data failed validation: ['group q00000 instance 0: non-finite feature value'"),
-    ], ids=["generate-raises", "validation-fails"])
-    def test_failure_leaves_no_output(self, tmp_path, capsys, quality, named):
+    ], ids=["generate-raises", "config-rejects", "validation-fails"])
+    def test_failure_leaves_no_output(self, tmp_path, capsys, monkeypatch, quality, named):
+        config = {"n_queries": 5}
+        if quality is None:
+            def generate_nan(cfg, schema):
+                groups = datagen.generate(cfg, schema)
+                groups[0].X[0, 0] = np.nan
+                return groups
+
+            monkeypatch.setattr("cascade_ranker.cli.generate", generate_nan)
+        else:
+            config["feature_quality"] = quality
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"datagen": {"n_queries": 5, "feature_quality": quality}}))
+        path.write_text(json.dumps({"datagen": config}))
         capsys.readouterr()
         rc = main(["datagen", "--config", str(path), "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
@@ -201,6 +215,52 @@ class TestConfigBoundary:
                        capsys, "section 'train', key 'holdout_fraction': 0.99 holds out "
                        "40 of 40 queries")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, config, flags, named", [
+        ("datagen", {"datagen": {"label_noise": float("nan")}}, [],
+         "error: label_noise must be finite, got nan"),
+        ("datagen", {"datagen": {"price_mean_log": 800}}, [],
+         "error: price_mean_log 800 and price_sigma_log 0.8 draw a price that overflows to inf"),
+        ("datagen", {}, ["--seed", "-1"], "error: seed must be >= 0, got -1"),
+        ("train", {}, ["--alpha", "nan"], "error: alpha must be finite, got nan"),
+        ("train", {}, ["--gamma", "nan"], "error: gamma must be finite, got nan"),
+        ("train", {}, ["--gamma", "inf"], "error: gamma must be finite, got inf"),
+        ("train", {}, ["--delta", "nan"], "error: delta must be finite, got nan"),
+        ("train", {}, ["--latency-ceiling", "nan"], "error: latency_ceiling must be finite"),
+        ("train", {}, ["--result-floor", "inf"], "error: result_floor must be finite, got inf"),
+        ("train", {}, ["--beta", "inf"], "error: beta must be finite, got inf"),
+        ("train", {}, ["--purchase-weight", "inf"], "error: purchase_weight must be finite"),
+        ("train", {}, ["--lr", "nan"], "error: learning_rate must be finite, got nan"),
+        ("train", {}, ["--lr", "inf"], "error: learning_rate must be finite, got inf"),
+        ("train", {"train": {"lr_decay": float("inf")}}, [], "error: lr_decay must be finite"),
+        ("train", {}, ["--seed", "-1"], "error: seed must be >= 0, got -1"),
+    ])
+    def test_bad_hyperparameter_named(self, tmp_path, small_config, capsys, command, config,
+                                      flags, named):
+        cfg = json.loads(small_config.read_text())
+        for section, values in config.items():
+            cfg[section].update(values)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "x"), *flags]
+        if command == "train":
+            argv += ["--dataset", str(_gen(tmp_path, small_config))]
+        err = _fails_cleanly(argv, capsys, named)
+        assert "Warning" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag, place", _FLAG_TO_KEY.items(), ids=list(_FLAG_TO_KEY))
+    def test_override_flag_lands_in_manifest(self, tmp_path, small_config, flag, place):
+        # "2" parses to the int 2 for an int key and to the float 2.0 for a float key
+        section, key = place
+        default = default_config()[section][key]
+        value = "l2" if key == "objective" else "2"
+        out = tmp_path / "d"
+        assert main(["datagen", "--config", str(small_config), "--out", str(out),
+                     "--" + flag.replace("_", "-"), value]) == 0
+        resolved = json.loads((out / "manifest.json").read_text())["config"][section][key]
+        assert resolved == ("l2" if key == "objective" else 2) != default
+        assert type(resolved) is type(default)
 
     def test_unsquared_l2_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -493,6 +553,19 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--config", str(small_config), "--dataset", str(data),
                      "--out", str(out), "--objective", objective]) == 0
         assert hashlib.sha256((out / "gradcheck.txt").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--tolerance", "0"], "error: tolerance must be finite and > 0, got 0.0"),
+        (["--tolerance", "-1"], "error: tolerance must be finite and > 0, got -1.0"),
+        (["--tolerance", "nan"], "error: tolerance must be finite and > 0, got nan"),
+        (["--h", "nan"], "error: h must be finite and > 0, got nan"),
+    ])
+    def test_bad_step_or_tolerance_exits_1(self, tmp_path, small_config, capsys, flags, named):
+        out = tmp_path / "gc"
+        err = _fails_cleanly(["gradcheck", "--config", str(small_config), "--out", str(out),
+                              *flags], capsys, named)
+        assert "Warning" not in err and "FAILED" not in err
+        assert not (out / "gradcheck.txt").exists()
 
     def test_corrupted_gradient_fails(self, tmp_path, small_config, capsys, monkeypatch):
         def corrupted(model_, data_, cfg_, objective_="l3", want_grad=True):

@@ -349,6 +349,11 @@ class TestPacking:
         packed = pack_groups([])
         assert packed.n_instances == 0 and packed.n_groups == 0
 
+    def test_packed_dataset_passes_through(self):
+        schema = default_schema()
+        packed = pack_groups([_group(schema, qid="a"), _group(schema, qid="b")])
+        assert pack_groups(packed) is packed
+
     def test_empty_group_rejected_with_query_id(self):
         schema = default_schema()
         empty = make_group(schema, 4, np.zeros((0, schema.item_dim)), qid="q-empty")

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +42,31 @@ class TestGenConfigValidation:
     def test_price_sigma_log_must_be_positive(self, sigma):
         with pytest.raises(ValueError, match="price_sigma_log must be > 0"):
             GenConfig(price_sigma_log=sigma)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "head_fraction", "positives_ratio", "label_noise", "purchase_fraction_of_positives",
+        "purchase_price_tilt", "price_mean_log", "price_sigma_log", "price_floor",
+    ])
+    def test_every_float_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            GenConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["signal_strength", "noise", "price_strength"])
+    def test_feature_quality_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            FeatureQuality(**{"signal_strength": 1.0, name: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            GenConfig(seed=-1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_price_draw_named(self):
+        with pytest.raises(ValueError, match=r"^price_mean_log 800.0 and price_sigma_log 0.8 "
+                                             r"draw a price that overflows to inf$"):
+            generate(GenConfig(n_queries=3, price_mean_log=800.0), default_schema())
 
     def test_quality_length_must_match_schema(self):
         cfg = GenConfig(feature_quality=(FeatureQuality(1.0),))

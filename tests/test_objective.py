@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -273,6 +274,12 @@ class TestSoftplusPenalty:
     def test_invalid_gamma(self):
         with pytest.raises(ValueError, match="gamma must be > 0, got 0.0"):
             ObjectiveConfig(gamma=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ObjectiveConfig)])
+    def test_every_field_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            ObjectiveConfig(**{name: value})
 
     def test_hinge_bound_on_grid(self):
         # 0 <= softplus - hinge <= ln(2)/gamma, equality at z = threshold

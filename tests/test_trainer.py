@@ -74,6 +74,16 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["learning_rate", "lr_decay", "init_scale"])
+    def test_non_finite_float_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            TrainConfig(**{name: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            TrainConfig(seed=-1)
+
 
 def _separable_toy(schema):
     # two groups, four instances, positives at +2 on every feature
@@ -425,6 +435,25 @@ class TestGradientCheck:
         model = init_weights(schema, default_assignment(schema), 0, 0.1)
         with pytest.raises(ValueError, match="h"):
             gradient_check(model, [], ObjectiveConfig(), h=0.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"h": math.nan}, "h must be finite and > 0, got nan"),
+        ({"h": math.inf}, "h must be finite and > 0, got inf"),
+        ({"tolerance": 0.0}, "tolerance must be finite and > 0, got 0.0"),
+        ({"tolerance": -1.0}, "tolerance must be finite and > 0, got -1.0"),
+        ({"tolerance": math.nan}, "tolerance must be finite and > 0, got nan"),
+        ({"max_coords": 0}, "max_coords must be >= 1, got 0"),
+    ])
+    def test_bad_argument_named_before_any_loss(self, monkeypatch, kwargs, message):
+        def no_loss(*args, **kwargs):
+            raise AssertionError("loss computed")
+
+        monkeypatch.setattr("cascade_ranker.trainer.loss", no_loss)
+        schema = default_schema()
+        model = init_weights(schema, default_assignment(schema), 0, 0.1)
+        data = generate(GenConfig(n_queries=3, seed=1), schema)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gradient_check(model, data, ObjectiveConfig(), **kwargs)
 
 
 class TestModelSerialization:
