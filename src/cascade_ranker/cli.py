@@ -183,6 +183,9 @@ _FLAG_TO_KEY = {
     "batch_size": ("train", "batch_size"),
 }
 
+# the flags of a command that set no config key: its manifest records them, a rerun passes them
+_COMMAND_FLAGS = {"eval": ("compare",), "gradcheck": ("h", "tolerance")}
+
 
 def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(cfg)
@@ -230,9 +233,8 @@ def _write_outputs(args: argparse.Namespace, cfg: dict, started: float, outputs:
         "out_dir": str(out_dir),
         "tool_version": __version__,
         "wall_time_s": time.monotonic() - started,
+        **{flag: getattr(args, flag) for flag in _COMMAND_FLAGS.get(args.command, ())},
     }
-    if args.command == "eval":
-        manifest["compare"] = args.compare
     with open(out_dir / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -442,8 +444,12 @@ def rerun_from_manifest(manifest_path, out_dir) -> int:
     for key in ("dataset", "model"):
         if manifest["inputs"].get(key):
             argv += [f"--{key}", manifest["inputs"][key]]
-    if manifest.get("compare"):
-        argv.append("--compare")
+    for flag in _COMMAND_FLAGS.get(manifest["command"], ()):
+        value = manifest.get(flag)      # absent from a manifest that predates the flag
+        if value is True:
+            argv.append(f"--{flag}")
+        elif isinstance(value, float):
+            argv += [f"--{flag}", repr(value)]
     return main(argv)
 
 

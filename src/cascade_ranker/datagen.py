@@ -135,6 +135,9 @@ class GenConfig:
             raise ValueError("price_sigma_log must be > 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not abs(self.label_noise) <= math.sqrt(np.finfo(np.float64).max):
+            raise ValueError("label_noise must be at most 1.34e154 in magnitude, where its "
+                             f"square overflows, got {self.label_noise}")
 
 
 def _log_uniform_int(rng: np.random.Generator, lo: int, hi: int) -> int:
@@ -203,9 +206,12 @@ def generate(cfg: GenConfig, schema: FeatureSchema) -> list[QueryGroup]:
         normals = np.concatenate(normals, axis=1)
         X = np.empty((len(relevance), d))
         for k, fq in enumerate(cfg.feature_quality):
-            X[:, k] = (fq.signal_strength * relevance
-                       + fq.price_strength * price_factor
-                       + fq.noise * normals[k])
+            with np.errstate(over="ignore", invalid="ignore"):
+                X[:, k] = (fq.signal_strength * relevance
+                           + fq.price_strength * price_factor
+                           + fq.noise * normals[k])
+            if not np.isfinite(X[:, k]).all():
+                raise ValueError(f"feature_quality entry {k}: {fq} overflows a feature value")
 
         positive = (relevance + cfg.label_noise * normals[d]) > label_threshold
         labels = np.where(positive, LABEL_CLICK, LABEL_NONE)

@@ -12,15 +12,19 @@ There are two baselines: ``baseline_l1`` fits any stage assignment on the
 level-1 objective (one stage: logistic regression; the model's stages: the
 soft cascade), and ``baseline_two_stage`` is the deployed-style heuristic.
 
-``EvalReport`` and the simulator's ``SimReport`` are both built by
-``query_table`` from per-query counts and latencies, and print and write
+``EvalReport`` and the simulator's ``SimReport`` each hold one table of
+per-query rows. ``query_table`` builds every row once, from each query's
+counts and latencies, as a named tuple of the report's row type
+(``PerQueryRecord`` or ``SimQueryRecord``) whose fields are the record keys
+in order; the reports keep the rows as they are and print and write
 themselves through ``QueryReport``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -69,9 +73,10 @@ def macro_auc(scores: np.ndarray, packed: PackedDataset) -> float:
 
 
 class QueryReport:
-    """Output shared by the per-query reports: ``to_text`` prints every
-    scalar field in declaration order, ``write_records`` writes one JSON
-    object per record of ``per_query`` with its fields in declaration order."""
+    """Output shared by the per-query reports, whose ``per_query`` is the
+    tuple of rows ``query_table`` built: ``to_text`` prints every scalar
+    field in declaration order, ``write_records`` writes each row as one JSON
+    object whose keys are the row's fields in order."""
 
     def to_text(self) -> str:
         return "".join(
@@ -80,47 +85,37 @@ class QueryReport:
 
     def write_records(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for r in self.per_query:
-                fh.write(json.dumps(asdict(r)) + "\n")
+            fh.writelines(json.dumps(r._asdict()) + "\n" for r in self.per_query)
 
 
 def query_table(packed: PackedDataset, counts: np.ndarray, latencies: np.ndarray,
-                cfg: ObjectiveConfig) -> tuple[list, dict]:
-    """Per-query columns and the floor and latency summary of a report.
+                cfg: ObjectiveConfig, row: type) -> tuple[tuple, dict]:
+    """The per-query rows and the floor and latency summary of a report.
 
     ``counts`` and ``latencies`` hold each query's recall-scaled result count
-    and latency in cost units. The columns are lists of query ids, recalled
-    counts, sizes, counts, latencies, latencies in ms, below-floor and
-    above-ceiling flags; the summary maps the six figures both reports carry
-    to their values, all 0 when there are no queries.
+    and latency in cost units. Each row is ``row``, a named tuple, of the
+    query id, recalled count, size, count, latency, latency in ms and the
+    below-floor and above-ceiling flags; the summary maps the six figures
+    both reports carry to their values, all 0 when there are no queries.
     """
     ms = cfg.cost_units_per_ms
     below = counts < cfg.result_floor
     above = latencies > cfg.latency_ceiling
-    columns = [
-        list(packed.query_ids), packed.mcounts.tolist(), packed.sizes.tolist(),
-        counts.tolist(), latencies.tolist(), (latencies / ms).tolist(),
-        below.tolist(), above.tolist(),
-    ]
+    rows = tuple(map(row, packed.query_ids, packed.mcounts.tolist(), packed.sizes.tolist(),
+                     counts.tolist(), latencies.tolist(), (latencies / ms).tolist(),
+                     below.tolist(), above.tolist()))
     names = ("fraction_below_floor", "fraction_above_latency_ceiling", "mean_latency_units",
              "p95_latency_units", "mean_latency_ms", "p95_latency_ms")
     if not len(latencies):
-        return columns, dict.fromkeys(names, 0.0)
+        return rows, dict.fromkeys(names, 0.0)
     mean, p95 = np.mean(latencies), np.percentile(latencies, 95)
     values = (np.mean(below), np.mean(above), mean, p95, mean / ms, p95 / ms)
-    return columns, {k: float(v) for k, v in zip(names, values)}
+    return rows, {k: float(v) for k, v in zip(names, values)}
 
 
-@dataclass(frozen=True)
-class PerQueryRecord:
-    query_id: str
-    recalled_count: int
-    size: int
-    expected_final_count: float
-    expected_latency_units: float
-    expected_latency_ms: float
-    below_floor: bool
-    above_latency_ceiling: bool
+PerQueryRecord = namedtuple("PerQueryRecord", (
+    "query_id", "recalled_count", "size", "expected_final_count", "expected_latency_units",
+    "expected_latency_ms", "below_floor", "above_latency_ceiling"))
 
 
 @dataclass(frozen=True)
@@ -143,14 +138,14 @@ def _report(auc_val: float, cost: float, baseline_cost: float | None, packed: Pa
     base = cost if baseline_cost is None else baseline_cost
     if base == 0:
         raise ValueError("expected cost ratio is undefined: the baseline cost is 0")
-    columns, summary = query_table(packed, counts, latencies, cfg)
+    rows, summary = query_table(packed, counts, latencies, cfg, PerQueryRecord)
     return EvalReport(
         auc=float(auc_val),
         expected_cost=float(cost),
         expected_cost_ratio=float(cost / base),
         mean_final_count=float(np.mean(counts)),
         **summary,
-        per_query=tuple(map(PerQueryRecord, *columns)),
+        per_query=rows,
     )
 
 

@@ -87,6 +87,8 @@ class ObjectiveConfig:
             raise ValueError("purchase_weight must be >= 1 (purchases never matter less than clicks)")
         if self.price_weight <= 0:
             raise ValueError("price_weight must be > 0 (at 0 clicks and purchases weigh 0)")
+        if self.cost_units_per_ms <= 0:
+            raise ValueError(f"cost_units_per_ms must be > 0, got {self.cost_units_per_ms}")
 
 
 @dataclass(frozen=True)

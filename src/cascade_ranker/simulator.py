@@ -12,15 +12,17 @@ traffic or utilization.
 
 ``_keep_counts`` is the one rule for the keep counts: it rounds up the
 expected pass counts S of ``forward_expectations``, whose last column eval
-reports. ``simulate`` replays a dataset under them, vectorised over queries;
-its ``SimReport`` shares the per-query table, text and records of the
-evaluator's ``EvalReport``. ``plan`` (one query's row of the counts) then
-``serve_query`` is the reference ``simulate`` matches record for record, and
-``tests/oracle.plan`` the per-query loop the counts are checked against.
+reports. ``simulate`` replays a dataset under them, vectorised over queries,
+and its ``SimReport`` holds the rows that the evaluator's ``query_table``
+builds, one ``SimQueryRecord`` per query, printed and written as
+``EvalReport``'s are. ``plan`` (one query's row of the counts) then
+``serve_query`` is the per-query reference whose figures each row equals,
+and ``tests/oracle.plan`` the per-query loop the counts are checked against.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,12 +42,10 @@ def plan(model: CascadeModel, group: QueryGroup) -> list[int]:
     return _keep_counts(packed.sizes, forward_expectations(model, packed)[1])[0].tolist()
 
 
-@dataclass(frozen=True)
-class ServedQuery:
-    ranking: tuple[int, ...]          # surviving instance indices, best first
-    realized_cost: float              # sample units
-    stage_entrants: tuple[int, ...]
-    stage_survivors: tuple[int, ...]
+ServedQuery = namedtuple("ServedQuery", (
+    "ranking",                        # surviving instance indices, best first
+    "realized_cost",                  # sample units
+    "stage_entrants", "stage_survivors"))
 
 
 def serve_query(keep_counts: Sequence[int], model: CascadeModel, group: QueryGroup,
@@ -84,22 +84,14 @@ def serve_query(keep_counts: Sequence[int], model: CascadeModel, group: QueryGro
         kept.append(len(survivors))
     final_order = np.lexsort((survivors, -cum_log_p[survivors, -1]))
     ranking = tuple(int(i) for i in survivors[final_order])
-    return ServedQuery(
-        ranking=ranking, realized_cost=float(cost), stage_entrants=tuple(entrants),
-        stage_survivors=tuple(kept),
-    )
+    return ServedQuery(ranking, float(cost), tuple(entrants), tuple(kept))
 
 
-@dataclass(frozen=True)
-class SimQueryRecord:
-    query_id: str
-    recalled_count: int
-    size: int
-    final_count: float                # recall-scaled
-    realized_cost: float              # recall-scaled cost units
-    realized_latency_ms: float
-    below_floor: bool
-    above_latency_ceiling: bool
+SimQueryRecord = namedtuple("SimQueryRecord", (
+    "query_id", "recalled_count", "size",
+    "final_count",                    # recall-scaled
+    "realized_cost",                  # recall-scaled cost units
+    "realized_latency_ms", "below_floor", "above_latency_ceiling"))
 
 
 @dataclass(frozen=True)
@@ -143,7 +135,7 @@ def _stochastic_funnel(model: CascadeModel, packed: PackedDataset, seed: int):
 
 def simulate(model: CascadeModel, data, cfg: ObjectiveConfig, *, stochastic: bool = False,
              seed: int = 0) -> SimReport:
-    """Replay every query of ``data`` and aggregate; each record equals what
+    """Replay every query of ``data`` and aggregate; each row equals what
     ``plan`` then ``serve_query`` give for that query.
 
     Every entrant of stage j pays t_j, accumulated stage by stage.
@@ -162,11 +154,7 @@ def simulate(model: CascadeModel, data, cfg: ObjectiveConfig, *, stochastic: boo
         cost += entrants[:, a] * t[a]
     scale = packed.mcounts / packed.sizes
     latency = cost * scale
-    columns, summary = query_table(packed, final * scale, latency, cfg)
-    qid, m, n, final_count, lat, lat_ms, below, above = columns
-    # builtin sum adds left to right over the records; np.sum would add pairwise
-    total = float(sum(lat))
-    return SimReport(
-        total_cost=total, **summary,
-        per_query=tuple(map(SimQueryRecord, qid, m, n, final_count, lat, lat_ms, below, above)),
-    )
+    rows, summary = query_table(packed, final * scale, latency, cfg, SimQueryRecord)
+    # builtin sum adds left to right over the rows; np.sum would add pairwise
+    return SimReport(total_cost=float(sum(r.realized_cost for r in rows)), **summary,
+                     per_query=rows)

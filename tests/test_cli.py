@@ -8,7 +8,9 @@ import pytest
 
 from cascade_ranker import datagen
 from cascade_ranker.cli import _FLAG_TO_KEY, default_config, main, rerun_from_manifest
+from cascade_ranker.evaluator import PerQueryRecord
 from cascade_ranker.objective import loss
+from cascade_ranker.simulator import SimQueryRecord
 from cascade_ranker.trainer import EpochRecord
 
 
@@ -50,6 +52,25 @@ def _with_first_line(data, name, **values):
 def _with_nan_feature(data):
     """Copy of the dataset at ``data`` whose first line has a NaN feature 0."""
     return _with_first_line(data, "nan_dataset.txt", **{"0": "nan"})
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _assert_strict_records(tmp_path, small_config, command, row):
+    """Every line of the records ``command`` writes is strict JSON (no NaN or
+    Infinity) with the keys of ``row`` in order, one line per query."""
+    data = _gen(tmp_path, small_config)
+    model = _train(tmp_path, small_config, data)
+    out = tmp_path / command
+    assert main([command, "--config", str(small_config), "--dataset", str(data),
+                 "--model", str(model), "--out", str(out)]) == 0
+    name = "eval_records.ndjson" if command == "eval" else "sim_records.ndjson"
+    lines = (out / name).read_text().splitlines()
+    assert len(lines) == 40
+    for line in lines:
+        assert list(json.loads(line, parse_constant=_reject_constant)) == list(row._fields)
 
 
 def _fails_cleanly(argv, capsys, *needles):
@@ -222,6 +243,15 @@ class TestConfigBoundary:
         ("datagen", {"datagen": {"price_mean_log": 800}}, [],
          "error: price_mean_log 800 and price_sigma_log 0.8 draw a price that overflows to inf"),
         ("datagen", {}, ["--seed", "-1"], "error: seed must be >= 0, got -1"),
+        ("datagen", {"datagen": {"label_noise": 1e200}}, [],
+         "error: label_noise must be at most 1.34e154 in magnitude, where its square "
+         "overflows, got 1e+200"),
+        ("datagen", {"datagen": {"label_noise": -1e200}}, [],
+         "error: label_noise must be at most 1.34e154 in magnitude, where its square "
+         "overflows, got -1e+200"),
+        ("datagen", {"datagen": {"feature_quality": [
+            {"signal_strength": s} for s in (0.15, 0.4, 1e308, 0.9, 1.2)]}}, [],
+         "error: feature_quality entry 2: FeatureQuality(signal_strength=1e+308"),
         ("train", {}, ["--alpha", "nan"], "error: alpha must be finite, got nan"),
         ("train", {}, ["--gamma", "nan"], "error: gamma must be finite, got nan"),
         ("train", {}, ["--gamma", "inf"], "error: gamma must be finite, got inf"),
@@ -246,6 +276,21 @@ class TestConfigBoundary:
         if command == "train":
             argv += ["--dataset", str(_gen(tmp_path, small_config))]
         err = _fails_cleanly(argv, capsys, named)
+        assert "Warning" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    @pytest.mark.parametrize("ms", [0, -150])
+    def test_non_positive_cost_units_per_ms(self, tmp_path, small_config, capsys, command, ms):
+        data = _gen(tmp_path, small_config)
+        model = _train(tmp_path, small_config, data)
+        cfg = json.loads(small_config.read_text())
+        cfg["objective"]["cost_units_per_ms"] = ms
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        err = _fails_cleanly([command, "--config", str(path), "--dataset", str(data),
+                              "--model", str(model), "--out", str(tmp_path / "x")],
+                             capsys, f"error: cost_units_per_ms must be > 0, got {ms}")
         assert "Warning" not in err
         assert not (tmp_path / "x").exists()
 
@@ -457,18 +502,7 @@ class TestEvalCommand:
             "936257b4d246b318e83441df4a9120d2578a245ab3e702ef7a70cd1bc381aa62")
 
     def test_records_are_json_lines(self, tmp_path, small_config):
-        data = _gen(tmp_path, small_config)
-        run = tmp_path / "run"
-        main(["train", "--config", str(small_config), "--dataset", str(data),
-              "--out", str(run)])
-        out = tmp_path / "eval"
-        main(["eval", "--config", str(small_config), "--dataset", str(data),
-              "--model", str(run / "model.txt"), "--out", str(out)])
-        lines = (out / "eval_records.ndjson").read_text().splitlines()
-        assert len(lines) == 40
-        rec = json.loads(lines[0])
-        assert {"query_id", "expected_final_count", "expected_latency_ms"} <= set(rec)
-
+        _assert_strict_records(tmp_path, small_config, "eval", PerQueryRecord)
 
     def test_truncated_model_exits_1_without_traceback(self, tmp_path, small_config, capsys):
         data = _gen(tmp_path, small_config)
@@ -528,6 +562,11 @@ class TestEvalCommand:
                         "--model", str(model), "--out", str(tmp_path / "eval"), "--compare"],
                        capsys, "section 'eval', key 'two_stage_keep_k': keep_k must be >= 1")
         assert fits == []
+
+
+class TestSimulateCommand:
+    def test_records_are_json_lines(self, tmp_path, small_config):
+        _assert_strict_records(tmp_path, small_config, "simulate", SimQueryRecord)
 
 
 class TestGradcheckCommand:
@@ -613,3 +652,37 @@ class TestManifestReproducibility:
         text = (first / "eval.txt").read_bytes()
         assert b"compare cloes " in text
         assert (second / "eval.txt").read_bytes() == text
+
+    @pytest.mark.parametrize("flags", [[], ["--stochastic"]], ids=["deterministic", "stochastic"])
+    def test_simulate_rerun_byte_identical(self, tmp_path, small_config, flags):
+        data = _gen(tmp_path, small_config)
+        model = _train(tmp_path, small_config, data)
+        first = tmp_path / "s1"
+        assert main(["simulate", "--config", str(small_config), "--dataset", str(data),
+                     "--model", str(model), "--out", str(first), *flags]) == 0
+        second = tmp_path / "s2"
+        assert rerun_from_manifest(first / "manifest.json", second) == 0
+        for name in ("sim.txt", "sim_records.ndjson"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+
+    def test_gradcheck_rerun_byte_identical(self, tmp_path, small_config):
+        first = tmp_path / "g1"
+        assert main(["gradcheck", "--config", str(small_config), "--out", str(first),
+                     "--h", "1e-4", "--tolerance", "0.01"]) == 0
+        text = (first / "gradcheck.txt").read_text()
+        assert "tolerance 1.000e-02\n" in text
+        second = tmp_path / "g2"
+        assert rerun_from_manifest(first / "manifest.json", second) == 0
+        assert (second / "gradcheck.txt").read_text() == text
+
+    def test_rerun_of_manifest_without_gradcheck_flags(self, tmp_path, small_config):
+        # a manifest that records no --h or --tolerance reruns at their defaults
+        first = tmp_path / "g1"
+        assert main(["gradcheck", "--config", str(small_config), "--out", str(first),
+                     "--tolerance", "0.01"]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        del manifest["h"], manifest["tolerance"]
+        (first / "manifest.json").write_text(json.dumps(manifest))
+        second = tmp_path / "g2"
+        assert rerun_from_manifest(first / "manifest.json", second) == 0
+        assert "tolerance 1.000e-04\n" in (second / "gradcheck.txt").read_text()
