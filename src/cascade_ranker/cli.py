@@ -285,13 +285,13 @@ def _load_matching_model(path, cfg: dict, schema: FeatureSchema):
 
 def cmd_datagen(args) -> int:
     started, cfg, schema = _begin(args)
-    groups = generate(gen_from_config(cfg), schema)
-    violations = validate_dataset(pack_groups(groups), schema)
+    packed = pack_groups(generate(gen_from_config(cfg), schema))
+    violations = validate_dataset(packed, schema)
     if violations:
         print(f"generated data failed validation: {violations[:3]}", file=sys.stderr)
         return 1
     _write_outputs(args, cfg, started,
-                   {"dataset.txt": lambda path: write_dataset(path, groups)})
+                   {"dataset.txt": lambda path: write_dataset(path, packed)})
     return 0
 
 

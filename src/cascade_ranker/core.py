@@ -4,11 +4,11 @@ query-grouped datasets, and the cascade model itself.
 A query group is built one way, from its column block:
 ``QueryGroup(query_id, query_features, recalled_count, X, labels, prices)``.
 ``pack_groups`` joins the blocks of many groups into one ``PackedDataset``
-and is the one place that rejects groups that cannot form one block; a
-``PackedDataset`` passes through it unchanged, so every public function
-that takes data calls it and accepts either. Everything after that runs on
-the ``PackedDataset``: the vectorized math, and ``validate_dataset``, which
-checks its columns against the schema.
+and is the one place that checks a group's block; the constructor checks
+nothing. A ``PackedDataset`` passes through it unchanged, so every public
+function that takes data calls it and accepts either. Everything after that
+runs on the ``PackedDataset``: the vectorized math, and ``validate_dataset``,
+which checks its columns against the schema.
 
 A ``CascadeModel`` is its flat weight vector, built by its constructor; its
 per-stage weights are views into that vector, so the weight layout is
@@ -167,12 +167,10 @@ def stage_costs(assignment: StageAssignment, schema: FeatureSchema) -> np.ndarra
 class QueryGroup:
     """A query with its one-hot query vector, recalled-item count M_q, and
     its N_q sampled labeled instances (N_q <= M_q for valid datasets), held
-    as one column block: ``X`` (N_q, item_dim) float64, ``labels`` (N_q,)
-    int8 in {0, 1, 2} and ``prices`` (N_q,) float64.
-
-    The constructor takes the block as it is: arrays that already have
-    those dtypes are kept, not copied, and others are converted.
-    """
+    as one column block: ``X`` (N_q, item_dim), ``labels`` (N_q,) in
+    {0, 1, 2} and ``prices`` (N_q,). The constructor checks nothing (that is
+    ``pack_groups``' job): it makes ``X``, ``prices`` and ``query_features``
+    float64 arrays, without a copy when they are, and ``labels`` an array."""
 
     query_id: str
     query_features: np.ndarray
@@ -182,29 +180,10 @@ class QueryGroup:
     prices: np.ndarray
 
     def __post_init__(self):
-        query_id = self.query_id
-        X = np.asarray(self.X, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        prices = np.asarray(self.prices, dtype=np.float64)
-        if self.recalled_count < 1:
-            raise ValueError(f"group {query_id}: recalled_count must be >= 1")
-        n = labels.shape[0] if labels.ndim == 1 else -1
-        if X.ndim != 2 or X.shape[0] != n or prices.shape != (n,):
-            raise ValueError(
-                f"group {query_id}: X {X.shape}, labels {labels.shape} and prices "
-                f"{prices.shape} do not form one block of rows"
-            )
-        if n > 0 and (labels.dtype.kind not in "iu"
-                      or labels.min() < LABEL_NONE or labels.max() > LABEL_PURCHASE):
-            raise ValueError(
-                f"group {query_id}: labels must be 0 (none), 1 (click) or 2 (purchase)"
-            )
-        object.__setattr__(
-            self, "query_features", np.asarray(self.query_features, dtype=np.float64)
-        )
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "labels", labels.astype(np.int8, copy=False))
-        object.__setattr__(self, "prices", prices)
+        object.__setattr__(self, "query_features", np.asarray(self.query_features, dtype=np.float64))
+        object.__setattr__(self, "X", np.asarray(self.X, dtype=np.float64))
+        object.__setattr__(self, "labels", np.asarray(self.labels))
+        object.__setattr__(self, "prices", np.asarray(self.prices, dtype=np.float64))
 
     @property
     def size(self) -> int:
@@ -366,10 +345,11 @@ class PackedDataset:
 
 def pack_groups(groups: PackedDataset | Sequence[QueryGroup]) -> PackedDataset:
     """Concatenate the column blocks of ``groups`` into one PackedDataset;
-    a PackedDataset is returned unchanged.
-    Every group needs at least one instance, since the segmented kernels over
-    ``offsets`` cannot represent an empty segment, and the feature width and
-    1-D query vector shape of the first group, so that the blocks join."""
+    a PackedDataset is returned unchanged. Raises ValueError naming the
+    first group whose rows do not form one block, that has none (a segment
+    of ``offsets`` cannot be empty), whose feature width or 1-D query vector
+    shape is not the first group's, whose labels are not integers in
+    {0, 1, 2}, or whose ``recalled_count`` is below 1."""
     if isinstance(groups, PackedDataset):
         return groups
     groups = list(groups)
@@ -380,28 +360,44 @@ def pack_groups(groups: PackedDataset | Sequence[QueryGroup]) -> PackedDataset:
             mcounts=np.zeros(0, dtype=np.int64), offsets=np.zeros(1, dtype=np.int64),
             query_ids=(),
         )
-    width, q_shape = groups[0].X.shape[1], groups[0].query_features.shape
+    width, q_shape = groups[0].X.shape[1:], groups[0].query_features.shape
     if len(q_shape) != 1:
         raise ValueError(f"group {groups[0].query_id}: query vector has shape {q_shape}, "
                          "expected one dimension")
+    bad_labels = "group {}: labels must be 0 (none), 1 (click) or 2 (purchase)"
+    sizes = []
     for g in groups:
-        if g.size == 0:
+        X, labels, prices = g.X, g.labels, g.prices
+        n = labels.shape[0] if labels.ndim == 1 else -1
+        if X.ndim != 2 or X.shape[0] != n or prices.shape != (n,):
+            raise ValueError(f"group {g.query_id}: X {X.shape}, labels {labels.shape} and "
+                             f"prices {prices.shape} do not form one block of rows")
+        if n == 0:
             raise ValueError(f"group {g.query_id}: has no instances")
-        if g.X.shape[1] != width:
-            raise ValueError(f"group {g.query_id}: feature width {g.X.shape[1]} differs "
-                             f"from the first group's {width}")
+        if X.shape[1:] != width:
+            raise ValueError(f"group {g.query_id}: feature width {X.shape[1]} differs "
+                             f"from the first group's {width[0]}")
         if g.query_features.shape != q_shape:
             raise ValueError(f"group {g.query_id}: query vector shape {g.query_features.shape} "
                              f"differs from the first group's {q_shape}")
-    X = np.concatenate([g.X for g in groups])
-    labels = np.concatenate([g.labels for g in groups])
-    prices = np.concatenate([g.prices for g in groups])
-    G = np.stack([g.query_features for g in groups])
-    sizes = np.array([g.size for g in groups], dtype=np.int64)
-    mcounts = np.array([g.recalled_count for g in groups], dtype=np.int64)
+        if labels.dtype.kind not in "iu":
+            raise ValueError(bad_labels.format(g.query_id))
+        sizes.append(n)
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    labels = np.concatenate([g.labels for g in groups])
+    bad = np.flatnonzero((labels < LABEL_NONE) | (labels > LABEL_PURCHASE))
+    if bad.size:
+        q = np.searchsorted(offsets, bad[0], side="right") - 1
+        raise ValueError(bad_labels.format(groups[q].query_id))
+    mcounts = np.array([g.recalled_count for g in groups], dtype=np.int64)
+    if (mcounts < 1).any():
+        q = np.argmax(mcounts < 1)
+        raise ValueError(f"group {groups[q].query_id}: recalled_count must be >= 1")
+    labels = labels.astype(np.int8, copy=False)
     return PackedDataset(
-        X=X, labels=labels, y=(labels != LABEL_NONE).astype(np.float64), prices=prices,
-        G=G, sizes=sizes, mcounts=mcounts, offsets=offsets,
-        query_ids=tuple(g.query_id for g in groups),
+        X=np.concatenate([g.X for g in groups]), labels=labels,
+        y=(labels != LABEL_NONE).astype(np.float64),
+        prices=np.concatenate([g.prices for g in groups]),
+        G=np.stack([g.query_features for g in groups]), sizes=np.array(sizes, dtype=np.int64),
+        mcounts=mcounts, offsets=offsets, query_ids=tuple(g.query_id for g in groups),
     )

@@ -12,21 +12,19 @@ Both ``generate`` and ``read_dataset`` return one ``QueryGroup`` per query,
 each a slice of a column block: the rows of a block of GEN_BLOCK_QUERIES
 generated queries, or the matrix the reader joined. The query one-hot
 vectors of all groups come from one ``FeatureSchema.query_onehots`` block.
-The generator draws query by query in one fixed stream order, so that a
-seed gives the data it always gave, and computes on the draws a block at a
-time.
+Neither re-checks them; ``pack_groups`` checks a group's block. The
+generator draws query by query in one fixed stream order, so that a seed
+gives the data it always gave, and computes on the draws a block at a time.
 
-``write_dataset`` writes all lines of a group that has no zero feature with
-one ``%`` format call, and the lines of any other group one at a time.
+``write_dataset`` writes one layout, the dense one, with every feature
+index on every line: ``qid:Q mcount:M label:L price:P 0:v ... (d-1):v``.
 
 The reader has two parsers over one shared position in the file. A chunk of
-lines that all have the dense layout ``write_dataset`` writes when no feature
-is zero (``qid:Q mcount:M label:L price:P 0:v ... (d-1):v``, single spaces)
-is parsed in C by one ``np.loadtxt`` call and checked with array operations.
-Every other chunk (omitted zero features, blank lines, other whitespace,
-another field order, or any error) is parsed line by line in Python, which
-reads every valid layout and is the only source of error messages. Both give
-the same values bit for bit.
+lines that all have the dense layout is parsed in C by one ``np.loadtxt``
+call and checked with array operations. Every other chunk (omitted zero
+features, blank lines, other whitespace, another field order, or any error)
+is parsed line by line in Python, which reads every valid layout and is the
+only source of error messages. Both give the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -45,8 +43,10 @@ from .core import (
     LABEL_PURCHASE,
     Feature,
     FeatureSchema,
+    PackedDataset,
     QueryGroup,
     StageAssignment,
+    pack_groups,
     require_finite,
 )
 
@@ -218,9 +218,11 @@ def generate(cfg: GenConfig, schema: FeatureSchema) -> list[QueryGroup]:
         if purchase_base is None:
             purchased = positive & (cfg.purchase_fraction_of_positives >= 1.0)
         else:
-            p_purchase = 1.0 / (1.0 + np.exp(-(purchase_base + cfg.purchase_price_tilt * price_factor)))
+            with np.errstate(over="ignore"):    # an inf exponent gives exactly 0
+                p_purchase = 1.0 / (1.0 + np.exp(-(purchase_base
+                                                   + cfg.purchase_price_tilt * price_factor)))
             purchased = positive & (np.concatenate(uniforms) < p_purchase)
-        # int8 as QueryGroup keeps it, so that its slices are the groups' own
+        # int8 as pack_groups packs it, so that packing casts nothing
         labels = np.where(purchased, LABEL_PURCHASE, labels).astype(np.int8)
         ends = np.cumsum(sizes).tolist()
         blocks += [(X[end - n:end], labels[end - n:end], prices[end - n:end])
@@ -234,30 +236,21 @@ class DatasetFormatError(ValueError):
     """Malformed dataset file; the message carries the line number."""
 
 
-def write_dataset(path, groups: Sequence[QueryGroup]) -> None:
-    """One instance per line:
-    ``qid:<id> mcount:<int> label:<0|1|2> price:<float> <idx>:<float> ...``
-    Zero-valued features are omitted (so -0.0 reads back as 0.0); floats use
-    17 significant digits so the round trip is otherwise exact.
-
-    A group with no zero feature has every index on every line, so all of
-    its lines are written by one ``%`` format over its values; ``"%.17g" % v``
-    formats ``v`` as ``f"{v:.17g}"`` does, and ``"%d"`` of a label held as a
-    float writes the integer."""
+def write_dataset(path, data: PackedDataset | Sequence[QueryGroup]) -> None:
+    """Write ``data``, a PackedDataset or a list of groups, one instance per
+    line with every feature index, floats at 17 significant digits so that
+    the round trip is exact, -0.0 included. ``data`` is packed first, so a
+    group that ``pack_groups`` rejects leaves no file. Each query's lines
+    are one ``%`` format over its values: ``"%.17g" % v`` is
+    ``f"{v:.17g}"``, and ``"%d"`` of a label held as a float is the integer."""
+    packed = pack_groups(data)
+    columns, offsets = (packed.labels, packed.prices, packed.X), packed.offsets.tolist()
+    tail = " ".join(["label:%d price:%.17g", *(f"{k}:%.17g" for k in range(packed.X.shape[1]))])
     with open(path, "w", encoding="utf-8") as fh:
-        for group in groups:
-            head = f"qid:{group.query_id} mcount:{group.recalled_count} "
-            if group.X.all():
-                line = " ".join([head.replace("%", "%%") + "label:%d price:%.17g"]
-                                + [f"{k}:%.17g" for k in range(group.X.shape[1])]) + "\n"
-                values = np.column_stack([group.labels, group.prices, group.X])
-                fh.write(line * group.size % tuple(values.ravel().tolist()))
-            else:
-                for x, label, price in zip(group.X.tolist(), group.labels.tolist(),
-                                           group.prices.tolist()):
-                    feats = " ".join(f"{k}:{v:.17g}" for k, v in enumerate(x) if v != 0.0)
-                    line = f"{head}label:{label} price:{price:.17g}"
-                    fh.write(line + (" " + feats if feats else "") + "\n")
+        for q, (qid, mcount) in enumerate(zip(packed.query_ids, packed.mcounts.tolist())):
+            values = np.column_stack([c[offsets[q]:offsets[q + 1]] for c in columns])
+            line = f"qid:{qid} mcount:{mcount} ".replace("%", "%%") + tail + "\n"
+            fh.write(line * len(values) % tuple(values.ravel().tolist()))
 
 
 # Lines read from the file at a time; each chunk becomes one column block,
@@ -380,9 +373,9 @@ def _has_dense_layout(chunk: list[str], d: int) -> bool:
 
 def _parse_dense(chunk: list[str], d: int, pos: _Position):
     """The column block of ``chunk`` when every line of it has the layout
-    ``write_dataset`` writes if no feature is zero,
-    ``qid:Q mcount:M label:L price:P 0:v ... (d-1):v``, and passes every
-    check of ``_parse_lines``; None otherwise, with ``pos`` untouched.
+    ``write_dataset`` writes, ``qid:Q mcount:M label:L price:P 0:v ...
+    (d-1):v``, and passes every check of ``_parse_lines``; None otherwise,
+    with ``pos`` untouched.
 
     One ``np.loadtxt`` call parses the chunk in C, with the float parser
     ``float`` uses. ``loadtxt`` strips whitespace other than its delimiter
@@ -440,17 +433,17 @@ def _parse_chunks(fh, d: int):
 
 def read_dataset(path, schema: FeatureSchema) -> list[QueryGroup]:
     """Parse the dataset format; lines sharing a qid must be contiguous, and
-    a line may give each feature index once. The query one-hot vectors are
-    derived from mcount via the schema's bins, all in one block.
+    a line may give each feature index once, or omit it for a zero. The
+    query one-hot vectors are derived from mcount via the schema's bins.
 
     Lines are parsed READ_CHUNK_LINES at a time into column blocks; the
     blocks are joined into one matrix, and each query's group is a slice of
     it. A chunk whose lines all have the dense layout ``write_dataset``
-    writes when no feature is zero (single spaces, every index 0..d-1 in
-    order) is parsed in C by ``np.loadtxt``; any other chunk (a zero feature
-    omitted, blank lines, other whitespace, another field order, or any
-    error) is parsed line by line. Both give the same values bit for bit,
-    and every error message comes from the line-by-line parser."""
+    writes (single spaces, every index 0..d-1 in order) is parsed in C by
+    ``np.loadtxt``; any other chunk (a zero feature omitted, blank lines,
+    other whitespace, another field order, or any error) is parsed line by
+    line. Both give the same values bit for bit, and every error message
+    comes from the line-by-line parser."""
     with open(path, "r", encoding="utf-8") as fh:
         chunks = list(_parse_chunks(fh, schema.item_dim))
     if not chunks:

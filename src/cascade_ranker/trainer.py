@@ -51,8 +51,7 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be >= 0")
+        _check_init_scale(self.init_scale)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -91,14 +90,21 @@ class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
 
 
+MAX_INIT_SCALE = float(np.finfo(np.float64).max) / 2    # so the draw range 2 * it is finite
+
+
+def _check_init_scale(init_scale: float) -> None:
+    if not 0 <= init_scale <= MAX_INIT_SCALE:
+        raise ValueError(f"init_scale must be in [0, {MAX_INIT_SCALE!r}], got {init_scale}")
+
+
 def init_weights(schema: FeatureSchema, assignment: StageAssignment, seed: int,
                  init_scale: float) -> CascadeModel:
     """Random model with weights i.i.d. uniform in [-init_scale, +init_scale].
 
     Deterministic given ``seed``; ``init_scale = 0`` gives the all-zero model.
     """
-    if init_scale < 0:
-        raise ValueError("init_scale must be >= 0")
+    _check_init_scale(init_scale)
     # one weight per stage feature and per stage query bin
     n = sum(len(stage) + schema.query_feature_dim for stage in assignment.stages)
     w = np.random.default_rng(seed).uniform(-init_scale, init_scale, size=n)
@@ -128,6 +134,9 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
     model = init_weights(schema, assignment, train_cfg.seed, train_cfg.init_scale)
     shuffle_rng = np.random.default_rng([train_cfg.seed, 1])
     n_total = packed.n_instances
+    if not np.isfinite(obj_cfg.alpha * n_total):    # a batch scales alpha by <= n_total
+        raise ValueError(f"alpha {obj_cfg.alpha} times the {n_total} training instances "
+                         "overflows to inf")
     eval_packed = pack_groups(eval_data) if eval_data is not None else packed
 
     log = TrainLog()

@@ -236,14 +236,17 @@ def generate(cfg, schema) -> list[QueryGroup]:
             for qi, (g, (m_q, X, labels, prices)) in enumerate(zip(G, blocks))]
 
 
-def write_dataset(path, groups) -> None:
-    """``cascade_ranker.datagen.write_dataset``, one line and one feature at a
-    time, every zero feature omitted."""
+def write_dataset(path, groups, every_index: bool = False) -> None:
+    """The dataset file of ``groups``, one line and one feature at a time:
+    with ``every_index``, as ``cascade_ranker.datagen.write_dataset`` writes
+    it; without, every zero feature omitted, a layout the reader accepts
+    but the package never writes."""
     with open(path, "w", encoding="utf-8") as fh:
         for group in groups:
             head = f"qid:{group.query_id} mcount:{group.recalled_count} "
             for x, label, price in zip(group.X.tolist(), group.labels.tolist(),
                                        group.prices.tolist()):
-                feats = " ".join(f"{k}:{v:.17g}" for k, v in enumerate(x) if v != 0.0)
+                feats = " ".join(f"{k}:{v:.17g}" for k, v in enumerate(x)
+                                 if every_index or v != 0.0)
                 line = f"{head}label:{label} price:{price:.17g}"
                 fh.write(line + (" " + feats if feats else "") + "\n")

@@ -8,6 +8,7 @@ import pytest
 
 from cascade_ranker import datagen
 from cascade_ranker.cli import _FLAG_TO_KEY, default_config, main, rerun_from_manifest
+from cascade_ranker.core import pack_groups, validate_dataset
 from cascade_ranker.evaluator import PerQueryRecord
 from cascade_ranker.objective import loss
 from cascade_ranker.simulator import SimQueryRecord
@@ -120,6 +121,22 @@ class TestDatagenCommand:
                              capsys, "error: price_sigma_log must be > 0")
         assert "Warning" not in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"purchase_fraction_of_positives": 1e-308},
+        {"purchase_price_tilt": 1e308},
+        {"price_mean_log": -1e308},
+    ], ids=["tiny-purchase-fraction", "huge-tilt", "huge-negative-price-mean"])
+    def test_saturated_purchase_probability_warns_nothing(self, tmp_path, capsys, config):
+        # the purchase probability is exactly 0 or 1 at these limits
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"datagen": {"n_queries": 40, **config}}))
+        capsys.readouterr()
+        assert main(["datagen", "--config", str(path), "--out", str(tmp_path / "x")]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        schema = datagen.default_schema()
+        data = datagen.read_dataset(tmp_path / "x" / "dataset.txt", schema)
+        assert len(data) == 40 and validate_dataset(pack_groups(data), schema) == []
 
     @pytest.mark.parametrize("quality, named", [
         # generate rejects the config
@@ -264,6 +281,14 @@ class TestConfigBoundary:
         ("train", {}, ["--lr", "inf"], "error: learning_rate must be finite, got inf"),
         ("train", {"train": {"lr_decay": float("inf")}}, [], "error: lr_decay must be finite"),
         ("train", {}, ["--seed", "-1"], "error: seed must be >= 0, got -1"),
+        # above half the largest float the init draw range overflows
+        ("train", {"train": {"init_scale": 1e308}}, [],
+         "error: init_scale must be in [0, 8.988465674311579e+307], got "),
+        ("train", {"train": {"init_scale": 9e307}}, [],
+         "error: init_scale must be in [0, 8.988465674311579e+307], got "),
+        # alpha times a batch's instance count would overflow to inf
+        ("train", {"objective": {"alpha": 1e308}}, [],
+         "error: alpha 1e+308 times the 640 training instances overflows to inf"),
     ])
     def test_bad_hyperparameter_named(self, tmp_path, small_config, capsys, command, config,
                                       flags, named):

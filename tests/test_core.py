@@ -17,8 +17,11 @@ from cascade_ranker.core import (
     stage_costs,
     validate_dataset,
 )
-from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
-from cascade_ranker.trainer import init_weights
+from cascade_ranker.datagen import (GenConfig, default_assignment, default_schema, generate,
+                                    write_dataset)
+from cascade_ranker.objective import ObjectiveConfig
+from cascade_ranker.simulator import simulate
+from cascade_ranker.trainer import TrainConfig, init_weights, train
 from groups import make_group, with_weights
 import oracle
 
@@ -392,43 +395,84 @@ class TestPacking:
         assert packed.X.dtype == packed.prices.dtype == np.float64
 
 
+def _bad_groups(schema):
+    """Groups that break a block rule, each with the message ``pack_groups``
+    raises for it: labels out of range or not integers, a ragged block, no
+    recalled item, and a ``replace`` with short prices."""
+    onehot = schema.query_onehots([5])[0]
+    ok = _group(schema, n=2, qid="q-bad")
+    return [
+        *((QueryGroup("q-bad", onehot, 5, np.zeros((2, schema.item_dim)), labels, [2.0, 2.0]),
+           r"group q-bad: labels must be 0 \(none\), 1 \(click\) or 2 \(purchase\)")
+          for labels in ([0, 3], [-1, 0], [0.0, 1.0])),
+        (QueryGroup("q-bad", onehot, 5, np.zeros((3, schema.item_dim)), [0, 1], [2.0, 2.0]),
+         r"group q-bad: X \(3, 5\), labels \(2,\) and prices \(2,\) do not form one block"),
+        (QueryGroup("q-bad", onehot, 0, np.zeros((1, schema.item_dim)), [0], [2.0]),
+         "group q-bad: recalled_count must be >= 1"),
+        (replace(ok, prices=[2.0]), "group q-bad: .*do not form one block of rows"),
+    ]
+
+
+_BAD_IDS = ["label-3", "label-minus-1", "float-labels", "ragged", "recalled-0", "short-prices"]
+
+
 class TestQueryGroupColumns:
+    """The constructor only converts; ``pack_groups`` owns every block rule,
+    so every function that packs its data rejects a bad group by name."""
+
     def test_from_columns_keeps_float64_arrays(self):
         schema = default_schema()
         X = np.ones((2, schema.item_dim))
         prices = np.array([2.0, 3.0])
-        g = QueryGroup("q", schema.query_onehots([5])[0], 5, X, [0, 2], prices)
-        assert g.X is X and g.prices is prices
-        assert g.labels.dtype == np.int8 and list(g.labels) == [0, 2] and g.size == 2
+        labels = np.array([0, 2], dtype=np.int8)
+        g = QueryGroup("q", schema.query_onehots([5])[0], 5, X, labels, prices)
+        assert g.X is X and g.prices is prices and g.labels is labels and g.size == 2
 
-    @pytest.mark.parametrize("labels", [[0, 3], [-1, 0], [0.0, 1.0]])
-    def test_from_columns_rejects_bad_labels(self, labels):
+    def test_list_or_int64_block_packs_to_float64_and_int8(self):
         schema = default_schema()
-        with pytest.raises(ValueError, match="group q: labels"):
-            QueryGroup("q", schema.query_onehots([5])[0], 5,
-                       np.zeros((2, schema.item_dim)), labels, [2.0, 2.0])
+        onehot = schema.query_onehots([5])[0].tolist()
+        listed = QueryGroup("a", onehot, 5, [[1] * 5, [2] * 5], [0, 2], [3, 4])
+        wide = QueryGroup("b", onehot, 5, np.ones((1, 5), dtype=np.int64),
+                          np.array([1], dtype=np.int64), np.array([7], dtype=np.int64))
+        assert listed.labels.dtype == wide.labels.dtype == np.int64
+        for g in (listed, wide):
+            assert g.X.dtype == g.prices.dtype == g.query_features.dtype == np.float64
+        packed = pack_groups([listed, wide])
+        assert packed.labels.dtype == np.int8 and list(packed.labels) == [0, 2, 1]
+        assert packed.X.dtype == packed.prices.dtype == packed.G.dtype == np.float64
+        assert packed.X.tolist() == [[1.0] * 5, [2.0] * 5, [1.0] * 5]
+        assert packed.prices.tolist() == [3.0, 4.0, 7.0]
 
-    def test_from_columns_rejects_ragged_block(self):
-        schema = default_schema()
-        with pytest.raises(ValueError, match="group q: .*one block"):
-            QueryGroup("q", schema.query_onehots([5])[0], 5,
-                       np.zeros((3, schema.item_dim)), [0, 1], [2.0, 2.0])
-
-    def test_recalled_count_below_one_rejected(self):
-        schema = default_schema()
-        with pytest.raises(ValueError, match="group q: recalled_count must be >= 1"):
-            QueryGroup("q", schema.query_onehots([5])[0], 0,
-                       np.zeros((1, schema.item_dim)), [0], [2.0])
-
-    def test_replace_converts_and_checks_like_the_constructor(self):
-        schema = default_schema()
-        g = _group(schema, n=2)
+    def test_replace_converts_like_the_constructor(self):
+        g = _group(default_schema(), n=2)
         moved = replace(g, labels=[0, 2], prices=[3, 4])
         assert moved.X is g.X and moved.query_id == g.query_id
-        assert moved.labels.dtype == np.int8 and list(moved.labels) == [0, 2]
+        assert isinstance(moved.labels, np.ndarray) and list(moved.labels) == [0, 2]
         assert moved.prices.dtype == np.float64 and list(moved.prices) == [3.0, 4.0]
-        with pytest.raises(ValueError, match="group q0: .*one block"):
-            replace(g, prices=[2.0])
+
+    @pytest.mark.parametrize("k", range(len(_BAD_IDS)), ids=_BAD_IDS)
+    def test_constructor_checks_nothing(self, k):
+        bad, _ = _bad_groups(default_schema())[k]
+        assert isinstance(bad.labels, np.ndarray) and bad.X.dtype == np.float64
+
+    @pytest.mark.parametrize("k", range(len(_BAD_IDS)), ids=_BAD_IDS)
+    @pytest.mark.parametrize("consumer", ["pack_groups", "write_dataset", "train", "simulate"])
+    def test_bad_block_rejected_by_name(self, tmp_path, consumer, k):
+        schema = default_schema()
+        bad, message = _bad_groups(schema)[k]
+        groups = [_group(schema, qid="a", seed=1), bad, _group(schema, qid="b", seed=2)]
+        path = tmp_path / "data.txt"
+        model = init_weights(schema, default_assignment(schema), seed=0, init_scale=0.1)
+        run = {
+            "pack_groups": lambda: pack_groups(groups),
+            "write_dataset": lambda: write_dataset(path, groups),
+            "train": lambda: train(groups, schema, default_assignment(schema),
+                                   ObjectiveConfig(), TrainConfig(epochs=1)),
+            "simulate": lambda: simulate(model, groups, ObjectiveConfig()),
+        }[consumer]
+        with pytest.raises(ValueError, match=message):
+            run()
+        assert not path.exists()
 
 
 class TestTake:

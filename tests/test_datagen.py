@@ -273,16 +273,17 @@ class TestDatasetFileFormat:
 
     @pytest.mark.parametrize("chunk", [1, 2, 7, 4096])
     def test_queries_straddling_chunks(self, tmp_path, monkeypatch, chunk):
-        # in the sparse file, the lines of two queries omit a zero feature,
-        # so only some chunks are dense
+        # the sparse file is written by the reference writer, which omits
+        # zero features: the lines of two queries lack one, so only some
+        # chunks are dense
         schema = default_schema()
         dense = generate(GenConfig(n_queries=12, group_size_cap=5, seed=4), schema)
         sparse = [replace(g, X=np.where(np.arange(5) == 2, 0.0, g.X)) if i in (3, 8) else g
                   for i, g in enumerate(dense)]
         monkeypatch.setattr(datagen, "READ_CHUNK_LINES", chunk)
-        for groups in (dense, sparse):
+        for groups, write in ((dense, write_dataset), (sparse, oracle.write_dataset)):
             path = tmp_path / "data.txt"
-            write_dataset(path, groups)
+            write(path, groups)
             with monkeypatch.context() as mp:
                 calls = _count_parsers(mp)
                 back = read_dataset(path, schema)
@@ -494,6 +495,7 @@ def _assert_packed_identical(a, b):
 
 _feature_value = st.one_of(
     st.just(0.0),
+    st.just(-0.0),
     st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
 )
 
@@ -542,33 +544,30 @@ class TestRoundTripProperty:
         path.write_bytes(eol.join(lines).encode("utf-8") + eol.encode())
         monkeypatch.setattr(datagen, "READ_CHUNK_LINES", chunk)
         back = pack_groups(read_dataset(path, schema))
-        want = pack_groups(groups)
-        # the writer omits zeros, so -0.0 comes back as +0.0 (x + 0.0 maps
-        # -0.0 to +0.0 and keeps every other value)
-        want = replace(want, X=want.X + 0.0)
-        _assert_packed_identical(back, want)
+        _assert_packed_identical(back, pack_groups(groups))
 
-    def test_negative_zero_reads_back_as_positive_zero(self, tmp_path):
+    def test_negative_zero_reads_back_as_negative_zero(self, tmp_path):
         schema = default_schema()
         X = np.array([[-0.0, 1.0, 0.0, -2.5, -0.0]])
         g = QueryGroup("q", schema.query_onehots([3])[0], 3, X, [1], [2.0])
         path = tmp_path / "data.txt"
         write_dataset(path, [g])
-        assert path.read_text() == "qid:q mcount:3 label:1 price:2 1:1 3:-2.5\n"
+        assert path.read_text() == "qid:q mcount:3 label:1 price:2 0:-0 1:1 2:0 3:-2.5 4:-0\n"
         (back,) = read_dataset(path, schema)
-        assert back.X.tobytes() == np.array([[0.0, 1.0, 0.0, -2.5, 0.0]]).tobytes()
+        assert back.X.tobytes() == X.tobytes()
 
 
 class TestDenseWriteMatchesLineWriter:
-    """``write_dataset`` writes a group without zero features in one format
-    call; the reference writes every group line by line."""
+    """``write_dataset`` writes each query's lines in one format call; the
+    reference writes them one line and one feature at a time."""
 
     @staticmethod
     def _same_bytes(tmp_path, groups):
-        fast, slow = tmp_path / "fast.txt", tmp_path / "slow.txt"
+        fast, slow, packed = (tmp_path / name for name in ("fast.txt", "slow.txt", "packed.txt"))
         write_dataset(fast, groups)
-        oracle.write_dataset(slow, groups)
-        assert fast.read_bytes() == slow.read_bytes()
+        write_dataset(packed, pack_groups(groups))
+        oracle.write_dataset(slow, groups, every_index=True)
+        assert fast.read_bytes() == slow.read_bytes() == packed.read_bytes()
 
     def test_edge_groups(self, tmp_path):
         groups = edge_groups(default_schema())
@@ -579,6 +578,4 @@ class TestDenseWriteMatchesLineWriter:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(groups=_groups())
     def test_drawn_groups(self, tmp_path, groups):
-        # as drawn (zeros in most groups), then with every zero made 1
         self._same_bytes(tmp_path, groups)
-        self._same_bytes(tmp_path, [replace(g, X=np.where(g.X == 0, 1.0, g.X)) for g in groups])

@@ -6,7 +6,9 @@ this catches it.
 
 Only ``core`` tells a ``PackedDataset`` from a list of groups: every other
 module hands its data to ``pack_groups``, which returns a ``PackedDataset``
-unchanged."""
+unchanged. ``pack_groups`` is also the one function that holds the rules
+for a group's block of rows, so no other function may hold their
+messages."""
 
 import ast
 from pathlib import Path
@@ -63,3 +65,51 @@ def test_finds_a_packed_isinstance():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "core"], ids=lambda p: p.stem)
 def test_only_core_tests_for_packed_data(path):
     assert packed_isinstance_lines(path.read_text(encoding="utf-8")) == []
+
+
+# the messages of the block rules, with ``...`` for each formatted field
+BLOCK_RULE_MESSAGES = (
+    "do not form one block of rows",
+    "labels must be 0 (none), 1 (click) or 2 (purchase)",
+    "group ...: recalled_count must be >= 1",
+)
+
+
+def block_rule_holders(source: str) -> set[tuple[str, str]]:
+    """The (function, message) pairs of ``source``: each function whose body
+    holds a string, or an f-string with ``...`` for its fields, that contains
+    one of ``BLOCK_RULE_MESSAGES``; code outside any function is ``<module>``."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(v.value if isinstance(v, ast.Constant) else "..."
+                           for v in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            text = ""
+        found.update((where, m) for m in BLOCK_RULE_MESSAGES if m in text.replace("{}", "..."))
+        if not isinstance(node, ast.JoinedStr):
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_finds_a_block_rule_message():
+    source = ("def check(g):\n    raise ValueError(f'group {g}: recalled_count must be >= 1')\n"
+              "BAD = 'group {}: labels must be 0 (none), 1 (click) or 2 (purchase)'\n")
+    assert block_rule_holders(source) == {
+        ("check", "group ...: recalled_count must be >= 1"),
+        ("<module>", "labels must be 0 (none), 1 (click) or 2 (purchase)"),
+    }
+
+
+def test_only_pack_groups_holds_the_block_rules():
+    holders = {(path.stem, where, message) for path in MODULES
+               for where, message in block_rule_holders(path.read_text(encoding="utf-8"))}
+    assert holders == {("core", "pack_groups", m) for m in BLOCK_RULE_MESSAGES}

@@ -94,7 +94,8 @@ DATASET_SHA256 = {
     "odd_count": "f7b1bc63c9503faa0863f0df67b8492384ca36e311416c6ed01fdee0780a5c4b",
     "one_query": "cfe08d824d4dfc281acc17c26adbc60d9c120bcd3d8523fafe2c979f935f026e",
 }
-EDGE_DATASET_SHA256 = "4f0bd4e348cde0ef27954edb16f28f7ee76dc6a2eab5397fa4173733b69a7b90"
+# every feature index on every line: a zero feature is written as k:0, -0.0 as k:-0
+EDGE_DATASET_SHA256 = "8f76a1a155d7b5f22973e6967633d4717fb144859ce4d0e122baeeaf1ed2dfc5"
 STOCHASTIC_SIM_TEXT = (
     "total_cost 565265\nmean_latency_units 2826.32\n"
     "p95_latency_units 8496.61\nmean_latency_ms 18.8422\n"

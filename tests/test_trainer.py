@@ -16,6 +16,7 @@ from cascade_ranker.core import (
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
 from cascade_ranker.objective import OBJECTIVE_LEVELS, ObjectiveConfig, expected_cost, loss
 from cascade_ranker.trainer import (
+    MAX_INIT_SCALE,
     TrainConfig,
     TrainingDiverged,
     gradient_check,
@@ -83,6 +84,29 @@ class TestTrainConfigValidation:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             TrainConfig(seed=-1)
+
+    def test_init_scale_above_half_the_largest_float_rejected(self):
+        schema = default_schema()
+        assert MAX_INIT_SCALE == 8.988465674311579e307
+        model = init_weights(schema, default_assignment(schema), 0, MAX_INIT_SCALE)
+        assert np.abs(model.weights).max() <= MAX_INIT_SCALE
+        assert TrainConfig(init_scale=MAX_INIT_SCALE).init_scale == MAX_INIT_SCALE
+        above = float(np.nextafter(MAX_INIT_SCALE, np.inf))
+        message = (r"^init_scale must be in \[0, 8.988465674311579e\+307\], "
+                   rf"got {re.escape(str(above))}$")
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(init_scale=above)
+        with pytest.raises(ValueError, match=message):
+            init_weights(schema, default_assignment(schema), 0, above)
+
+    def test_alpha_overflowing_with_the_instance_count_rejected(self):
+        schema = default_schema()
+        data = generate(GenConfig(n_queries=10, group_size_cap=4, seed=1), schema)
+        n = sum(g.size for g in data)
+        with pytest.raises(ValueError, match=f"^alpha 1e\\+308 times the {n} training "
+                                             "instances overflows to inf$"):
+            train(data, schema, default_assignment(schema), ObjectiveConfig(alpha=1e308),
+                  TrainConfig(epochs=1))
 
 
 def _separable_toy(schema):
