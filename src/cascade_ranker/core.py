@@ -47,8 +47,9 @@ class Feature:
     kind: str = "statistical"
 
     def __post_init__(self):
-        if self.cost < 0:
-            raise ValueError(f"feature {self.name!r}: cost must be >= 0, got {self.cost}")
+        if not 0 <= self.cost < np.inf:
+            raise ValueError(f"feature {self.name!r}: cost must be finite and >= 0, "
+                             f"got {self.cost}")
         if self.kind not in FEATURE_KINDS:
             raise ValueError(f"feature {self.name!r}: kind must be one of {FEATURE_KINDS}")
 

@@ -2,22 +2,26 @@
 counts derived from the model's expected pass counts.
 
 Replay walks each query's instances through the stages, keeping the top-k by
-cumulative pass probability at every stage (deterministic; a stochastic
-Bernoulli-pass mode exists for oracle comparisons). Raw replay accounting is
+cumulative pass probability at every stage. A Bernoulli mode instead lets
+each instance pass each stage with its pass probability; its means are the
+expected pass counts, which it checks are unbiased. Raw replay accounting is
 in sample units; the report scales each query by M_q / N_q to the equivalent
 figures over the full recalled set, which is what the result floor and the
 latency ceiling are expressed against. A query's realized cost is its
 latency, and the report's total cost is their sum; there is no model of
 traffic or utilization.
 
-``_keep_counts`` is the one rule for the keep counts: it rounds up the
-expected pass counts S of ``forward_expectations``, whose last column eval
-reports. ``simulate`` replays a dataset under them, vectorised over queries,
-and its ``SimReport`` holds the rows that the evaluator's ``query_table``
+Both modes give one (n_groups, T) matrix of survivors per query and stage,
+from which ``simulate`` derives the entrants, final counts and cost in one
+place. ``_keep_counts`` is the one rule for the deterministic survivors: it
+rounds up the expected pass counts S of ``forward_expectations``, whose last
+column eval reports. ``_bernoulli_survivors`` draws one uniform stream over
+all rows. ``SimReport`` holds the rows that the evaluator's ``query_table``
 builds, one ``SimQueryRecord`` per query, printed and written as
 ``EvalReport``'s are. ``plan`` (one query's row of the counts) then
-``serve_query`` is the per-query reference whose figures each row equals,
-and ``tests/oracle.plan`` the per-query loop the counts are checked against.
+``serve_query`` is the per-query top-k reference whose figures each
+deterministic row equals; ``tests/oracle`` holds the per-query loops the
+counts and the Bernoulli draw are checked against.
 """
 
 from __future__ import annotations
@@ -49,25 +53,18 @@ ServedQuery = namedtuple("ServedQuery", (
 
 
 def serve_query(keep_counts: Sequence[int], model: CascadeModel, group: QueryGroup,
-                stochastic: bool = False, rng: np.random.Generator | None = None,
                 ) -> ServedQuery:
-    """Replay one query through the cascade.
+    """Replay one query through the cascade: the per-query reference whose
+    figures each deterministic row of ``simulate`` equals.
 
     Each stage scores the current survivors by cumulative pass probability and
     keeps the top ``keep_counts[j]`` (ties broken by input order); every
-    entrant pays the stage cost. In stochastic mode survivors instead pass
-    each stage independently with their stage pass probability and
-    ``keep_counts`` is ignored; the result list may be empty (this mode is a
-    pure Bernoulli oracle, so no survivor floor is applied).
+    entrant pays the stage cost.
     """
     T = model.n_stages
-    if not stochastic and len(keep_counts) != T:
+    if len(keep_counts) != T:
         raise ValueError(f"need {T} keep counts, got {len(keep_counts)}")
-    packed = pack_groups([group])
-    Z, cum_log_p = batch_log_pass(model, packed)
-    if stochastic and rng is None:
-        rng = np.random.default_rng(0)
-
+    _, cum_log_p = batch_log_pass(model, pack_groups([group]))
     survivors = np.arange(group.size)
     t = stage_costs(model.assignment, model.schema)
     cost = 0.0
@@ -75,12 +72,8 @@ def serve_query(keep_counts: Sequence[int], model: CascadeModel, group: QueryGro
     for a in range(T):
         entrants.append(len(survivors))
         cost += len(survivors) * t[a]
-        if stochastic:
-            p_stage = expit(Z[survivors, a])
-            survivors = np.sort(survivors[rng.random(len(survivors)) < p_stage])
-        else:
-            order = np.lexsort((survivors, -cum_log_p[survivors, a]))
-            survivors = np.sort(survivors[order[: int(keep_counts[a])]])
+        order = np.lexsort((survivors, -cum_log_p[survivors, a]))
+        survivors = np.sort(survivors[order[: int(keep_counts[a])]])
         kept.append(len(survivors))
     final_order = np.lexsort((survivors, -cum_log_p[survivors, -1]))
     ranking = tuple(int(i) for i in survivors[final_order])
@@ -116,37 +109,35 @@ def _keep_counts(sizes: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.minimum(sizes[:, None], np.minimum.accumulate(at_least_one, axis=1))
 
 
-def _stochastic_funnel(model: CascadeModel, packed: PackedDataset, seed: int):
-    """(entrants (n_groups, T), final counts) of the Bernoulli replay; query
-    q draws from its own stream ``default_rng([seed, q])`` as in
-    ``serve_query``."""
-    p_stage = expit(batch_log_pass(model, packed)[0])
-    entrants = np.empty((packed.n_groups, model.n_stages), dtype=np.int64)
-    final = np.empty(packed.n_groups, dtype=np.int64)
-    for q in range(packed.n_groups):
-        rng = np.random.default_rng([seed, q])
-        survivors = np.arange(packed.offsets[q], packed.offsets[q + 1])
-        for a in range(model.n_stages):
-            entrants[q, a] = len(survivors)
-            survivors = survivors[rng.random(len(survivors)) < p_stage[survivors, a]]
-        final[q] = len(survivors)
-    return entrants, final
+def _bernoulli_survivors(model: CascadeModel, packed: PackedDataset, seed: int) -> np.ndarray:
+    """Survivors per query and stage, shape (n_groups, T), of the Bernoulli
+    replay. With U = ``default_rng(seed).random((n_instances, T))``, row i
+    survives stage j iff U[i, k] < p_k(i) for every k <= j, p_k being its
+    stage-k pass probability. Nothing is rounded and no survivor floor
+    applies, so the means are the expected pass counts S."""
+    U = np.random.default_rng(seed).random((packed.n_instances, model.n_stages))
+    alive = np.logical_and.accumulate(U < expit(batch_log_pass(model, packed)[0]), axis=1)
+    group_of_row = np.repeat(np.arange(packed.n_groups), packed.sizes)
+    return np.column_stack([np.bincount(group_of_row[alive[:, j]], minlength=packed.n_groups)
+                            for j in range(model.n_stages)])
 
 
 def simulate(model: CascadeModel, data, cfg: ObjectiveConfig, *, stochastic: bool = False,
              seed: int = 0) -> SimReport:
-    """Replay every query of ``data`` and aggregate; each row equals what
-    ``plan`` then ``serve_query`` give for that query.
+    """Replay every query of ``data`` and aggregate.
 
-    Every entrant of stage j pays t_j, accumulated stage by stage.
+    The survivors per query and stage are the keep counts of ``_keep_counts``
+    (each row equals what ``plan`` then ``serve_query`` give for that query)
+    or, if ``stochastic``, the Bernoulli draw of ``_bernoulli_survivors``.
+    Stage j's entrants are stage j - 1's survivors (N_q at stage 0), and
+    every entrant of stage j pays t_j, accumulated stage by stage.
     """
     packed = pack_groups(data)
     if stochastic:
-        entrants, final = _stochastic_funnel(model, packed, seed)
+        survivors = _bernoulli_survivors(model, packed, seed)
     else:
-        keep = _keep_counts(packed.sizes, forward_expectations(model, packed)[1])
-        entrants = np.concatenate([packed.sizes[:, None], keep[:, :-1]], axis=1)
-        final = keep[:, -1]
+        survivors = _keep_counts(packed.sizes, forward_expectations(model, packed)[1])
+    entrants = np.concatenate([packed.sizes[:, None], survivors[:, :-1]], axis=1)
 
     t = stage_costs(model.assignment, model.schema)
     cost = np.zeros(packed.n_groups)
@@ -154,7 +145,7 @@ def simulate(model: CascadeModel, data, cfg: ObjectiveConfig, *, stochastic: boo
         cost += entrants[:, a] * t[a]
     scale = packed.mcounts / packed.sizes
     latency = cost * scale
-    rows, summary = query_table(packed, final * scale, latency, cfg, SimQueryRecord)
+    rows, summary = query_table(packed, survivors[:, -1] * scale, latency, cfg, SimQueryRecord)
     # builtin sum adds left to right over the rows; np.sum would add pairwise
     return SimReport(total_cost=float(sum(r.realized_cost for r in rows)), **summary,
                      per_query=rows)

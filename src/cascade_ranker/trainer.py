@@ -149,7 +149,9 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
         for b0 in range(0, len(order), train_cfg.batch_size):
             batch = packed.take(order[b0 : b0 + train_cfg.batch_size])
             batch_cfg = replace(obj_cfg, alpha=obj_cfg.alpha * batch.n_instances / n_total)
-            bd = loss(model, batch, batch_cfg, train_cfg.objective)
+            # a loss that overflows is reported by the finiteness check below
+            with np.errstate(over="ignore", invalid="ignore"):
+                bd = loss(model, batch, batch_cfg, train_cfg.objective)
             if not (np.isfinite(bd.total) and np.all(np.isfinite(bd.gradient))):
                 raise TrainingDiverged(
                     f"non-finite loss or gradient at epoch {epoch}, "

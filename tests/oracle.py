@@ -189,6 +189,29 @@ def plan(model, group) -> list[int]:
     return counts
 
 
+def bernoulli_replay(model, groups, seed: int) -> list[tuple[float, tuple[int, ...]]]:
+    """(realized cost in sample units, survivors per stage) of each group's
+    Bernoulli replay, one query and one stage at a time. The uniform draws are
+    ``default_rng(seed).random((n_instances, T))`` over the groups' rows in
+    order; an entrant survives stage j iff its draw is below its stage-j pass
+    probability."""
+    t = stage_costs(model.assignment, model.schema)
+    U = np.random.default_rng(seed).random((sum(g.size for g in groups), model.n_stages))
+    replays, row = [], 0
+    for g in groups:
+        p_stage = expit(batch_log_pass(model, pack_groups([g]))[0])
+        u = U[row: row + g.size]
+        row += g.size
+        survivors = np.arange(g.size)
+        cost, kept = 0.0, []
+        for a in range(model.n_stages):
+            cost += len(survivors) * t[a]
+            survivors = survivors[u[survivors, a] < p_stage[survivors, a]]
+            kept.append(len(survivors))
+        replays.append((cost, tuple(kept)))
+    return replays
+
+
 def generate(cfg, schema) -> list[QueryGroup]:
     """``cascade_ranker.datagen.generate``, drawing and computing one query at
     a time: d + 1 separate ``standard_normal(n_q)`` calls for the features and

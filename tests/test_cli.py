@@ -12,7 +12,7 @@ from cascade_ranker.core import pack_groups, validate_dataset
 from cascade_ranker.evaluator import PerQueryRecord
 from cascade_ranker.objective import loss
 from cascade_ranker.simulator import SimQueryRecord
-from cascade_ranker.trainer import EpochRecord
+from cascade_ranker.trainer import MAX_INIT_SCALE, EpochRecord
 
 
 @pytest.fixture()
@@ -218,6 +218,14 @@ class TestConfigBoundary:
         if command == "train":
             argv += ["--dataset", str(tmp_path / "dataset.txt")]
         _fails_cleanly(argv, capsys, named)
+
+    @pytest.mark.parametrize("cost", ["Infinity", "NaN"])
+    def test_non_finite_feature_cost_exits_1(self, tmp_path, capsys, cost):
+        # json.load reads Infinity and NaN
+        path = tmp_path / "bad.json"
+        path.write_text('{"schema": {"features": [{"name": "sales_volume", "cost": %s}]}}' % cost)
+        _fails_cleanly(["gradcheck", "--config", str(path), "--out", str(tmp_path / "x")],
+                       capsys, "error: feature 'sales_volume': cost must be finite and >= 0")
 
     def test_unparsable_config_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -435,6 +443,19 @@ class TestDatasetValidation:
                               "--out", str(tmp_path / "run"), "--lr", "1e308"],
                              capsys, "non-finite")
         assert "RuntimeWarning" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_initial_loss_exits_1_without_warnings(self, tmp_path, small_config,
+                                                               capsys):
+        data = _gen(tmp_path, small_config)
+        cfg = json.loads(small_config.read_text())
+        cfg["train"]["init_scale"] = MAX_INIT_SCALE
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        err = _fails_cleanly(["train", "--config", str(path), "--dataset", str(data),
+                              "--out", str(tmp_path / "run")],
+                             capsys, "error: non-finite loss or gradient at epoch 1, batch 0")
+        assert "Warning" not in err
 
 
 class TestTrainCommand:

@@ -47,7 +47,7 @@ SIM_TEXT = (
 )
 EVAL_RECORDS_SHA256 = "367217ac13c58a14bd6497146fbc1179be63ab49b7df4faa478d0c366236d89c"
 SIM_RECORDS_SHA256 = "543610065bbcb6469ff42bb1c711003eb3d0224a0e1b53aa47c3819dd9836489"
-STOCHASTIC_SIM_RECORDS_SHA256 = "42e8f1b51a7338c76ca6fd5b3c1ef4edfdd09122dc2090b590b0846b1f75f340"
+STOCHASTIC_SIM_RECORDS_SHA256 = "d76efe98297e64874f10f75299a65e07d2ea5531a14fc65ef2918887a0234d2f"
 TWO_STAGE_RECORDS_SHA256 = "d45929e9f6e8f5255a3e85cb6183e7c4a8334565ee873e834349035c337a4d1d"
 TWO_STAGE_FIGURES = {
     "auc": "0.7132772236364802",
@@ -97,9 +97,9 @@ DATASET_SHA256 = {
 # every feature index on every line: a zero feature is written as k:0, -0.0 as k:-0
 EDGE_DATASET_SHA256 = "8f76a1a155d7b5f22973e6967633d4717fb144859ce4d0e122baeeaf1ed2dfc5"
 STOCHASTIC_SIM_TEXT = (
-    "total_cost 565265\nmean_latency_units 2826.32\n"
-    "p95_latency_units 8496.61\nmean_latency_ms 18.8422\n"
-    "p95_latency_ms 56.6441\nfraction_below_floor 0.56\nfraction_above_latency_ceiling 0.265\n"
+    "total_cost 567591\nmean_latency_units 2837.96\n"
+    "p95_latency_units 8525.21\nmean_latency_ms 18.9197\n"
+    "p95_latency_ms 56.8347\nfraction_below_floor 0.61\nfraction_above_latency_ceiling 0.255\n"
 )
 
 

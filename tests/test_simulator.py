@@ -15,10 +15,17 @@ from cascade_ranker.core import (
 )
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
 from cascade_ranker.objective import ObjectiveConfig, forward_expectations
-from cascade_ranker.simulator import SimQueryRecord, _keep_counts, plan, serve_query, simulate
+from cascade_ranker.simulator import (
+    SimQueryRecord,
+    _bernoulli_survivors,
+    _keep_counts,
+    plan,
+    serve_query,
+    simulate,
+)
 from cascade_ranker.trainer import init_weights
 from groups import make_group
-from oracle import expected_count
+from oracle import bernoulli_replay, expected_count
 from oracle import plan as oracle_plan
 
 
@@ -45,14 +52,20 @@ def _group_with_stage1_probs(schema, probs, mcount=None, second_feature=0.0):
 
 def _serve_loop_records(model, data, cfg, stochastic=False, seed=0):
     """Per-query reference for ``simulate``: the per-query loop's keep
-    counts, then serve_query, then scale by M_q / N_q, one query at a time."""
+    counts then serve_query, or the per-query Bernoulli replay, then scale
+    by M_q / N_q, one query at a time."""
+    if stochastic:
+        replays = bernoulli_replay(model, data, seed)
+    else:
+        replays = []
+        for g in data:
+            served = serve_query(oracle_plan(model, g), model, g)
+            replays.append((served.realized_cost, served.stage_survivors))
     records = []
-    for idx, g in enumerate(data):
-        rng = np.random.default_rng([seed, idx]) if stochastic else None
-        served = serve_query(oracle_plan(model, g), model, g, stochastic=stochastic, rng=rng)
+    for g, (cost, kept) in zip(data, replays, strict=True):
         scale = g.recalled_count / g.size
-        latency = served.realized_cost * scale
-        final = len(served.ranking) * scale
+        latency = cost * scale
+        final = kept[-1] * scale
         records.append(SimQueryRecord(
             query_id=g.query_id, recalled_count=g.recalled_count, size=g.size,
             final_count=final, realized_cost=latency,
@@ -195,18 +208,16 @@ class TestServeQuery:
 
     def test_stochastic_matches_expected_counts(self):
         # Bernoulli-pass replay survivor means vs the exact expectations,
-        # within 3 standard errors over 1e4 trials
+        # within 3 standard errors over 1e4 trials: one draw over the group
+        # repeated 1e4 times
         schema = default_schema()
         asg = default_assignment(schema)
         model = init_weights(schema, asg, 17, 0.6)
         rng = np.random.default_rng(6)
         g = make_group(schema, 10, rng.standard_normal((10, 5)))
         trials = 10_000
-        counts = np.zeros((trials, 3))
-        for t in range(trials):
-            served = serve_query([], model, g, stochastic=True,
-                                 rng=np.random.default_rng([9, t]))
-            counts[t] = served.stage_survivors
+        repeated = pack_groups([g]).take(np.zeros(trials, dtype=np.int64))
+        counts = _bernoulli_survivors(model, repeated, seed=9)
         for j in (1, 2, 3):
             exact = expected_count(model, g, j)
             se = counts[:, j - 1].std(ddof=1) / math.sqrt(trials)
