@@ -1,14 +1,19 @@
 """Domain types shared by every module: feature schema with per-feature costs,
 query-grouped datasets, and the cascade model itself.
 
-A query group is built one way, from its column block:
+A dataset is a ``PackedDataset``: the columns of many query groups' rows,
+built by ``PackedDataset.from_columns``, the one code that derives its
+``offsets`` and ``y``. ``generate`` and ``read_dataset`` return one, and
+the vectorized math and ``validate_dataset``, which checks its columns
+against the schema, run on it. Iterating it yields each query as a
+``QueryGroup`` whose arrays are views of the query's rows.
+
+A ``QueryGroup`` is built one way, from its column block:
 ``QueryGroup(query_id, query_features, recalled_count, X, labels, prices)``.
 ``pack_groups`` joins the blocks of many groups into one ``PackedDataset``
 and is the one place that checks a group's block; the constructor checks
 nothing. A ``PackedDataset`` passes through it unchanged, so every public
-function that takes data calls it and accepts either. Everything after that
-runs on the ``PackedDataset``: the vectorized math, and ``validate_dataset``,
-which checks its columns against the schema.
+function that takes data calls it and accepts either.
 
 A ``CascadeModel`` is its flat weight vector, built by its constructor; its
 per-stage weights are views into that vector, so the weight layout is
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from numbers import Real
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -307,8 +312,9 @@ class PackedDataset:
 
     Row order preserves group order and in-group instance order. ``offsets``
     has length n_groups + 1; group q owns rows offsets[q]:offsets[q+1].
-    ``pack_groups`` builds one from QueryGroups; ``take`` selects groups, for
-    a holdout split and for every SGD batch.
+    ``from_columns`` builds one; ``take`` selects groups, for a holdout
+    split and for every SGD batch. Its length is its number of groups, and
+    iterating it yields each group as a ``QueryGroup`` of views of its rows.
     """
 
     X: np.ndarray          # (n, item_dim)
@@ -321,6 +327,22 @@ class PackedDataset:
     offsets: np.ndarray    # (n_groups + 1,) int64
     query_ids: tuple[str, ...]
 
+    @classmethod
+    def from_columns(cls, X: np.ndarray, labels: np.ndarray, prices: np.ndarray,
+                     G: np.ndarray, sizes, mcounts, query_ids) -> "PackedDataset":
+        """The dataset whose group q is the next ``sizes[q]`` rows, with
+        ``G[q]``, ``mcounts[q]`` and ``query_ids[q]``: the one code that
+        derives ``offsets`` and ``y``. It checks nothing and keeps the arrays
+        it is given, ``labels`` cast to int8."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        labels = labels.astype(np.int8, copy=False)
+        return cls(
+            X=X, labels=labels, y=(labels != LABEL_NONE).astype(np.float64), prices=prices, G=G,
+            sizes=sizes, mcounts=np.asarray(mcounts, dtype=np.int64),
+            offsets=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+            query_ids=tuple(query_ids),
+        )
+
     @property
     def n_instances(self) -> int:
         return self.X.shape[0]
@@ -329,19 +351,26 @@ class PackedDataset:
     def n_groups(self) -> int:
         return self.G.shape[0]
 
+    def __len__(self) -> int:
+        return self.n_groups
+
+    def __iter__(self) -> Iterator[QueryGroup]:
+        ends = self.offsets.tolist()
+        for q, (qid, mcount) in enumerate(zip(self.query_ids, self.mcounts.tolist())):
+            rows = slice(ends[q], ends[q + 1])
+            yield QueryGroup(qid, self.G[q], mcount, self.X[rows], self.labels[rows],
+                             self.prices[rows])
+
     def take(self, group_idx) -> "PackedDataset":
         """The groups ``group_idx`` in that order, each with its rows in order."""
         group_idx = np.asarray(group_idx, dtype=np.int64)
         sizes = self.sizes[group_idx]
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        # row r of the result is source row offsets[q] + (r - new offset of q)
-        rows = np.repeat(self.offsets[group_idx] - offsets[:-1], sizes) + np.arange(offsets[-1])
-        return PackedDataset(
-            X=self.X[rows], labels=self.labels[rows], y=self.y[rows],
-            prices=self.prices[rows], G=self.G[group_idx], sizes=sizes,
-            mcounts=self.mcounts[group_idx], offsets=offsets,
-            query_ids=tuple(self.query_ids[q] for q in group_idx.tolist()),
-        )
+        # row r of the result is source row offsets[q] + (r - the result's rows before q)
+        rows = np.repeat(self.offsets[group_idx] - (np.cumsum(sizes) - sizes), sizes)
+        rows += np.arange(rows.size)
+        return PackedDataset.from_columns(
+            self.X[rows], self.labels[rows], self.prices[rows], self.G[group_idx], sizes,
+            self.mcounts[group_idx], (self.query_ids[q] for q in group_idx.tolist()))
 
 
 def pack_groups(groups: PackedDataset | Sequence[QueryGroup]) -> PackedDataset:
@@ -355,12 +384,8 @@ def pack_groups(groups: PackedDataset | Sequence[QueryGroup]) -> PackedDataset:
         return groups
     groups = list(groups)
     if not groups:
-        return PackedDataset(
-            X=np.zeros((0, 0)), labels=np.zeros(0, dtype=np.int8), y=np.zeros(0),
-            prices=np.zeros(0), G=np.zeros((0, 0)), sizes=np.zeros(0, dtype=np.int64),
-            mcounts=np.zeros(0, dtype=np.int64), offsets=np.zeros(1, dtype=np.int64),
-            query_ids=(),
-        )
+        return PackedDataset.from_columns(np.zeros((0, 0)), np.zeros(0, dtype=np.int8),
+                                          np.zeros(0), np.zeros((0, 0)), [], [], ())
     width, q_shape = groups[0].X.shape[1:], groups[0].query_features.shape
     if len(q_shape) != 1:
         raise ValueError(f"group {groups[0].query_id}: query vector has shape {q_shape}, "
@@ -384,21 +409,17 @@ def pack_groups(groups: PackedDataset | Sequence[QueryGroup]) -> PackedDataset:
         if labels.dtype.kind not in "iu":
             raise ValueError(bad_labels.format(g.query_id))
         sizes.append(n)
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
     labels = np.concatenate([g.labels for g in groups])
     bad = np.flatnonzero((labels < LABEL_NONE) | (labels > LABEL_PURCHASE))
     if bad.size:
-        q = np.searchsorted(offsets, bad[0], side="right") - 1
-        raise ValueError(bad_labels.format(groups[q].query_id))
+        raise ValueError(bad_labels.format(
+            groups[np.searchsorted(np.cumsum(sizes), bad[0], side="right")].query_id))
     mcounts = np.array([g.recalled_count for g in groups], dtype=np.int64)
     if (mcounts < 1).any():
         q = np.argmax(mcounts < 1)
         raise ValueError(f"group {groups[q].query_id}: recalled_count must be >= 1")
-    labels = labels.astype(np.int8, copy=False)
-    return PackedDataset(
-        X=np.concatenate([g.X for g in groups]), labels=labels,
-        y=(labels != LABEL_NONE).astype(np.float64),
-        prices=np.concatenate([g.prices for g in groups]),
-        G=np.stack([g.query_features for g in groups]), sizes=np.array(sizes, dtype=np.int64),
-        mcounts=mcounts, offsets=offsets, query_ids=tuple(g.query_id for g in groups),
-    )
+    return PackedDataset.from_columns(
+        np.concatenate([g.X for g in groups]), labels,
+        np.concatenate([g.prices for g in groups]),
+        np.stack([g.query_features for g in groups]), sizes, mcounts,
+        (g.query_id for g in groups))

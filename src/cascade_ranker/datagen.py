@@ -8,13 +8,14 @@ drives labels; a latent (standardized log) price scalar drives purchase
 selection among positives and leaks into some features so that price-sensitive
 training has signal to exploit.
 
-Both ``generate`` and ``read_dataset`` return one ``QueryGroup`` per query,
-each a slice of a column block: the rows of a block of GEN_BLOCK_QUERIES
-generated queries, or the matrix the reader joined. The query one-hot
-vectors of all groups come from one ``FeatureSchema.query_onehots`` block.
-Neither re-checks them; ``pack_groups`` checks a group's block. The
-generator draws query by query in one fixed stream order, so that a seed
-gives the data it always gave, and computes on the draws a block at a time.
+Both ``generate`` and ``read_dataset`` return one ``PackedDataset``, built
+by ``PackedDataset.from_columns`` from the column blocks they join once:
+the blocks of GEN_BLOCK_QUERIES generated queries, or the reader's chunks
+of lines. The query one-hot vectors of all queries come from one
+``FeatureSchema.query_onehots`` call. Every block rule of ``pack_groups``
+holds by construction, so neither checks its result again. The generator
+draws query by query in one fixed stream order, so that a seed gives the
+data it always gave, and computes on the draws a block at a time.
 
 ``write_dataset`` writes one layout, the dense one, with every feature
 index on every line: ``qid:Q mcount:M label:L price:P 0:v ... (d-1):v``.
@@ -151,7 +152,7 @@ def _log_uniform_int(rng: np.random.Generator, lo: int, hi: int) -> int:
 GEN_BLOCK_QUERIES = 256
 
 
-def generate(cfg: GenConfig, schema: FeatureSchema) -> list[QueryGroup]:
+def generate(cfg: GenConfig, schema: FeatureSchema) -> PackedDataset:
     """Deterministic synthetic dataset for ``schema`` under ``cfg``.
 
     The random draws are made query by query, in one stream order that
@@ -162,8 +163,8 @@ def generate(cfg: GenConfig, schema: FeatureSchema) -> list[QueryGroup]:
     calls of ``n_q`` do), then the purchase uniforms if the purchase
     fraction lies strictly between 0 and 1. The arithmetic on the draws runs
     once per block of GEN_BLOCK_QUERIES queries over all of the block's
-    rows, element by element as it would per query, and each query's group
-    is a slice of its block's ``X``, ``labels`` and ``prices``."""
+    rows, element by element as it would per query, and the blocks' ``X``,
+    ``labels`` and ``prices`` are joined once at the end."""
     if len(cfg.feature_quality) != schema.item_dim:
         raise ValueError(
             f"feature_quality has {len(cfg.feature_quality)} entries for "
@@ -179,9 +180,9 @@ def generate(cfg: GenConfig, schema: FeatureSchema) -> list[QueryGroup]:
         cfg.purchase_fraction_of_positives / (1.0 - cfg.purchase_fraction_of_positives)
     ) if 0 < cfg.purchase_fraction_of_positives < 1 else None
 
-    mcounts, blocks = [], []
+    mcounts, sizes, blocks = [], [], []
     for start in range(0, cfg.n_queries, GEN_BLOCK_QUERIES):
-        sizes, relevance, raw_prices, normals, uniforms = [], [], [], [], []
+        relevance, raw_prices, normals, uniforms = [], [], [], []
         for _ in range(min(GEN_BLOCK_QUERIES, cfg.n_queries - start)):
             if rng.random() < cfg.head_fraction:
                 m_q = _log_uniform_int(rng, *cfg.head_mcount_range)
@@ -222,14 +223,11 @@ def generate(cfg: GenConfig, schema: FeatureSchema) -> list[QueryGroup]:
                 p_purchase = 1.0 / (1.0 + np.exp(-(purchase_base
                                                    + cfg.purchase_price_tilt * price_factor)))
             purchased = positive & (np.concatenate(uniforms) < p_purchase)
-        # int8 as pack_groups packs it, so that packing casts nothing
-        labels = np.where(purchased, LABEL_PURCHASE, labels).astype(np.int8)
-        ends = np.cumsum(sizes).tolist()
-        blocks += [(X[end - n:end], labels[end - n:end], prices[end - n:end])
-                   for n, end in zip(sizes, ends)]
-    G = schema.query_onehots(mcounts)
-    return [QueryGroup(f"q{qi:05d}", g, m_q, X, labels, prices)
-            for qi, (g, m_q, (X, labels, prices)) in enumerate(zip(G, mcounts, blocks))]
+        # int8 as the dataset holds it, so that joining the blocks casts nothing
+        blocks.append((X, np.where(purchased, LABEL_PURCHASE, labels).astype(np.int8), prices))
+    X, labels, prices = (np.concatenate(parts) for parts in zip(*blocks))
+    return PackedDataset.from_columns(X, labels, prices, schema.query_onehots(mcounts), sizes,
+                                      mcounts, (f"q{qi:05d}" for qi in range(cfg.n_queries)))
 
 
 class DatasetFormatError(ValueError):
@@ -431,28 +429,27 @@ def _parse_chunks(fh, d: int):
         yield _parse_lines(chunk, d, pos) if block is None else block
 
 
-def read_dataset(path, schema: FeatureSchema) -> list[QueryGroup]:
+def read_dataset(path, schema: FeatureSchema) -> PackedDataset:
     """Parse the dataset format; lines sharing a qid must be contiguous, and
     a line may give each feature index once, or omit it for a zero. The
     query one-hot vectors are derived from mcount via the schema's bins.
 
-    Lines are parsed READ_CHUNK_LINES at a time into column blocks; the
-    blocks are joined into one matrix, and each query's group is a slice of
-    it. A chunk whose lines all have the dense layout ``write_dataset``
-    writes (single spaces, every index 0..d-1 in order) is parsed in C by
-    ``np.loadtxt``; any other chunk (a zero feature omitted, blank lines,
-    other whitespace, another field order, or any error) is parsed line by
-    line. Both give the same values bit for bit, and every error message
-    comes from the line-by-line parser."""
+    Lines are parsed READ_CHUNK_LINES at a time into column blocks, which
+    are joined once into the columns of the result; a file with no data
+    line gives a dataset of no queries. A chunk whose lines all have the
+    dense layout ``write_dataset`` writes (single spaces, every index
+    0..d-1 in order) is parsed in C by ``np.loadtxt``; any other chunk (a
+    zero feature omitted, blank lines, other whitespace, another field
+    order, or any error) is parsed line by line. Both give the same values
+    bit for bit, and every error message comes from the line-by-line
+    parser."""
     with open(path, "r", encoding="utf-8") as fh:
-        chunks = list(_parse_chunks(fh, schema.item_dim))
-    if not chunks:
-        return []
+        chunks = list(_parse_chunks(fh, schema.item_dim)) or [
+            _parse_lines([], schema.item_dim, _Position())]
     X, labels, prices = (np.concatenate(parts) for parts in list(zip(*chunks))[:3])
     starts = [start for chunk in chunks for start in chunk[3]]
-    ends = [row for row, _, _ in starts[1:]] + [len(labels)]
-    G = schema.query_onehots([mcount for _, _, mcount in starts])
-    return [
-        QueryGroup(qid, g, mcount, X[row:end], labels[row:end], prices[row:end])
-        for g, (row, qid, mcount), end in zip(G, starts, ends)
-    ]
+    mcounts = [mcount for _, _, mcount in starts]
+    return PackedDataset.from_columns(
+        X, labels, prices, schema.query_onehots(mcounts),
+        np.diff([row for row, _, _ in starts] + [len(labels)]), mcounts,
+        [qid for _, qid, _ in starts])

@@ -97,20 +97,26 @@ def query_table(packed: PackedDataset, counts: np.ndarray, latencies: np.ndarray
     query id, recalled count, size, count, latency, latency in ms and the
     below-floor and above-ceiling flags; the summary maps the six figures
     both reports carry to their values, all 0 when there are no queries.
+    Raises ValueError naming ``cost_units_per_ms`` when a latency in ms is
+    not finite.
     """
     ms = cfg.cost_units_per_ms
     below = counts < cfg.result_floor
     above = latencies > cfg.latency_ceiling
-    rows = tuple(map(row, packed.query_ids, packed.mcounts.tolist(), packed.sizes.tolist(),
-                     counts.tolist(), latencies.tolist(), (latencies / ms).tolist(),
-                     below.tolist(), above.tolist()))
     names = ("fraction_below_floor", "fraction_above_latency_ceiling", "mean_latency_units",
              "p95_latency_units", "mean_latency_ms", "p95_latency_ms")
-    if not len(latencies):
-        return rows, dict.fromkeys(names, 0.0)
-    mean, p95 = np.mean(latencies), np.percentile(latencies, 95)
-    values = (np.mean(below), np.mean(above), mean, p95, mean / ms, p95 / ms)
-    return rows, {k: float(v) for k, v in zip(names, values)}
+    values = (0.0,) * 4
+    if len(latencies):
+        values = (np.mean(below), np.mean(above), np.mean(latencies),
+                  np.percentile(latencies, 95))
+    with np.errstate(over="ignore"):    # an overflow is named below
+        in_ms = (latencies / ms, values[2] / ms, values[3] / ms)
+    if not all(np.isfinite(v).all() for v in in_ms):
+        raise ValueError(f"cost_units_per_ms {ms} gives a latency in ms that is not finite")
+    rows = tuple(map(row, packed.query_ids, packed.mcounts.tolist(), packed.sizes.tolist(),
+                     counts.tolist(), latencies.tolist(), in_ms[0].tolist(),
+                     below.tolist(), above.tolist()))
+    return rows, {k: float(v) for k, v in zip(names, (*values, *in_ms[1:]))}
 
 
 PerQueryRecord = namedtuple("PerQueryRecord", (

@@ -149,10 +149,11 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
         for b0 in range(0, len(order), train_cfg.batch_size):
             batch = packed.take(order[b0 : b0 + train_cfg.batch_size])
             batch_cfg = replace(obj_cfg, alpha=obj_cfg.alpha * batch.n_instances / n_total)
-            # a loss that overflows is reported by the finiteness check below
+            # a loss, gradient or gradient norm that overflows is reported below
             with np.errstate(over="ignore", invalid="ignore"):
                 bd = loss(model, batch, batch_cfg, train_cfg.objective)
-            if not (np.isfinite(bd.total) and np.all(np.isfinite(bd.gradient))):
+                grad_norm = float(np.linalg.norm(bd.gradient))
+            if not (np.isfinite(bd.total) and np.isfinite(grad_norm)):
                 raise TrainingDiverged(
                     f"non-finite loss or gradient at epoch {epoch}, "
                     f"batch {b0 // train_cfg.batch_size}"
@@ -170,7 +171,7 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
             cost += bd.expected_cost
             size_pen += bd.size_penalty
             lat_pen += bd.latency_penalty
-            grad_norms += float(np.linalg.norm(bd.gradient))
+            grad_norms += grad_norm
             below += bd.queries_below_floor
             above += bd.queries_above_ceiling
             n_batches += 1
@@ -215,9 +216,12 @@ def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
     machine epsilon). So a small gradient fails only when it is off by more
     than that rounding noise, and a large one when it is off by ``tolerance``
     relative to itself. ``max_rel_error`` uses the same denominator. A
-    coordinate whose analytic or numeric derivative is not finite fails with
+    coordinate whose numeric derivative or bound R is not finite fails with
     relative error ``inf``. ``h`` and ``tolerance`` must be finite and > 0,
-    and ``max_coords`` at least 1.
+    and ``max_coords`` at least 1. Raises ValueError when the loss or its
+    gradient at the model's weights is not finite: there is then no
+    gradient to check. Every loss is taken under the ``np.errstate`` of
+    ``train``, so numpy warns of nothing.
     """
     for name, value in (("h", h), ("tolerance", tolerance)):
         if not 0 < value < np.inf:
@@ -226,7 +230,12 @@ def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
         raise ValueError(f"max_coords must be >= 1, got {max_coords}")
     packed = pack_groups(data)
     w = model.weights
-    analytic = loss(model, packed, obj_cfg, objective).gradient
+    with np.errstate(over="ignore", invalid="ignore"):
+        bd = loss(model, packed, obj_cfg, objective)
+    if not (np.isfinite(bd.total) and np.isfinite(bd.gradient).all()):
+        raise ValueError(f"the {objective} loss ({bd.total}) or its gradient at the checked "
+                         "weights is not finite, so there is no gradient to check")
+    analytic = bd.gradient
 
     n = w.shape[0]
     if n <= max_coords:
@@ -240,11 +249,12 @@ def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
         wp, wm = w.copy(), w.copy()
         wp[k] += h
         wm[k] -= h
-        fp, fm = (loss(CascadeModel(v, model.assignment, model.schema), packed, obj_cfg,
-                       objective, want_grad=False).total for v in (wp, wm))
-        numeric = (fp - fm) / (2.0 * h)
-        if np.isfinite(analytic[k]) and np.isfinite(numeric):
+        with np.errstate(over="ignore", invalid="ignore"):
+            fp, fm = (loss(CascadeModel(v, model.assignment, model.schema), packed, obj_cfg,
+                           objective, want_grad=False).total for v in (wp, wm))
+            numeric = (fp - fm) / (2.0 * h)
             rounding = 16.0 * np.finfo(np.float64).eps * max(abs(fp), abs(fm)) / h
+        if np.isfinite(numeric) and np.isfinite(rounding):
             denom = max(abs(analytic[k]), abs(numeric), rounding / tolerance)
             rel = abs(analytic[k] - numeric) / denom if denom > 0 else 0.0
         else:

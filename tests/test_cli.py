@@ -74,6 +74,15 @@ def _assert_strict_records(tmp_path, small_config, command, row):
         assert list(json.loads(line, parse_constant=_reject_constant)) == list(row._fields)
 
 
+def _with_objective(tmp_path, small_config, key, value):
+    """Copy of ``small_config`` whose objective ``key`` is ``value``."""
+    cfg = json.loads(small_config.read_text())
+    cfg["objective"][key] = value
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 def _fails_cleanly(argv, capsys, *needles):
     capsys.readouterr()
     rc = main(argv)
@@ -152,9 +161,9 @@ class TestDatagenCommand:
         config = {"n_queries": 5}
         if quality is None:
             def generate_nan(cfg, schema):
-                groups = datagen.generate(cfg, schema)
-                groups[0].X[0, 0] = np.nan
-                return groups
+                data = datagen.generate(cfg, schema)
+                data.X[0, 0] = np.nan       # row 0 is instance 0 of query q00000
+                return data
 
             monkeypatch.setattr("cascade_ranker.cli.generate", generate_nan)
         else:
@@ -457,6 +466,32 @@ class TestDatasetValidation:
                              capsys, "error: non-finite loss or gradient at epoch 1, batch 0")
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("key", ["alpha", "beta", "delta", "purchase_weight",
+                                     "price_weight"])
+    def test_overflowing_gradient_norm_exits_1_without_warnings(self, tmp_path, small_config,
+                                                                capsys, key):
+        # the batch gradient's norm overflows before its entries do
+        data = _gen(tmp_path, small_config)
+        path = _with_objective(tmp_path, small_config, key, 1e200)
+        err = _fails_cleanly(["train", "--config", str(path), "--dataset", str(data),
+                              "--out", str(tmp_path / "run")],
+                             capsys, "error: non-finite loss or gradient at epoch 1, batch 0")
+        assert "Warning" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    def test_latency_in_ms_that_overflows_exits_1(self, tmp_path, small_config, capsys,
+                                                  command):
+        data = _gen(tmp_path, small_config)
+        model = _train(tmp_path, small_config, data)
+        path = _with_objective(tmp_path, small_config, "cost_units_per_ms", 1e-308)
+        err = _fails_cleanly([command, "--config", str(path), "--dataset", str(data),
+                              "--model", str(model), "--out", str(tmp_path / "out")],
+                             capsys, "error: cost_units_per_ms 1e-308 gives a latency in ms "
+                                     "that is not finite")
+        assert "Warning" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrainCommand:
     def test_missing_dataset_flag_is_usage_error(self, tmp_path):
@@ -651,6 +686,29 @@ class TestGradcheckCommand:
                               *flags], capsys, named)
         assert "Warning" not in err and "FAILED" not in err
         assert not (out / "gradcheck.txt").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        (key, 1e308) for key in ("beta", "delta", "latency_penalty_weight", "result_floor",
+                                 "purchase_weight", "price_weight")] + [("gamma", 1e-308)])
+    def test_non_finite_loss_is_named_not_blamed_on_the_gradient(self, tmp_path, small_config,
+                                                                 capsys, key, value):
+        path = _with_objective(tmp_path, small_config, key, value)
+        out = tmp_path / "gc"
+        err = _fails_cleanly(["gradcheck", "--config", str(path), "--out", str(out)], capsys,
+                             "error: the l3 loss (inf) or its gradient at the checked weights "
+                             "is not finite")
+        assert "Warning" not in err and "FAILED" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["gamma", "latency_ceiling"])
+    def test_huge_finite_coefficient_checks_without_warnings(self, tmp_path, small_config,
+                                                              capsys, key):
+        path = _with_objective(tmp_path, small_config, key, 1e308)
+        out = tmp_path / "gc"
+        capsys.readouterr()
+        assert main(["gradcheck", "--config", str(path), "--out", str(out)]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        assert "passed True" in (out / "gradcheck.txt").read_text()
 
     def test_corrupted_gradient_fails(self, tmp_path, small_config, capsys, monkeypatch):
         def corrupted(model_, data_, cfg_, objective_="l3", want_grad=True):

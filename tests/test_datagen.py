@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cascade_ranker import datagen
-from cascade_ranker.core import QueryGroup, pack_groups, validate_dataset
+from cascade_ranker.core import PackedDataset, QueryGroup, pack_groups, validate_dataset
 from cascade_ranker.datagen import (
     DatasetFormatError,
     FeatureQuality,
@@ -189,7 +189,9 @@ class TestDatasetFileFormat:
     def test_empty_file_is_valid(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
-        assert read_dataset(path, default_schema()) == []
+        data = read_dataset(path, default_schema())
+        assert isinstance(data, PackedDataset)
+        assert len(data) == data.n_instances == 0 and list(data) == []
 
     def test_bad_label_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -237,8 +239,8 @@ class TestDatasetFileFormat:
     def test_omitted_features_read_as_zero(self, tmp_path):
         path = tmp_path / "sparse.txt"
         path.write_text("qid:a mcount:5 label:0 price:2.0 2:1.5\n")
-        groups = read_dataset(path, default_schema())
-        np.testing.assert_array_equal(groups[0].X, [[0.0, 0.0, 1.5, 0.0, 0.0]])
+        (group,) = read_dataset(path, default_schema())
+        np.testing.assert_array_equal(group.X, [[0.0, 0.0, 1.5, 0.0, 0.0]])
 
     def test_repeated_feature_index_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -340,6 +342,46 @@ def _line_parser_outcome(path, schema):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(datagen, "_parse_dense", lambda chunk, d, pos: None)
         return _read_outcome(path, schema)
+
+
+class TestPackedResult:
+    """``generate`` and ``read_dataset`` return the PackedDataset they build:
+    ``pack_groups`` passes it through, and its groups are views of its rows.
+    (The CLI's rejection of a dataset of no queries is
+    ``test_cli.py::TestDatasetValidation::test_dataset_without_queries_exits_1``.)"""
+
+    @pytest.fixture
+    def sources(self, tmp_path):
+        schema = default_schema()
+        generated = generate(GenConfig(n_queries=30, seed=3), schema)
+        write_dataset(tmp_path / "data.txt", generated)
+        return {"generate": generated, "read": read_dataset(tmp_path / "data.txt", schema)}
+
+    @pytest.mark.parametrize("source", ["generate", "read"])
+    def test_pack_groups_returns_it(self, sources, source):
+        data = sources[source]
+        assert isinstance(data, PackedDataset) and pack_groups(data) is data
+
+    @pytest.mark.parametrize("source", ["generate", "read"])
+    def test_groups_are_views_of_its_rows(self, sources, source):
+        packed = sources[source]
+        groups = list(packed)
+        assert len(groups) == len(packed) == 30
+        for q, g in enumerate(groups):
+            rows = slice(packed.offsets[q], packed.offsets[q + 1])
+            assert type(g) is QueryGroup and type(g.recalled_count) is int
+            assert (g.query_id, g.recalled_count) == (packed.query_ids[q], packed.mcounts[q])
+            for view, column, own in ((g.X, packed.X, packed.X[rows]),
+                                      (g.labels, packed.labels, packed.labels[rows]),
+                                      (g.prices, packed.prices, packed.prices[rows]),
+                                      (g.query_features, packed.G, packed.G[q])):
+                assert np.shares_memory(view, column)
+                assert view.dtype == own.dtype and view.shape == own.shape
+                assert view.tobytes() == own.tobytes()
+
+    @pytest.mark.parametrize("source", ["generate", "read"])
+    def test_packing_its_groups_gives_it_bit_for_bit(self, sources, source):
+        _assert_packed_identical(pack_groups(list(sources[source])), sources[source])
 
 
 class TestDenseFastPath:

@@ -6,9 +6,11 @@ this catches it.
 
 Only ``core`` tells a ``PackedDataset`` from a list of groups: every other
 module hands its data to ``pack_groups``, which returns a ``PackedDataset``
-unchanged. ``pack_groups`` is also the one function that holds the rules
-for a group's block of rows, so no other function may hold their
-messages."""
+unchanged. Only ``core`` calls the ``PackedDataset`` constructor: every
+other module builds one through ``PackedDataset.from_columns``, the one
+code that derives its offsets and binary labels. ``pack_groups`` is also
+the one function that holds the rules for a group's block of rows, so no
+other function may hold their messages."""
 
 import ast
 from pathlib import Path
@@ -65,6 +67,28 @@ def test_finds_a_packed_isinstance():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "core"], ids=lambda p: p.stem)
 def test_only_core_tests_for_packed_data(path):
     assert packed_isinstance_lines(path.read_text(encoding="utf-8")) == []
+
+
+def packed_constructor_lines(source: str) -> list[int]:
+    """The lines of ``source`` that call ``PackedDataset`` itself, by name or
+    as a module attribute; ``PackedDataset.from_columns(...)`` is not one."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Name) and node.func.id == "PackedDataset"
+             or isinstance(node.func, ast.Attribute) and node.func.attr == "PackedDataset")
+    ]
+
+
+def test_finds_a_packed_constructor_call():
+    source = ("a = PackedDataset.from_columns(X, y)\nb = PackedDataset(X=X)\n"
+              "c = core.PackedDataset(X=X)\n")
+    assert packed_constructor_lines(source) == [2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "core"], ids=lambda p: p.stem)
+def test_only_core_calls_the_packed_constructor(path):
+    assert packed_constructor_lines(path.read_text(encoding="utf-8")) == []
 
 
 # the messages of the block rules, with ``...`` for each formatted field

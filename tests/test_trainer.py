@@ -158,7 +158,7 @@ class TestTrain:
     def test_packed_dataset_trains_the_same_model(self, tmp_path):
         schema = default_schema()
         asg = default_assignment(schema)
-        data = generate(GenConfig(n_queries=40, seed=8), schema)
+        data = list(generate(GenConfig(n_queries=40, seed=8), schema))
         fit, hold = data[:30], data[30:]
         cfg = TrainConfig(epochs=3, seed=4)
         runs = []
@@ -436,7 +436,7 @@ class TestGradientCheck:
 
     @pytest.mark.parametrize("where", ["total and gradient", "gradient", "total"])
     def test_non_finite_derivative_fails(self, where, monkeypatch):
-        # max(0.0, nan) is 0.0 and nan >= tol is False: a NaN must not pass
+        # a NaN loss or gradient at the checked weights leaves nothing to check
         schema = default_schema()
         data = generate(GenConfig(n_queries=4, seed=1), schema)
         model = init_weights(schema, default_assignment(schema), 7, 0.5)
@@ -450,6 +450,21 @@ class TestGradientCheck:
             return bd
 
         monkeypatch.setattr("cascade_ranker.trainer.loss", nan_loss)
+        with pytest.raises(ValueError, match=r"the l3 loss \(\S+\) or its gradient at the "
+                                             "checked weights is not finite"):
+            gradient_check(model, data, ObjectiveConfig())
+
+    def test_non_finite_difference_fails(self, monkeypatch):
+        # max(0.0, nan) is 0.0 and nan >= tol is False: a NaN must not pass
+        schema = default_schema()
+        data = generate(GenConfig(n_queries=4, seed=1), schema)
+        model = init_weights(schema, default_assignment(schema), 7, 0.5)
+
+        def nan_difference(model_, data_, cfg_, objective_="l3", want_grad=True):
+            bd = loss(model_, data_, cfg_, objective_, want_grad)
+            return bd if want_grad else replace(bd, total=math.nan)
+
+        monkeypatch.setattr("cascade_ranker.trainer.loss", nan_difference)
         report = gradient_check(model, data, ObjectiveConfig())
         assert not report.passed and report.max_rel_error == math.inf
         assert len(report.failures) == report.checked_coords
