@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Feature, FeatureSchema, StageAssignment, pack_groups, validate_dataset
+from .core import (Feature, FeatureSchema, StageAssignment, check_domains, pack_groups,
+                   validate_dataset)
 from .datagen import (
     FeatureQuality,
     GenConfig,
@@ -32,7 +33,7 @@ from .datagen import (
     read_dataset,
     write_dataset,
 )
-from .evaluator import baseline_l1, baseline_two_stage, evaluate
+from .evaluator import TWO_STAGE_DOMAINS, baseline_l1, baseline_two_stage, evaluate
 from .objective import OBJECTIVE_LEVELS, ObjectiveConfig
 from .simulator import simulate
 from .trainer import (
@@ -153,9 +154,9 @@ def objective_from_config(cfg: dict) -> ObjectiveConfig:
 
 def train_from_config(cfg: dict) -> TrainConfig:
     tc = dict(cfg["train"])
-    if not 0 <= tc.pop("holdout_fraction") < 1:
-        raise ValueError("config section 'train', key 'holdout_fraction': must be in [0, 1), "
-                         f"got {cfg['train']['holdout_fraction']}")
+    check_domains(tc, {"holdout_fraction": "[0, 1)"},
+                  "config section 'train', key 'holdout_fraction': ")
+    del tc["holdout_fraction"]
     return TrainConfig(**tc)
 
 
@@ -314,9 +315,8 @@ def cmd_eval(args) -> int:
     started, cfg, schema = _begin(args)
     obj_cfg = objective_from_config(cfg)
     keep_k = int(cfg["eval"]["two_stage_keep_k"])
-    if keep_k < 1:
-        raise ValueError("config section 'eval', key 'two_stage_keep_k': keep_k must be >= 1, "
-                         f"got {keep_k}")
+    check_domains({"keep_k": keep_k}, TWO_STAGE_DOMAINS,
+                  "config section 'eval', key 'two_stage_keep_k': ")
     model = _load_matching_model(args.model, cfg, schema)
     packed = _read_valid_dataset(args.dataset, schema)
     base = float(packed.n_instances * schema.costs().sum())

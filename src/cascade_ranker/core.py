@@ -1,5 +1,6 @@
 """Domain types shared by every module: feature schema with per-feature costs,
-query-grouped datasets, and the cascade model itself.
+query-grouped datasets, and the cascade model itself. A config dataclass states
+the domain of its numbers once, in a table ``DOMAINS`` read by ``check_domains``.
 
 A dataset is a ``PackedDataset``: the columns of many query groups' rows,
 built by ``PackedDataset.from_columns``, the one code that derives its
@@ -28,9 +29,10 @@ compare and hash by identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from numbers import Real
-from typing import Iterator, Sequence
+import functools
+import re
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,16 +47,33 @@ FEATURE_KINDS = ("statistical", "predictive")
 DEFAULT_QUERY_BIN_EDGES = (10, 100, 1_000, 10_000, 100_000)
 
 
+# the parts of an interval's text, such as "[0, inf)", matched once per text
+_interval_parts = functools.cache(re.compile(r"([\[(])([^,]+), ([^\])]+)([\])])").match)
+
+
+def check_domains(values: Mapping, table: Mapping[str, str], where: str = "") -> None:
+    """Raise ValueError, naming the field and its value after ``where``, unless each
+    ``values[name]`` lies in its interval in ``table``: "[0, 1)", say, or "(1, inf) (why)"."""
+    for name, interval in table.items():
+        value = values[name]
+        left, lo, hi, right = _interval_parts(interval).groups()
+        lo, hi = float(lo), float(hi)
+        if not (lo < value < hi or value == lo and left == "[" or value == hi and right == "]"):
+            if -np.inf < value < np.inf:
+                raise ValueError(f"{where}{name} must be in {interval}, got {value}")
+            raise ValueError(f"{where}{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Feature:
     name: str
     cost: float
     kind: str = "statistical"
 
+    DOMAINS = dict(cost="[0, inf)")
+
     def __post_init__(self):
-        if not 0 <= self.cost < np.inf:
-            raise ValueError(f"feature {self.name!r}: cost must be finite and >= 0, "
-                             f"got {self.cost}")
+        check_domains(vars(self), self.DOMAINS, f"feature {self.name!r}: ")
         if self.kind not in FEATURE_KINDS:
             raise ValueError(f"feature {self.name!r}: kind must be one of {FEATURE_KINDS}")
 
@@ -150,15 +169,6 @@ class StageAssignment:
         return cls(tuple(tuple(schema.feature_index(n) for n in stage) for stage in stages))
 
 
-def require_finite(config) -> None:
-    """Raise ValueError naming the first field of the dataclass ``config``
-    whose value is a number that is NaN or infinite."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, Real) and not -np.inf < value < np.inf:
-            raise ValueError(f"{f.name} must be finite, got {value}")
-
-
 def stage_costs(assignment: StageAssignment, schema: FeatureSchema) -> np.ndarray:
     """Fixed per-item cost of every stage, shape (T,). Each stage's feature
     costs are added left to right in assignment order."""
@@ -228,7 +238,7 @@ class CascadeModel:
         if w.shape != (pos,):
             raise ValueError(f"flat weight vector has shape {w.shape}, expected length {pos}")
         if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
+            raise ValueError("weights must all be finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "stage_slices", tuple(slices))
         object.__setattr__(self, "stage_item_weights", tuple(item))

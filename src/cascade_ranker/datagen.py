@@ -47,8 +47,8 @@ from .core import (
     PackedDataset,
     QueryGroup,
     StageAssignment,
+    check_domains,
     pack_groups,
-    require_finite,
 )
 
 
@@ -85,8 +85,10 @@ class FeatureQuality:
     noise: float = 1.0
     price_strength: float = 0.0
 
+    DOMAINS = dict(signal_strength="(-inf, inf)", noise="(-inf, inf)", price_strength="(-inf, inf)")
+
     def __post_init__(self):
-        require_finite(self)
+        check_domains(vars(self), self.DOMAINS)
 
 
 DEFAULT_FEATURE_QUALITY = (
@@ -115,30 +117,18 @@ class GenConfig:
     price_floor: float = 1.05
     seed: int = 0
 
+    DOMAINS = dict(n_queries="[1, inf)", head_fraction="[0, 1]", group_size_cap="[1, inf)",
+                   positives_ratio="(0, 1)", purchase_fraction_of_positives="[0, 1]",
+                   label_noise="[-1.3407807929942596e+154, 1.3407807929942596e+154], where its "
+                               "square stays finite", purchase_price_tilt="(-inf, inf)",
+                   price_mean_log="(-inf, inf)", price_sigma_log="(0, inf)", seed="[0, inf)",
+                   price_floor="(1, inf) so log(price) stays positive")
+
     def __post_init__(self):
-        require_finite(self)
-        if self.n_queries < 1:
-            raise ValueError("n_queries must be >= 1")
-        if not 0.0 <= self.head_fraction <= 1.0:
-            raise ValueError("head_fraction must be in [0, 1]")
+        check_domains(vars(self), self.DOMAINS)
         for lo, hi in (self.head_mcount_range, self.tail_mcount_range):
             if not 1 <= lo <= hi:
                 raise ValueError("mcount ranges must satisfy 1 <= lo <= hi")
-        if not 0.0 < self.positives_ratio < 1.0:
-            raise ValueError("positives_ratio must be in (0, 1)")
-        if not 0.0 <= self.purchase_fraction_of_positives <= 1.0:
-            raise ValueError("purchase_fraction_of_positives must be in [0, 1]")
-        if self.group_size_cap < 1:
-            raise ValueError("group_size_cap must be >= 1")
-        if self.price_floor <= 1.0:
-            raise ValueError("price_floor must exceed 1 so log(price) stays positive")
-        if not self.price_sigma_log > 0:
-            raise ValueError("price_sigma_log must be > 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not abs(self.label_noise) <= math.sqrt(np.finfo(np.float64).max):
-            raise ValueError("label_noise must be at most 1.34e154 in magnitude, where its "
-                             f"square overflows, got {self.label_noise}")
 
 
 def _log_uniform_int(rng: np.random.Generator, lo: int, hi: int) -> int:
@@ -200,10 +190,11 @@ def generate(cfg: GenConfig, schema: FeatureSchema) -> PackedDataset:
 
         relevance = np.concatenate(relevance)
         prices = np.maximum(np.concatenate(raw_prices), cfg.price_floor)
-        if not np.isfinite(prices).all():
+        with np.errstate(over="ignore"):    # named below
+            price_factor = (np.log(prices) - cfg.price_mean_log) / cfg.price_sigma_log
+        if not np.isfinite(price_factor).all():
             raise ValueError(f"price_mean_log {cfg.price_mean_log} and price_sigma_log "
-                             f"{cfg.price_sigma_log} draw a price that overflows to inf")
-        price_factor = (np.log(prices) - cfg.price_mean_log) / cfg.price_sigma_log
+                             f"{cfg.price_sigma_log} draw a price whose z-score overflows to inf")
         normals = np.concatenate(normals, axis=1)
         X = np.empty((len(relevance), d))
         for k, fq in enumerate(cfg.feature_quality):

@@ -29,7 +29,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .cascade import batch_final_probs
-from .core import CascadeModel, FeatureSchema, PackedDataset, StageAssignment, pack_groups
+from .core import (CascadeModel, FeatureSchema, PackedDataset, StageAssignment, check_domains,
+                   pack_groups)
 from .objective import ObjectiveConfig, forward_expectations
 # Not called here since evaluate takes everything from forward_expectations;
 # still bound because the benchmark's tracer wraps these names in this module.
@@ -177,6 +178,9 @@ def baseline_l1(data, schema: FeatureSchema, assignment: StageAssignment,
     return model, evaluate(model, data, obj_cfg, baseline_cost)
 
 
+TWO_STAGE_DOMAINS = dict(keep_k="[1, inf)")
+
+
 def baseline_two_stage(data, schema: FeatureSchema, filter_feature: int, keep_k: int,
                        obj_cfg: ObjectiveConfig, train_cfg: TrainConfig,
                        baseline_cost: float | None = None) -> EvalReport:
@@ -188,8 +192,7 @@ def baseline_two_stage(data, schema: FeatureSchema, filter_feature: int, keep_k:
     pass plus t_rest per survivor."""
     if not 0 <= filter_feature < schema.item_dim:
         raise ValueError(f"filter feature index {filter_feature} not in schema")
-    if keep_k < 1:
-        raise ValueError("keep_k must be >= 1")
+    check_domains({"keep_k": keep_k}, TWO_STAGE_DOMAINS)
     rest = tuple(i for i in range(schema.item_dim) if i != filter_feature)
     lr_model, _ = train(data, schema, StageAssignment((rest,)), obj_cfg,
                         replace(train_cfg, objective="l1"))

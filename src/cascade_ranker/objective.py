@@ -36,8 +36,8 @@ from .core import (
     LABEL_PURCHASE,
     CascadeModel,
     PackedDataset,
+    check_domains,
     pack_groups,
-    require_finite,
     stage_costs,
 )
 
@@ -75,20 +75,14 @@ class ObjectiveConfig:
     price_weight: float = 1.0
     cost_units_per_ms: float = 150.0
 
+    DOMAINS = dict(alpha="[0, inf)", beta="[0, inf)", gamma="(0, inf)", delta="[0, inf)",
+                   latency_penalty_weight="[0, inf)", result_floor="(0, inf)",
+                   latency_ceiling="(0, inf)", cost_units_per_ms="(0, inf)",
+                   purchase_weight="[1, inf) (purchases never matter less than clicks)",
+                   price_weight="(0, inf) (at 0 clicks and purchases weigh 0)")
+
     def __post_init__(self):
-        require_finite(self)
-        if self.alpha < 0 or self.beta < 0 or self.delta < 0 or self.latency_penalty_weight < 0:
-            raise ValueError("alpha, beta, delta and latency_penalty_weight must be >= 0")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.result_floor <= 0 or self.latency_ceiling <= 0:
-            raise ValueError("result_floor and latency_ceiling must be > 0")
-        if self.purchase_weight < 1:
-            raise ValueError("purchase_weight must be >= 1 (purchases never matter less than clicks)")
-        if self.price_weight <= 0:
-            raise ValueError("price_weight must be > 0 (at 0 clicks and purchases weigh 0)")
-        if self.cost_units_per_ms <= 0:
-            raise ValueError(f"cost_units_per_ms must be > 0, got {self.cost_units_per_ms}")
+        check_domains(vars(self), self.DOMAINS)
 
 
 @dataclass(frozen=True)
@@ -121,11 +115,11 @@ def instance_weights(labels: np.ndarray, prices: np.ndarray, cfg: ObjectiveConfi
     purchase -> purchase_weight * price_weight * log(price)
     click    -> price_weight * log(price)
     none     -> 1
-    Positive for prices above 1 (natural log). Every price must be finite
+    Positive for prices above 1 (natural log). Prices must all be finite
     and above 0.
     """
     if not np.all((prices > 0) & (prices < np.inf)):
-        raise ValueError("prices must be finite and positive")
+        raise ValueError("prices must all be finite and positive")
     w = np.ones_like(prices)
     logp = np.log(prices)
     w = np.where(labels == LABEL_CLICK, cfg.price_weight * logp, w)
@@ -215,6 +209,21 @@ def expected_cost(model: CascadeModel, data) -> float:
     """Total expected CPU cost: every item entering stage j pays t_j, with all
     instances entering stage 1 and no cost beyond the final stage."""
     return forward_expectations(model, pack_groups(data))[2]
+
+
+def blame_term(bd: LossBreakdown, cfg: ObjectiveConfig, objective: str) -> str:
+    """The term of ``bd`` to blame for a loss or gradient that is not finite, and its
+    keys: the first term not finite as scaled in ``total``, else the largest."""
+    beta, delta, lat_w = _masked_coeffs(cfg, objective)
+    terms = (("nll", bd.nll, "purchase_weight, price_weight"),
+             ("l2", cfg.alpha * bd.l2, "alpha"),
+             ("expected_cost", beta * bd.expected_cost, "beta"),
+             ("size_penalty", delta * bd.size_penalty, "delta, gamma, result_floor"),
+             ("latency_penalty", lat_w * bd.latency_penalty,
+              "latency_penalty_weight, gamma, latency_ceiling"))
+    term, _, keys = next((t for t in terms if not np.isfinite(t[1])),
+                         max(terms, key=lambda t: abs(t[1])))
+    return f"the {term} term (check {keys})"
 
 
 def _masked_coeffs(cfg: ObjectiveConfig, objective: str) -> tuple[float, float, float]:

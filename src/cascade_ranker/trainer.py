@@ -6,7 +6,7 @@ the per-query penalty gradients are exact within a batch. Each batch gradient
 is the batch's additive share of the data terms plus the batch-proportional
 share of the regularizer, normalized by the batch instance count so the
 learning rate is insensitive to dataset size. Training is deterministic given
-the seed.
+the seed. A divergence is an error that names the config keys to check.
 """
 
 from __future__ import annotations
@@ -19,14 +19,17 @@ import numpy as np
 
 from .cascade import batch_final_probs
 from .core import (CascadeModel, FeatureSchema, PackedDataset, QueryGroup, StageAssignment,
-                   pack_groups, require_finite)
-from .objective import OBJECTIVE_LEVELS, ObjectiveConfig, loss
+                   check_domains, pack_groups)
+from .objective import OBJECTIVE_LEVELS, ObjectiveConfig, blame_term, loss
 
 MODEL_FORMAT_VERSION = 1
 
 
 class TrainingDiverged(RuntimeError):
     """Raised when a non-finite loss or gradient appears during training."""
+
+
+MAX_INIT_SCALE = float(np.finfo(np.float64).max) / 2    # so the draw range 2 * it is finite
 
 
 @dataclass(frozen=True)
@@ -39,21 +42,13 @@ class TrainConfig:
     seed: int = 7
     init_scale: float = 0.01
 
+    DOMAINS = dict(learning_rate="(0, inf)", lr_decay="[0, inf)", epochs="[1, inf)",
+                   batch_size="[1, inf)", seed="[0, inf)", init_scale=f"[0, {MAX_INIT_SCALE!r}]")
+
     def __post_init__(self):
-        require_finite(self)
+        check_domains(vars(self), self.DOMAINS)
         if self.objective not in OBJECTIVE_LEVELS:
             raise ValueError(f"objective must be one of {OBJECTIVE_LEVELS}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.lr_decay < 0:
-            raise ValueError("lr_decay must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        _check_init_scale(self.init_scale)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -90,24 +85,16 @@ class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
 
 
-MAX_INIT_SCALE = float(np.finfo(np.float64).max) / 2    # so the draw range 2 * it is finite
-
-
-def _check_init_scale(init_scale: float) -> None:
-    if not 0 <= init_scale <= MAX_INIT_SCALE:
-        raise ValueError(f"init_scale must be in [0, {MAX_INIT_SCALE!r}], got {init_scale}")
-
-
 def init_weights(schema: FeatureSchema, assignment: StageAssignment, seed: int,
                  init_scale: float) -> CascadeModel:
     """Random model with weights i.i.d. uniform in [-init_scale, +init_scale].
 
     Deterministic given ``seed``; ``init_scale = 0`` gives the all-zero model.
     """
-    _check_init_scale(init_scale)
-    # one weight per stage feature and per stage query bin
+    check_domains(locals(), {"init_scale": TrainConfig.DOMAINS["init_scale"]})
+    # a weight per stage feature and query bin; abs(-0.0) gives a range numpy takes
     n = sum(len(stage) + schema.query_feature_dim for stage in assignment.stages)
-    w = np.random.default_rng(seed).uniform(-init_scale, init_scale, size=n)
+    w = np.random.default_rng(seed).uniform(-abs(init_scale), abs(init_scale), size=n)
     return CascadeModel(w, assignment, schema)
 
 
@@ -153,19 +140,22 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
             with np.errstate(over="ignore", invalid="ignore"):
                 bd = loss(model, batch, batch_cfg, train_cfg.objective)
                 grad_norm = float(np.linalg.norm(bd.gradient))
+            at = f"at epoch {epoch}, batch {b0 // train_cfg.batch_size}"
             if not (np.isfinite(bd.total) and np.isfinite(grad_norm)):
-                raise TrainingDiverged(
-                    f"non-finite loss or gradient at epoch {epoch}, "
-                    f"batch {b0 // train_cfg.batch_size}"
-                )
+                cause = blame_term(bd, batch_cfg, train_cfg.objective)
+                if epoch > 1 or b0 > 0:
+                    cause += " or the steps before it (check learning_rate, lr_decay)"
+                elif not np.isfinite(bd.l2):
+                    cause = "the l2 term of the initial weights (check init_scale)"
+                raise TrainingDiverged(f"non-finite loss or gradient {at}: {cause}")
             # an overflowing step is reported by the model's finiteness check
             with np.errstate(over="ignore", invalid="ignore"):
                 w = model.weights - lr * bd.gradient / batch.n_instances
             try:
                 model = CascadeModel(w, assignment, schema)
             except ValueError:
-                raise TrainingDiverged(f"non-finite weights after update at epoch {epoch}, "
-                                       f"batch {b0 // train_cfg.batch_size}") from None
+                raise TrainingDiverged(f"non-finite weights after update {at}: the step "
+                                       "(check learning_rate, lr_decay)") from None
             total += bd.total
             nll += bd.nll
             cost += bd.expected_cost
@@ -217,24 +207,20 @@ def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
     than that rounding noise, and a large one when it is off by ``tolerance``
     relative to itself. ``max_rel_error`` uses the same denominator. A
     coordinate whose numeric derivative or bound R is not finite fails with
-    relative error ``inf``. ``h`` and ``tolerance`` must be finite and > 0,
-    and ``max_coords`` at least 1. Raises ValueError when the loss or its
-    gradient at the model's weights is not finite: there is then no
-    gradient to check. Every loss is taken under the ``np.errstate`` of
-    ``train``, so numpy warns of nothing.
+    relative error ``inf``. Raises ValueError when the loss or its gradient
+    at the model's weights is not finite, naming the term to blame and its
+    keys: there is then no gradient to check. Every loss is taken under the
+    ``np.errstate`` of ``train``, so numpy warns of nothing.
     """
-    for name, value in (("h", h), ("tolerance", tolerance)):
-        if not 0 < value < np.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
-    if max_coords < 1:
-        raise ValueError(f"max_coords must be >= 1, got {max_coords}")
+    check_domains(locals(), dict(h="(0, inf)", tolerance="(0, inf)", max_coords="[1, inf)"))
     packed = pack_groups(data)
     w = model.weights
     with np.errstate(over="ignore", invalid="ignore"):
         bd = loss(model, packed, obj_cfg, objective)
     if not (np.isfinite(bd.total) and np.isfinite(bd.gradient).all()):
         raise ValueError(f"the {objective} loss ({bd.total}) or its gradient at the checked "
-                         "weights is not finite, so there is no gradient to check")
+                         f"weights is not finite, from {blame_term(bd, obj_cfg, objective)}, "
+                         "so there is no gradient to check")
     analytic = bd.gradient
 
     n = w.shape[0]
@@ -306,7 +292,7 @@ def load_model(path, schema: FeatureSchema) -> CascadeModel:
                 raise ValueError(f"expected the '{key}' line, got {text!r}")
             out = [convert(x) for x in fields[len(head):]]
             if convert is float and not np.isfinite(out).all():
-                raise ValueError("weights must be finite")
+                raise ValueError("weights must all be finite")
         except ValueError as exc:
             raise ValueError(f"model file {path} line {n}: {exc}") from None
         return out

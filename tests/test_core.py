@@ -1,5 +1,7 @@
+import math
+import re
 from bisect import bisect_right
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cache
 
 import numpy as np
@@ -13,12 +15,13 @@ from cascade_ranker.core import (
     FeatureSchema,
     QueryGroup,
     StageAssignment,
+    check_domains,
     pack_groups,
     stage_costs,
     validate_dataset,
 )
-from cascade_ranker.datagen import (GenConfig, default_assignment, default_schema, generate,
-                                    write_dataset)
+from cascade_ranker.datagen import (FeatureQuality, GenConfig, default_assignment,
+                                    default_schema, generate, write_dataset)
 from cascade_ranker.objective import ObjectiveConfig
 from cascade_ranker.simulator import simulate
 from cascade_ranker.trainer import TrainConfig, init_weights, train
@@ -31,6 +34,41 @@ def _group(schema, n=3, mcount=10, qid="q0", price=5.0, seed=0):
     rng = np.random.default_rng(seed)
     return make_group(schema, mcount, rng.standard_normal((n, schema.item_dim)),
                       labels=(np.arange(n) == 0).astype(np.int8), prices=price, qid=qid)
+
+
+class TestCheckDomains:
+    @pytest.mark.parametrize("interval, inside, outside", [
+        ("[0, inf)", [0, 0.0, -0.0, 5e-324, 1.7976931348623157e308, 2**63],
+         [-5e-324, -1, -1e308]),
+        ("(0, 1)", [5e-324, 0.5, 0.9999999999999999], [0, -0.0, 1, 1.0000000000000002]),
+        ("[0, 1]", [0, 1, 1.0], [-5e-324, 1.0000000000000002]),
+        ("(1, inf) so log(price) stays positive", [1.0000000000000002, 1e308],
+         [1, 0.9999999999999999]),
+        ("[-1.3407807929942596e+154, 1.3407807929942596e+154], where its square stays finite",
+         [-1.3407807929942596e+154, 1.3407807929942596e+154],
+         [-1.3407807929942598e+154, 1.3407807929942598e+154]),
+        ("(-inf, inf)", [-1.7976931348623157e308, 0.0, 1.7976931348623157e308], []),
+    ])
+    def test_bounds_are_exact(self, interval, inside, outside):
+        for value in inside:
+            check_domains({"x": value}, {"x": interval})
+        for value in outside:
+            with pytest.raises(ValueError, match=rf"^x must be in {re.escape(interval)}, "
+                                                 rf"got {re.escape(str(value))}$"):
+                check_domains({"x": value}, {"x": interval})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("interval", ["[0, inf)", "(-inf, inf)", "(0, 1]"])
+    def test_nan_and_infinities_must_be_finite(self, interval, value):
+        with pytest.raises(ValueError, match=f"^at p: x must be finite, got {value}$"):
+            check_domains({"x": value, "y": 1.0}, {"y": "[0, 1]", "x": interval}, "at p: ")
+
+    @pytest.mark.parametrize("config", [Feature, FeatureQuality, GenConfig, ObjectiveConfig,
+                                        TrainConfig], ids=lambda c: c.__name__)
+    def test_every_numeric_field_has_one_entry(self, config):
+        # a new number cannot skip its domain, and the table names no other field
+        numeric = [f.name for f in fields(config) if f.type in ("int", "float")]
+        assert sorted(config.DOMAINS) == sorted(numeric)
 
 
 class TestFeatureSchema:
@@ -289,7 +327,8 @@ class TestModelWeights:
          "stage 1: item weight length != stage feature count"),
         (lambda item, query: (item, query[:2] + (np.append(query[2], 0.0),)),
          "stage 2: query weight length mismatch"),
-        (lambda item, query: (item, (query[0] * np.nan,) + query[1:]), "weights must be finite"),
+        (lambda item, query: (item, (query[0] * np.nan,) + query[1:]),
+         "weights must all be finite"),
     ], ids=["stage count", "item length", "query length", "not finite"])
     def test_from_stages_names_the_wrong_stage(self, change, message):
         schema = default_schema()

@@ -40,7 +40,8 @@ class TestGenConfigValidation:
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0])
     def test_price_sigma_log_must_be_positive(self, sigma):
-        with pytest.raises(ValueError, match="price_sigma_log must be > 0"):
+        message = rf"^price_sigma_log must be in \(0, inf\), got {sigma}$"
+        with pytest.raises(ValueError, match=message):
             GenConfig(price_sigma_log=sigma)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -59,14 +60,27 @@ class TestGenConfigValidation:
             FeatureQuality(**{"signal_strength": 1.0, name: value})
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, inf\), got -1$"):
             GenConfig(seed=-1)
+
+    def test_label_noise_bound_is_the_root_of_the_largest_float(self):
+        bound = math.sqrt(np.finfo(np.float64).max)
+        assert GenConfig(label_noise=-bound).label_noise ** 2 < math.inf
+        with pytest.raises(ValueError, match="where its square stays finite"):
+            GenConfig(label_noise=float(np.nextafter(bound, math.inf)))
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_price_draw_named(self):
         with pytest.raises(ValueError, match=r"^price_mean_log 800.0 and price_sigma_log 0.8 "
-                                             r"draw a price that overflows to inf$"):
+                                             r"draw a price whose z-score overflows to inf$"):
             generate(GenConfig(n_queries=3, price_mean_log=800.0), default_schema())
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_price_z_score_named(self):
+        # every price is finite, but (log(price) - price_mean_log) / price_sigma_log is not
+        with pytest.raises(ValueError, match=r"^price_mean_log -1.5e\+308 and price_sigma_log "
+                                             r"0.8 draw a price whose z-score overflows to inf$"):
+            generate(GenConfig(n_queries=3, price_mean_log=-1.5e308), default_schema())
 
     def test_quality_length_must_match_schema(self):
         cfg = GenConfig(feature_quality=(FeatureQuality(1.0),))

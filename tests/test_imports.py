@@ -10,7 +10,9 @@ unchanged. Only ``core`` calls the ``PackedDataset`` constructor: every
 other module builds one through ``PackedDataset.from_columns``, the one
 code that derives its offsets and binary labels. ``pack_groups`` is also
 the one function that holds the rules for a group's block of rows, so no
-other function may hold their messages."""
+other function may hold their messages. Likewise ``check_domains`` is the one
+reader of the domain tables, so no other function may hold a domain message:
+an array's rule says "must all be" instead."""
 
 import ast
 from pathlib import Path
@@ -99,10 +101,14 @@ BLOCK_RULE_MESSAGES = (
 )
 
 
-def block_rule_holders(source: str) -> set[tuple[str, str]]:
+# the fixed parts of the messages of a number outside its domain
+DOMAIN_MESSAGES = ("must be finite", "must be in [", "must be in (")
+
+
+def block_rule_holders(source: str, messages=BLOCK_RULE_MESSAGES) -> set[tuple[str, str]]:
     """The (function, message) pairs of ``source``: each function whose body
     holds a string, or an f-string with ``...`` for its fields, that contains
-    one of ``BLOCK_RULE_MESSAGES``; code outside any function is ``<module>``."""
+    one of ``messages``; code outside any function is ``<module>``."""
     found = set()
 
     def visit(node, where):
@@ -115,7 +121,7 @@ def block_rule_holders(source: str) -> set[tuple[str, str]]:
             text = node.value
         else:
             text = ""
-        found.update((where, m) for m in BLOCK_RULE_MESSAGES if m in text.replace("{}", "..."))
+        found.update((where, m) for m in messages if m in text.replace("{}", "..."))
         if not isinstance(node, ast.JoinedStr):
             for child in ast.iter_child_nodes(node):
                 visit(child, where)
@@ -137,3 +143,17 @@ def test_only_pack_groups_holds_the_block_rules():
     holders = {(path.stem, where, message) for path in MODULES
                for where, message in block_rule_holders(path.read_text(encoding="utf-8"))}
     assert holders == {("core", "pack_groups", m) for m in BLOCK_RULE_MESSAGES}
+
+
+def test_finds_a_domain_message():
+    source = ("def check(x):\n    raise ValueError(f'x must be in [0, 1], got {x}')\n"
+              "def weights(w):\n    \"\"\"Weights must all be finite.\"\"\"\n")
+    assert block_rule_holders(source, DOMAIN_MESSAGES) == {("check", "must be in [")}
+
+
+def test_only_check_domains_holds_the_domain_messages():
+    # its "must be in" message formats the interval, so only "must be finite" shows
+    holders = {(path.stem, where, message) for path in MODULES
+               for where, message in block_rule_holders(path.read_text(encoding="utf-8"),
+                                                        DOMAIN_MESSAGES)}
+    assert holders == {("core", "check_domains", "must be finite")}

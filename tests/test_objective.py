@@ -87,7 +87,8 @@ class TestInstanceWeight:
     @pytest.mark.parametrize("price_weight", [0.0, -1.0])
     def test_non_positive_price_weight_rejected(self, price_weight):
         # at 0 every click and purchase would weigh 0 and only non-clicks train
-        with pytest.raises(ValueError, match="price_weight must be > 0"):
+        with pytest.raises(ValueError, match=rf"^price_weight must be in \(0, inf\) \(at 0 "
+                           rf"clicks and purchases weigh 0\), got {price_weight}$"):
             ObjectiveConfig(price_weight=price_weight)
 
     @pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf])
@@ -272,7 +273,7 @@ class TestSoftplusPenalty:
         assert 0.0 <= val <= math.exp(-100) / 10 * (1 + 1e-9)
 
     def test_invalid_gamma(self):
-        with pytest.raises(ValueError, match="gamma must be > 0, got 0.0"):
+        with pytest.raises(ValueError, match=r"^gamma must be in \(0, inf\), got 0.0$"):
             ObjectiveConfig(gamma=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

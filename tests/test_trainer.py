@@ -82,7 +82,7 @@ class TestTrainConfigValidation:
             TrainConfig(**{name: value})
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, inf\), got -1$"):
             TrainConfig(seed=-1)
 
     def test_init_scale_above_half_the_largest_float_rejected(self):
@@ -98,6 +98,12 @@ class TestTrainConfigValidation:
             TrainConfig(init_scale=above)
         with pytest.raises(ValueError, match=message):
             init_weights(schema, default_assignment(schema), 0, above)
+
+    def test_init_scale_of_negative_zero_gives_the_zero_model(self):
+        # -0.0 is in [0, MAX_INIT_SCALE]; numpy's uniform rejects the range (0.0, -0.0)
+        schema = default_schema()
+        model = init_weights(schema, default_assignment(schema), 0, -0.0)
+        assert not model.weights.any()
 
     def test_alpha_overflowing_with_the_instance_count_rejected(self):
         schema = default_schema()
@@ -476,12 +482,12 @@ class TestGradientCheck:
             gradient_check(model, [], ObjectiveConfig(), h=0.0)
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"h": math.nan}, "h must be finite and > 0, got nan"),
-        ({"h": math.inf}, "h must be finite and > 0, got inf"),
-        ({"tolerance": 0.0}, "tolerance must be finite and > 0, got 0.0"),
-        ({"tolerance": -1.0}, "tolerance must be finite and > 0, got -1.0"),
-        ({"tolerance": math.nan}, "tolerance must be finite and > 0, got nan"),
-        ({"max_coords": 0}, "max_coords must be >= 1, got 0"),
+        ({"h": math.nan}, "h must be finite, got nan"),
+        ({"h": math.inf}, "h must be finite, got inf"),
+        ({"tolerance": 0.0}, "tolerance must be in (0, inf), got 0.0"),
+        ({"tolerance": -1.0}, "tolerance must be in (0, inf), got -1.0"),
+        ({"tolerance": math.nan}, "tolerance must be finite, got nan"),
+        ({"max_coords": 0}, "max_coords must be in [1, inf), got 0"),
     ])
     def test_bad_argument_named_before_any_loss(self, monkeypatch, kwargs, message):
         def no_loss(*args, **kwargs):
