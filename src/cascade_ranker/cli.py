@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (Feature, FeatureSchema, StageAssignment, check_domains, pack_groups,
-                   validate_dataset)
+from .core import (Feature, FeatureSchema, StageAssignment, check_domains, check_json,
+                   pack_groups, validate_dataset)
 from .datagen import (
     FeatureQuality,
     GenConfig,
@@ -37,6 +37,7 @@ from .evaluator import TWO_STAGE_DOMAINS, baseline_l1, baseline_two_stage, evalu
 from .objective import OBJECTIVE_LEVELS, ObjectiveConfig
 from .simulator import simulate
 from .trainer import (
+    GRADCHECK_H,
     TrainConfig,
     TrainingDiverged,
     gradient_check,
@@ -90,8 +91,8 @@ def load_config(path: str | None) -> dict:
             for key, value in values.items():
                 if key not in cfg[section]:
                     raise ValueError(f"config {path}: unknown key {key!r} in section {section!r}")
-                _check_value(f"config {path}: key {key!r} in section {section!r}", value,
-                             cfg[section][key])
+                check_json(f"config {path}: key {key!r} in section {section!r}", value,
+                           cfg[section][key], _OPTIONAL_ENTRY_KEYS)
             cfg[section].update(values)
     return cfg
 
@@ -100,45 +101,9 @@ def load_config(path: str | None) -> dict:
 _OPTIONAL_ENTRY_KEYS = frozenset({"kind", "noise", "price_strength"})
 
 
-def _check_value(where: str, value, default) -> None:
-    """Raise ValueError naming ``where`` unless ``value`` has the JSON type of
-    ``default``, the default config's value at that place. A number may stand
-    for a float, but not a bool; a list is checked entry by entry against
-    the default's first entry, and an object entry must carry every key of
-    that entry except the optional ones, and no other key."""
-    if isinstance(default, bool):
-        ok, want = isinstance(value, bool), "true or false"
-    elif isinstance(default, int):
-        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif isinstance(default, float):
-        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
-    elif isinstance(default, str):
-        ok, want = isinstance(value, str), "a string"
-    elif isinstance(default, list):
-        ok, want = isinstance(value, list), "a list"
-    else:
-        ok, want = isinstance(value, dict), "an object"
-    if not ok:
-        raise ValueError(f"{where} must be {want}, got {json.dumps(value)}")
-    if isinstance(default, list) and default:
-        for k, entry in enumerate(value):
-            _check_value(f"{where}, entry {k}", entry, default[0])
-    elif isinstance(default, dict):
-        for key in default:
-            if key not in value and key not in _OPTIONAL_ENTRY_KEYS:
-                raise ValueError(f"{where} lacks key {key!r}")
-        for key, entry in value.items():
-            if key not in default:
-                raise ValueError(f"{where} has unknown key {key!r}")
-            _check_value(f"{where}, key {key!r}", entry, default[key])
-
-
 def schema_from_config(cfg: dict) -> FeatureSchema:
     sc = cfg["schema"]
-    return FeatureSchema(
-        features=tuple(Feature(**f) for f in sc["features"]),
-        query_bin_edges=tuple(sc["query_bins"]),
-    )
+    return FeatureSchema([Feature(**f) for f in sc["features"]], sc["query_bins"])
 
 
 def assignment_from_config(cfg: dict, schema: FeatureSchema) -> StageAssignment:
@@ -168,17 +133,13 @@ def gen_from_config(cfg: dict) -> GenConfig:
     return GenConfig(**dg)
 
 
+# each override flag and the config key it sets; an objective flag is named as its key
 _FLAG_TO_KEY = {
     "objective": ("train", "objective"),
-    "alpha": ("objective", "alpha"),
-    "beta": ("objective", "beta"),
-    "gamma": ("objective", "gamma"),
-    "delta": ("objective", "delta"),
+    **{key: ("objective", key) for key in ("alpha", "beta", "gamma", "delta")},
     "latency_penalty": ("objective", "latency_penalty_weight"),
-    "purchase_weight": ("objective", "purchase_weight"),
-    "price_weight": ("objective", "price_weight"),
-    "result_floor": ("objective", "result_floor"),
-    "latency_ceiling": ("objective", "latency_ceiling"),
+    **{key: ("objective", key) for key in ("purchase_weight", "price_weight", "result_floor",
+                                           "latency_ceiling")},
     "lr": ("train", "learning_rate"),
     "epochs": ("train", "epochs"),
     "batch_size": ("train", "batch_size"),
@@ -388,6 +349,16 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+# each command's function, help and the input files it requires
+_COMMANDS = {
+    "datagen": (cmd_datagen, "generate a synthetic dataset", ()),
+    "train": (cmd_train, "train a cascade model", ("dataset",)),
+    "eval": (cmd_eval, "evaluate a model, optionally vs baselines", ("dataset", "model")),
+    "simulate": (cmd_simulate, "replay serving over a dataset", ("dataset", "model")),
+    "gradcheck": (cmd_gradcheck, "verify analytic gradients against finite differences", ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", type=str, default=None)
@@ -404,51 +375,50 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("datagen", parents=[shared], help="generate a synthetic dataset")
-    p.set_defaults(fn=cmd_datagen)
-
-    p = sub.add_parser("train", parents=[shared], help="train a cascade model")
-    p.add_argument("--dataset", type=str, required=True)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("eval", parents=[shared], help="evaluate a model, optionally vs baselines")
-    p.add_argument("--dataset", type=str, required=True)
-    p.add_argument("--model", type=str, required=True)
-    p.add_argument("--compare", action="store_true")
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("simulate", parents=[shared], help="replay serving over a dataset")
-    p.add_argument("--dataset", type=str, required=True)
-    p.add_argument("--model", type=str, required=True)
-    p.add_argument("--stochastic", action="store_true")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("gradcheck", parents=[shared],
-                       help="verify analytic gradients against finite differences")
-    p.add_argument("--dataset", type=str, default=None)
-    p.add_argument("--h", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.set_defaults(fn=cmd_gradcheck)
+    p = {}
+    for name, (fn, help_, inputs) in _COMMANDS.items():
+        p[name] = sub.add_parser(name, parents=[shared], help=help_)
+        p[name].set_defaults(fn=fn)
+        for key in inputs:
+            p[name].add_argument(f"--{key}", type=str, required=True)
+    p["eval"].add_argument("--compare", action="store_true")
+    p["simulate"].add_argument("--stochastic", action="store_true")
+    p["gradcheck"].add_argument("--dataset", type=str, default=None)
+    p["gradcheck"].add_argument("--h", type=float, default=GRADCHECK_H)
+    p["gradcheck"].add_argument("--tolerance", type=float, default=1e-4)
     return parser
 
 
 def rerun_from_manifest(manifest_path, out_dir) -> int:
-    """Re-execute a command from its manifest's resolved config snapshot."""
+    """Re-execute a command from its manifest's resolved config snapshot. A manifest
+    that ``_write_outputs`` would not write raises ValueError naming it and the key."""
+    where = f"manifest {manifest_path}"
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    check_json(where, manifest, {
+        "command": "", "config_path": None, "config": default_config(), "seed": 0,
+        "inputs": {"dataset": None, "model": None}, "outputs": [""], "out_dir": "",
+        "tool_version": "", "wall_time_s": 0.0, "compare": False, "h": 0.0, "tolerance": 0.0,
+    }, _OPTIONAL_ENTRY_KEYS | {"compare", "h", "tolerance"})    # flags of one command
+    command = manifest["command"]
+    if command not in _COMMANDS:
+        raise ValueError(f"{where}, key 'command' names no command: {command!r}")
+    for key in _COMMANDS[command][2]:
+        if not manifest["inputs"][key]:
+            raise ValueError(f"{where}, key 'inputs' names no {key}, which {command} reads")
     cfg_path = Path(out_dir) / "_manifest_config.json"
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     with open(cfg_path, "w", encoding="utf-8") as fh:
         json.dump(manifest["config"], fh)
-    argv = [manifest["command"], "--config", str(cfg_path), "--out", str(out_dir)]
-    for key in ("dataset", "model"):
-        if manifest["inputs"].get(key):
-            argv += [f"--{key}", manifest["inputs"][key]]
-    for flag in _COMMAND_FLAGS.get(manifest["command"], ()):
+    argv = [command, "--config", str(cfg_path), "--out", str(out_dir)]
+    for key, path in manifest["inputs"].items():
+        if path:
+            argv += [f"--{key}", path]
+    for flag in _COMMAND_FLAGS.get(command, ()):
         value = manifest.get(flag)      # absent from a manifest that predates the flag
         if value is True:
             argv.append(f"--{flag}")
-        elif isinstance(value, float):
+        elif value is not None and value is not False:
             argv += [f"--{flag}", repr(value)]
     return main(argv)
 

@@ -1,6 +1,8 @@
 """Domain types shared by every module: feature schema with per-feature costs,
 query-grouped datasets, and the cascade model itself. A config dataclass states
 the domain of its numbers once, in a table ``DOMAINS`` read by ``check_domains``.
+A JSON document (a config, a model file, a manifest) is type-checked against
+a template of valid values by ``check_json``, the one JSON type checker.
 
 A dataset is a ``PackedDataset``: the columns of many query groups' rows,
 built by ``PackedDataset.from_columns``, the one code that derives its
@@ -30,6 +32,7 @@ compare and hash by identity.
 from __future__ import annotations
 
 import functools
+import json
 import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -62,6 +65,41 @@ def check_domains(values: Mapping, table: Mapping[str, str], where: str = "") ->
             if -np.inf < value < np.inf:
                 raise ValueError(f"{where}{name} must be in {interval}, got {value}")
             raise ValueError(f"{where}{name} must be finite, got {value}")
+
+
+def check_json(where: str, value, template, optional=()) -> None:
+    """Raise ValueError naming ``where`` unless ``value`` has the JSON type of ``template``,
+    a valid value at that place. A number may stand for a float, but not a bool; a null
+    template stands for a string or null. A list is checked entry by entry against the
+    template's first entry; an object must carry every key of the template except those
+    in ``optional``, and no other key."""
+    if template is None:
+        ok, want = value is None or isinstance(value, str), "must be a string or null"
+    elif isinstance(template, bool):
+        ok, want = isinstance(value, bool), "must be true or false"
+    elif isinstance(template, int):
+        ok, want = type(value) is int, "must be an integer"
+    elif isinstance(template, float):
+        ok, want = type(value) in (int, float), "must be a number"
+    elif isinstance(template, str):
+        ok, want = isinstance(value, str), "must be a string"
+    elif isinstance(template, list):
+        ok, want = isinstance(value, list), "must be a list"
+    else:
+        ok, want = isinstance(value, dict), "must be an object"
+    if not ok:
+        raise ValueError(f"{where} {want}, got {json.dumps(value)}")
+    if isinstance(template, list) and template:
+        for k, entry in enumerate(value):
+            check_json(f"{where}, entry {k}", entry, template[0], optional)
+    elif isinstance(template, dict):
+        for key in template:
+            if key not in value and key not in optional:
+                raise ValueError(f"{where} lacks key {key!r}")
+        for key, entry in value.items():
+            if key not in template:
+                raise ValueError(f"{where} has unknown key {key!r}")
+            check_json(f"{where}, key {key!r}", entry, template[key], optional)
 
 
 @dataclass(frozen=True)

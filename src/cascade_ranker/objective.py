@@ -211,9 +211,14 @@ def expected_cost(model: CascadeModel, data) -> float:
     return forward_expectations(model, pack_groups(data))[2]
 
 
-def blame_term(bd: LossBreakdown, cfg: ObjectiveConfig, objective: str) -> str:
-    """The term of ``bd`` to blame for a loss or gradient that is not finite, and its
-    keys: the first term not finite as scaled in ``total``, else the largest."""
+def blame_term(bd: LossBreakdown, cfg: ObjectiveConfig, objective: str,
+               packed: PackedDataset) -> str:
+    """What to blame for a loss or gradient ``bd`` of ``packed`` that is not finite, and its
+    keys: the feature values if their absolute sum overflows, as the logits and gradient
+    then can; else the first term not finite as scaled in ``total``, else the largest."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.abs(packed.X).sum()):
+            return "overflowing feature values (check the dataset, or datagen.feature_quality)"
     beta, delta, lat_w = _masked_coeffs(cfg, objective)
     terms = (("nll", bd.nll, "purchase_weight, price_weight"),
              ("l2", cfg.alpha * bd.l2, "alpha"),

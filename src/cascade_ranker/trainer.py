@@ -1,5 +1,6 @@
 """Stochastic gradient descent over the cascade objectives, a finite-difference
-gradient checker, and the versioned flat-text model format.
+gradient checker, and the model file: one versioned JSON object that records
+the item width and query bins the model was trained under.
 
 Mini-batches are whole query groups, never split instances of one query, so
 the per-query penalty gradients are exact within a batch. Each batch gradient
@@ -11,6 +12,7 @@ the seed. A divergence is an error that names the config keys to check.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -19,10 +21,12 @@ import numpy as np
 
 from .cascade import batch_final_probs
 from .core import (CascadeModel, FeatureSchema, PackedDataset, QueryGroup, StageAssignment,
-                   check_domains, pack_groups)
+                   check_domains, check_json, pack_groups)
 from .objective import OBJECTIVE_LEVELS, ObjectiveConfig, blame_term, loss
 
-MODEL_FORMAT_VERSION = 1
+# a model file's JSON object: its format and version, and a valid value of every other key
+MODEL_TEMPLATE = {"format": "cascade-model", "version": 2, "item_dim": 0, "query_bins": [0.0],
+                  "stages": [[0]], "weights": [0.0]}
 
 
 class TrainingDiverged(RuntimeError):
@@ -30,6 +34,7 @@ class TrainingDiverged(RuntimeError):
 
 
 MAX_INIT_SCALE = float(np.finfo(np.float64).max) / 2    # so the draw range 2 * it is finite
+GRADCHECK_H = 1e-7     # gradient_check's step; 1e-6 fails the l3 gradient at train.seed 952238
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,7 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
                 grad_norm = float(np.linalg.norm(bd.gradient))
             at = f"at epoch {epoch}, batch {b0 // train_cfg.batch_size}"
             if not (np.isfinite(bd.total) and np.isfinite(grad_norm)):
-                cause = blame_term(bd, batch_cfg, train_cfg.objective)
+                cause = blame_term(bd, batch_cfg, train_cfg.objective, batch)
                 if epoch > 1 or b0 > 0:
                     cause += " or the steps before it (check learning_rate, lr_decay)"
                 elif not np.isfinite(bd.l2):
@@ -194,7 +199,7 @@ class GradCheckReport:
 
 
 def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
-                   objective: str = "l3", h: float = 1e-5, tolerance: float = 1e-4,
+                   objective: str = "l3", h: float = GRADCHECK_H, tolerance: float = 1e-4,
                    max_coords: int = 100, seed: int = 0) -> GradCheckReport:
     """Compare the analytic gradient to central finite differences.
 
@@ -219,8 +224,8 @@ def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
         bd = loss(model, packed, obj_cfg, objective)
     if not (np.isfinite(bd.total) and np.isfinite(bd.gradient).all()):
         raise ValueError(f"the {objective} loss ({bd.total}) or its gradient at the checked "
-                         f"weights is not finite, from {blame_term(bd, obj_cfg, objective)}, "
-                         "so there is no gradient to check")
+                         f"weights is not finite, from {blame_term(bd, obj_cfg, objective, packed)}"
+                         ", so there is no gradient to check")
     analytic = bd.gradient
 
     n = w.shape[0]
@@ -255,68 +260,31 @@ def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
 
 
 def save_model(model: CascadeModel, path) -> None:
-    """Versioned flat text format; weights at 17 significant digits so the
-    round trip is bit-exact."""
-    lines = [
-        f"cascade-model v{MODEL_FORMAT_VERSION} stages {model.n_stages} "
-        f"item_dim {model.schema.item_dim} query_dim {model.schema.query_feature_dim}"
-    ]
-    for j, stage in enumerate(model.assignment.stages):
-        lines.append(f"stage {j} features " + " ".join(str(i) for i in stage))
-    for j in range(model.n_stages):
-        lines.append(f"item_weights {j} " + " ".join(
-            format(x, ".17g") for x in model.stage_item_weights[j]))
-        lines.append(f"query_weights {j} " + " ".join(
-            format(x, ".17g") for x in model.stage_query_weights[j]))
+    """One JSON object of the keys of ``MODEL_TEMPLATE``; ``json`` writes each
+    weight in its shortest round-trip form, so the round trip is bit-exact."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(json.dumps({**MODEL_TEMPLATE, "item_dim": model.schema.item_dim,
+                             "query_bins": list(model.schema.query_bin_edges),
+                             "stages": model.assignment.stages,
+                             "weights": model.weights.tolist()}) + "\n")
 
 
 def load_model(path, schema: FeatureSchema) -> CascadeModel:
-    """Read a model written by ``save_model``. A malformed, empty or truncated
-    file raises ValueError naming the file and the line that is wrong or
-    missing."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
-    if not lines:
-        raise ValueError(f"model file {path} ends before its header line")
-
-    def values(k: int, key: str, convert=float) -> list:
-        """The values after ``key`` on the k-th nonblank line, converted."""
-        if k >= len(lines):
-            raise ValueError(f"model file {path} ends before its '{key}' line")
-        n, text = lines[k]
-        head, fields = key.split(), text.split()
-        try:
-            if fields[: len(head)] != head:
-                raise ValueError(f"expected the '{key}' line, got {text!r}")
-            out = [convert(x) for x in fields[len(head):]]
-            if convert is float and not np.isfinite(out).all():
-                raise ValueError("weights must all be finite")
-        except ValueError as exc:
-            raise ValueError(f"model file {path} line {n}: {exc}") from None
-        return out
-
-    where, head = f"model file {path} line {lines[0][0]}", lines[0][1].split()
-    if head[:2] != ["cascade-model", f"v{MODEL_FORMAT_VERSION}"]:
-        raise ValueError(f"{where}: unsupported model header: {lines[0][1]!r}")
+    """Read a model that ``save_model`` wrote under ``schema``'s item width
+    and query bins. Any other file raises ValueError naming the file and the
+    fault: the JSON error, the key, or the ``CascadeModel`` check that fails."""
     try:
-        T, item_dim, query_dim = (
-            int(head[head.index(key) + 1]) for key in ("stages", "item_dim", "query_dim")
-        )
-    except (ValueError, IndexError):
-        raise ValueError(f"{where}: malformed model header: {lines[0][1]!r}") from None
-    if item_dim != schema.item_dim or query_dim != schema.query_feature_dim:
-        raise ValueError(
-            f"{where}: model dims (item {item_dim}, query {query_dim}) do not match schema "
-            f"(item {schema.item_dim}, query {schema.query_feature_dim})"
-        )
-    stages = tuple(tuple(values(1 + j, f"stage {j} features", int)) for j in range(T))
-    item, query = [], []
-    for j in range(T):
-        item.append(values(1 + T + 2 * j, f"item_weights {j}"))
-        query.append(values(2 + T + 2 * j, f"query_weights {j}"))
-    try:
-        return CascadeModel.from_stages(item, query, StageAssignment(stages), schema)
-    except ValueError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if text.startswith("cascade-model v1 "):
+            raise ValueError("format v1, the line format, is no longer read (retrain the model)")
+        doc = json.loads(text)
+        check_json("the document", doc, MODEL_TEMPLATE)
+        want = dict(MODEL_TEMPLATE, item_dim=schema.item_dim, query_bins=[*schema.query_bin_edges])
+        for key in ("format", "version", "item_dim", "query_bins"):
+            if doc[key] != want[key]:
+                raise ValueError(f"{key} {doc[key]!r} differs from the {want[key]!r} expected")
+        return CascadeModel(np.array(doc["weights"], dtype=np.float64),
+                            StageAssignment(doc["stages"]), schema)
+    except (ValueError, OverflowError) as exc:   # OverflowError: an integer beyond float64
         raise ValueError(f"model file {path}: {exc}") from None

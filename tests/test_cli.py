@@ -453,6 +453,21 @@ class TestDatasetValidation:
                        "[['sales_volume', 'postpay_score'], ['ctr_score'],",
                        "[['sales_volume'], ['postpay_score', 'ctr_score'],")
 
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    def test_model_query_bins_must_match_config(self, tmp_path, small_config, capsys, command):
+        # as many bins as the defaults, so only the recorded edges tell them apart
+        data = _gen(tmp_path, small_config)
+        model = _train(tmp_path, small_config, data)
+        cfg = json.loads(small_config.read_text())
+        cfg["schema"]["query_bins"] = [20000, 30000, 40000, 50000, 60000]
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(cfg))
+        err = _fails_cleanly([command, "--config", str(other), "--dataset", str(data),
+                              "--model", str(model), "--out", str(tmp_path / "out")], capsys)
+        assert err == (f"error: model file {model}: query_bins [10, 100, 1000, 10000, 100000] "
+                       "differs from the [20000, 30000, 40000, 50000, 60000] expected\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_training_exits_1(self, tmp_path, small_config, capsys):
         data = _gen(tmp_path, small_config)
@@ -566,7 +581,7 @@ class TestTrainCommand:
         assert json.loads((run / "manifest.json").read_text())["config"]["train"][
             "holdout_fraction"] == 0.2
         assert hashlib.sha256((run / "model.txt").read_bytes()).hexdigest() == (
-            "bdab4991725b60ba6246e25a749c211b07624693866c48c0509f9ee8ad02e22c")
+            "daa4e0ec2c3fda7f82f4db9ca57d9d34fdaf5530293db92ff2ff4203263fe070")
         lines = "".join(
             json.dumps({k: v for k, v in json.loads(l).items() if k != "wall_time_s"}) + "\n"
             for l in (run / "trainlog.ndjson").read_text().splitlines()
@@ -627,31 +642,33 @@ class TestEvalCommand:
         main(["train", "--config", str(small_config), "--dataset", str(data),
               "--out", str(run)])
         model = run / "model.txt"
-        lines = model.read_text().splitlines(keepends=True)
-        model.write_text("".join(lines[:5]))
+        text = model.read_text()
+        cut = text.index('"weights"')
+        model.write_text(text[:cut])
         capsys.readouterr()
         rc = main(["eval", "--config", str(small_config), "--dataset", str(data),
                    "--model", str(model), "--out", str(tmp_path / "eval")])
         err = capsys.readouterr().err
         assert rc == 1
-        assert "ends before its 'query_weights 0' line" in err
-        assert "Traceback" not in err
+        assert err == (f"error: model file {model}: Expecting property name enclosed in double "
+                       f"quotes: line 1 column {cut + 1} (char {cut})\n")
 
-    @pytest.mark.parametrize("number, text, named", [
-        (7, "item_weights 1 abc", "could not convert string to float: 'abc'"),
-        (3, "stage 1 features two", "invalid literal for int() with base 10: 'two'"),
-        (6, "query_weights 0 0.5 nan 0 0 0 0", "weights must all be finite"),
+    @pytest.mark.parametrize("key, entry, value, named", [
+        ("weights", 7, "abc", "the document, key 'weights', entry 7 must be a number, got \"abc\""),
+        ("stages", 1, ["two"], "the document, key 'stages', entry 1, entry 0 must be an integer, "
+                               "got \"two\""),
+        ("weights", 6, float("nan"), "weights must all be finite"),
     ], ids=["float", "int", "nan"])
-    def test_bad_model_line_names_file_and_line(self, tmp_path, small_config, capsys, number,
-                                                text, named):
+    def test_bad_model_line_names_file_and_line(self, tmp_path, small_config, capsys, key,
+                                                entry, value, named):
         data = _gen(tmp_path, small_config)
         model = _train(tmp_path, small_config, data)
-        lines = model.read_text().splitlines(keepends=True)
-        lines[number - 1] = text + "\n"
-        model.write_text("".join(lines))
-        _fails_cleanly(["eval", "--config", str(small_config), "--dataset", str(data),
-                        "--model", str(model), "--out", str(tmp_path / "eval")],
-                       capsys, f"error: model file {model} line {number}: {named}")
+        doc = json.loads(model.read_text())
+        doc[key][entry] = value
+        model.write_text(json.dumps(doc))
+        err = _fails_cleanly(["eval", "--config", str(small_config), "--dataset", str(data),
+                              "--model", str(model), "--out", str(tmp_path / "eval")], capsys)
+        assert err == f"error: model file {model}: {named}\n"
         assert not (tmp_path / "eval").exists()
 
     def test_compare_failure_leaves_no_output(self, tmp_path, small_config, capsys):
@@ -701,8 +718,8 @@ class TestGradcheckCommand:
         assert rc == 0
 
     @pytest.mark.parametrize("objective, digest", [
-        ("l1", "e366916d249b19699d257c718afd1b0e8ab36705644f9fe453cf7e8b3904ca51"),
-        ("l3", "3882ff3e0a49a9c14a33d9ae8c208946aa9e54d8d7072b30486f4e7e35700925"),
+        ("l1", "f393b5f36857370edb5a1451551040116b41619bd6de48f58bf44bf2106793e3"),
+        ("l3", "6ffdecd62a418a1f117808eb2357a26f5a826868e71c3c13be38ab74edd4204f"),
     ])
     def test_report_on_dataset_pinned(self, tmp_path, small_config, objective, digest):
         data = _gen(tmp_path, small_config)
@@ -746,6 +763,33 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--config", str(path), "--out", str(out)]) == 0
         assert "Warning" not in capsys.readouterr().err
         assert "passed True" in (out / "gradcheck.txt").read_text()
+
+    def test_default_step_passes_at_seed_952238(self, tmp_path):
+        # a step of 1e-5 fails this correct gradient on the truncation error
+        assert main(["gradcheck", "--seed", "952238", "--out", str(tmp_path / "gc")]) == 0
+        assert "max_rel_error 2.009e-06\n" in (tmp_path / "gc" / "gradcheck.txt").read_text()
+        assert main(["gradcheck", "--seed", "952238", "--out", str(tmp_path / "gc5"),
+                     "--h", "1e-5"]) == 1
+        assert "max_rel_error 1.465e-02\n" in (tmp_path / "gc5" / "gradcheck.txt").read_text()
+
+    @pytest.mark.parametrize("command", ["gradcheck", "train"])
+    def test_overflowing_features_are_named(self, tmp_path, capsys, command):
+        # finite features that sum past the largest float: the loss or its gradient
+        # overflows at the checked or initial weights with no coefficient to blame
+        cfg = default_config()
+        cfg["datagen"]["feature_quality"][0]["noise"] = -3.4712761183886917e307
+        path = tmp_path / "noisy.json"
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "x")]
+        where = "the l3 loss (inf) or its gradient at the checked weights is not finite, from"
+        if command == "train":
+            argv += ["--dataset", str(_gen(tmp_path, path))]
+            where = "non-finite loss or gradient at epoch 1, batch 0:"
+        err = _fails_cleanly(argv, capsys)
+        assert err.startswith(f"error: {where} overflowing feature values (check the dataset, "
+                              "or datagen.feature_quality)")
+        assert "Warning" not in err
+        assert not (tmp_path / "x").exists()
 
     def test_corrupted_gradient_fails(self, tmp_path, small_config, capsys, monkeypatch):
         def corrupted(model_, data_, cfg_, objective_="l3", want_grad=True):
@@ -827,6 +871,23 @@ class TestManifestReproducibility:
         second = tmp_path / "g2"
         assert rerun_from_manifest(first / "manifest.json", second) == 0
         assert "tolerance 1.000e-04\n" in (second / "gradcheck.txt").read_text()
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda m: {}, " lacks key 'command'"),
+        (lambda m: {**m, "inputs": None}, ", key 'inputs' must be an object, got null"),
+        (lambda m: [m["command"]], " must be an object, got [\"datagen\"]"),
+        (lambda m: {**m, "command": "fit"}, ", key 'command' names no command: 'fit'"),
+        (lambda m: {**m, "command": "train"},
+         ", key 'inputs' names no dataset, which train reads"),
+    ], ids=["empty", "null_inputs", "list", "unknown_command", "missing_input"])
+    def test_bad_manifest_named(self, tmp_path, small_config, change, named):
+        first = tmp_path / "d1"
+        assert main(["datagen", "--config", str(small_config), "--out", str(first)]) == 0
+        path = first / "manifest.json"
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match="^" + re.escape(f"manifest {path}{named}") + "$"):
+            rerun_from_manifest(path, tmp_path / "d2")
+        assert not (tmp_path / "d2").exists()
 
 
 # Every number of default_config() a command reads, with those commands; the

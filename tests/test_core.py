@@ -16,6 +16,7 @@ from cascade_ranker.core import (
     QueryGroup,
     StageAssignment,
     check_domains,
+    check_json,
     pack_groups,
     stage_costs,
     validate_dataset,
@@ -34,6 +35,32 @@ def _group(schema, n=3, mcount=10, qid="q0", price=5.0, seed=0):
     rng = np.random.default_rng(seed)
     return make_group(schema, mcount, rng.standard_normal((n, schema.item_dim)),
                       labels=(np.arange(n) == 0).astype(np.int8), prices=price, qid=qid)
+
+
+class TestCheckJson:
+    @pytest.mark.parametrize("value, template, message", [
+        (True, 0, " must be an integer, got true"),
+        (1.5, 0, " must be an integer, got 1.5"),
+        (True, 0.0, " must be a number, got true"),
+        ("1", 0.0, " must be a number, got \"1\""),
+        (0, False, " must be true or false, got 0"),
+        (3, None, " must be a string or null, got 3"),
+        ({}, [0], " must be a list, got {}"),
+        ([1, "x"], [0], ", entry 1 must be an integer, got \"x\""),
+        ({"a": 1}, {"a": 0, "b": 0}, " lacks key 'b'"),
+        ({"a": 1, "c": 0}, {"a": 0}, " has unknown key 'c'"),
+        ({"a": [None]}, {"a": [""]}, ", key 'a', entry 0 must be a string, got null"),
+    ])
+    def test_wrong_type_named(self, value, template, message):
+        with pytest.raises(ValueError, match="^" + re.escape("at p" + message) + "$"):
+            check_json("at p", value, template)
+
+    @pytest.mark.parametrize("value, template", [
+        (3, 0.0), (-0.0, 0.0), (None, None), ("x", None), ([], [0]), ([1, 2], []),
+        ({"a": 1}, {"a": 0, "b": 0}),
+    ])
+    def test_right_type_passes(self, value, template):
+        check_json("at p", value, template, optional=("b",))
 
 
 class TestCheckDomains:

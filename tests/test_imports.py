@@ -12,7 +12,9 @@ code that derives its offsets and binary labels. ``pack_groups`` is also
 the one function that holds the rules for a group's block of rows, so no
 other function may hold their messages. Likewise ``check_domains`` is the one
 reader of the domain tables, so no other function may hold a domain message:
-an array's rule says "must all be" instead."""
+an array's rule says "must all be" instead. And ``check_json`` is the one JSON
+type checker, of configs, model files and manifests, so no other function
+may hold the message of a JSON value of the wrong type."""
 
 import ast
 from pathlib import Path
@@ -157,3 +159,22 @@ def test_only_check_domains_holds_the_domain_messages():
                for where, message in block_rule_holders(path.read_text(encoding="utf-8"),
                                                         DOMAIN_MESSAGES)}
     assert holders == {("core", "check_domains", "must be finite")}
+
+
+# the fixed parts of the messages of a JSON value of the wrong type
+JSON_TYPE_MESSAGES = ("must be an integer", "must be a number", "must be a list", "lacks key",
+                      "has unknown key")
+
+
+def test_finds_a_json_type_message():
+    source = ("def load(p, v):\n    raise ValueError(f'{p} lacks key {v!r}')\n"
+              "WANT = 'must be a number'\n")
+    assert block_rule_holders(source, JSON_TYPE_MESSAGES) == {
+        ("load", "lacks key"), ("<module>", "must be a number")}
+
+
+def test_only_check_json_holds_the_json_type_messages():
+    holders = {(path.stem, where, message) for path in MODULES
+               for where, message in block_rule_holders(path.read_text(encoding="utf-8"),
+                                                        JSON_TYPE_MESSAGES)}
+    assert holders == {("core", "check_json", m) for m in JSON_TYPE_MESSAGES}

@@ -6,8 +6,8 @@ numbers a user sees, which a refactor or speed-up must not do. The text
 rounds to 6 digits, so the per-query records are pinned by sha256 and the
 two-stage baseline by the ``repr`` of every figure, which catches a change
 in the last bit. The model files written after two epochs of SGD at each
-objective level are pinned by sha256 too: their 17-digit weights carry the
-last bit of every loss gradient and update of the training run. The
+objective level are pinned by sha256 too: their shortest round-trip weights
+carry the last bit of every loss gradient and update of the training run. The
 records of those runs' training logs are pinned by sha256 of their JSON
 lines without the wall time, which carry every batch loss sum in full.
 The ``dataset.txt`` that ``generate`` and ``write_dataset`` give is pinned by
@@ -62,9 +62,9 @@ TWO_STAGE_FIGURES = {
     "p95_latency_ms": "93.90325666666665",
 }
 MODEL_SHA256 = {
-    "l1": "0625e4b5d19f764d045fa0002109855c401a0e6dc095081cbf22692945199bac",
-    "l2": "fd66882cd6f8e414d8742f8d70cc787a0d8a0a27ffd1394dda025f3a082e5670",
-    "l3": "30ca7909e356b218375fdf15de298887861fc5f374e4f8a7e1cf05dbc70aabd3",
+    "l1": "3859b1f5546a237e8d1cd83099c5350247fb1f799b26269fbb61399949edac15",
+    "l2": "881bf8c424fc27d5bec9d867ce388e2ae651a46f2c021bc6352b783d3a0558e1",
+    "l3": "b886e80755dc986c9e21a66d4161f46830c5f1cc0d7056b65a0967ce6e5dce03",
 }
 TRAINLOG_SHA256 = {
     "l1": "7ac8722b6302822e68e51448e927d0cc9365a23d31577de204fa77e615e521d3",

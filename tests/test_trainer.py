@@ -1,13 +1,15 @@
+import json
 import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cascade_ranker.core import (
+    CascadeModel,
     Feature,
     FeatureSchema,
     StageAssignment,
@@ -501,6 +503,28 @@ class TestGradientCheck:
             gradient_check(model, data, ObjectiveConfig(), **kwargs)
 
 
+# the weights that a round trip through text most often gets wrong
+_EDGE_WEIGHTS = (-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@st.composite
+def _models(draw):
+    """A model over 1 to 6 features and 0 to 5 query bins: random stages over
+    a random subset of the features, and weights among which the edge
+    cases of ``_EDGE_WEIGHTS`` are common."""
+    d = draw(st.integers(1, 6))
+    edges = sorted(draw(st.sets(st.integers(1, 10**9) | st.floats(0.5, 1e15), max_size=5)))
+    schema = FeatureSchema(tuple(Feature(f"f{i}", 0.1) for i in range(d)), tuple(edges))
+    used = draw(st.permutations(range(d)))[: draw(st.integers(1, d))]
+    cuts = sorted(draw(st.sets(st.integers(1, len(used) - 1), max_size=len(used) - 1))
+                  if len(used) > 1 else set())
+    stages = [tuple(used[a:b]) for a, b in zip([0, *cuts], [*cuts, len(used)])]
+    n = sum(len(stage) + schema.query_feature_dim for stage in stages)
+    weight = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_WEIGHTS)
+    return CascadeModel(np.array(draw(st.lists(weight, min_size=n, max_size=n)), dtype=float),
+                        StageAssignment(stages), schema)
+
+
 class TestModelSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
         schema = default_schema()
@@ -512,49 +536,86 @@ class TestModelSerialization:
         np.testing.assert_array_equal(back.weights, model.weights)
         assert back.assignment.stages == model.assignment.stages
 
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(model=_models())
+    def test_roundtrip_of_any_model_bit_exact(self, tmp_path, model):
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        back = load_model(path, model.schema)
+        assert back.weights.tobytes() == model.weights.tobytes()
+        assert back.assignment == model.assignment
+
+    def test_v1_file_rejected_naming_its_version(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("cascade-model v1 stages 1 item_dim 5 query_dim 6\n"
+                        "stage 0 features 0\nitem_weights 0 0.5\nquery_weights 0 0 0 0 0 0 0\n")
+        with pytest.raises(ValueError, match=_anchored(
+                path, ": format v1, the line format, is no longer read (retrain the model)")):
+            load_model(path, default_schema())
+
     def test_schema_mismatch_rejected(self, tmp_path):
         schema = default_schema()
         model = init_weights(schema, default_assignment(schema), 0, 0.1)
         path = tmp_path / "model.txt"
         save_model(model, path)
         other = FeatureSchema((Feature("x", 0.1),), query_bin_edges=(10,))
-        with pytest.raises(ValueError, match="do not match"):
+        with pytest.raises(ValueError, match=_anchored(
+                path, f": item_dim {schema.item_dim} differs from the 1 expected")):
             load_model(path, other)
 
     def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "model.txt"
-        path.write_text("something-else v9\n")
-        with pytest.raises(ValueError, match="header"):
+        path = _model_doc(tmp_path, format="something-else", version=9)
+        with pytest.raises(ValueError, match=_anchored(
+                path, ": format 'something-else' differs from the 'cascade-model' expected")):
             load_model(path, default_schema())
 
-    @pytest.mark.parametrize("keep, missing", [
-        (0, "header"), (1, "'stage 0 features'"), (3, "'stage 2 features'"),
-        (4, "'item_weights 0'"), (7, "'query_weights 1'"), (8, "'item_weights 2'"),
-        (9, "'query_weights 2'"),
-    ])
-    def test_truncated_file_names_missing_line(self, tmp_path, keep, missing):
+    @pytest.mark.parametrize("before, expecting", [
+        ('"format"', "property name enclosed in double quotes"),
+        ('"version"', "property name enclosed in double quotes"),
+        ('"item_dim"', "property name enclosed in double quotes"),
+        ('"query_bins"', "property name enclosed in double quotes"),
+        ('"stages"', "property name enclosed in double quotes"),
+        ('"weights"', "property name enclosed in double quotes"),
+        ("]}", "',' delimiter"),
+    ], ids=["format", "version", "item_dim", "query_bins", "stages", "weights", "weights_end"])
+    def test_truncated_file_names_missing_line(self, tmp_path, before, expecting):
         schema = default_schema()
-        model = init_weights(schema, default_assignment(schema), 0, 0.1)
         path = tmp_path / "model.txt"
-        save_model(model, path)
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:keep]))
-        with pytest.raises(ValueError, match=f"ends before its {missing} line"):
+        save_model(init_weights(schema, default_assignment(schema), 0, 0.1), path)
+        text = path.read_text()
+        cut = text.index(before)
+        path.write_text(text[:cut])
+        with pytest.raises(ValueError, match=_anchored(
+                path, f": Expecting {expecting}: line 1 column {cut + 1} (char {cut})")):
             load_model(path, schema)
 
     def test_stage_index_out_of_range_names_the_file(self, tmp_path):
         schema = default_schema()
-        path = tmp_path / "model.txt"
-        save_model(init_weights(schema, default_assignment(schema), 0, 0.1), path)
-        lines = path.read_text().splitlines(keepends=True)
-        lines[2] = "stage 1 features 99999999999999999999\n"
-        path.write_text("".join(lines))
-        with pytest.raises(ValueError, match=re.escape(
-                f"model file {path}: stage 1: feature index 99999999999999999999 not in schema")):
+        stages = [list(s) for s in default_assignment(schema).stages]
+        stages[1] = [99999999999999999999]
+        path = _model_doc(tmp_path, stages=stages)
+        with pytest.raises(ValueError, match=_anchored(
+                path, ": stage 1: feature index 99999999999999999999 not in schema")):
             load_model(path, schema)
 
     def test_header_without_counts_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
-        path.write_text("cascade-model v1 stages\n")
-        with pytest.raises(ValueError, match="malformed model header"):
+        path.write_text('{"format": "cascade-model", "version": 2}\n')
+        with pytest.raises(ValueError, match=_anchored(
+                path, ": the document lacks key 'item_dim'")):
             load_model(path, default_schema())
+
+
+def _anchored(path, rest: str) -> str:
+    """The pattern of exactly the message ``model file <path><rest>``."""
+    return "^" + re.escape(f"model file {path}{rest}") + "$"
+
+
+def _model_doc(tmp_path, **changes):
+    """The path of a default-schema model file whose document has ``changes``."""
+    schema = default_schema()
+    path = tmp_path / "model.txt"
+    save_model(init_weights(schema, default_assignment(schema), 0, 0.1), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+    return path
