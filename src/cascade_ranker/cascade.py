@@ -3,15 +3,26 @@ cumulative log pass probabilities, and the final positive probability.
 
 All probabilities come from numerically stable log-sigmoid forms; nothing is
 ever clamped away from {0, 1}, so downstream log computations must use the
-log-space quantities also provided here.
+log-space quantities also provided here. ``expit`` and ``log_expit`` are
+scipy's two-branch forms: with e = exp(-|z|), which cannot overflow, sigma(z)
+= (e if z < 0 else 1) / (1 + e) and log sigma(z) = -log1p(e), plus z if z < 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import log_expit
 
 from .core import CascadeModel, PackedDataset, pack_groups
+
+
+def expit(z):
+    e = np.exp(-np.abs(z))                      # sigma(z), elementwise
+    return np.where(z < 0, e, 1.0) / (1.0 + e)
+
+
+def log_expit(z):
+    n = -np.log1p(np.exp(-np.abs(z)))           # log sigma(z), elementwise
+    return np.where(z < 0, z + n, n)
 
 
 def batch_logits(model: CascadeModel, packed: PackedDataset) -> np.ndarray:

@@ -38,6 +38,7 @@ from .objective import OBJECTIVE_LEVELS, ObjectiveConfig
 from .simulator import simulate
 from .trainer import (
     GRADCHECK_H,
+    GRADCHECK_TOLERANCE,
     TrainConfig,
     TrainingDiverged,
     gradient_check,
@@ -385,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p["simulate"].add_argument("--stochastic", action="store_true")
     p["gradcheck"].add_argument("--dataset", type=str, default=None)
     p["gradcheck"].add_argument("--h", type=float, default=GRADCHECK_H)
-    p["gradcheck"].add_argument("--tolerance", type=float, default=1e-4)
+    p["gradcheck"].add_argument("--tolerance", type=float, default=GRADCHECK_TOLERANCE)
     return parser
 
 
@@ -394,7 +395,10 @@ def rerun_from_manifest(manifest_path, out_dir) -> int:
     that ``_write_outputs`` would not write raises ValueError naming it and the key."""
     where = f"manifest {manifest_path}"
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:     # bad JSON, or bytes that are not UTF-8
+            raise ValueError(f"{where}: {exc}") from None
     check_json(where, manifest, {
         "command": "", "config_path": None, "config": default_config(), "seed": 0,
         "inputs": {"dataset": None, "model": None}, "outputs": [""], "out_dir": "",

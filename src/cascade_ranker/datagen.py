@@ -33,10 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import (
     LABEL_CLICK,
@@ -130,6 +130,11 @@ class GenConfig:
             if not 1 <= lo <= hi:
                 raise ValueError("mcount ranges must satisfy 1 <= lo <= hi")
 
+    @property
+    def label_threshold(self) -> float:
+        """The (1 - ratio) quantile of relevance + label_noise * eps, finite for every ratio."""
+        return -NormalDist().inv_cdf(self.positives_ratio) * math.sqrt(1 + self.label_noise ** 2)
+
 
 def _log_uniform_int(rng: np.random.Generator, lo: int, hi: int) -> int:
     if lo == hi:
@@ -162,10 +167,6 @@ def generate(cfg: GenConfig, schema: FeatureSchema) -> PackedDataset:
         )
     rng = np.random.default_rng(cfg.seed)
     d = schema.item_dim
-    # label = 1 iff relevance + label_noise * eps exceeds the (1 - ratio)
-    # quantile of that mixture, which targets the positive ratio exactly.
-    mix_sd = math.sqrt(1.0 + cfg.label_noise ** 2)
-    label_threshold = ndtri(1.0 - cfg.positives_ratio) * mix_sd
     purchase_base = math.log(
         cfg.purchase_fraction_of_positives / (1.0 - cfg.purchase_fraction_of_positives)
     ) if 0 < cfg.purchase_fraction_of_positives < 1 else None
@@ -205,7 +206,7 @@ def generate(cfg: GenConfig, schema: FeatureSchema) -> PackedDataset:
             if not np.isfinite(X[:, k]).all():
                 raise ValueError(f"feature_quality entry {k}: {fq} overflows a feature value")
 
-        positive = (relevance + cfg.label_noise * normals[d]) > label_threshold
+        positive = (relevance + cfg.label_noise * normals[d]) > cfg.label_threshold
         labels = np.where(positive, LABEL_CLICK, LABEL_NONE)
         if purchase_base is None:
             purchased = positive & (cfg.purchase_fraction_of_positives >= 1.0)

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.special import expit, log_expit
 
-from .cascade import batch_log_pass
+from .cascade import batch_log_pass, expit, log_expit
 from .core import (
     LABEL_CLICK,
     LABEL_PURCHASE,

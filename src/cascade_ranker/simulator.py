@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
-from .cascade import batch_log_pass
+from .cascade import batch_log_pass, expit
 from .core import CascadeModel, PackedDataset, QueryGroup, pack_groups, stage_costs
 from .evaluator import QueryReport, query_table
 from .objective import ObjectiveConfig, forward_expectations

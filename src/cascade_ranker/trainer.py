@@ -35,6 +35,7 @@ class TrainingDiverged(RuntimeError):
 
 MAX_INIT_SCALE = float(np.finfo(np.float64).max) / 2    # so the draw range 2 * it is finite
 GRADCHECK_H = 1e-7     # gradient_check's step; 1e-6 fails the l3 gradient at train.seed 952238
+GRADCHECK_TOLERANCE = 1e-4     # gradient_check's bound on the relative error
 
 
 @dataclass(frozen=True)
@@ -198,8 +199,8 @@ class GradCheckReport:
         return self.max_rel_error < self.tolerance
 
 
-def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig,
-                   objective: str = "l3", h: float = GRADCHECK_H, tolerance: float = 1e-4,
+def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig, objective: str = "l3",
+                   h: float = GRADCHECK_H, tolerance: float = GRADCHECK_TOLERANCE,
                    max_coords: int = 100, seed: int = 0) -> GradCheckReport:
     """Compare the analytic gradient to central finite differences.
 

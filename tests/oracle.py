@@ -3,14 +3,15 @@ and per-query math written stage by stage, the loss gradient chained one
 stage column at a time, dataset validation group by group, the
 flat rank-sum AUC that ``evaluator.macro_auc`` computes per query, the
 per-query keep counts of the replay's funnel, the synthetic generator one
-query at a time and the dataset writer one line at a time."""
+query at a time and the dataset writer one line at a time; and the distance
+in units in the last place by which a float is checked against scipy's."""
 
 import math
 
 import numpy as np
-from scipy.special import expit, log_expit, logsumexp, ndtri
+from scipy import special
 
-from cascade_ranker.cascade import batch_log_pass, batch_logits
+from cascade_ranker.cascade import batch_log_pass, batch_logits, expit, log_expit
 from cascade_ranker.core import (
     LABEL_CLICK,
     LABEL_NONE,
@@ -23,10 +24,19 @@ from cascade_ranker.datagen import _log_uniform_int
 from cascade_ranker.objective import _masked_coeffs, instance_weights
 
 
+def ulp_distance(a, b) -> np.ndarray:
+    """How many float64 steps lie between ``a`` and ``b``, elementwise, as
+    Python ints; -0.0 and 0.0 are the same step."""
+    def ordinal(x):
+        i = np.asarray(x, dtype=np.float64).view(np.int64)
+        return np.where(i < 0, np.iinfo(np.int64).min - i, i).astype(object)
+    return np.abs(ordinal(a) - ordinal(b))
+
+
 def stage_probabilities(model, query_features, x) -> np.ndarray:
     """sigma(w_x . f_j(x) + w_q . g(q)) for every stage j of one item."""
     return np.array([
-        expit(x[list(cols)] @ wx + query_features @ wq)
+        special.expit(x[list(cols)] @ wx + query_features @ wq)
         for cols, wx, wq in zip(model.assignment.stages, model.stage_item_weights,
                                 model.stage_query_weights)
     ])
@@ -68,17 +78,18 @@ def _suffix_sums(M) -> np.ndarray:
 
 
 def loss_gradient(model, packed, cfg, objective: str) -> np.ndarray:
-    """``loss(model, packed, cfg, objective).gradient`` through numpy's
-    row-wise cumulative sums, scipy's logsumexp, the expected pass counts S
-    added by one ``bincount`` per stage, and one ``accumulate_weight_grad``
-    call on the summed dLoss/dZ of all four data terms."""
+    """``loss(model, packed, cfg, objective).gradient`` from the package's
+    ``expit`` and ``log_expit``, through numpy's row-wise cumulative sums,
+    scipy's logsumexp, the expected pass counts S added by one ``bincount``
+    per stage, and one ``accumulate_weight_grad`` call on the summed
+    dLoss/dZ of all four data terms."""
     t = stage_costs(model.assignment, model.schema)
     Z = batch_logits(model, packed)
     cum_log_p = np.cumsum(log_expit(Z), axis=1)
     log_q = log_expit(-Z)
     prefix = np.hstack([np.zeros((len(Z), 1)), cum_log_p[:, :-1]])
     log_p_final = cum_log_p[:, -1]
-    log_1mp = logsumexp(log_q + prefix, axis=1)
+    log_1mp = special.logsumexp(log_q + prefix, axis=1)
     wgt = instance_weights(packed.labels, packed.prices, cfg)
     P = np.exp(cum_log_p)
     sizes = packed.sizes
@@ -218,7 +229,7 @@ def generate(cfg, schema) -> list[QueryGroup]:
     the label noise, and every expression over the query's rows alone."""
     rng = np.random.default_rng(cfg.seed)
     mix_sd = math.sqrt(1.0 + cfg.label_noise ** 2)
-    label_threshold = ndtri(1.0 - cfg.positives_ratio) * mix_sd
+    label_threshold = special.ndtri(1.0 - cfg.positives_ratio) * mix_sd
     purchase_base = math.log(
         cfg.purchase_fraction_of_positives / (1.0 - cfg.purchase_fraction_of_positives)
     ) if 0 < cfg.purchase_fraction_of_positives < 1 else None

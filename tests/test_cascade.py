@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -6,9 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit, log_expit
+from scipy import special
 
-from cascade_ranker.cascade import _cumsum_columns, batch_final_probs, batch_log_pass, batch_logits
+from cascade_ranker.cascade import (
+    _cumsum_columns,
+    batch_final_probs,
+    batch_log_pass,
+    batch_logits,
+    expit,
+    log_expit,
+)
 from cascade_ranker.core import (
     CascadeModel,
     Feature,
@@ -21,7 +30,7 @@ from cascade_ranker.datagen import GenConfig, default_assignment, default_schema
 from cascade_ranker.objective import _query_expectations, forward_expectations
 from cascade_ranker.trainer import init_weights
 from groups import make_group, with_weights
-from oracle import cumulative_probabilities, stage_probabilities
+from oracle import cumulative_probabilities, stage_probabilities, ulp_distance
 
 
 def _logit(p):
@@ -49,6 +58,52 @@ def _tiny_setup(T=3, seed=0, init_scale=0.0):
     model = init_weights(schema, asg, seed, init_scale)
     group = make_group(schema, 5, np.zeros((1, T)))
     return schema, asg, model, group
+
+
+# every float, and the edges of the two branches: the subnormals, -709.8 where
+# scipy's exp(-z) overflows, -745.2 where exp(z) underflows, and the largest
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 709.8, -709.8, 745.2, -745.2, 1.8e308, -1.8e308,
+          math.inf, -math.inf]
+_LOGITS = st.lists(st.floats(allow_nan=False) | st.sampled_from(_EDGES), min_size=1,
+                   max_size=40).map(np.array)
+
+
+def _quietly(f, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return f(z)
+
+
+class TestSigmoidsAgainstScipy:
+    @given(_LOGITS)
+    @settings(max_examples=300, deadline=None)
+    def test_expit(self, z):
+        ours = _quietly(expit, z)
+        want = special.expit(z)
+        # scipy's 1 / (1 + exp(-z)) is 0 once exp(-z) overflows; sigma(z) is
+        # then e^z / (1 + e^z) with 1 + e^z rounding to 1, so e^z itself
+        below = z < -math.log(sys.float_info.max)
+        want[below] = [float(mpmath.exp(v)) for v in z[below]]
+        assert ulp_distance(ours, want).max() <= 4
+        assert np.all((ours >= 0.0) & (ours <= 1.0))
+        assert np.array_equal(np.signbit(ours), np.signbit(want))
+
+    @given(_LOGITS)
+    @settings(max_examples=300, deadline=None)
+    def test_log_expit(self, z):
+        ours = _quietly(log_expit, z)
+        want = special.log_expit(z)
+        assert ulp_distance(ours, want).max() <= 4
+        assert np.all(ours <= 0.0)
+        # -0.0 where sigma(z) rounds to 1, as scipy gives it
+        assert np.array_equal(np.signbit(ours), np.signbit(want))
+
+    def test_signed_zeros(self):
+        z = np.array([0.0, -0.0, 800.0, math.inf, -math.inf])
+        assert log_expit(z).tolist() == [-math.log(2), -math.log(2), -0.0, -0.0, -math.inf]
+        assert np.signbit(log_expit(z)).tolist() == [True] * 5
+        assert expit(z).tolist() == [0.5, 0.5, 1.0, 1.0, 0.0]
+        assert not np.signbit(expit(z)).any()
 
 
 class TestStageProbability:

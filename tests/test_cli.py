@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import re
@@ -13,12 +14,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascade_ranker import datagen
-from cascade_ranker.cli import _FLAG_TO_KEY, default_config, main, rerun_from_manifest
+from cascade_ranker.cli import (
+    _FLAG_TO_KEY,
+    build_parser,
+    default_config,
+    main,
+    rerun_from_manifest,
+)
 from cascade_ranker.core import pack_groups, validate_dataset
 from cascade_ranker.evaluator import PerQueryRecord
 from cascade_ranker.objective import loss
 from cascade_ranker.simulator import SimQueryRecord
-from cascade_ranker.trainer import MAX_INIT_SCALE, EpochRecord
+from cascade_ranker.trainer import (
+    GRADCHECK_H,
+    GRADCHECK_TOLERANCE,
+    MAX_INIT_SCALE,
+    EpochRecord,
+    gradient_check,
+)
 
 
 @pytest.fixture()
@@ -581,13 +594,13 @@ class TestTrainCommand:
         assert json.loads((run / "manifest.json").read_text())["config"]["train"][
             "holdout_fraction"] == 0.2
         assert hashlib.sha256((run / "model.txt").read_bytes()).hexdigest() == (
-            "daa4e0ec2c3fda7f82f4db9ca57d9d34fdaf5530293db92ff2ff4203263fe070")
+            "bcaca70ad6f9aa7f239814cafd5ca0023397ea34d6004f9b480b4683dd818fb7")
         lines = "".join(
             json.dumps({k: v for k, v in json.loads(l).items() if k != "wall_time_s"}) + "\n"
             for l in (run / "trainlog.ndjson").read_text().splitlines()
         )
         assert hashlib.sha256(lines.encode()).hexdigest() == (
-            "30b9cb0ecb1220c3067cb7d582f524a6e0ad431591d2765f5de165c659697f15")
+            "22b2664155c2542beca0a58db735f9afd3e003702109348136ed2774213d7be6")
 
     def test_objective_flag_recorded_in_manifest(self, tmp_path, small_config):
         data = _gen(tmp_path, small_config)
@@ -705,6 +718,12 @@ class TestSimulateCommand:
 
 
 class TestGradcheckCommand:
+    def test_step_and_tolerance_defaults_are_the_trainer_constants(self):
+        signature = inspect.signature(gradient_check).parameters
+        args = build_parser().parse_args(["gradcheck", "--out", "x"])
+        assert args.h is signature["h"].default is GRADCHECK_H
+        assert args.tolerance is signature["tolerance"].default is GRADCHECK_TOLERANCE
+
     def test_passes_by_default(self, tmp_path, small_config):
         out = tmp_path / "gc"
         rc = main(["gradcheck", "--config", str(small_config), "--out", str(out)])
@@ -719,7 +738,7 @@ class TestGradcheckCommand:
 
     @pytest.mark.parametrize("objective, digest", [
         ("l1", "f393b5f36857370edb5a1451551040116b41619bd6de48f58bf44bf2106793e3"),
-        ("l3", "6ffdecd62a418a1f117808eb2357a26f5a826868e71c3c13be38ab74edd4204f"),
+        ("l3", "46693a70df42d06724c4f19edcfa4840e8ef974fe30a56ab4a6127d7af70d1f5"),
     ])
     def test_report_on_dataset_pinned(self, tmp_path, small_config, objective, digest):
         data = _gen(tmp_path, small_config)
@@ -886,6 +905,18 @@ class TestManifestReproducibility:
         path = first / "manifest.json"
         path.write_text(json.dumps(change(json.loads(path.read_text()))))
         with pytest.raises(ValueError, match="^" + re.escape(f"manifest {path}{named}") + "$"):
+            rerun_from_manifest(path, tmp_path / "d2")
+        assert not (tmp_path / "d2").exists()
+
+    @pytest.mark.parametrize("content, named", [
+        (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+        (b'{"command": "\xff"}',
+         "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
+    ], ids=["not_json", "not_utf8"])
+    def test_unreadable_manifest_named(self, tmp_path, content, named):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="^" + re.escape(f"manifest {path}: {named}") + "$"):
             rerun_from_manifest(path, tmp_path / "d2")
         assert not (tmp_path / "d2").exists()
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from cascade_ranker import datagen
 from cascade_ranker.core import PackedDataset, QueryGroup, pack_groups, validate_dataset
@@ -22,7 +23,7 @@ from cascade_ranker.objective import ObjectiveConfig
 from cascade_ranker.trainer import TrainConfig, train
 from groups import edge_groups
 import oracle
-from oracle import auc
+from oracle import auc, ulp_distance
 
 
 class TestGenConfigValidation:
@@ -86,6 +87,27 @@ class TestGenConfigValidation:
         cfg = GenConfig(feature_quality=(FeatureQuality(1.0),))
         with pytest.raises(ValueError, match="feature_quality"):
             generate(cfg, default_schema())
+
+
+class TestLabelThreshold:
+    @given(st.floats(1e-10, 1 - 1e-10))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_scipy(self, q):
+        # p = 1 - q makes 1 - p exact, so ndtri sees the complement unrounded
+        p = 1.0 - q
+        threshold = GenConfig(positives_ratio=p, label_noise=0.0).label_threshold
+        assert ulp_distance(threshold, special.ndtri(1.0 - p)) <= 8
+
+    def test_scales_by_the_mixture_sd(self):
+        unit = GenConfig(label_noise=0.0).label_threshold
+        assert GenConfig(label_noise=0.75).label_threshold == unit * 1.25
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-17])
+    def test_finite_where_one_minus_p_rounds_to_one(self, p):
+        # ndtri(1 - p) and inv_cdf(1 - p) see 1.0 here: inf, or an error
+        cfg = GenConfig(n_queries=30, positives_ratio=p, seed=2)
+        assert 8.0 < cfg.label_threshold < math.inf
+        assert not pack_groups(generate(cfg, default_schema())).y.any()
 
 
 class TestGenerate:

@@ -14,16 +14,27 @@ other function may hold their messages. Likewise ``check_domains`` is the one
 reader of the domain tables, so no other function may hold a domain message:
 an array's rule says "must all be" instead. And ``check_json`` is the one JSON
 type checker, of configs, model files and manifests, so no other function
-may hold the message of a JSON value of the wrong type."""
+may hold the message of a JSON value of the wrong type.
+
+The package's footprint is numpy alone: the third-party modules that
+``src/`` imports are ``pyproject.toml``'s runtime dependencies, and a fresh
+interpreter that imports the package and its CLI loads no scipy module.
+scipy stays a test dependency, the oracle the package's own forms are
+checked against."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from test_bench_bindings import _targets
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cascade_ranker"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cascade_ranker"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -178,3 +189,55 @@ def test_only_check_json_holds_the_json_type_messages():
                for where, message in block_rule_holders(path.read_text(encoding="utf-8"),
                                                         JSON_TYPE_MESSAGES)}
     assert holders == {("core", "check_json", m) for m in JSON_TYPE_MESSAGES}
+
+
+def third_party_imports(source: str) -> set[str]:
+    """The top-level names of the modules ``source`` imports that are neither
+    the standard library's nor relative."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def test_finds_a_third_party_import():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from scipy.special import expit\nfrom . import core\nfrom .core import x\n")
+    assert third_party_imports(source) == {"numpy", "scipy"}
+
+
+def test_runtime_dependencies_are_the_imports_of_src():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group() for d in dependencies}
+    imported = set().union(*(third_party_imports(p.read_text(encoding="utf-8"))
+                             for p in SRC.glob("*.py")))
+    assert imported == declared == {"numpy"}
+
+
+def modules_loaded_by(code: str) -> set[str]:
+    """The modules that a fresh interpreter holds after running ``code`` with
+    ``src/`` first on its path."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def scipy_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+
+
+def test_finds_a_loaded_scipy_module():
+    assert "scipy.special" in scipy_modules(modules_loaded_by("import scipy.special"))
+
+
+def test_package_and_cli_load_no_scipy():
+    loaded = modules_loaded_by("import cascade_ranker, cascade_ranker.cli")
+    assert "cascade_ranker.cli" in loaded
+    assert scipy_modules(loaded) == set()

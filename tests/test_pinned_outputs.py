@@ -45,7 +45,7 @@ SIM_TEXT = (
     "p95_latency_units 9534.49\nmean_latency_ms 21.7418\n"
     "p95_latency_ms 63.5632\nfraction_below_floor 0.185\nfraction_above_latency_ceiling 0.305\n"
 )
-EVAL_RECORDS_SHA256 = "367217ac13c58a14bd6497146fbc1179be63ab49b7df4faa478d0c366236d89c"
+EVAL_RECORDS_SHA256 = "25ef78eac3b4275bc78989680ea8a07d220f18d9cf718bffa8d3cc4fa2f57e68"
 SIM_RECORDS_SHA256 = "543610065bbcb6469ff42bb1c711003eb3d0224a0e1b53aa47c3819dd9836489"
 STOCHASTIC_SIM_RECORDS_SHA256 = "d76efe98297e64874f10f75299a65e07d2ea5531a14fc65ef2918887a0234d2f"
 TWO_STAGE_RECORDS_SHA256 = "d45929e9f6e8f5255a3e85cb6183e7c4a8334565ee873e834349035c337a4d1d"
@@ -62,14 +62,14 @@ TWO_STAGE_FIGURES = {
     "p95_latency_ms": "93.90325666666665",
 }
 MODEL_SHA256 = {
-    "l1": "3859b1f5546a237e8d1cd83099c5350247fb1f799b26269fbb61399949edac15",
-    "l2": "881bf8c424fc27d5bec9d867ce388e2ae651a46f2c021bc6352b783d3a0558e1",
-    "l3": "b886e80755dc986c9e21a66d4161f46830c5f1cc0d7056b65a0967ce6e5dce03",
+    "l1": "e1e38b17325b8cf3b96ed0eb796c87d762ff59e15e6ccc25b92e12cd892841ec",
+    "l2": "2b4d7ec0b3e73f5f476e94c9dc97d1e6c2f5b988977e4e9ede71d6be50fa25f9",
+    "l3": "4a87f3518e1a51d245ae8bb648a373b2f78cdf1c18eb1e61669cd5ee0ac40071",
 }
 TRAINLOG_SHA256 = {
     "l1": "7ac8722b6302822e68e51448e927d0cc9365a23d31577de204fa77e615e521d3",
     "l2": "db9ca18c9d42cbd59ecb1251790bd0dda020e95fc412d12f41755d116694c4b6",
-    "l3": "c1739afbcbadd4551d9229d78bd98efc4626f8a5e8d3b61081b84b8f9ac7609a",
+    "l3": "5808b0726dd14ea3ef0cf4a8810686c419539e080ac282fb5b096dbf80bf5d96",
 }
 # GenConfig fields of each pinned dataset; a purchase fraction of 0 or 1
 # draws no purchase uniforms, and a range (k, k) draws no log-uniform count
