@@ -1,5 +1,6 @@
-"""Forward inference of the cascade over packed rows: stage logits,
-cumulative log pass probabilities, and the final positive probability.
+"""Forward inference of the cascade over packed rows: stage logits, with each
+stage's weights read through the model's ``stage_slices``, and cumulative log
+pass probabilities, whose last column is the log final positive probability.
 
 All probabilities come from numerically stable log-sigmoid forms; nothing is
 ever clamped away from {0, 1}, so downstream log computations must use the
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+# pack_groups is not called here: it stays bound for the benchmark's tracer to wrap
 from .core import CascadeModel, PackedDataset, pack_groups
 
 
@@ -36,10 +38,10 @@ def batch_logits(model: CascadeModel, packed: PackedDataset) -> np.ndarray:
         raise ValueError(
             f"packed feature dim {packed.X.shape[1]} != schema dim {model.schema.item_dim}"
         )
-    for a in range(T):
-        cols = list(model.assignment.stages[a])
-        q_logit = packed.G @ model.stage_query_weights[a]
-        Z[:, a] = packed.X[:, cols] @ model.stage_item_weights[a] + np.repeat(q_logit, packed.sizes)
+    w = model.weights
+    for a, (stage, (item, query)) in enumerate(zip(model.assignment.stages, model.stage_slices)):
+        q_logit = packed.G @ w[query]
+        Z[:, a] = packed.X[:, list(stage)] @ w[item] + np.repeat(q_logit, packed.sizes)
     return Z
 
 
@@ -61,8 +63,3 @@ def _cumsum_columns(a: np.ndarray) -> np.ndarray:
         np.add(a[:, k], a[:, k - 1], out=a[:, k])
     return a
 
-
-def batch_final_probs(model: CascadeModel, groups) -> np.ndarray:
-    """Final positive probability for every instance across ``groups``."""
-    _, cum = batch_log_pass(model, pack_groups(groups))
-    return np.exp(cum[:, -1])

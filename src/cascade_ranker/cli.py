@@ -22,9 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+# pack_groups is not called here: it stays bound for the benchmark's tracer to wrap
 from .core import (Feature, FeatureSchema, StageAssignment, check_domains, check_json,
                    pack_groups, validate_dataset)
 from .datagen import (
+    DatasetFormatError,
     FeatureQuality,
     GenConfig,
     default_assignment,
@@ -103,8 +105,14 @@ _OPTIONAL_ENTRY_KEYS = frozenset({"kind", "noise", "price_strength"})
 
 
 def schema_from_config(cfg: dict) -> FeatureSchema:
-    sc = cfg["schema"]
-    return FeatureSchema([Feature(**f) for f in sc["features"]], sc["query_bins"])
+    """The config's schema; an error names its key, 'features' or 'query_bins'."""
+    sc, key = cfg["schema"], "features"
+    try:
+        features = FeatureSchema([Feature(**f) for f in sc["features"]]).features
+        key = "query_bins"
+        return FeatureSchema(features, sc["query_bins"])
+    except ValueError as exc:
+        raise ValueError(f"config section 'schema', key {key!r}: {exc}") from None
 
 
 def assignment_from_config(cfg: dict, schema: FeatureSchema) -> StageAssignment:
@@ -218,8 +226,11 @@ def _split_holdout(packed, fraction: float, seed: int):
 
 
 def _read_valid_dataset(path, schema: FeatureSchema):
-    """The dataset at ``path``, packed once and validated."""
-    packed = pack_groups(read_dataset(path, schema))
+    """The dataset at ``path``, validated; a format error names the file."""
+    try:
+        packed = read_dataset(path, schema)
+    except DatasetFormatError as exc:
+        raise ValueError(f"dataset {path}: {exc}") from None
     if not packed.n_groups:
         raise ValueError(f"dataset {path} has no queries")
     violations = validate_dataset(packed, schema)
@@ -248,7 +259,7 @@ def _load_matching_model(path, cfg: dict, schema: FeatureSchema):
 
 def cmd_datagen(args) -> int:
     started, cfg, schema = _begin(args)
-    packed = pack_groups(generate(gen_from_config(cfg), schema))
+    packed = generate(gen_from_config(cfg), schema)
     violations = validate_dataset(packed, schema)
     if violations:
         print(f"generated data failed validation: {violations[:3]}", file=sys.stderr)
@@ -333,8 +344,8 @@ def cmd_gradcheck(args) -> int:
         packed = _read_valid_dataset(args.dataset, schema)
     else:
         gen_cfg = gen_from_config(cfg)
-        packed = pack_groups(generate(
-            replace(gen_cfg, n_queries=min(gen_cfg.n_queries, 10), seed=train_cfg.seed), schema))
+        packed = generate(
+            replace(gen_cfg, n_queries=min(gen_cfg.n_queries, 10), seed=train_cfg.seed), schema)
     model = init_weights(schema, assignment, train_cfg.seed, 0.5)
     report = gradient_check(model, packed, obj_cfg, objective=train_cfg.objective,
                             h=args.h, tolerance=args.tolerance, seed=train_cfg.seed)

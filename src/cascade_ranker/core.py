@@ -18,9 +18,9 @@ and is the one place that checks a group's block; the constructor checks
 nothing. A ``PackedDataset`` passes through it unchanged, so every public
 function that takes data calls it and accepts either.
 
-A ``CascadeModel`` is its flat weight vector, built by its constructor; its
-per-stage weights are views into that vector, so the weight layout is
-defined here alone, as is the row arithmetic of ``PackedDataset.take``.
+A ``CascadeModel`` is its flat weight vector, built by its constructor, the
+one builder; its ``stage_slices`` are the one stage layout, defined here
+alone, as is the row arithmetic of ``PackedDataset.take``.
 
 All types here are immutable after construction and safe to share across
 threads; a ``CascadeModel`` keeps the float64 vector it is given, which its
@@ -132,11 +132,12 @@ class FeatureSchema:
         object.__setattr__(self, "features", tuple(self.features))
         object.__setattr__(self, "query_bin_edges", tuple(self.query_bin_edges))
         names = [f.name for f in self.features]
-        if len(set(names)) != len(names):
-            raise ValueError("feature names must be unique")
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise ValueError(f"feature name {name!r} appears twice")
         edges = self.query_bin_edges
         if list(edges) != sorted(edges) or len(set(edges)) != len(edges):
-            raise ValueError("query_bin_edges must be strictly increasing")
+            raise ValueError(f"query bin edges must be strictly increasing, got {list(edges)}")
 
     @property
     def item_dim(self) -> int:
@@ -252,11 +253,10 @@ class CascadeModel:
     order, its query weights with the schema's one-hot query feature.
 
     ``stage_slices[j]`` is the (item, query) pair of slices of stage j in
-    ``weights``, and ``stage_item_weights[j]`` / ``stage_query_weights[j]``
-    are views through them. The constructor keeps a float64 vector as it
-    is, without a copy, and rejects one of the wrong length or with a
-    non-finite weight; ``from_stages`` builds a model from per-stage
-    vectors.
+    ``weights``, the one stage layout: ``weights[item]`` and
+    ``weights[query]`` are views of the vector. The constructor is the one
+    builder. It keeps a float64 vector as it is, without a copy, and
+    rejects one of the wrong length or with a non-finite weight.
     """
 
     weights: np.ndarray
@@ -266,12 +266,10 @@ class CascadeModel:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         self.assignment.validate_against(self.schema)
-        dq, pos, slices, item, query = self.schema.query_feature_dim, 0, [], [], []
+        dq, pos, slices = self.schema.query_feature_dim, 0, []
         for stage in self.assignment.stages:
             k = pos + len(stage)
             slices.append((slice(pos, k), slice(k, k + dq)))
-            item.append(w[pos:k])
-            query.append(w[k : k + dq])
             pos = k + dq
         if w.shape != (pos,):
             raise ValueError(f"flat weight vector has shape {w.shape}, expected length {pos}")
@@ -279,26 +277,6 @@ class CascadeModel:
             raise ValueError("weights must all be finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "stage_slices", tuple(slices))
-        object.__setattr__(self, "stage_item_weights", tuple(item))
-        object.__setattr__(self, "stage_query_weights", tuple(query))
-
-    @classmethod
-    def from_stages(cls, item_weights: Sequence, query_weights: Sequence,
-                    assignment: StageAssignment, schema: FeatureSchema) -> "CascadeModel":
-        """The model whose stage j has item weights ``item_weights[j]`` and
-        query weights ``query_weights[j]``."""
-        if len(item_weights) != assignment.n_stages or len(query_weights) != assignment.n_stages:
-            raise ValueError("one item- and one query-weight vector required per stage")
-        parts = []
-        for j, stage in enumerate(assignment.stages):
-            item = np.asarray(item_weights[j], dtype=np.float64)
-            query = np.asarray(query_weights[j], dtype=np.float64)
-            if item.shape != (len(stage),):
-                raise ValueError(f"stage {j}: item weight length != stage feature count")
-            if query.shape != (schema.query_feature_dim,):
-                raise ValueError(f"stage {j}: query weight length mismatch")
-            parts += [item, query]
-        return cls(np.concatenate(parts), assignment, schema)
 
     @property
     def n_stages(self) -> int:

@@ -433,11 +433,20 @@ def read_dataset(path, schema: FeatureSchema) -> PackedDataset:
     0..d-1 in order) is parsed in C by ``np.loadtxt``; any other chunk (a
     zero feature omitted, blank lines, other whitespace, another field
     order, or any error) is parsed line by line. Both give the same values
-    bit for bit, and every error message comes from the line-by-line
-    parser."""
-    with open(path, "r", encoding="utf-8") as fh:
-        chunks = list(_parse_chunks(fh, schema.item_dim)) or [
-            _parse_lines([], schema.item_dim, _Position())]
+    bit for bit; every error message but "not UTF-8 text" comes from the
+    line-by-line parser."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            chunks = list(_parse_chunks(fh, schema.item_dim)) or [
+                _parse_lines([], schema.item_dim, _Position())]
+    except UnicodeDecodeError:     # its position counts from the decoder's buffer, not a line
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DatasetFormatError(f"line {lineno}: not UTF-8 text ({exc})") from None
+        raise
     X, labels, prices = (np.concatenate(parts) for parts in list(zip(*chunks))[:3])
     starts = [start for chunk in chunks for start in chunk[3]]
     mcounts = [mcount for _, _, mcount in starts]

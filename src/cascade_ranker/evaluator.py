@@ -28,7 +28,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .cascade import batch_final_probs
 from .core import (CascadeModel, FeatureSchema, PackedDataset, StageAssignment, check_domains,
                    pack_groups)
 from .objective import ObjectiveConfig, forward_expectations
@@ -211,7 +210,7 @@ def baseline_two_stage(data, schema: FeatureSchema, filter_feature: int, keep_k:
     order = np.lexsort((-packed.X[:, filter_feature], group))
     survivors = order[np.arange(packed.n_instances) - packed.offsets[group] < keep[group]]
     scores = np.full(packed.n_instances, -1.0)   # below every survivor's (0,1) score
-    scores[survivors] = batch_final_probs(lr_model, packed)[survivors]
+    scores[survivors] = forward_expectations(lr_model, packed)[0][survivors]
 
     scaled_keep = keep * (mcounts / sizes)
     latencies = mcounts * t_filter + scaled_keep * t_rest

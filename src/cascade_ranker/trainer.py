@@ -19,10 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cascade import batch_final_probs
 from .core import (CascadeModel, FeatureSchema, PackedDataset, QueryGroup, StageAssignment,
                    check_domains, check_json, pack_groups)
-from .objective import OBJECTIVE_LEVELS, ObjectiveConfig, blame_term, loss
+from .objective import OBJECTIVE_LEVELS, ObjectiveConfig, blame_term, forward_expectations, loss
 
 # a model file's JSON object: its format and version, and a valid value of every other key
 MODEL_TEMPLATE = {"format": "cascade-model", "version": 2, "item_dim": 0, "query_bins": [0.0],
@@ -172,7 +171,8 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
             above += bd.queries_above_ceiling
             n_batches += 1
 
-        scores = batch_final_probs(model, eval_packed)
+        with np.errstate(over="ignore"):    # a cost sum may overflow; only P is read
+            scores = forward_expectations(model, eval_packed)[0]
         try:
             auc_val = macro_auc(scores, eval_packed)
         except ValueError:

@@ -1,5 +1,5 @@
 """Query groups for tests, each built from one column block, and models
-rebuilt on another weight vector."""
+built from per-stage weight vectors or rebuilt on another weight vector."""
 
 import numpy as np
 
@@ -14,6 +14,22 @@ def make_group(schema, mcount, X, labels=0, prices=2.0, qid="q0") -> QueryGroup:
     n = X.shape[0]
     return QueryGroup(qid, schema.query_onehots([mcount])[0], mcount, X,
                       np.broadcast_to(labels, (n,)), np.broadcast_to(prices, (n,)))
+
+
+def stage_model(item_weights, query_weights, assignment, schema) -> CascadeModel:
+    """The model whose stage j has item weights ``item_weights[j]`` and query
+    weights ``query_weights[j]``: the vectors joined in the canonical order,
+    stage 0 item, stage 0 query, stage 1 item, ..., into the constructor,
+    whose checks reject a vector of the wrong length or a non-finite weight."""
+    parts = [w for pair in zip(item_weights, query_weights) for w in pair]
+    return CascadeModel(np.concatenate(parts), assignment, schema)
+
+
+def stage_weights(model) -> tuple[list, list]:
+    """(item, query): each stage's item and query weights, read through
+    ``stage_slices``."""
+    return ([model.weights[item] for item, _ in model.stage_slices],
+            [model.weights[query] for _, query in model.stage_slices])
 
 
 def with_weights(model, w) -> CascadeModel:

@@ -35,10 +35,10 @@ def ulp_distance(a, b) -> np.ndarray:
 
 def stage_probabilities(model, query_features, x) -> np.ndarray:
     """sigma(w_x . f_j(x) + w_q . g(q)) for every stage j of one item."""
+    w = model.weights
     return np.array([
-        special.expit(x[list(cols)] @ wx + query_features @ wq)
-        for cols, wx, wq in zip(model.assignment.stages, model.stage_item_weights,
-                                model.stage_query_weights)
+        special.expit(x[list(cols)] @ w[item] + query_features @ w[query])
+        for cols, (item, query) in zip(model.assignment.stages, model.stage_slices)
     ])
 
 

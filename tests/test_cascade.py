@@ -12,14 +12,12 @@ from scipy import special
 
 from cascade_ranker.cascade import (
     _cumsum_columns,
-    batch_final_probs,
     batch_log_pass,
     batch_logits,
     expit,
     log_expit,
 )
 from cascade_ranker.core import (
-    CascadeModel,
     Feature,
     FeatureSchema,
     StageAssignment,
@@ -29,7 +27,7 @@ from cascade_ranker.core import (
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
 from cascade_ranker.objective import _query_expectations, forward_expectations
 from cascade_ranker.trainer import init_weights
-from groups import make_group, with_weights
+from groups import make_group, stage_model, stage_weights, with_weights
 from oracle import cumulative_probabilities, stage_probabilities, ulp_distance
 
 
@@ -42,6 +40,12 @@ def _batch_probs(model, group):
     from the batch forward pass, each shape (n, T)."""
     Z, cum_log_p = batch_log_pass(model, pack_groups([group]))
     return expit(Z), np.exp(cum_log_p)
+
+
+def _final_probs(model, groups):
+    """The final pass probability of every row of ``groups``, as
+    ``forward_expectations`` gives it to the per-epoch AUC and the reports."""
+    return forward_expectations(model, pack_groups(groups))[0]
 
 
 def _item(group, x):
@@ -150,15 +154,15 @@ class TestCascadeProbabilities:
         per_stage, cumulative = _batch_probs(model, group)
         np.testing.assert_allclose(per_stage[0], [0.5, 0.5, 0.5])
         np.testing.assert_allclose(cumulative[0], [0.5, 0.25, 0.125])
-        assert batch_final_probs(model, [group])[0] == pytest.approx(0.125)
+        assert _final_probs(model, [group])[0] == pytest.approx(0.125)
 
     def test_single_stage_is_plain_logistic(self):
         schema, asg, model, group = _tiny_setup(T=1, seed=4, init_scale=0.8)
         x = np.array([0.3])
-        z = (model.stage_item_weights[0] @ x
-             + model.stage_query_weights[0] @ group.query_features)
+        item, query = stage_weights(model)
+        z = item[0] @ x + query[0] @ group.query_features
         want = 1.0 / (1.0 + math.exp(-z))
-        assert batch_final_probs(model, [_item(group, x)])[0] == pytest.approx(want, rel=1e-12)
+        assert _final_probs(model, [_item(group, x)])[0] == pytest.approx(want, rel=1e-12)
 
     def test_arithmetic_of_two_stages(self):
         # per-stage (0.9, 0.8) -> cumulative (0.9, 0.72)
@@ -189,12 +193,12 @@ class TestCascadeProbabilities:
         model = init_weights(schema, asg, 11, 1.5)
         group = make_group(schema, 50, rng.standard_normal((6, 5)))
         mpmath.mp.dps = 50
-        for x, final in zip(group.X, batch_final_probs(model, [group])):
+        item, query = stage_weights(model)
+        for x, final in zip(group.X, _final_probs(model, [group])):
             exact = mpmath.mpf(1)
             for j in range(model.n_stages):
                 cols = list(model.assignment.stages[j])
-                z = (x[cols] @ model.stage_item_weights[j]
-                     + group.query_features @ model.stage_query_weights[j])
+                z = x[cols] @ item[j] + group.query_features @ query[j]
                 exact *= 1 / (1 + mpmath.exp(-mpmath.mpf(float(z))))
             assert abs(final - float(exact)) <= 1e-12 * float(exact)
 
@@ -213,13 +217,10 @@ class TestQueryFeatureNeutrality:
         group = make_group(schema, 3000, rng.standard_normal((12, 5)))
         model = init_weights(schema, asg, 23, 1.0)
         base = _batch_probs(model, group)[0]
+        item, query = stage_weights(model)
         for trial in range(5):
-            shifted = CascadeModel.from_stages(
-                model.stage_item_weights,
-                tuple(w + rng.standard_normal(w.shape[0]) * 3.0
-                      for w in model.stage_query_weights),
-                asg, schema,
-            )
+            shifted = stage_model(
+                item, [w + rng.standard_normal(w.shape[0]) * 3.0 for w in query], asg, schema)
             moved = _batch_probs(shifted, group)[0]
             for j in range(model.n_stages):
                 np.testing.assert_array_equal(
@@ -233,14 +234,13 @@ class TestQueryFeatureNeutrality:
         rng = np.random.default_rng(5)
         group = make_group(schema, 40, rng.standard_normal((15, 5)))
         model = init_weights(schema, asg, 2, 1.0)
-        base = batch_final_probs(model, [group])
+        base = _final_probs(model, [group])
+        item, query = stage_weights(model)
         for trial in range(5):
-            shifted = CascadeModel.from_stages(
-                model.stage_item_weights,
-                (model.stage_query_weights[0] + rng.standard_normal(schema.query_feature_dim) * 4.0,),
-                asg, schema,
-            )
-            moved = batch_final_probs(shifted, [group])
+            shifted = stage_model(
+                item, [query[0] + rng.standard_normal(schema.query_feature_dim) * 4.0],
+                asg, schema)
+            moved = _final_probs(shifted, [group])
             np.testing.assert_array_equal(np.argsort(-base, kind="stable"),
                                           np.argsort(-moved, kind="stable"))
 
@@ -250,11 +250,11 @@ class TestScoreGroup:
         schema, asg, model, _ = _tiny_setup(T=2)
         rng = np.random.default_rng(0)
         group = make_group(schema, 9, rng.standard_normal((4, 2)))
-        np.testing.assert_allclose(batch_final_probs(model, [group]), [0.25] * 4)
+        np.testing.assert_allclose(_final_probs(model, [group]), [0.25] * 4)
 
     def test_empty_group(self):
         _, _, model, _ = _tiny_setup()
-        assert batch_final_probs(model, []).shape == (0,)
+        assert _final_probs(model, []).shape == (0,)
 
     def test_singleton_matches_direct(self):
         schema, asg, model, group = _tiny_setup(T=3, seed=2, init_scale=0.5)
@@ -273,7 +273,7 @@ class TestScoreGroup:
         asg = default_assignment(schema)
         groups = generate(GenConfig(n_queries=5, seed=9), schema)
         model = init_weights(schema, asg, 1, 0.6)
-        batch = batch_final_probs(model, groups)
+        batch = _final_probs(model, groups)
         singles = [cumulative_probabilities(model, g.query_features, x)[-1]
                    for g in groups for x in g.X]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
@@ -322,7 +322,7 @@ class TestAgainstScalarOracle:
     def test_batch_passes_match_per_item_reference(self, problem):
         model, groups = problem
         Z, cum_log_p = batch_log_pass(model, pack_groups(groups))
-        final = batch_final_probs(model, groups)
+        final = _final_probs(model, groups)
         rows = [(g.query_features, x) for g in groups for x in g.X]
         per_stage = np.array([stage_probabilities(model, q, x) for q, x in rows])
         cumulative = np.array([cumulative_probabilities(model, q, x) for q, x in rows])

@@ -253,8 +253,23 @@ class TestConfigBoundary:
         path = tmp_path / "bad.json"
         path.write_text('{"schema": {"features": [{"name": "sales_volume", "cost": %s}]}}' % cost)
         _fails_cleanly(["gradcheck", "--config", str(path), "--out", str(tmp_path / "x")],
-                       capsys, "error: feature 'sales_volume': cost must be finite, got "
+                       capsys, "error: config section 'schema', key 'features': feature "
+                       "'sales_volume': cost must be finite, got "
                        + {"Infinity": "inf", "NaN": "nan"}[cost])
+
+    @pytest.mark.parametrize("schema, named", [
+        ({"query_bins": [10, 10]}, "error: config section 'schema', key 'query_bins': "
+         "query bin edges must be strictly increasing, got [10, 10]"),
+        ({"features": [{"name": "a", "cost": 0.1}, {"name": "a", "cost": 0.2}]},
+         "error: config section 'schema', key 'features': feature name 'a' appears twice"),
+    ], ids=["query_bins", "repeated feature"])
+    @pytest.mark.parametrize("command", ["datagen", "gradcheck"])
+    def test_bad_schema_names_the_key_and_value(self, tmp_path, capsys, schema, named, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schema": schema}))
+        _fails_cleanly([command, "--config", str(path), "--out", str(tmp_path / "x")],
+                       capsys, named)
+        assert not (tmp_path / "x").exists()
 
     def test_unparsable_config_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -426,6 +441,32 @@ class TestDatasetValidation:
         _fails_cleanly([command, "--config", str(small_config), "--dataset", str(bad),
                         "--out", str(tmp_path / "out")],
                        capsys, f"line 1: mcount must be <= 2**63 - 1, got {mcount}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    def test_format_error_names_the_dataset(self, tmp_path, small_config, capsys, command):
+        data = _gen(tmp_path, small_config)
+        model = _train(tmp_path, small_config, data)
+        bad = _with_first_line(data, "label9.txt", label="9")
+        _fails_cleanly([command, "--config", str(small_config), "--dataset", str(bad),
+                        "--model", str(model), "--out", str(tmp_path / "out")],
+                       capsys, f"error: dataset {bad}: line 1: label must be 0, 1 or 2, got 9")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "simulate", "gradcheck"])
+    def test_non_utf8_dataset_names_the_file_and_line(self, tmp_path, small_config, capsys,
+                                                      command):
+        data = _gen(tmp_path, small_config)
+        lines = data.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1][:-8] + b"\xff" + lines[1][-7:]
+        bad = tmp_path / "latin.txt"
+        bad.write_bytes(b"".join(lines))
+        argv = [command, "--config", str(small_config), "--dataset", str(bad),
+                "--out", str(tmp_path / "out")]
+        if command in ("eval", "simulate"):
+            argv += ["--model", str(_train(tmp_path, small_config, data))]
+        err = _fails_cleanly(argv, capsys, f"error: dataset {bad}: line 2: not UTF-8 text (")
+        assert "0xff" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["eval", "simulate"])

@@ -26,7 +26,7 @@ from cascade_ranker.datagen import (FeatureQuality, GenConfig, default_assignmen
 from cascade_ranker.objective import ObjectiveConfig
 from cascade_ranker.simulator import simulate
 from cascade_ranker.trainer import TrainConfig, init_weights, train
-from groups import make_group, with_weights
+from groups import make_group, stage_model, stage_weights, with_weights
 import oracle
 
 
@@ -100,8 +100,13 @@ class TestCheckDomains:
 
 class TestFeatureSchema:
     def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            FeatureSchema((Feature("a", 0.1), Feature("a", 0.2)))
+        with pytest.raises(ValueError, match="^feature name 'a' appears twice$"):
+            FeatureSchema((Feature("b", 0.1), Feature("a", 0.1), Feature("a", 0.2)))
+
+    @pytest.mark.parametrize("edges", [(10, 10), (100, 10), (1, 5, 3)])
+    def test_query_bin_edges_must_increase(self, edges):
+        with pytest.raises(ValueError, match=re.escape(f"strictly increasing, got {list(edges)}")):
+            FeatureSchema(default_schema().features, edges)
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError, match="cost"):
@@ -324,13 +329,27 @@ class TestValidateAgainstOracle:
         assert validate_dataset(pack_groups([]), default_schema()) == []
 
 
+@st.composite
+def _assignments(draw):
+    """A random assignment of 1-5 stages over disjoint, nonempty subsets of
+    the default schema's five features, some features unused, under 0-6
+    query bins."""
+    base = default_schema()
+    T = draw(st.integers(1, 5))
+    owner = list(range(T)) + draw(st.lists(st.integers(-1, T - 1), min_size=5 - T,
+                                           max_size=5 - T))
+    features = draw(st.permutations(range(5)))
+    stages = tuple(tuple(f for f, o in zip(features, owner) if o == j) for j in range(T))
+    edges = draw(st.lists(st.integers(1, 10**6), max_size=6, unique=True).map(sorted))
+    return StageAssignment(stages), FeatureSchema(base.features, edges)
+
+
 class TestModelWeights:
     def test_stage_roundtrip(self):
         schema = default_schema()
         asg = default_assignment(schema)
         model = init_weights(schema, asg, seed=3, init_scale=0.7)
-        back = CascadeModel.from_stages(model.stage_item_weights, model.stage_query_weights,
-                                        asg, schema)
+        back = stage_model(*stage_weights(model), asg, schema)
         assert back.weights.tobytes() == model.weights.tobytes()
 
     def test_stage_weights_are_views_of_the_flat_vector(self):
@@ -339,31 +358,47 @@ class TestModelWeights:
         w = init_weights(schema, asg, seed=4, init_scale=0.7).weights[::-1].copy()
         model = CascadeModel(w, asg, schema)
         assert model.weights is w                   # a float64 vector is not copied
-        parts = []
+        item, query = stage_weights(model)
         for j in range(model.n_stages):
-            assert np.shares_memory(model.stage_item_weights[j], w)
-            assert np.shares_memory(model.stage_query_weights[j], w)
-            parts += [model.stage_item_weights[j], model.stage_query_weights[j]]
+            assert np.shares_memory(item[j], w) and np.shares_memory(query[j], w)
         # canonical order: stage 0 item, stage 0 query, stage 1 item, ...
+        parts = [v for pair in zip(item, query) for v in pair]
         assert np.concatenate(parts).tobytes() == w.tobytes()
 
+    @given(_assignments())
+    @settings(max_examples=200, deadline=None)
+    def test_stage_slices_tile_the_weights_in_canonical_order(self, problem):
+        asg, schema = problem
+        dq = schema.query_feature_dim
+        n = sum(len(stage) + dq for stage in asg.stages)
+        model = CascadeModel(np.arange(n, dtype=np.float64), asg, schema)
+        assert len(model.stage_slices) == asg.n_stages
+        # stage 0 item, stage 0 query, stage 1 item, ...: each slice starts
+        # where the one before it stops, and the last stops at the end
+        slices = [s for pair in model.stage_slices for s in pair]
+        lengths = [k for stage in asg.stages for k in (len(stage), dq)]
+        assert [s.step for s in slices] == [None] * len(slices)
+        assert [s.stop - s.start for s in slices] == lengths
+        assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
+        assert slices[-1].stop == n
+        covered = np.concatenate([model.weights[s] for s in slices])
+        assert covered.tolist() == list(range(n))       # every index once, in order
+        for s in slices:
+            assert np.shares_memory(model.weights[s], model.weights)
+
     @pytest.mark.parametrize("change, message", [
-        (lambda item, query: (item[:-1], query),
-         "one item- and one query-weight vector required per stage"),
-        (lambda item, query: (item[:1] + (item[1][:-1],) + item[2:], query),
-         "stage 1: item weight length != stage feature count"),
-        (lambda item, query: (item, query[:2] + (np.append(query[2], 0.0),)),
-         "stage 2: query weight length mismatch"),
-        (lambda item, query: (item, (query[0] * np.nan,) + query[1:]),
+        (lambda item, query: (item[:-1], query), "expected length"),
+        (lambda item, query: (item[:1] + [item[1][:-1]] + item[2:], query), "expected length"),
+        (lambda item, query: (item, query[:2] + [np.append(query[2], 0.0)]), "expected length"),
+        (lambda item, query: (item, [query[0] * np.nan] + query[1:]),
          "weights must all be finite"),
     ], ids=["stage count", "item length", "query length", "not finite"])
-    def test_from_stages_names_the_wrong_stage(self, change, message):
+    def test_stage_vectors_checked_by_the_constructor(self, change, message):
         schema = default_schema()
         asg = default_assignment(schema)
         model = init_weights(schema, asg, seed=4, init_scale=0.7)
-        item, query = change(model.stage_item_weights, model.stage_query_weights)
         with pytest.raises(ValueError, match=message):
-            CascadeModel.from_stages(item, query, asg, schema)
+            stage_model(*change(*stage_weights(model)), asg, schema)
 
     def test_wrong_flat_length(self):
         schema = default_schema()

@@ -309,6 +309,27 @@ class TestDatasetFileFormat:
             with pytest.raises(DatasetFormatError, match="line 3.*contiguous"):
                 read_dataset(path, default_schema())
 
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"qid:a mcount:5 label:0 price:2.0 0:1.0\n"
+                         b"qid:a mcount:5 label:0 price:2.0 0:1.0 1:\xff\n")
+        with pytest.raises(DatasetFormatError, match=r"^line 2: not UTF-8 text \(.*0xff"):
+            read_dataset(path, default_schema())
+
+    def test_non_utf8_byte_past_the_first_chunk_names_its_line(self, tmp_path):
+        # the text decoder reads 8 KB at a time and the reader READ_CHUNK_LINES
+        # lines, so neither position is the line's
+        schema = default_schema()
+        path = tmp_path / "data.txt"
+        write_dataset(path, generate(GenConfig(n_queries=600, seed=2), schema))
+        lines = path.read_bytes().splitlines(keepends=True)
+        bad = datagen.READ_CHUNK_LINES + 37              # 0-based
+        assert len(lines) > bad + 1 and len(b"".join(lines[:bad])) > 8192
+        lines[bad] = lines[bad].replace(b"price:", b"price:\xc3(", 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DatasetFormatError, match=rf"^line {bad + 1}: not UTF-8 text \("):
+            read_dataset(path, schema)
+
     @pytest.mark.parametrize("chunk", [1, 2, 7, 4096])
     def test_queries_straddling_chunks(self, tmp_path, monkeypatch, chunk):
         # the sparse file is written by the reference writer, which omits

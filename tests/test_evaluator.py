@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cascade_ranker import cascade, objective, simulator
 from cascade_ranker.core import (
-    CascadeModel,
     Feature,
     FeatureSchema,
     PackedDataset,
@@ -24,7 +23,7 @@ from cascade_ranker.evaluator import (
 )
 from cascade_ranker.objective import ObjectiveConfig, expected_cost
 from cascade_ranker.trainer import TrainConfig, init_weights, train
-from groups import make_group, with_weights
+from groups import make_group, stage_model, stage_weights, with_weights
 from oracle import auc, expected_count, expected_latency, stage_probabilities
 
 
@@ -148,10 +147,9 @@ class TestEvaluate:
         w = model.weights.copy()
         w[:2] = 0.0
         model = with_weights(model, w)
-        sat = CascadeModel.from_stages(
-            (np.zeros(2), *model.stage_item_weights[1:]),
-            (np.full(schema.query_feature_dim, 60.0), *model.stage_query_weights[1:]),
-            asg, schema)
+        item, query = stage_weights(model)
+        sat = stage_model((np.zeros(2), *item[1:]),
+                          (np.full(schema.query_feature_dim, 60.0), *query[1:]), asg, schema)
         rng = np.random.default_rng(5)
         group = make_group(schema, 40, rng.standard_normal((10, 5)),
                            labels=(np.arange(10) < 3).astype(np.int8))
@@ -197,7 +195,8 @@ class TestEvaluate:
         assert len(calls) == 1
         monkeypatch.undo()
         # bit for bit what the per-quantity functions give
-        assert report.auc == macro_auc(cascade.batch_final_probs(model, packed), packed)
+        final = np.exp(cascade.batch_log_pass(model, packed)[1][:, -1])
+        assert report.auc == macro_auc(final, packed)
         assert report.expected_cost == expected_cost(model, packed)
         # the per-query figures of the stage-by-stage reference, and the
         # flags the loss counts

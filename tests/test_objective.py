@@ -29,7 +29,7 @@ from cascade_ranker.objective import (
     _suffix_sums,
 )
 from cascade_ranker.trainer import TrainConfig, init_weights, train
-from groups import make_group, with_weights
+from groups import make_group, stage_model, with_weights
 from oracle import expected_count, expected_latency, loss_gradient, stage_probabilities
 
 
@@ -60,8 +60,7 @@ def _unit_model(schema, stages):
     asg = StageAssignment(stages)
     item = tuple(np.array([1.0] + [0.0] * (len(s) - 1)) for s in asg.stages)
     query = tuple(np.zeros(schema.query_feature_dim) for _ in asg.stages)
-    from cascade_ranker.core import CascadeModel
-    return CascadeModel.from_stages(item, query, asg, schema)
+    return stage_model(item, query, asg, schema)
 
 
 class TestInstanceWeight:
@@ -138,9 +137,9 @@ class TestWeightedNll:
             X, labels = zip(*rows)
             groups.append(make_group(schema, 30, X, labels, math.e, qid=f"q{i}"))
         cfg = ObjectiveConfig(purchase_weight=1, price_weight=1)
-        from cascade_ranker.cascade import batch_final_probs
-        p = batch_final_probs(model, groups)
-        y = pack_groups(groups).y
+        packed = pack_groups(groups)
+        p = np.exp(batch_log_pass(model, packed)[1][:, -1])
+        y = packed.y
         plain = -float(np.sum(y * np.log(p) + (1 - y) * np.log(1 - p)))
         assert _nll(model, groups, cfg) == pytest.approx(plain, rel=1e-10)
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascade_ranker.cascade import batch_final_probs
 from cascade_ranker.core import (
     Feature,
     FeatureSchema,
@@ -24,7 +23,7 @@ from cascade_ranker.simulator import (
     simulate,
 )
 from cascade_ranker.trainer import init_weights
-from groups import make_group
+from groups import make_group, stage_model
 from oracle import bernoulli_replay, expected_count
 from oracle import plan as oracle_plan
 
@@ -38,11 +37,10 @@ def _schema2():
 
 
 def _unit_model(schema, stages):
-    from cascade_ranker.core import CascadeModel
     asg = StageAssignment(stages)
     item = tuple(np.array([1.0] + [0.0] * (len(s) - 1)) for s in asg.stages)
     query = tuple(np.zeros(schema.query_feature_dim) for _ in asg.stages)
-    return CascadeModel.from_stages(item, query, asg, schema)
+    return stage_model(item, query, asg, schema)
 
 
 def _group_with_stage1_probs(schema, probs, mcount=None, second_feature=0.0):
@@ -148,7 +146,7 @@ class TestServeQuery:
         rng = np.random.default_rng(0)
         g = make_group(schema, 12, rng.standard_normal((12, 5)))
         served = serve_query([12, 12, 12], model, g)
-        finals = batch_final_probs(model, [g])
+        finals = forward_expectations(model, pack_groups([g]))[0]
         want = np.lexsort((np.arange(12), -finals))
         np.testing.assert_array_equal(served.ranking, want)
 

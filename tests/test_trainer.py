@@ -12,6 +12,7 @@ from cascade_ranker.core import (
     CascadeModel,
     Feature,
     FeatureSchema,
+    PackedDataset,
     StageAssignment,
     pack_groups,
 )
@@ -176,6 +177,21 @@ class TestTrain:
             runs.append(((tmp_path / f"model{k}.txt").read_text(),
                          [replace(r, wall_time_s=0.0) for r in log.records]))
         assert runs[0] == runs[1]
+
+    def test_holdout_auc_reads_only_the_final_pass(self):
+        # l1 charges no cost, and a holdout query of 2**62 recalled items has
+        # an expected latency that overflows: the epoch's AUC, taken from the
+        # final pass probabilities alone, is the same as on a small mcount
+        base = default_schema()
+        schema = FeatureSchema(tuple(replace(f, cost=1e291) for f in base.features))
+        data = generate(GenConfig(n_queries=20, seed=1), schema)
+        hold = generate(GenConfig(n_queries=20, seed=2), schema)
+        huge = PackedDataset.from_columns(hold.X, hold.labels, hold.prices, hold.G, hold.sizes,
+                                          np.full(hold.n_groups, 2**62), hold.query_ids)
+        cfg = TrainConfig(objective="l1", epochs=2)
+        aucs = [[r.auc for r in train(data, schema, default_assignment(schema), ObjectiveConfig(),
+                                      cfg, eval_data=h)[1].records] for h in (hold, huge)]
+        assert aucs[0] == aucs[1] and all(0.5 < a <= 1.0 for a in aucs[0])
 
     def test_degenerate_labels_rejected(self):
         schema = default_schema()
