@@ -97,20 +97,26 @@ def query_table(packed: PackedDataset, counts: np.ndarray, latencies: np.ndarray
     query id, recalled count, size, count, latency, latency in ms and the
     below-floor and above-ceiling flags; the summary maps the six figures
     both reports carry to their values, all 0 when there are no queries.
-    Raises ValueError naming ``cost_units_per_ms`` when a latency in ms is
-    not finite.
+    Raises ValueError naming the first query whose latency in cost units is
+    not finite (or their mean, if it overflows), and ``cost_units_per_ms``
+    only when the division by it overflows.
     """
     ms = cfg.cost_units_per_ms
     below = counts < cfg.result_floor
     above = latencies > cfg.latency_ceiling
     names = ("fraction_below_floor", "fraction_above_latency_ceiling", "mean_latency_units",
              "p95_latency_units", "mean_latency_ms", "p95_latency_ms")
+    bad = np.flatnonzero(~np.isfinite(latencies))
     values = (0.0,) * 4
-    if len(latencies):
-        values = (np.mean(below), np.mean(above), np.mean(latencies),
-                  np.percentile(latencies, 95))
     with np.errstate(over="ignore"):    # an overflow is named below
+        if len(latencies) and not bad.size:
+            values = (np.mean(below), np.mean(above), np.mean(latencies),
+                      np.percentile(latencies, 95))
         in_ms = (latencies / ms, values[2] / ms, values[3] / ms)
+    if bad.size or not np.isfinite(values[2]):
+        where = f"query {packed.query_ids[bad[0]]}'s" if bad.size else "the mean"
+        raise ValueError(f"{where} latency in cost units is not finite (check the feature costs "
+                         "and recalled counts)")
     if not all(np.isfinite(v).all() for v in in_ms):
         raise ValueError(f"cost_units_per_ms {ms} gives a latency in ms that is not finite")
     rows = tuple(map(row, packed.query_ids, packed.mcounts.tolist(), packed.sizes.tolist(),

@@ -1,6 +1,7 @@
 """Loss functions and their analytic gradients.
 
-Three nested objectives over a cascade model:
+Three nested objectives over a cascade model; which level charges which term
+is ``TERMS``, and ``total`` adds the charged terms alone:
 
   level 1: behavior-weighted negative log-likelihood + ridge regularization
            alpha * |w|^2
@@ -42,20 +43,29 @@ from .core import (
 
 OBJECTIVE_LEVELS = ("l1", "l2", "l3")
 
+# The objective's terms in the order ``total`` adds them: the ``LossBreakdown``
+# field, the ``ObjectiveConfig`` key of its coefficient (None: added as it is),
+# the levels that charge it, and the other keys to check when it is not finite.
+TERMS = (("nll", None, OBJECTIVE_LEVELS, ("purchase_weight", "price_weight")),
+         ("l2", "alpha", OBJECTIVE_LEVELS, ()),
+         ("expected_cost", "beta", ("l2", "l3"), ()),
+         ("size_penalty", "delta", ("l3",), ("gamma", "result_floor")),
+         ("latency_penalty", "latency_penalty_weight", ("l3",), ("gamma", "latency_ceiling")))
+
+
+def charged_terms(objective: str) -> tuple:
+    """The rows of ``TERMS`` that the level ``objective`` charges."""
+    if objective not in OBJECTIVE_LEVELS:
+        raise ValueError(f"objective must be one of {OBJECTIVE_LEVELS}, got {objective!r}")
+    return tuple(row for row in TERMS if objective in row[2])
+
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    """Coefficients and thresholds of the full objective: the ridge term
-    alpha * |w|^2, the expected CPU cost, and per query one softplus penalty
-    on its expected result count and one on its expected latency, where
-    stage j's cost is charged to the items expected to enter it.
+    """Coefficients and thresholds of the objective; ``TERMS`` names the
+    term each coefficient scales.
 
-    alpha      ridge (squared L2) regularization coefficient.
-    beta       CPU-cost trade-off coefficient.
     gamma      softplus sharpness; the softplus-hinge gap is ln(2)/gamma.
-    delta      weight of the result-count floor penalty.
-    latency_penalty_weight
-               weight of the latency ceiling penalty.
     result_floor       desired minimum expected result count per query (N_o).
     latency_ceiling    latency threshold per query, in cost units (T_l).
     purchase_weight    how many times more important a purchase is than a click.
@@ -86,12 +96,7 @@ class ObjectiveConfig:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Loss components plus the analytic gradient of ``total``.
-
-    ``total`` is composed exactly as
-    nll + alpha*l2 + beta*expected_cost + delta*size_penalty
-        + latency_penalty_weight*latency_penalty
-    with the coefficients of terms absent from the objective level zeroed.
+    """Every term of ``TERMS``, their ``total`` at one level and its gradient.
     ``queries_below_floor`` and ``queries_above_ceiling`` count the queries
     whose expected result count is below ``result_floor`` and whose expected
     latency is above ``latency_ceiling``, at every objective level.
@@ -196,11 +201,12 @@ def _query_expectations(packed: PackedDataset, t: np.ndarray, P: np.ndarray):
     S = np.column_stack([np.bincount(group_of_row, weights=P[:, j], minlength=packed.n_groups)
                          for j in range(P.shape[1])])
     mratio = packed.mcounts / packed.sizes     # M_q / N_q
-    # sum_j t_{j+1} S[:, j] column by column: BLAS would round a query by its row
-    after_first = reduce(np.add, (S[:, :-1] * t[1:]).T, np.zeros(packed.n_groups))
-    cost = float(t[0] * packed.n_instances + np.sum(after_first))
+    with np.errstate(over="ignore"):    # a cost that overflows is inf, for its reader to name
+        # sum_j t_{j+1} S[:, j] column by column: BLAS would round a query by its row
+        after_first = reduce(np.add, (S[:, :-1] * t[1:]).T, np.zeros(packed.n_groups))
+        cost = float(t[0] * packed.n_instances + np.sum(after_first))
+        latencies = t[0] * packed.mcounts + mratio * after_first
     counts_final = mratio * S[:, -1]
-    latencies = t[0] * packed.mcounts + mratio * after_first
     return S, cost, counts_final, latencies
 
 
@@ -210,47 +216,42 @@ def expected_cost(model: CascadeModel, data) -> float:
     return forward_expectations(model, pack_groups(data))[2]
 
 
-def blame_term(bd: LossBreakdown, cfg: ObjectiveConfig, objective: str,
+def blame_term(bd: LossBreakdown, cfg: ObjectiveConfig, objective: str, model: CascadeModel,
                packed: PackedDataset) -> str:
-    """What to blame for a loss or gradient ``bd`` of ``packed`` that is not finite, and its
-    keys: the feature values if their absolute sum overflows, as the logits and gradient
-    then can; else the first term not finite as scaled in ``total``, else the largest."""
-    with np.errstate(over="ignore"):
+    """What to blame for a term, loss or gradient ``bd`` of ``model`` on ``packed`` that is
+    not finite, and its keys: the feature values if their absolute sum overflows, as the
+    logits and gradient then can; the feature costs and recalled counts if the expected
+    cost or a latency overflows; else the first charged term not finite as ``total`` adds
+    it, then the first uncharged one not finite as it is, else the largest charged one."""
+    with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(np.abs(packed.X).sum()):
             return "overflowing feature values (check the dataset, or datagen.feature_quality)"
-    beta, delta, lat_w = _masked_coeffs(cfg, objective)
-    terms = (("nll", bd.nll, "purchase_weight, price_weight"),
-             ("l2", cfg.alpha * bd.l2, "alpha"),
-             ("expected_cost", beta * bd.expected_cost, "beta"),
-             ("size_penalty", delta * bd.size_penalty, "delta, gamma, result_floor"),
-             ("latency_penalty", lat_w * bd.latency_penalty,
-              "latency_penalty_weight, gamma, latency_ceiling"))
-    term, _, keys = next((t for t in terms if not np.isfinite(t[1])),
-                         max(terms, key=lambda t: abs(t[1])))
-    return f"the {term} term (check {keys})"
-
-
-def _masked_coeffs(cfg: ObjectiveConfig, objective: str) -> tuple[float, float, float]:
-    if objective not in OBJECTIVE_LEVELS:
-        raise ValueError(f"objective must be one of {OBJECTIVE_LEVELS}, got {objective!r}")
-    beta = cfg.beta if objective in ("l2", "l3") else 0.0
-    delta = cfg.delta if objective == "l3" else 0.0
-    lat_w = cfg.latency_penalty_weight if objective == "l3" else 0.0
-    return beta, delta, lat_w
+        _, _, cost, _, latencies = forward_expectations(model, packed)
+    if not np.isfinite(np.append(latencies, cost)).all():
+        return ("an overflowing expected cost or latency (check the feature costs and "
+                "recalled counts)")
+    charged = [(field, getattr(bd, field) * (getattr(cfg, key) if key else 1.0),
+                tuple(filter(None, (key, *keys))))
+               for field, key, _, keys in charged_terms(objective)]
+    uncharged = [(field, getattr(bd, field), keys)
+                 for field, _, levels, keys in TERMS if objective not in levels]
+    term, _, keys = next((t for t in charged + uncharged if not np.isfinite(t[1])),
+                         max(charged, key=lambda t: abs(t[1])))
+    return f"the {term} term (check {', '.join(keys)})"
 
 
 def loss(model: CascadeModel, data, cfg: ObjectiveConfig, objective: str = "l3",
          want_grad: bool = True) -> LossBreakdown:
     """Loss breakdown (and analytic gradient) at the requested objective level.
 
-    One forward sweep over the rows gives the weighted NLL, the expected CPU
-    cost (stage j's cost charged to its expected entrants) and one softplus
-    penalty per query on its expected result count and latency; the ridge
-    term is alpha * |w|^2. With ``want_grad`` one backward sweep chains the
-    four data terms to the weights together; otherwise ``gradient`` is empty.
+    One forward sweep over the rows gives every term of ``TERMS``. With
+    ``want_grad`` one backward sweep chains the data terms the level charges
+    to the weights together; otherwise ``gradient`` is empty. A term that
+    overflows is reported as it is, with no numpy warning.
     """
     packed = pack_groups(data)
-    beta, delta, lat_w = _masked_coeffs(cfg, objective)
+    coef = {field: getattr(cfg, key) if key else 1.0
+            for field, key, _, _ in charged_terms(objective)}
     t = stage_costs(model.assignment, model.schema)
     Z, cum_log_p = batch_log_pass(model, packed)
     log_q = log_expit(-Z)                      # log(1 - p) per stage
@@ -262,40 +263,46 @@ def loss(model: CascadeModel, data, cfg: ObjectiveConfig, objective: str = "l3",
 
     wgt = instance_weights(packed.labels, packed.prices, cfg)
     y = packed.y
-    nll = -float(np.sum(wgt * (y * log_p_final + (1.0 - y) * log_1mp)))
-
+    w = model.weights
     P = np.exp(cum_log_p)                      # cumulative pass probabilities
     _, cost, counts_final, latencies = _query_expectations(packed, t, P)
-    size_penalty = float(np.sum(_scaled_softplus_gap(cfg.result_floor - counts_final, cfg.gamma)))
-    latency_penalty = float(np.sum(
-        _scaled_softplus_gap(latencies - cfg.latency_ceiling, cfg.gamma)))
-
-    w = model.weights
-    l2 = float(w @ w)
-    total = (nll + cfg.alpha * l2 + beta * cost
-             + delta * size_penalty + lat_w * latency_penalty)
+    with np.errstate(over="ignore"):           # a term that overflows is reported as inf
+        terms = dict(
+            nll=-float(np.sum(wgt * (y * log_p_final + (1.0 - y) * log_1mp))), l2=float(w @ w),
+            expected_cost=cost,
+            size_penalty=float(np.sum(_scaled_softplus_gap(cfg.result_floor - counts_final,
+                                                           cfg.gamma))),
+            latency_penalty=float(np.sum(_scaled_softplus_gap(latencies - cfg.latency_ceiling,
+                                                              cfg.gamma))))
+    total = reduce(lambda a, b: a + b, (c * terms[field] for field, c in coef.items()))
     gradient = np.zeros(0)
     if want_grad:
-        sizes = packed.sizes
-        mratio = packed.mcounts / sizes        # M_q / N_q
         sig_neg = np.exp(log_q)                # 1 - p per stage, underflow-safe
         # y=0 term is p * (1 - p_j) / (1 - p): <= 1 analytically, so summing the
         # exponents before exponentiating cannot overflow.
         neg_term = np.exp((log_p_final - log_1mp)[:, None] + log_q)
-        # suffix[i, b] = sum_{k=b}^{T-2} t[k+1] * P[i, k]: the cost the item is
-        # expected to incur in stages after b, given it passes stage b.
-        suffix = np.zeros_like(P)
-        suffix[:, :-1] = _suffix_sums(P[:, :-1] * t[1:])
-        size_coef = -expit(cfg.gamma * (cfg.result_floor - counts_final)) * mratio
-        lat_coef = expit(cfg.gamma * (latencies - cfg.latency_ceiling)) * mratio
-        suffix_coef = beta + lat_w * np.repeat(lat_coef, sizes)
-        final_coef = delta * np.repeat(size_coef, sizes) * P[:, -1]
-        dZ = (wgt[:, None] * np.where(y[:, None] > 0, -sig_neg, neg_term)
-              + sig_neg * (suffix_coef[:, None] * suffix + final_coef[:, None]))
-        gradient = _weight_grad(model, packed, dZ) + cfg.alpha * (2.0 * w)
+        dZ = wgt[:, None] * np.where(y[:, None] > 0, -sig_neg, neg_term)
+        if "expected_cost" in coef:            # levels nest: a penalty comes with the cost
+            sizes = packed.sizes
+            mratio = packed.mcounts / sizes    # M_q / N_q
+            # suffix[i, b] = sum_{k=b}^{T-2} t[k+1] * P[i, k]: the cost the item is
+            # expected to incur in stages after b, given it passes stage b.
+            suffix = np.zeros_like(P)
+            suffix[:, :-1] = _suffix_sums(P[:, :-1] * t[1:])
+            suffix_coef = coef["expected_cost"]
+            if "latency_penalty" in coef:
+                lat_coef = expit(cfg.gamma * (latencies - cfg.latency_ceiling)) * mratio
+                suffix_coef = (suffix_coef
+                               + coef["latency_penalty"] * np.repeat(lat_coef, sizes))[:, None]
+            charge = suffix_coef * suffix
+            if "size_penalty" in coef:
+                size_coef = -expit(cfg.gamma * (cfg.result_floor - counts_final)) * mratio
+                charge = charge + (coef["size_penalty"] * np.repeat(size_coef, sizes)
+                                   * P[:, -1])[:, None]
+            dZ = dZ + sig_neg * charge
+        gradient = _weight_grad(model, packed, dZ) + coef["l2"] * (2.0 * w)
     return LossBreakdown(
-        total=float(total), nll=nll, l2=l2, expected_cost=cost,
-        size_penalty=size_penalty, latency_penalty=latency_penalty,
+        total=float(total), **terms,
         queries_below_floor=int(np.count_nonzero(counts_final < cfg.result_floor)),
         queries_above_ceiling=int(np.count_nonzero(latencies > cfg.latency_ceiling)),
         gradient=gradient,

@@ -140,10 +140,11 @@ def simulate(model: CascadeModel, data, cfg: ObjectiveConfig, *, stochastic: boo
 
     t = stage_costs(model.assignment, model.schema)
     cost = np.zeros(packed.n_groups)
-    for a in range(model.n_stages):
-        cost += entrants[:, a] * t[a]
     scale = packed.mcounts / packed.sizes
-    latency = cost * scale
+    with np.errstate(over="ignore"):    # query_table names a latency that overflows
+        for a in range(model.n_stages):
+            cost += entrants[:, a] * t[a]
+        latency = cost * scale
     rows, summary = query_table(packed, survivors[:, -1] * scale, latency, cfg, SimQueryRecord)
     # builtin sum adds left to right over the rows; np.sum would add pairwise
     return SimReport(total_cost=float(sum(r.realized_cost for r in rows)), **summary,

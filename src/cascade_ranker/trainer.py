@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from .core import (CascadeModel, FeatureSchema, PackedDataset, QueryGroup, StageAssignment,
                    check_domains, check_json, pack_groups)
-from .objective import OBJECTIVE_LEVELS, ObjectiveConfig, blame_term, forward_expectations, loss
+from .objective import (LossBreakdown, ObjectiveConfig, blame_term, charged_terms,
+                        forward_expectations, loss)
 
 # a model file's JSON object: its format and version, and a valid value of every other key
 MODEL_TEMPLATE = {"format": "cascade-model", "version": 2, "item_dim": 0, "query_bins": [0.0],
@@ -52,8 +53,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_domains(vars(self), self.DOMAINS)
-        if self.objective not in OBJECTIVE_LEVELS:
-            raise ValueError(f"objective must be one of {OBJECTIVE_LEVELS}")
+        charged_terms(self.objective)    # the one check of the level
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,9 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
     lr = train_cfg.learning_rate
     for epoch in range(1, train_cfg.epochs + 1):
         order = shuffle_rng.permutation(packed.n_groups)
-        total = nll = cost = size_pen = lat_pen = grad_norms = 0.0
-        below = above = n_batches = 0
+        sums = {f.name: 0.0 for f in fields(EpochRecord)    # the loss figures it logs
+                if f.name in LossBreakdown.__dataclass_fields__}
+        grad_norms, below, above, n_batches = 0.0, 0, 0, 0
         for b0 in range(0, len(order), train_cfg.batch_size):
             batch = packed.take(order[b0 : b0 + train_cfg.batch_size])
             batch_cfg = replace(obj_cfg, alpha=obj_cfg.alpha * batch.n_instances / n_total)
@@ -146,8 +147,9 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
                 bd = loss(model, batch, batch_cfg, train_cfg.objective)
                 grad_norm = float(np.linalg.norm(bd.gradient))
             at = f"at epoch {epoch}, batch {b0 // train_cfg.batch_size}"
-            if not (np.isfinite(bd.total) and np.isfinite(grad_norm)):
-                cause = blame_term(bd, batch_cfg, train_cfg.objective, batch)
+            # a logged figure that is not finite is rejected, charged or not
+            if not np.isfinite([grad_norm, *(getattr(bd, name) for name in sums)]).all():
+                cause = blame_term(bd, batch_cfg, train_cfg.objective, model, batch)
                 if epoch > 1 or b0 > 0:
                     cause += " or the steps before it (check learning_rate, lr_decay)"
                 elif not np.isfinite(bd.l2):
@@ -161,11 +163,8 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
             except ValueError:
                 raise TrainingDiverged(f"non-finite weights after update {at}: the step "
                                        "(check learning_rate, lr_decay)") from None
-            total += bd.total
-            nll += bd.nll
-            cost += bd.expected_cost
-            size_pen += bd.size_penalty
-            lat_pen += bd.latency_penalty
+            for name in sums:
+                sums[name] += getattr(bd, name)
             grad_norms += grad_norm
             below += bd.queries_below_floor
             above += bd.queries_above_ceiling
@@ -178,8 +177,7 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
         except ValueError:
             auc_val = float("nan")
         log.records.append(EpochRecord(
-            epoch=epoch, total=total, nll=nll, expected_cost=cost, size_penalty=size_pen,
-            latency_penalty=lat_pen, lr=lr, grad_norm=grad_norms / n_batches,
+            epoch=epoch, **sums, lr=lr, grad_norm=grad_norms / n_batches,
             frac_below_floor=below / packed.n_groups, frac_above_ceiling=above / packed.n_groups,
             auc=auc_val, wall_time_s=time.monotonic() - start,
         ))
@@ -225,8 +223,9 @@ def gradient_check(model: CascadeModel, data, obj_cfg: ObjectiveConfig, objectiv
         bd = loss(model, packed, obj_cfg, objective)
     if not (np.isfinite(bd.total) and np.isfinite(bd.gradient).all()):
         raise ValueError(f"the {objective} loss ({bd.total}) or its gradient at the checked "
-                         f"weights is not finite, from {blame_term(bd, obj_cfg, objective, packed)}"
-                         ", so there is no gradient to check")
+                         "weights is not finite, from "
+                         f"{blame_term(bd, obj_cfg, objective, model, packed)}, so there is no "
+                         "gradient to check")
     analytic = bd.gradient
 
     n = w.shape[0]

@@ -21,7 +21,7 @@ from cascade_ranker.core import (
     stage_costs,
 )
 from cascade_ranker.datagen import _log_uniform_int
-from cascade_ranker.objective import _masked_coeffs, instance_weights
+from cascade_ranker.objective import instance_weights
 
 
 def ulp_distance(a, b) -> np.ndarray:
@@ -82,7 +82,8 @@ def loss_gradient(model, packed, cfg, objective: str) -> np.ndarray:
     ``expit`` and ``log_expit``, through numpy's row-wise cumulative sums,
     scipy's logsumexp, the expected pass counts S added by one ``bincount``
     per stage, and one ``accumulate_weight_grad`` call on the summed
-    dLoss/dZ of all four data terms."""
+    dLoss/dZ of all four data terms, each scaled by a coefficient that is 0
+    at a level that does not charge it, by its own table of levels."""
     t = stage_costs(model.assignment, model.schema)
     Z = batch_logits(model, packed)
     cum_log_p = np.cumsum(log_expit(Z), axis=1)
@@ -105,7 +106,8 @@ def loss_gradient(model, packed, cfg, objective: str) -> np.ndarray:
     suffix = np.zeros_like(P)
     suffix[:, :-1] = _suffix_sums(P[:, :-1] * t[1:])
 
-    beta, delta, lat_w = _masked_coeffs(cfg, objective)
+    beta, delta, lat_w = {"l1": (0.0, 0.0, 0.0), "l2": (cfg.beta, 0.0, 0.0),
+                          "l3": (cfg.beta, cfg.delta, cfg.latency_penalty_weight)}[objective]
     sig_neg = np.exp(log_q)
     neg_term = np.exp((log_p_final - log_1mp)[:, None] + log_q)
     size_coef = -expit(cfg.gamma * (cfg.result_floor - counts_final)) * mratio

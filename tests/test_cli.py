@@ -102,6 +102,18 @@ def _with_objective(tmp_path, small_config, key, value):
     return path
 
 
+def _with_costs(tmp_path, small_config, cost, **datagen):
+    """Copy of ``small_config`` whose every feature costs ``cost`` and whose
+    datagen keys in ``datagen`` take those values."""
+    cfg = json.loads(small_config.read_text())
+    for feature in cfg["schema"]["features"]:
+        feature["cost"] = cost
+    cfg["datagen"].update(datagen)
+    path = tmp_path / "costly.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 def _fails_cleanly(argv, capsys, *needles):
     capsys.readouterr()
     rc = main(argv)
@@ -596,6 +608,39 @@ class TestDatasetValidation:
                                      "that is not finite")
         assert "Warning" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [["eval"], ["simulate"], ["simulate", "--stochastic"]])
+    def test_latency_in_cost_units_that_overflows_names_the_query(self, tmp_path, small_config,
+                                                                  capsys, flags):
+        path = _with_costs(tmp_path, small_config, 1e291, n_queries=20,
+                           head_mcount_range=[2**62, 2**62], tail_mcount_range=[2**62, 2**62])
+        data = _gen(tmp_path, path)
+        model = _train(tmp_path, small_config, data)
+        err = _fails_cleanly([*flags, "--config", str(path), "--dataset", str(data),
+                              "--model", str(model), "--out", str(tmp_path / "out")], capsys,
+                             "error: query q00000's latency in cost units is not finite (check "
+                             "the feature costs and recalled counts)")
+        assert "Warning" not in err and "cost_units_per_ms" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_l1_rejects_an_uncharged_term_that_overflows(self, tmp_path, small_config, capsys):
+        # l1 charges no cost or latency, so its loss is finite; the log records
+        # the latency penalty all the same, and it is infinite
+        path = _with_costs(tmp_path, small_config, 1e304)
+        data = _gen(tmp_path, path)
+        err = _fails_cleanly(["train", "--config", str(path), "--dataset", str(data),
+                              "--objective", "l1", "--out", str(tmp_path / "x")], capsys,
+                             "(check the feature costs and recalled counts)")
+        assert "Warning" not in err
+        for key in ("beta", "gamma", "delta", "latency_penalty_weight", "latency_ceiling",
+                    "result_floor"):
+            assert key not in err
+        assert not (tmp_path / "x").exists()
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--config", str(path), "--dataset", str(data),
+                     "--objective", "l1", "--out", str(out)]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        assert not _NOT_FINITE.search((out / "gradcheck.txt").read_text())
 
 
 class TestTrainCommand:

@@ -16,10 +16,12 @@ from cascade_ranker.core import (
 )
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
 from cascade_ranker.evaluator import (
+    PerQueryRecord,
     baseline_l1,
     baseline_two_stage,
     evaluate,
     macro_auc,
+    query_table,
 )
 from cascade_ranker.objective import ObjectiveConfig, expected_cost
 from cascade_ranker.trainer import TrainConfig, init_weights, train
@@ -220,6 +222,12 @@ class TestEvaluate:
         report = evaluate(model, packed, ObjectiveConfig())
         assert [r.expected_final_count for r in report.per_query] == (
             packed.mcounts / packed.sizes * S[:, -1]).tolist()
+
+    def test_finite_latencies_whose_mean_overflows_are_named(self):
+        packed = generate(GenConfig(n_queries=2, seed=1), default_schema())
+        with pytest.raises(ValueError, match=r"^the mean latency in cost units is not finite "
+                                             r"\(check the feature costs and recalled counts\)$"):
+            query_table(packed, np.ones(2), np.full(2, 1e308), ObjectiveConfig(), PerQueryRecord)
 
     def test_zero_baseline_cost_rejected(self):
         schema = FeatureSchema(tuple(replace(f, cost=0.0) for f in default_schema().features))

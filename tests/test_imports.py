@@ -14,7 +14,9 @@ other function may hold their messages. Likewise ``check_domains`` is the one
 reader of the domain tables, so no other function may hold a domain message:
 an array's rule says "must all be" instead. And ``check_json`` is the one JSON
 type checker, of configs, model files and manifests, so no other function
-may hold the message of a JSON value of the wrong type.
+may hold the message of a JSON value of the wrong type. ``charged_terms`` is
+the one check of an objective level, so no other function may hold its
+message.
 
 The package's footprint is numpy alone: the third-party modules that
 ``src/`` imports are ``pyproject.toml``'s runtime dependencies, and a fresh
@@ -170,6 +172,23 @@ def test_only_check_domains_holds_the_domain_messages():
                for where, message in block_rule_holders(path.read_text(encoding="utf-8"),
                                                         DOMAIN_MESSAGES)}
     assert holders == {("core", "check_domains", "must be finite")}
+
+
+# the fixed part of the message of an objective level that is not one
+LEVEL_MESSAGES = ("objective must be one of",)
+
+
+def test_finds_a_level_message():
+    source = ("def check(o):\n    raise ValueError(f'objective must be one of {L}, got {o!r}')\n"
+              "LEVELS = 'l1 l2 l3'\n")
+    assert block_rule_holders(source, LEVEL_MESSAGES) == {("check", "objective must be one of")}
+
+
+def test_only_charged_terms_holds_the_level_message():
+    holders = {(path.stem, where, message) for path in MODULES
+               for where, message in block_rule_holders(path.read_text(encoding="utf-8"),
+                                                        LEVEL_MESSAGES)}
+    assert holders == {("objective", "charged_terms", "objective must be one of")}
 
 
 # the fixed parts of the messages of a JSON value of the wrong type

@@ -1,5 +1,6 @@
 import math
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -352,6 +353,33 @@ class TestLossComposition:
             recomposed = (bd.nll + cfg.alpha * bd.l2 + beta * bd.expected_cost
                           + delta * bd.size_penalty + latw * bd.latency_penalty)
             assert recomposed == bd.total  # bitwise
+
+    # the coefficients each level leaves uncharged, written out here rather
+    # than read from the table of terms this checks
+    UNCHARGED = {"l1": ("beta", "delta", "latency_penalty_weight"),
+                 "l2": ("delta", "latency_penalty_weight"), "l3": ()}
+
+    @given(objective=st.sampled_from(OBJECTIVE_LEVELS),
+           coefficients=st.tuples(*[st.floats(0.0, 1e308)] * 3), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_a_level_charges_only_its_terms(self, objective, coefficients, seed):
+        model, groups, cfg = _random_problem(seed)
+        uncharged = self.UNCHARGED[objective]
+        at = loss(model, groups, replace(cfg, **dict(zip(uncharged, coefficients))), objective)
+        at_zero = loss(model, groups, replace(cfg, **dict.fromkeys(uncharged, 0.0)), objective)
+        assert np.float64(at.total).tobytes() == np.float64(at_zero.total).tobytes()
+        assert at.gradient.tobytes() == at_zero.gradient.tobytes()
+
+    def test_l1_reports_but_does_not_charge_an_overflowing_latency(self):
+        schema = FeatureSchema(tuple(replace(f, cost=1e304) for f in default_schema().features))
+        data = generate(GenConfig(n_queries=40, seed=5), schema)
+        model = init_weights(schema, default_assignment(schema), 5, 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bd = loss(model, data, ObjectiveConfig(), "l1")
+        assert np.isfinite(bd.total) and np.isfinite(bd.gradient).all()
+        assert bd.total == bd.nll + ObjectiveConfig().alpha * bd.l2
+        assert bd.latency_penalty == math.inf
 
     @pytest.mark.parametrize("objective", OBJECTIVE_LEVELS)
     def test_threshold_counts_match_report_flags(self, objective):
