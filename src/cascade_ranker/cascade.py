@@ -45,13 +45,18 @@ def batch_logits(model: CascadeModel, packed: PackedDataset) -> np.ndarray:
     return Z
 
 
-def batch_log_pass(model: CascadeModel, packed: PackedDataset) -> tuple[np.ndarray, np.ndarray]:
-    """(Z, cumulative log pass probabilities), both shape (n, T).
+def batch_log_pass(model: CascadeModel, packed: PackedDataset, log_q: bool = False) -> tuple:
+    """(Z, cumulative log pass probabilities), both shape (n, T), and with
+    ``log_q`` a third: log(1 - p) per stage, log_expit(-Z) bit for bit.
 
     ``cum_log_p[:, k]`` is log of the probability of passing stages 0..k.
+    log sigma(Z) and log sigma(-Z) share one n = -log1p(exp(-|Z|)): the
+    first is Z + n where Z < 0, else n; the second n - Z where Z > 0, else n.
     """
     Z = batch_logits(model, packed)
-    return Z, _cumsum_columns(log_expit(Z))
+    n = -np.log1p(np.exp(-np.abs(Z)))
+    cum_log_p = _cumsum_columns(np.where(Z < 0, Z + n, n))
+    return (Z, cum_log_p, np.where(Z > 0, n - Z, n)) if log_q else (Z, cum_log_p)
 
 
 def _cumsum_columns(a: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, replace
@@ -292,7 +293,11 @@ def cmd_eval(args) -> int:
                   "config section 'eval', key 'two_stage_keep_k': ")
     model = _load_matching_model(args.model, cfg, schema)
     packed = _read_valid_dataset(args.dataset, schema)
-    base = float(packed.n_instances * schema.costs().sum())
+    with np.errstate(over="ignore"):    # an overflow is named below
+        base = float(packed.n_instances * schema.costs().sum())
+    if not math.isfinite(base):
+        raise ValueError(f"the baseline cost, {packed.n_instances} instances times the sum of "
+                         "the feature costs, is not finite (check the feature costs)")
     report = evaluate(model, packed, obj_cfg, baseline_cost=base)
 
     text = report.to_text()

@@ -20,13 +20,15 @@ function that takes data calls it and accepts either.
 
 A ``CascadeModel`` is its flat weight vector, built by its constructor, the
 one builder; its ``stage_slices`` are the one stage layout, defined here
-alone, as is the row arithmetic of ``PackedDataset.take``.
+alone, as is the row arithmetic of ``PackedDataset.rows``.
 
 All types here are immutable after construction and safe to share across
 threads; a ``CascadeModel`` keeps the float64 vector it is given, which its
-caller must not write to afterwards. Vectors are float64 numpy arrays. The
-types that hold arrays (``QueryGroup``, ``CascadeModel``, ``PackedDataset``)
-compare and hash by identity.
+caller must not write to afterwards (``train`` alone steps the vector of the
+model it is training in place, and shares that model with no one until it
+returns it). Vectors are float64 numpy arrays. The types that hold arrays
+(``QueryGroup``, ``CascadeModel``, ``PackedDataset``) compare and hash by
+identity.
 """
 
 from __future__ import annotations
@@ -210,12 +212,14 @@ class StageAssignment:
 
 def stage_costs(assignment: StageAssignment, schema: FeatureSchema) -> np.ndarray:
     """Fixed per-item cost of every stage, shape (T,). Each stage's feature
-    costs are added left to right in assignment order."""
+    costs are added left to right in assignment order; a sum that overflows
+    is inf, with no numpy warning, for the cost's reader to name."""
     assignment.validate_against(schema)
     costs = schema.costs()
-    return np.array(
-        [sum(costs[idx] for idx in stage) for stage in assignment.stages], dtype=np.float64,
-    )
+    with np.errstate(over="ignore"):
+        return np.array(
+            [sum(costs[idx] for idx in stage) for stage in assignment.stages], dtype=np.float64,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,9 +258,11 @@ class CascadeModel:
 
     ``stage_slices[j]`` is the (item, query) pair of slices of stage j in
     ``weights``, the one stage layout: ``weights[item]`` and
-    ``weights[query]`` are views of the vector. The constructor is the one
-    builder. It keeps a float64 vector as it is, without a copy, and
-    rejects one of the wrong length or with a non-finite weight.
+    ``weights[query]`` are views of the vector. ``stage_costs`` is the
+    per-item cost of every stage, as ``stage_costs`` gives it. The
+    constructor is the one builder. It keeps a float64 vector as it is,
+    without a copy, and rejects one of the wrong length or with a
+    non-finite weight.
     """
 
     weights: np.ndarray
@@ -265,7 +271,8 @@ class CascadeModel:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
-        self.assignment.validate_against(self.schema)
+        costs = stage_costs(self.assignment, self.schema)
+        costs.flags.writeable = False
         dq, pos, slices = self.schema.query_feature_dim, 0, []
         for stage in self.assignment.stages:
             k = pos + len(stage)
@@ -277,6 +284,7 @@ class CascadeModel:
             raise ValueError("weights must all be finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "stage_slices", tuple(slices))
+        object.__setattr__(self, "stage_costs", costs)
 
     @property
     def n_stages(self) -> int:
@@ -387,16 +395,27 @@ class PackedDataset:
             yield QueryGroup(qid, self.G[q], mcount, self.X[rows], self.labels[rows],
                              self.prices[rows])
 
-    def take(self, group_idx) -> "PackedDataset":
-        """The groups ``group_idx`` in that order, each with its rows in order."""
+    def rows(self, group_idx) -> np.ndarray:
+        """The row indices of the groups ``group_idx``, in that order, each
+        group's rows in order."""
         group_idx = np.asarray(group_idx, dtype=np.int64)
         sizes = self.sizes[group_idx]
         # row r of the result is source row offsets[q] + (r - the result's rows before q)
         rows = np.repeat(self.offsets[group_idx] - (np.cumsum(sizes) - sizes), sizes)
         rows += np.arange(rows.size)
+        return rows
+
+    def take(self, group_idx, rows=None) -> "PackedDataset":
+        """The groups ``group_idx`` in that order, each with its rows in order.
+        ``rows`` is ``self.rows(group_idx)``, computed when not given: a caller
+        that gathers a column of its own by them passes them in."""
+        group_idx = np.asarray(group_idx, dtype=np.int64)
+        if rows is None:
+            rows = self.rows(group_idx)
         return PackedDataset.from_columns(
-            self.X[rows], self.labels[rows], self.prices[rows], self.G[group_idx], sizes,
-            self.mcounts[group_idx], (self.query_ids[q] for q in group_idx.tolist()))
+            self.X.take(rows, axis=0), self.labels.take(rows), self.prices.take(rows),
+            self.G.take(group_idx, axis=0), self.sizes.take(group_idx),
+            self.mcounts.take(group_idx), map(self.query_ids.__getitem__, group_idx.tolist()))
 
 
 def pack_groups(groups: PackedDataset | Sequence[QueryGroup]) -> PackedDataset:

@@ -26,11 +26,11 @@ The gradient chains one summed dLoss/dZ back to the weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
-from .cascade import batch_log_pass, expit, log_expit
+from .cascade import batch_log_pass, expit
 from .core import (
     LABEL_CLICK,
     LABEL_PURCHASE,
@@ -38,7 +38,6 @@ from .core import (
     PackedDataset,
     check_domains,
     pack_groups,
-    stage_costs,
 )
 
 OBJECTIVE_LEVELS = ("l1", "l2", "l3")
@@ -53,6 +52,7 @@ TERMS = (("nll", None, OBJECTIVE_LEVELS, ("purchase_weight", "price_weight")),
          ("latency_penalty", "latency_penalty_weight", ("l3",), ("gamma", "latency_ceiling")))
 
 
+@cache
 def charged_terms(objective: str) -> tuple:
     """The rows of ``TERMS`` that the level ``objective`` charges."""
     if objective not in OBJECTIVE_LEVELS:
@@ -241,27 +241,29 @@ def blame_term(bd: LossBreakdown, cfg: ObjectiveConfig, objective: str, model: C
 
 
 def loss(model: CascadeModel, data, cfg: ObjectiveConfig, objective: str = "l3",
-         want_grad: bool = True) -> LossBreakdown:
+         want_grad: bool = True, *, weights: np.ndarray | None = None) -> LossBreakdown:
     """Loss breakdown (and analytic gradient) at the requested objective level.
 
     One forward sweep over the rows gives every term of ``TERMS``. With
     ``want_grad`` one backward sweep chains the data terms the level charges
     to the weights together; otherwise ``gradient`` is empty. A term that
-    overflows is reported as it is, with no numpy warning.
+    overflows is reported as it is, with no numpy warning. ``weights``, when
+    given, must be the rows' ``instance_weights`` under ``cfg``: ``train``
+    computes them, with their price check, once per run and passes each
+    batch its rows' share.
     """
     packed = pack_groups(data)
     coef = {field: getattr(cfg, key) if key else 1.0
             for field, key, _, _ in charged_terms(objective)}
-    t = stage_costs(model.assignment, model.schema)
-    Z, cum_log_p = batch_log_pass(model, packed)
-    log_q = log_expit(-Z)                      # log(1 - p) per stage
+    t = model.stage_costs
+    _, cum_log_p, log_q = batch_log_pass(model, packed, log_q=True)   # log_q: log(1 - p)
     prefix = np.zeros_like(cum_log_p)          # sum of log p over stages < j
     prefix[:, 1:] = cum_log_p[:, :-1]
     log_p_final = cum_log_p[:, -1]
     # telescoping: log(1 - prod p) = logsumexp_j [log(1-p_j) + sum_{k<j} log p_k]
     log_1mp = _logsumexp_rows(log_q + prefix)
 
-    wgt = instance_weights(packed.labels, packed.prices, cfg)
+    wgt = instance_weights(packed.labels, packed.prices, cfg) if weights is None else weights
     y = packed.y
     w = model.weights
     P = np.exp(cum_log_p)                      # cumulative pass probabilities
@@ -318,6 +320,5 @@ def forward_expectations(model: CascadeModel, packed: PackedDataset):
     """From one forward pass over ``packed``: the final pass probability per
     instance, then S, the expected cost, and per query the expected final count
     and latency, as ``_query_expectations`` gives them to ``loss``."""
-    t = stage_costs(model.assignment, model.schema)
     P = np.exp(batch_log_pass(model, packed)[1])
-    return (P[:, -1], *_query_expectations(packed, t, P))
+    return (P[:, -1], *_query_expectations(packed, model.stage_costs, P))

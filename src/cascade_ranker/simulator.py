@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .cascade import batch_log_pass, expit
-from .core import CascadeModel, PackedDataset, QueryGroup, pack_groups, stage_costs
+from .core import CascadeModel, PackedDataset, QueryGroup, pack_groups
 from .evaluator import QueryReport, query_table
 from .objective import ObjectiveConfig, forward_expectations
 
@@ -65,7 +65,7 @@ def serve_query(keep_counts: Sequence[int], model: CascadeModel, group: QueryGro
         raise ValueError(f"need {T} keep counts, got {len(keep_counts)}")
     _, cum_log_p = batch_log_pass(model, pack_groups([group]))
     survivors = np.arange(group.size)
-    t = stage_costs(model.assignment, model.schema)
+    t = model.stage_costs
     cost = 0.0
     entrants, kept = [], []
     for a in range(T):
@@ -138,7 +138,7 @@ def simulate(model: CascadeModel, data, cfg: ObjectiveConfig, *, stochastic: boo
         survivors = _keep_counts(packed.sizes, forward_expectations(model, packed)[1])
     entrants = np.concatenate([packed.sizes[:, None], survivors[:, :-1]], axis=1)
 
-    t = stage_costs(model.assignment, model.schema)
+    t = model.stage_costs
     cost = np.zeros(packed.n_groups)
     scale = packed.mcounts / packed.sizes
     with np.errstate(over="ignore"):    # query_table names a latency that overflows

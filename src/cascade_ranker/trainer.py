@@ -13,6 +13,7 @@ the seed. A divergence is an error that names the config keys to check.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
@@ -22,7 +23,7 @@ import numpy as np
 from .core import (CascadeModel, FeatureSchema, PackedDataset, QueryGroup, StageAssignment,
                    check_domains, check_json, pack_groups)
 from .objective import (LossBreakdown, ObjectiveConfig, blame_term, charged_terms,
-                        forward_expectations, loss)
+                        forward_expectations, instance_weights, loss)
 
 # a model file's JSON object: its format and version, and a valid value of every other key
 MODEL_TEMPLATE = {"format": "cascade-model", "version": 2, "item_dim": 0, "query_bins": [0.0],
@@ -85,6 +86,10 @@ class EpochRecord:
     wall_time_s: float
 
 
+# the loss figures an EpochRecord sums over its epoch's batches
+LOGGED = tuple(f.name for f in fields(EpochRecord) if f.name in LossBreakdown.__dataclass_fields__)
+
+
 @dataclass
 class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
@@ -114,6 +119,15 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
     batch's update, so no extra pass over the training split is made. Its
     AUC is measured on ``eval_data`` (or the training split when no held-out
     data is given) at the end of the epoch.
+
+    Once per run: the packing, the instance weights of every training row
+    (with their price check), and the one model, whose stage costs are
+    computed with it and whose weight vector, the run's own, each step
+    updates in place; no one else holds the model before it is returned.
+    Once per distinct batch row count: the batch's ``ObjectiveConfig``,
+    whose ``alpha`` is scaled by the batch's share of the rows. Once per
+    batch: its row indices, which gather its columns and its rows' weights,
+    and one ``loss`` with the gradient.
     """
     from .evaluator import macro_auc  # local import: evaluator imports this module
 
@@ -124,51 +138,57 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
         raise ValueError("training data needs at least one positive and one negative label")
 
     model = init_weights(schema, assignment, train_cfg.seed, train_cfg.init_scale)
+    w = model.weights    # the run's own vector: each step updates it in place
     shuffle_rng = np.random.default_rng([train_cfg.seed, 1])
     n_total = packed.n_instances
     if not np.isfinite(obj_cfg.alpha * n_total):    # a batch scales alpha by <= n_total
         raise ValueError(f"alpha {obj_cfg.alpha} times the {n_total} training instances "
                          "overflows to inf")
     eval_packed = pack_groups(eval_data) if eval_data is not None else packed
+    with np.errstate(over="ignore"):    # a weight that overflows is named by a batch's check
+        row_weights = instance_weights(packed.labels, packed.prices, obj_cfg)
+    batch_cfgs = {}    # a batch's ObjectiveConfig by its row count
 
     log = TrainLog()
     start = time.monotonic()
     lr = train_cfg.learning_rate
     for epoch in range(1, train_cfg.epochs + 1):
         order = shuffle_rng.permutation(packed.n_groups)
-        sums = {f.name: 0.0 for f in fields(EpochRecord)    # the loss figures it logs
-                if f.name in LossBreakdown.__dataclass_fields__}
+        sums = dict.fromkeys(LOGGED, 0.0)
         grad_norms, below, above, n_batches = 0.0, 0, 0, 0
-        for b0 in range(0, len(order), train_cfg.batch_size):
-            batch = packed.take(order[b0 : b0 + train_cfg.batch_size])
-            batch_cfg = replace(obj_cfg, alpha=obj_cfg.alpha * batch.n_instances / n_total)
-            # a loss, gradient or gradient norm that overflows is reported below
-            with np.errstate(over="ignore", invalid="ignore"):
-                bd = loss(model, batch, batch_cfg, train_cfg.objective)
+        # a loss, gradient, gradient norm or step that overflows is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b0 in range(0, len(order), train_cfg.batch_size):
+                group_idx = order[b0 : b0 + train_cfg.batch_size]
+                rows = packed.rows(group_idx)
+                batch = packed.take(group_idx, rows)
+                n = rows.size
+                if n not in batch_cfgs:    # alpha scaled by the batch's share of the rows
+                    batch_cfgs[n] = replace(obj_cfg, alpha=obj_cfg.alpha * n / n_total)
+                batch_cfg = batch_cfgs[n]
+                bd = loss(model, batch, batch_cfg, train_cfg.objective, True,
+                          weights=row_weights.take(rows))
                 grad_norm = float(np.linalg.norm(bd.gradient))
-            at = f"at epoch {epoch}, batch {b0 // train_cfg.batch_size}"
-            # a logged figure that is not finite is rejected, charged or not
-            if not np.isfinite([grad_norm, *(getattr(bd, name) for name in sums)]).all():
-                cause = blame_term(bd, batch_cfg, train_cfg.objective, model, batch)
-                if epoch > 1 or b0 > 0:
-                    cause += " or the steps before it (check learning_rate, lr_decay)"
-                elif not np.isfinite(bd.l2):
-                    cause = "the l2 term of the initial weights (check init_scale)"
-                raise TrainingDiverged(f"non-finite loss or gradient {at}: {cause}")
-            # an overflowing step is reported by the model's finiteness check
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = model.weights - lr * bd.gradient / batch.n_instances
-            try:
-                model = CascadeModel(w, assignment, schema)
-            except ValueError:
-                raise TrainingDiverged(f"non-finite weights after update {at}: the step "
-                                       "(check learning_rate, lr_decay)") from None
-            for name in sums:
-                sums[name] += getattr(bd, name)
-            grad_norms += grad_norm
-            below += bd.queries_below_floor
-            above += bd.queries_above_ceiling
-            n_batches += 1
+                figures = [getattr(bd, name) for name in LOGGED]
+                at = f"at epoch {epoch}, batch {b0 // train_cfg.batch_size}"
+                # a logged figure that is not finite is rejected, charged or not
+                if not all(map(math.isfinite, (grad_norm, *figures))):
+                    cause = blame_term(bd, batch_cfg, train_cfg.objective, model, batch)
+                    if epoch > 1 or b0 > 0:
+                        cause += " or the steps before it (check learning_rate, lr_decay)"
+                    elif not np.isfinite(bd.l2):
+                        cause = "the l2 term of the initial weights (check init_scale)"
+                    raise TrainingDiverged(f"non-finite loss or gradient {at}: {cause}")
+                w -= lr * bd.gradient / n
+                if not np.isfinite(w).all():
+                    raise TrainingDiverged(f"non-finite weights after update {at}: the step "
+                                           "(check learning_rate, lr_decay)")
+                for name, value in zip(LOGGED, figures):
+                    sums[name] += value
+                grad_norms += grad_norm
+                below += bd.queries_below_floor
+                above += bd.queries_above_ceiling
+                n_batches += 1
 
         with np.errstate(over="ignore"):    # a cost sum may overflow; only P is read
             scores = forward_expectations(model, eval_packed)[0]
@@ -176,11 +196,18 @@ def train(data: PackedDataset | Sequence[QueryGroup], schema: FeatureSchema,
             auc_val = macro_auc(scores, eval_packed)
         except ValueError:
             auc_val = float("nan")
-        log.records.append(EpochRecord(
+        record = EpochRecord(
             epoch=epoch, **sums, lr=lr, grad_norm=grad_norms / n_batches,
             frac_below_floor=below / packed.n_groups, frac_above_ceiling=above / packed.n_groups,
             auc=auc_val, wall_time_s=time.monotonic() - start,
-        ))
+        )
+        # each batch's figures are finite, but their sum over the epoch may overflow
+        for name in (*LOGGED, "grad_norm"):
+            if not math.isfinite(getattr(record, name)):
+                raise TrainingDiverged(f"the {name} summed over epoch {epoch} is not finite, "
+                                       "though each batch's is (check the feature costs and "
+                                       "recalled counts)")
+        log.records.append(record)
         lr *= train_cfg.lr_decay
     return model, log
 

@@ -3,8 +3,9 @@ its tracer wraps every ``(module, attribute)`` of ``bench/tracing.py``'s
 ``TARGETS``, and ``bench/run.py`` calls ``simulator.plan(model, group)`` to
 check keep counts. A rename or deletion in ``src/`` fails here, not only
 when the benchmark runs. The smoke test runs both workloads of
-``bench/run.py`` at 200 queries, untraced and traced. These tests read
-``bench/`` and change nothing there."""
+``bench/run.py`` at 200 queries, untraced and traced; on ``train`` the
+traced loss calls and batches must be counted. These tests read ``bench/``
+and change nothing there."""
 
 import ast
 import importlib.util
@@ -68,3 +69,9 @@ def test_workload_runs_without_failed_operations(bench_run, tmp_path, name):
     assert plain and traced
     assert set(quality) == {"auc", "cost_ratio", "frac_above_ceiling"}
     assert all(math.isfinite(v) for v in quality.values()), quality
+    if name == "train":
+        # the tracer counts batches at the loss binding it wraps in the trainer
+        layers = bench_run.layer_metrics(run.tracer.phases, [sum(it.values()) for it in plain],
+                                         [sum(it.values()) for it in traced])
+        assert layers["objective.loss_calls"] == layers["trainer.batches"] > 0
+        assert layers["objective.loss_s"] > 0

@@ -292,6 +292,19 @@ class TestCumulativeLogPass:
         log_p = log_expit(Z)
         assert _cumsum_columns(log_p.copy()).tobytes() == cum_log_p.tobytes()
 
+    @pytest.mark.parametrize("init_scale", [0.3, 900.0])
+    def test_log_q_is_log_expit_of_minus_z_bit_for_bit(self, init_scale):
+        # the shared n = -log1p(exp(-|Z|)) gives log sigma(-Z) as log_expit(-Z) does,
+        # on both signs of Z and, at scale 900, where exp(-|Z|) underflows for 46 % of Z
+        schema = default_schema()
+        packed = generate(GenConfig(n_queries=2000, seed=3), schema)
+        model = init_weights(schema, default_assignment(schema), 5, init_scale)
+        Z, cum_log_p, log_q = batch_log_pass(model, packed, log_q=True)
+        assert (Z > 0).any() and (Z < 0).any()
+        assert log_q.tobytes() == log_expit(-Z).tobytes()
+        plain = batch_log_pass(model, packed)
+        assert plain[0].tobytes() == Z.tobytes() and plain[1].tobytes() == cum_log_p.tobytes()
+
 
 @st.composite
 def _cascades(draw):

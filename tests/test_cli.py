@@ -642,6 +642,30 @@ class TestDatasetValidation:
         assert "Warning" not in capsys.readouterr().err
         assert not _NOT_FINITE.search((out / "gradcheck.txt").read_text())
 
+    def test_epoch_sum_that_overflows_exits_1(self, tmp_path, small_config, capsys):
+        # at l1 each batch's latency penalty is finite, about 1e307, and logged;
+        # their sum over the first epoch is not
+        path = _with_costs(tmp_path, small_config, 2e301, n_queries=400)
+        data = _gen(tmp_path, path)
+        err = _fails_cleanly(["train", "--config", str(path), "--dataset", str(data),
+                              "--objective", "l1", "--out", str(tmp_path / "x")], capsys,
+                             "error: the latency_penalty summed over epoch 1 is not finite, "
+                             "though each batch's is (check the feature costs and recalled "
+                             "counts)")
+        assert "Warning" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_baseline_cost_that_overflows_exits_1(self, tmp_path, small_config, capsys):
+        path = _with_costs(tmp_path, small_config, 1e306, n_queries=20)
+        data = _gen(tmp_path, path)
+        model = _train(tmp_path, small_config, data)
+        err = _fails_cleanly(["eval", "--config", str(path), "--dataset", str(data),
+                              "--model", str(model), "--out", str(tmp_path / "out")], capsys,
+                             "error: the baseline cost, ", " instances times the sum of the "
+                             "feature costs, is not finite (check the feature costs)")
+        assert "Warning" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrainCommand:
     def test_missing_dataset_flag_is_usage_error(self, tmp_path):

@@ -179,6 +179,22 @@ class TestStageCost:
         asg = default_assignment(schema)
         assert stage_costs(asg, schema).sum() == pytest.approx(schema.costs().sum())
 
+    def test_model_carries_its_stage_costs_read_only(self):
+        schema = default_schema()
+        asg = default_assignment(schema)
+        model = init_weights(schema, asg, seed=0, init_scale=0.1)
+        assert model.stage_costs.tobytes() == stage_costs(asg, schema).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            model.stage_costs[0] = 0.0
+
+    def test_overflowing_stage_cost_is_inf_without_a_warning(self):
+        # every model computes its stage costs when it is built, so building
+        # one over costs whose stage sum overflows must not warn
+        schema = FeatureSchema((Feature("a", 1e308), Feature("b", 1e308)))
+        asg = StageAssignment(((0, 1),))
+        assert stage_costs(asg, schema).tolist() == [math.inf]
+        assert init_weights(schema, asg, seed=0, init_scale=0.1).stage_costs.tolist() == [math.inf]
+
     def test_summed_left_to_right_in_assignment_order(self):
         # 1 + 1 + 1e16 keeps the small terms; 1 + 1e16 + 1 rounds both away
         schema = FeatureSchema((Feature("a", 1.0), Feature("b", 1e16), Feature("c", 1.0)))
@@ -591,6 +607,11 @@ class TestTake:
         for idx in ([2, 0, 3], [1], [3, 2, 1, 0], [], [0, 0]):
             sub = packed.take(np.array(idx, dtype=np.int64))
             rows = self._reference(packed, idx)
+            assert packed.rows(idx).tolist() == rows.tolist()
+            given = packed.take(idx, packed.rows(idx))
+            for name in ("X", "labels", "y", "prices", "G", "sizes", "mcounts", "offsets"):
+                assert getattr(given, name).tobytes() == getattr(sub, name).tobytes()
+            assert given.query_ids == sub.query_ids == tuple(packed.query_ids[q] for q in idx)
             for name in ("X", "labels", "y", "prices"):
                 np.testing.assert_array_equal(getattr(sub, name), getattr(packed, name)[rows])
             np.testing.assert_array_equal(sub.G, packed.G[idx])

@@ -17,7 +17,8 @@ from cascade_ranker.core import (
     pack_groups,
 )
 from cascade_ranker.datagen import GenConfig, default_assignment, default_schema, generate
-from cascade_ranker.objective import OBJECTIVE_LEVELS, ObjectiveConfig, expected_cost, loss
+from cascade_ranker.objective import (OBJECTIVE_LEVELS, ObjectiveConfig, expected_cost,
+                                      instance_weights, loss)
 from cascade_ranker.trainer import (
     MAX_INIT_SCALE,
     TrainConfig,
@@ -268,27 +269,97 @@ class TestEpochRecord:
 
     @pytest.mark.parametrize("objective", OBJECTIVE_LEVELS)
     def test_fields_are_sums_of_batch_breakdowns(self, objective):
-        schema = default_schema()
-        asg = default_assignment(schema)
-        data = generate(GenConfig(n_queries=70, seed=9), schema)
-        obj = ObjectiveConfig(latency_ceiling=4000.0)
-        cfg = TrainConfig(objective=objective, epochs=3, batch_size=16, seed=4,
-                          learning_rate=0.3, lr_decay=0.5)
-        model, log = train(data, schema, asg, obj, cfg)
-        epochs, w = _replay(data, schema, asg, obj, cfg)
-        assert model.weights.tobytes() == w.tobytes()
+        _assert_records_replayed(GenConfig(n_queries=70, seed=9), objective)
 
-        assert [r.epoch for r in log.records] == [1, 2, 3]
-        for record, (lr, bds) in zip(log.records, epochs):
-            assert len(bds) == 5
-            for name in ("total", "nll", "expected_cost", "size_penalty", "latency_penalty"):
-                assert getattr(record, name) == _running_sum(getattr(bd, name) for bd in bds)
-            assert record.lr == lr
-            norms = _running_sum(float(np.linalg.norm(bd.gradient)) for bd in bds)
-            assert record.grad_norm == norms / len(bds)
-            assert record.frac_below_floor == sum(bd.queries_below_floor for bd in bds) / 70
-            assert record.frac_above_ceiling == sum(bd.queries_above_ceiling for bd in bds) / 70
-        assert 0.0 < log.records[0].frac_above_ceiling < 1.0
+    @pytest.mark.parametrize("objective", OBJECTIVE_LEVELS)
+    def test_fields_are_sums_of_batch_breakdowns_on_mixed_group_sizes(self, objective):
+        # tail queries of 1 to 40 recalled items give groups of 1 to 20 rows,
+        # so batches differ in row count and so in their scaled alpha
+        gen = GenConfig(n_queries=70, seed=9, tail_mcount_range=(1, 40))
+        data = generate(gen, default_schema())
+        assert data.sizes.min() == 1 and data.sizes.max() == 20
+        assert (data.labels == 2).any()
+        _assert_records_replayed(gen, objective)
+
+
+def _assert_records_replayed(gen: GenConfig, objective: str) -> None:
+    """``train``'s final weights and every epoch record equal ``_replay``'s,
+    bit for bit, on the data ``gen`` generates: 3 epochs of batches of 16."""
+    schema = default_schema()
+    asg = default_assignment(schema)
+    data = generate(gen, schema)
+    obj = ObjectiveConfig(latency_ceiling=4000.0)
+    cfg = TrainConfig(objective=objective, epochs=3, batch_size=16, seed=4,
+                      learning_rate=0.3, lr_decay=0.5)
+    model, log = train(data, schema, asg, obj, cfg)
+    epochs, w = _replay(data, schema, asg, obj, cfg)
+    assert model.weights.tobytes() == w.tobytes()
+
+    n_groups = len(data)
+    assert [r.epoch for r in log.records] == [1, 2, 3]
+    for record, (lr, bds) in zip(log.records, epochs):
+        assert len(bds) == math.ceil(n_groups / cfg.batch_size)
+        for name in ("total", "nll", "expected_cost", "size_penalty", "latency_penalty"):
+            assert getattr(record, name) == _running_sum(getattr(bd, name) for bd in bds)
+        assert record.lr == lr
+        norms = _running_sum(float(np.linalg.norm(bd.gradient)) for bd in bds)
+        assert record.grad_norm == norms / len(bds)
+        assert record.frac_below_floor == sum(bd.queries_below_floor for bd in bds) / n_groups
+        assert record.frac_above_ceiling == sum(bd.queries_above_ceiling for bd in bds) / n_groups
+    assert 0.0 < log.records[0].frac_above_ceiling < 1.0
+
+
+class TestWorkPerRun:
+    """What ``train`` computes once per run, and what once per batch."""
+
+    def _train_counting(self, monkeypatch, gen, cfg):
+        """Train on the data of ``gen`` under ``cfg``, counting the ``loss``
+        calls (with their ``want_grad`` and row counts), the
+        ``instance_weights`` calls and the ``ObjectiveConfig`` builds."""
+        calls = {"loss": [], "instance_weights": 0, "config": 0}
+        real_post_init = ObjectiveConfig.__post_init__
+
+        def counting_loss(*args, **kwargs):
+            want_grad = kwargs.get("want_grad", args[4] if len(args) > 4 else True)
+            calls["loss"].append((want_grad, args[1].n_instances))
+            return loss(*args, **kwargs)
+
+        def counting_weights(*args, **kwargs):
+            calls["instance_weights"] += 1
+            return instance_weights(*args, **kwargs)
+
+        def counting_post_init(self):
+            calls["config"] += 1
+            real_post_init(self)
+
+        schema = default_schema()
+        data = generate(gen, schema)
+        obj = ObjectiveConfig(latency_ceiling=4000.0)
+        monkeypatch.setattr("cascade_ranker.trainer.loss", counting_loss)
+        for module in ("cascade_ranker.trainer", "cascade_ranker.objective"):
+            monkeypatch.setattr(f"{module}.instance_weights", counting_weights, raising=False)
+        monkeypatch.setattr(ObjectiveConfig, "__post_init__", counting_post_init)
+        train(data, schema, default_assignment(schema), obj, cfg)
+        return data, calls
+
+    @pytest.mark.parametrize("objective", OBJECTIVE_LEVELS)
+    def test_one_loss_with_gradient_per_batch(self, monkeypatch, objective):
+        cfg = TrainConfig(objective=objective, epochs=3, batch_size=16, seed=4)
+        data, calls = self._train_counting(monkeypatch, GenConfig(n_queries=70, seed=9), cfg)
+        assert len(calls["loss"]) == cfg.epochs * math.ceil(len(data) / cfg.batch_size) == 15
+        assert all(want_grad is True for want_grad, _ in calls["loss"])
+
+    def test_instance_weights_once_per_run(self, monkeypatch):
+        cfg = TrainConfig(epochs=3, batch_size=16, seed=4)
+        _, calls = self._train_counting(monkeypatch, GenConfig(n_queries=70, seed=9), cfg)
+        assert calls["instance_weights"] == 1 < len(calls["loss"])
+
+    def test_batch_config_once_per_distinct_row_count(self, monkeypatch):
+        # 70 groups of 20 rows in batches of 16: four of 320 rows, then one of 120
+        cfg = TrainConfig(epochs=3, batch_size=16, seed=4)
+        _, calls = self._train_counting(monkeypatch, GenConfig(n_queries=70, seed=9), cfg)
+        assert {n for _, n in calls["loss"]} == {320, 120}
+        assert calls["config"] <= 2 < len(calls["loss"])
 
 
 def _newton_logreg_oracle(X, y, wgt, iters=60):
